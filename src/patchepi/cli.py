@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import List, Optional, Sequence, Tuple
@@ -497,32 +496,19 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
                     f"expected {size}")
             jobs.append((label, alpha, X0, classified))
 
-    def run(job):
-        label, alpha, X0, classified = job
+    artifacts = {}
+    rows = []
+    failures = 0
+    for label, alpha, X0, classified in jobs:
+        entry = {"label": label, "alpha": alpha}
         try:
             traj = sim.integrate(models, net, alpha, X0, t_end=config.t_end,
                                  rtol=config.rtol, atol=config.atol,
                                  classified=classified)
         except sim.StepSizeUnderflowError as exc:
-            return label, alpha, None, str(exc)
-        return label, alpha, traj, None
-
-    workers = max(1, int(os.environ.get("PATCHEPI_THREADS", "1")))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
-    artifacts = {}
-    rows = []
-    failures = 0
-    for label, alpha, traj, err in results:
-        entry = {"label": label, "alpha": alpha}
-        if traj is None:
             failures += 1
             entry.update({"csv": None, "terminal_classification": None,
-                          "failure": err})
+                          "failure": str(exc)})
         else:
             name = f"traj_{label}_a{alpha:g}.csv"
             artifacts[name] = _trajectory_csv(traj, comp_names)

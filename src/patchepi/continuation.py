@@ -129,26 +129,14 @@ def coupled_residual(models: Sequence[PatchModel], net: MobilityNetwork,
 
 def coupled_jacobian(models: Sequence[PatchModel], net: MobilityNetwork,
                      alpha: float, X: np.ndarray) -> np.ndarray:
-    """Block-diagonal patch Jacobians plus alpha-scaled coupling diagonals."""
+    """Block-diagonal patch Jacobians plus alpha times the travel matrix."""
     n, m, k = _check_families(models, net)
     s = n + m + k
-    r = net.r
     X = np.asarray(X, dtype=float)
-    J = np.zeros((r * s, r * s))
+    J = alpha * travel_matrix(net)
     for i, mod in enumerate(models):
-        J[i * s:(i + 1) * s, i * s:(i + 1) * s] = patch_jacobian(
+        J[i * s:(i + 1) * s, i * s:(i + 1) * s] += patch_jacobian(
             mod, split_state(mod, X[i * s:(i + 1) * s]))
-    if alpha == 0.0:
-        return J
-    slices = _block_slices(r, n, m, k)
-    for c, pos in ((net.cx, 0), (net.cy, 1), (net.cz, 2)):
-        outflow = c.sum(axis=0)
-        for i in range(r):
-            sl_i = slices[i][pos]
-            J[sl_i, sl_i] -= alpha * np.diag(outflow[i])
-            for j in range(r):
-                if j != i and np.any(c[i, j] > 0.0):
-                    J[sl_i, slices[j][pos]] += alpha * np.diag(c[i, j])
     return J
 
 
@@ -156,88 +144,142 @@ def travel_matrix(net: MobilityNetwork) -> np.ndarray:
     """Dense matrix of the linear travel operator L."""
     n, m, k = net.block_sizes
     s = n + m + k
-    size = net.r * s
-    M = np.zeros((size, size))
-    slices = _block_slices(net.r, n, m, k)
-    for c, pos in ((net.cx, 0), (net.cy, 1), (net.cz, 2)):
-        outflow = c.sum(axis=0)
-        for i in range(net.r):
-            sl_i = slices[i][pos]
-            M[sl_i, sl_i] -= np.diag(outflow[i])
-            for j in range(net.r):
-                if j != i:
-                    M[sl_i, slices[j][pos]] += np.diag(c[i, j])
-    return M
+    r = net.r
+    L = np.zeros((r, s, r, s))
+    regions = np.arange(r)[:, None]
+    for c, offset in ((net.cx, 0), (net.cy, n), (net.cz, n + m)):
+        comp = offset + np.arange(c.shape[2])
+        # L[i, comp, j, comp] = C^{ij}; the diagonal blocks of c are zero
+        L[:, comp, :, comp] = c.transpose(2, 0, 1)
+        L[regions, comp, regions, comp] -= c.sum(axis=0)
+    return L.reshape(r * s, r * s)
+
+
+class CoupledSystem:
+    """The coupled residual T(alpha, X) and its Jacobian for one (models, net).
+
+    Within patch i every incidence term is linear in the products
+    P_i[p, q] = y_p x_q / N_i (x_q alone under mass action):
+
+        T(alpha, X) = (M0 + alpha L) X + c + Q P(X),
+        dT/dX       =  M0 + alpha L        + Q dP/dX,
+
+    where M0 holds each patch's linear terms (-V, g_lin, Z, -D), L is the
+    travel matrix, c the constant recruitment, and Q maps the products to
+    new infections, Q[x_j, P_pq] = eta[p, q, j] beta[p, q], and to
+    susceptible losses, Q[y_p, P_pq] = -beta[p, q]. All four are built
+    once; an evaluation is then a few array operations over every patch at
+    once. For affine recruitment M0 + alpha L is the whole constant part of
+    the Jacobian.
+
+    Models with a recruitment callback, or patches mixing the two
+    incidences, use the per-patch reference coupled_residual and
+    coupled_jacobian instead.
+    """
+
+    def __init__(self, models: Sequence[PatchModel], net: MobilityNetwork):
+        n, m, k = _check_families(models, net)
+        self.models, self.net = models, net
+        self.n, self.m, self.s = n, m, n + m + k
+        self.L = travel_matrix(net)
+        incidences = {mod.incidence for mod in models}
+        self.compiled = (all(mod.g_func is None for mod in models)
+                         and len(incidences) == 1)
+        if not self.compiled:
+            return
+        self.standard = incidences.pop() == "standard"
+        r, s = net.r, self.s
+        self.M0 = np.zeros((r * s, r * s))
+        self.c = np.zeros(r * s)
+        self.Q = np.zeros((r * s, r * m * n))
+        for i, mod in enumerate(models):
+            base, cols = i * s, slice(i * m * n, (i + 1) * m * n)
+            self.M0[base:base + n, base:base + n] = -mod.V
+            self.M0[base + n:base + n + m, base + n:base + n + m] = mod.g_lin
+            self.M0[base + n + m:base + s, base:base + n] = mod.Z
+            self.M0[base + n + m:base + s, base + n + m:base + s] = -mod.D
+            self.c[base + n:base + n + m] = mod.g_const
+            self.Q[base:base + n, cols] = np.einsum(
+                "pqj,pq->jpq", mod.eta, mod.beta).reshape(n, m * n)
+            self.Q[base + n:base + n + m, cols] = (
+                -np.eye(m)[:, :, None] * mod.beta).reshape(m, m * n)
+        # dP/dX is block diagonal; row P_i[p, q] meets column x_q of patch i
+        # (d/dx_q = y_p / N), column y_p (d/dy_p = x_q / N) and, under
+        # standard incidence, every x and y column (d/dN = -P / N)
+        rows = np.arange(r * m * n).reshape(r, m, n)
+        patch = np.arange(r)[:, None, None] * s
+        self._dx = (rows, patch + np.arange(n))
+        self._dy = (rows, patch + n + np.arange(m)[:, None])
+        self._dN = (rows.reshape(r, m * n, 1),
+                    np.arange(r)[:, None, None] * s + np.arange(n + m))
+
+    def _products(self, X: np.ndarray):
+        """(P, y, x_eff, 1/N) per patch; 1/N is None under mass action."""
+        X3 = X.reshape(self.net.r, self.s)
+        xs = X3[:, :self.n]
+        ys = X3[:, self.n:self.n + self.m]
+        inv_N = None
+        if self.standard:
+            Ns = X3[:, :self.n + self.m].sum(axis=1)
+            if not Ns.min() > 0.0:
+                raise InadmissibleStateError(
+                    "standard incidence undefined at N = 0")
+            inv_N = 1.0 / Ns
+            xs = xs * inv_N[:, None]
+        return ys[:, :, None] * xs[:, None, :], ys, xs, inv_N
+
+    def residual(self, alpha: float, X: np.ndarray) -> np.ndarray:
+        """T(alpha, X); equals coupled_residual(models, net, alpha, X)."""
+        if not self.compiled:
+            return coupled_residual(self.models, self.net, alpha, X)
+        return ((self.M0 + alpha * self.L) @ X + self.c
+                + self.Q @ self._products(X)[0].ravel())
+
+    def jacobian(self, alpha: float, X: np.ndarray) -> np.ndarray:
+        """dT/dX at (alpha, X); equals coupled_jacobian(models, net, alpha, X)."""
+        if not self.compiled:
+            return coupled_jacobian(self.models, self.net, alpha, X)
+        P, ys, xeff, inv_N = self._products(X)
+        dP = np.zeros(self.Q.shape[::-1])
+        if inv_N is None:
+            dP[self._dx] = ys[:, :, None]
+        else:
+            dP[self._dN] = -(P * inv_N[:, None, None]).reshape(
+                self.net.r, -1, 1)
+            dP[self._dx] += ys[:, :, None] * inv_N[:, None, None]
+        dP[self._dy] += xeff[:, None, :]
+        return self.M0 + alpha * self.L + self.Q @ dP
 
 
 def build_rhs(models: Sequence[PatchModel], net: MobilityNetwork,
               alpha: float):
-    """Closure computing coupled_residual(models, net, alpha, X) fast.
+    """Function computing coupled_residual(models, net, alpha, X) fast.
 
-    Precomputes per-patch constants and the travel matrix so repeated
-    evaluation (time integration) skips all construction and validation.
-    Only affine recruitment is fast-pathed; models with a recruitment
-    callback fall back to the reference implementation.
+    The coupled system is built once, so repeated evaluation (time
+    integration) skips all construction and validation.
     """
-    n, m, k = _check_families(models, net)
-    s = n + m + k
-    r = net.r
-    incidences = {mod.incidence for mod in models}
-    if any(mod.g_func is not None for mod in models) or len(incidences) > 1:
-        def rhs_ref(X):
-            return coupled_residual(models, net, alpha, X)
-        return rhs_ref
-    standard = incidences.pop() == "standard"
-
-    # everything linear in X collapses into one matrix
-    M = alpha * travel_matrix(net)
-    c = np.zeros(r * s)
-    for i, mod in enumerate(models):
-        base = i * s
-        M[base:base + n, base:base + n] -= mod.V
-        M[base + n:base + n + m, base + n:base + n + m] += mod.g_lin
-        M[base + n + m:base + s, base:base + n] += mod.Z
-        M[base + n + m:base + s, base + n + m:base + s] -= mod.D
-        c[base + n:base + n + m] = mod.g_const
-    # H[i, p, j, q] = eta[i][p, q, j] beta[i][p, q] contracts new infections
-    H = np.stack([np.einsum("pqj,pq->pjq", mod.eta, mod.beta)
-                  for mod in models])
-    beta_all = np.stack([mod.beta for mod in models])
-
-    def rhs(X):
-        X3 = X.reshape(r, s)
-        xs = X3[:, :n]
-        ys = X3[:, n:n + m]
-        if standard:
-            Ns = xs.sum(axis=1) + ys.sum(axis=1)
-            if np.any(Ns <= 0.0):
-                raise InadmissibleStateError(
-                    "standard incidence undefined at N = 0")
-            xeff = xs / Ns[:, None]
-        else:
-            xeff = xs
-        out = M @ X + c
-        out3 = out.reshape(r, s)
-        out3[:, :n] += np.einsum("rpjq,rq,rp->rj", H, xeff, ys)
-        out3[:, n:n + m] -= ys * np.einsum("rpq,rq->rp", beta_all, xeff)
-        return out
-
-    return rhs
+    system = CoupledSystem(models, net)
+    return lambda X: system.residual(alpha, X)
 
 
 # ====================================================================
 # Corrector
 # ====================================================================
 
-def _newton_correct(models, net, alpha, X0):
+def _newton_correct(system, alpha, X0):
     """Damped Newton for T(alpha, .) = 0 from X0. Returns (X, residual_norm)."""
     X = np.array(X0, dtype=float)
-    res = coupled_residual(models, net, alpha, X)
+    try:
+        res = system.residual(alpha, X)
+    except InadmissibleStateError as exc:
+        raise CorrectionFailureError(
+            f"corrector start inadmissible at alpha = {alpha:g}: {exc}"
+        ) from exc
     rnorm = float(np.max(np.abs(res)))
     for _ in range(MAX_NEWTON_ITERS):
         if rnorm <= NEWTON_TOL:
             return X, rnorm
-        J = coupled_jacobian(models, net, alpha, X)
+        J = system.jacobian(alpha, X)
         try:
             step = matalg.solve_linear(J, -res)
         except matalg.SingularMatrixError as exc:
@@ -248,7 +290,7 @@ def _newton_correct(models, net, alpha, X0):
         for _ in range(MAX_HALVINGS + 1):
             try:
                 trial = X + t * step
-                res_t = coupled_residual(models, net, alpha, trial)
+                res_t = system.residual(alpha, trial)
                 m_t = float(np.max(np.abs(res_t))) ** 2
                 if m_t <= (1.0 - 2.0 * ARMIJO_SLOPE * t) * merit:
                     break
@@ -269,8 +311,8 @@ def _newton_correct(models, net, alpha, X0):
         f"Newton exceeded {MAX_NEWTON_ITERS} iterations at alpha = {alpha:g}")
 
 
-def _stability(models, net, alpha, X):
-    eigs = matalg.eigen_spectrum(coupled_jacobian(models, net, alpha, X))
+def _stability(system, alpha, X):
+    eigs = matalg.eigen_spectrum(system.jacobian(alpha, X))
     top = float(np.max(eigs.real))
     if top < -STABILITY_MARGIN:
         return "stable", top
@@ -279,8 +321,8 @@ def _stability(models, net, alpha, X):
     return "marginal", top
 
 
-def _accept(models, net, alpha, X, rnorm) -> CoupledState:
-    stability, top = _stability(models, net, alpha, X)
+def _accept(system, alpha, X, rnorm) -> CoupledState:
+    stability, top = _stability(system, alpha, X)
     return CoupledState(alpha=float(alpha), X=X,
                         residual_norm=rnorm, stability=stability,
                         min_component=float(np.min(X)), max_real_eig=top)
@@ -326,40 +368,40 @@ def continue_branch(pattern: EquilibriumPattern,
         raise ValueError("alpha targets must be nonnegative")
     targets = [a for a in targets if a > 0.0]
 
+    system = CoupledSystem(models, net)
     X0 = product_state(pattern, models, equilibria)
-    J0 = coupled_jacobian(models, net, 0.0, X0)
+    J0 = system.jacobian(0.0, X0)
     if matalg.condition_estimate(J0) > matalg.COND_LIMIT:
         raise HypothesisViolationError(
             "theorem hypothesis violated: coupled Jacobian singular at "
             f"alpha = 0 for pattern {pattern.choices}")
 
     if pattern.is_dfe:
-        return _continue_dfe(pattern, models, net, targets)
+        return _continue_dfe(pattern, system, targets)
 
-    r0 = float(np.max(np.abs(coupled_residual(models, net, 0.0, X0))))
-    points = [_accept(models, net, 0.0, X0, r0)]
+    r0 = float(np.max(np.abs(system.residual(0.0, X0))))
+    points = [_accept(system, 0.0, X0, r0)]
     exit_alpha = None
     failure = None
     prev_alpha, prev_X = 0.0, X0
     for alpha in targets:
         try:
             slope = matalg.solve_linear(
-                coupled_jacobian(models, net, prev_alpha, prev_X),
+                system.jacobian(prev_alpha, prev_X),
                 -travel_operator(net, prev_X))
             predictor = prev_X + (alpha - prev_alpha) * slope
         except matalg.SingularMatrixError:
             predictor = prev_X
         try:
-            X, rnorm = _newton_correct(models, net, alpha, predictor)
+            X, rnorm = _newton_correct(system, alpha, predictor)
         except CorrectionFailureError as exc:
             failure = str(exc)
             break
-        points.append(_accept(models, net, alpha, X, rnorm))
+        points.append(_accept(system, alpha, X, rnorm))
         if points[-1].min_component < SIGN_EXIT_TOL and exit_alpha is None:
             exit_alpha = alpha
             if refine_exit:
-                exit_alpha = _refine_exit(models, net, prev_alpha, prev_X,
-                                          alpha)
+                exit_alpha = _refine_exit(system, prev_alpha, prev_X, alpha)
             if stop_at_exit:
                 break
         prev_alpha, prev_X = alpha, X
@@ -368,14 +410,14 @@ def continue_branch(pattern: EquilibriumPattern,
                         verdict_observed=verdict, failure=failure)
 
 
-def _refine_exit(models, net, lo, X_lo, hi) -> float:
+def _refine_exit(system, lo, X_lo, hi) -> float:
     """Bisect the first sign violation to about two significant digits."""
     for _ in range(40):
         if hi / max(lo, 1e-300) <= 1.05:
             break
         mid = np.sqrt(max(lo, hi * 1e-4) * hi) if lo == 0.0 else np.sqrt(lo * hi)
         try:
-            X, _ = _newton_correct(models, net, mid, X_lo)
+            X, _ = _newton_correct(system, mid, X_lo)
         except CorrectionFailureError:
             return hi
         if float(np.min(X)) < SIGN_EXIT_TOL:
@@ -385,7 +427,7 @@ def _refine_exit(models, net, lo, X_lo, hi) -> float:
     return hi
 
 
-def _continue_dfe(pattern, models, net, targets) -> BranchRecord:
+def _continue_dfe(pattern, system, targets) -> BranchRecord:
     """DFE branch via the reduced susceptible subsystem.
 
     With the infected blocks pinned at zero the x and z equations hold
@@ -393,7 +435,8 @@ def _continue_dfe(pattern, models, net, targets) -> BranchRecord:
     solved; the result is embedded with exact zeros. This keeps the
     continued DFE free of spurious infected-block drift.
     """
-    n, m, k = _check_families(models, net)
+    models, net = system.models, system.net
+    n, m, k = net.block_sizes
     s = n + m + k
     r = net.r
     slices = _block_slices(r, n, m, k)
@@ -445,8 +488,8 @@ def _continue_dfe(pattern, models, net, targets) -> BranchRecord:
             failure = str(exc)
             break
         X = embed(Y)
-        rnorm = float(np.max(np.abs(coupled_residual(models, net, alpha, X))))
-        points.append(_accept(models, net, alpha, X, rnorm))
+        rnorm = float(np.max(np.abs(system.residual(alpha, X))))
+        points.append(_accept(system, alpha, X, rnorm))
     return BranchRecord(pattern=pattern, points=points, exit_alpha=None,
                         verdict_observed="persists", failure=failure)
 

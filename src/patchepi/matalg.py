@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 # Absolute threshold below which a matrix entry counts as structurally zero.
 # Entries are model parameters, not noisy data, so this is generous.
@@ -100,33 +98,40 @@ def m_matrix_report(A: np.ndarray) -> SignPatternReport:
                              inverse_nonneg=inverse_nonneg, min_real_eig=min_re)
 
 
-def condition_estimate(A: np.ndarray) -> float:
-    """1-norm condition estimate via LU."""
-    A = _require_square(A)
+def _lu_condition(A: np.ndarray):
+    """(lu, piv, cond): LU factors of A and its 1-norm condition estimate.
+
+    lu and piv are None, and cond is inf, when A cannot be factored.
+    """
     try:
         with warnings.catch_warnings():
             # an exactly singular pivot is a valid outcome here, not a bug
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(A)
     except (scipy.linalg.LinAlgError, ValueError):
-        return np.inf
+        return None, None, np.inf
     anorm = np.linalg.norm(A, 1)
     rcond = scipy.linalg.lapack.dgecon(lu, anorm)[0]
-    return np.inf if rcond == 0.0 else 1.0 / rcond
+    return lu, piv, (np.inf if rcond == 0.0 else 1.0 / rcond)
+
+
+def condition_estimate(A: np.ndarray) -> float:
+    """1-norm condition estimate via LU."""
+    return _lu_condition(_require_square(A))[2]
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve Ax = b, refusing near-singular systems.
 
     The residual is required to satisfy ||Ax - b||_inf <= 1e-9 (1 + ||b||_inf);
-    one step of iterative refinement keeps that bound easy to meet.
+    one step of iterative refinement keeps that bound easy to meet. The
+    condition estimate comes from the same LU factors as the solve.
     """
     A = _require_square(A)
     b = np.asarray(b, dtype=float)
-    cond = condition_estimate(A)
+    lu, piv, cond = _lu_condition(A)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrixError(cond)
-    lu, piv = scipy.linalg.lu_factor(A)
     x = scipy.linalg.lu_solve((lu, piv), b)
     x = x + scipy.linalg.lu_solve((lu, piv), b - A @ x)
     resid = np.max(np.abs(A @ x - b)) if b.size else 0.0
@@ -144,13 +149,15 @@ def is_irreducible(pattern: np.ndarray) -> bool:
     column permutation brings the matrix to block-triangular form.
     """
     P = _require_square(np.asarray(pattern))
-    n = P.shape[0]
-    if n == 1:
-        return True
-    adj = (np.abs(P.astype(float)) > ZERO_TOL).astype(np.int8)
-    np.fill_diagonal(adj, 0)
-    ncomp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    return ncomp == 1
+    # reach[i, j]: a path from j to i; squaring doubles the path lengths
+    # covered, so it settles after about log2(n) products
+    reach = ((np.abs(P.astype(float)) > ZERO_TOL)
+             | np.eye(P.shape[0], dtype=bool))
+    while True:
+        longer = reach @ reach
+        if np.array_equal(longer, reach):
+            return bool(reach.all())
+        reach = longer
 
 
 def eigen_spectrum(A: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ module are rest points of these trajectories. The coupled system is stiff
 (decay rates of the HIV patches span more than two orders of magnitude),
 so the integrator is the linearly implicit Rosenbrock method Rodas4
 (Hairer & Wanner, Solving ODEs II, sec. VI.4): order 4 with an embedded
-order-3 solution, stiffly accurate, driven by the analytic coupled
-Jacobian at the start of each step, with one LU factorization of
-I/(h gamma) - J per step.
+order-3 solution, stiffly accurate, driven by the analytic Jacobian of the
+coupled system (continuation.CoupledSystem, built once per trajectory) at
+the start of each step, with one LU factorization of I/(h gamma) - J per
+step.
 
 Step control has one model-specific twist: an accepted step may not take
 any component below -1e-9. Undershoots trigger step rejection rather
@@ -25,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .continuation import build_rhs, coupled_jacobian
+from .continuation import CoupledSystem, build_rhs
 from .model import InadmissibleStateError, PatchModel
 from .network import MobilityNetwork
 
@@ -176,9 +177,10 @@ def integrate(models: Sequence[PatchModel], net: MobilityNetwork,
         raise ValueError("t_end must be positive")
 
     rhs = build_rhs(models, net, alpha)
+    system = CoupledSystem(models, net)
 
     def jac(Y):
-        return coupled_jacobian(models, net, alpha, Y)
+        return system.jacobian(alpha, Y)
 
     order = _susceptible_first(models, net.r)
 

@@ -397,6 +397,18 @@ def test_main_numerical_failure_exit_3(tmp_path, capsys):
     assert verdicts == {"persists", "indeterminate"}
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_subcommand_exits_cleanly_on_shipped_fixtures(name, tmp_path,
+                                                            capsys):
+    # exit codes are documented as 0 (ok), 2 (config), 3 (numerical);
+    # anything else escaping main would be a traceback
+    for command in ("analyze", "census", "continue", "simulate"):
+        code = cli.main([command, "--config", cli.fixture_path(name),
+                         "--out", str(tmp_path / command)])
+        assert code in (0, 2, 3), (command, code)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_artifacts_byte_deterministic(tmp_path):
     data = fixture_dict("hiv_mixed.json")
     data["network"] = {"preset": "fig3b"}

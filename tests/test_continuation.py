@@ -63,6 +63,62 @@ def test_coupled_jacobian_matches_finite_differences(mixed):
     assert np.max(np.abs(J - Jfd)) < 1e-5
 
 
+def _kernel_cases():
+    import dataclasses
+    from patchepi import model
+    hiv = list(hiv_system(MIXED_TRIPLE)[0])
+    mg = model.multigroup([[0.02, 0.01], [0.005, 0.03]], 1.0, 0.05, 0.05)
+    sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
+    ms = model.multistrain([0.04, 0.03], 0.4, 1.0, 0.1)
+
+    def std(mod):
+        return dataclasses.replace(mod, incidence="standard")
+
+    def mass(mod):
+        return dataclasses.replace(mod, incidence="mass_action")
+
+    def g_func(y):
+        return 1.0 - 0.05 * y - 0.01 * y ** 2
+
+    small = network.preset("fig3c", n=2, m=1, k=1)
+    return {
+        "hiv_standard": (hiv, hiv_net("fig3b"), True),
+        "hiv_mass_action": ([mass(m) for m in hiv], hiv_net("fig4b"), True),
+        "multigroup": ([mg] * 3, network.preset("fig3b", n=2, m=2, k=2), True),
+        "multigroup_standard": ([std(mg)] * 3,
+                                network.preset("fig3a", n=2, m=2, k=2), True),
+        "stage_progression_multistrain": ([sp, ms, sp], small, True),
+        "multistrain_standard": ([std(ms)] * 3, small, True),
+        "mixed_incidence": ([sp, std(sp), sp], small, False),
+        "recruitment_callback": ([dataclasses.replace(sp, g_func=g_func)] * 3,
+                                 small, False),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+def test_kernel_jacobian_matches_stacked_patch_jacobians(case):
+    from patchepi.model import patch_jacobian, split_state
+    models, net, compiled = _kernel_cases()[case]
+    system = continuation.CoupledSystem(models, net)
+    assert system.compiled == compiled
+    s = models[0].size
+    rng = np.random.default_rng(21)
+    for alpha in (0.0, 3e-3, 0.5):
+        X = np.abs(rng.normal(3.0, 1.0, size=net.r * s)) + 0.1
+        ref = alpha * continuation.travel_matrix(net)
+        for i, mod in enumerate(models):
+            ref[i * s:(i + 1) * s, i * s:(i + 1) * s] += patch_jacobian(
+                mod, split_state(mod, X[i * s:(i + 1) * s]))
+        J = system.jacobian(alpha, X)
+        assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref)), alpha
+        assert np.max(np.abs(
+            continuation.coupled_jacobian(models, net, alpha, X) - ref)) \
+            <= 1e-13 * np.max(np.abs(ref))
+        res = continuation.coupled_residual(models, net, alpha, X)
+        assert np.max(np.abs(system.residual(alpha, X) - res)) \
+            <= 1e-13 * (1.0 + np.max(np.abs(res)))
+
+
 def test_fast_rhs_agrees_with_reference(mixed):
     models, eqs, R, net = mixed
     rhs = continuation.build_rhs(models, net, 3e-4)
@@ -170,6 +226,16 @@ def test_dfe_branch_stays_disease_free(backward):
             assert np.max(np.abs(blk[:4])) <= 1e-12   # infected
             assert abs(blk[6]) <= 1e-12               # AIDS
             assert np.min(blk[4:6]) > 0.0             # susceptibles
+
+
+def test_inadmissible_corrector_start_is_a_branch_failure(backward):
+    models, eqs, R, net = backward
+    # one Euler step from alpha = 0 to 1e-2 leaves a patch with N <= 0
+    rec = continuation.continue_branch(EquilibriumPattern((2, 0, 2)), models,
+                                       net, [1e-2], equilibria=eqs)
+    assert not rec.complete
+    assert "inadmissible at alpha = 0.01" in rec.failure
+    assert [p.alpha for p in rec.points] == [0.0]
 
 
 def test_stable_unstable_census(backward):

@@ -104,6 +104,28 @@ def test_is_irreducible():
     assert matalg.is_irreducible(np.array([[0.0]]))
 
 
+def test_is_irreducible_matches_strong_components():
+    import itertools
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    def strongly_connected(P):
+        adj = (np.abs(P) > matalg.ZERO_TOL).astype(np.int8)
+        np.fill_diagonal(adj, 0)
+        return connected_components(csr_matrix(adj), directed=True,
+                                    connection="strong")[0] == 1
+
+    cases = [np.array(bits, dtype=float).reshape(3, 3)
+             for bits in itertools.product([0, 1], repeat=9)]
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        cases.append(rng.normal(size=(n, n))
+                     * (rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.6)))
+    for P in cases:
+        assert matalg.is_irreducible(P) == strongly_connected(P), P
+
+
 def test_eigen_spectrum_matches_numpy():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(6, 6))
