@@ -51,6 +51,8 @@ def fmt_float(v: float) -> float:
 
 
 def round_floats(obj):
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, float):
         return fmt_float(obj)
     if isinstance(obj, (np.floating,)):
@@ -292,8 +294,8 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
     net = build_network(config, models)
     patches = []
     for idx, mod in enumerate(models):
-        report = equilibria.bifurcation_report(mod)
         eqs = equilibria.patch_equilibria(mod)
+        report = equilibria.bifurcation_report(mod, equilibria=eqs)
         dfe = eqs[0]
         entry = {
             "region": idx + 1,
@@ -426,7 +428,8 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
         name = f"branch_{pattern_label(pat.choices)}.csv"
         artifacts[name] = _branch_csv(record, comp_names)
         agree = (predicted.verdict == record.verdict_observed
-                 if predicted.verdict != "indeterminate" else None)
+                 if predicted.verdict != "indeterminate"
+                 and record.verdict_observed is not None else None)
         if agree is False:
             mismatches += 1
         if record.failure is not None:

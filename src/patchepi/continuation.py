@@ -61,7 +61,7 @@ class BranchRecord:
     pattern: EquilibriumPattern
     points: List[CoupledState]
     exit_alpha: Optional[float]
-    verdict_observed: str     # "persists" | "vanishes"
+    verdict_observed: Optional[str]   # "persists" | "vanishes"; None if failed
     failure: Optional[str] = None
 
     @property
@@ -168,13 +168,17 @@ class CoupledSystem:
     travel matrix, c the constant recruitment, and Q maps the products to
     new infections, Q[x_j, P_pq] = eta[p, q, j] beta[p, q], and to
     susceptible losses, Q[y_p, P_pq] = -beta[p, q]. All four are built
-    once; an evaluation is then a few array operations over every patch at
-    once. For affine recruitment M0 + alpha L is the whole constant part of
-    the Jacobian.
+    once, and M0 + alpha L once per alpha; an evaluation is then a few
+    array operations over every patch at once. For affine recruitment
+    M0 + alpha L is the whole constant part of the Jacobian.
+
+    X may carry leading batch axes, X[..., r * s]: residual and jacobian
+    then evaluate every state of the batch at once, as the multi-start
+    equilibrium search of one patch does (one region, alpha = 0).
 
     Models with a recruitment callback, or patches mixing the two
     incidences, use the per-patch reference coupled_residual and
-    coupled_jacobian instead.
+    coupled_jacobian instead, one state at a time.
     """
 
     def __init__(self, models: Sequence[PatchModel], net: MobilityNetwork):
@@ -182,12 +186,13 @@ class CoupledSystem:
         self.models, self.net = models, net
         self.n, self.m, self.s = n, m, n + m + k
         self.L = travel_matrix(net)
-        incidences = {mod.incidence for mod in models}
+        self._standard_patch = np.array([mod.incidence == "standard"
+                                         for mod in models])
         self.compiled = (all(mod.g_func is None for mod in models)
-                         and len(incidences) == 1)
+                         and len(set(self._standard_patch)) == 1)
         if not self.compiled:
             return
-        self.standard = incidences.pop() == "standard"
+        self.standard = bool(self._standard_patch[0])
         r, s = net.r, self.s
         self.M0 = np.zeros((r * s, r * s))
         self.c = np.zeros(r * s)
@@ -203,6 +208,7 @@ class CoupledSystem:
                 "pqj,pq->jpq", mod.eta, mod.beta).reshape(n, m * n)
             self.Q[base + n:base + n + m, cols] = (
                 -np.eye(m)[:, :, None] * mod.beta).reshape(m, m * n)
+        self._alpha = self._A = None
         # dP/dX is block diagonal; row P_i[p, q] meets column x_q of patch i
         # (d/dx_q = y_p / N), column y_p (d/dy_p = x_q / N) and, under
         # standard incidence, every x and y column (d/dN = -P / N)
@@ -213,42 +219,69 @@ class CoupledSystem:
         self._dN = (rows.reshape(r, m * n, 1),
                     np.arange(r)[:, None, None] * s + np.arange(n + m))
 
+    def _linear(self, alpha: float) -> np.ndarray:
+        """M0 + alpha L, formed again only when alpha changes."""
+        if alpha != self._alpha:
+            self._alpha, self._A = alpha, self.M0 + alpha * self.L
+        return self._A
+
+    def admissible(self, X: np.ndarray) -> np.ndarray:
+        """Per state of the batch: every standard-incidence patch has N > 0.
+
+        These are the states residual and jacobian are defined on; given
+        any other, they raise InadmissibleStateError.
+        """
+        X = np.asarray(X, dtype=float)
+        X3 = X.reshape(X.shape[:-1] + (self.net.r, self.s))
+        Ns = X3[..., :self.n + self.m].sum(axis=-1)
+        return np.all((Ns > 0.0) | ~self._standard_patch, axis=-1)
+
     def _products(self, X: np.ndarray):
         """(P, y, x_eff, 1/N) per patch; 1/N is None under mass action."""
-        X3 = X.reshape(self.net.r, self.s)
-        xs = X3[:, :self.n]
-        ys = X3[:, self.n:self.n + self.m]
+        X3 = X.reshape(X.shape[:-1] + (self.net.r, self.s))
+        xs = X3[..., :self.n]
+        ys = X3[..., self.n:self.n + self.m]
         inv_N = None
         if self.standard:
-            Ns = X3[:, :self.n + self.m].sum(axis=1)
+            Ns = X3[..., :self.n + self.m].sum(axis=-1)
             if not Ns.min() > 0.0:
                 raise InadmissibleStateError(
                     "standard incidence undefined at N = 0")
             inv_N = 1.0 / Ns
-            xs = xs * inv_N[:, None]
-        return ys[:, :, None] * xs[:, None, :], ys, xs, inv_N
+            xs = xs * inv_N[..., None]
+        return ys[..., :, None] * xs[..., None, :], ys, xs, inv_N
 
     def residual(self, alpha: float, X: np.ndarray) -> np.ndarray:
         """T(alpha, X); equals coupled_residual(models, net, alpha, X)."""
         if not self.compiled:
-            return coupled_residual(self.models, self.net, alpha, X)
-        return ((self.M0 + alpha * self.L) @ X + self.c
-                + self.Q @ self._products(X)[0].ravel())
+            return self._per_state(coupled_residual, alpha, X)
+        P = self._products(X)[0]
+        return (X @ self._linear(alpha).T + self.c
+                + P.reshape(X.shape[:-1] + (-1,)) @ self.Q.T)
 
     def jacobian(self, alpha: float, X: np.ndarray) -> np.ndarray:
         """dT/dX at (alpha, X); equals coupled_jacobian(models, net, alpha, X)."""
         if not self.compiled:
-            return coupled_jacobian(self.models, self.net, alpha, X)
+            return self._per_state(coupled_jacobian, alpha, X)
         P, ys, xeff, inv_N = self._products(X)
-        dP = np.zeros(self.Q.shape[::-1])
+        dP = np.zeros(X.shape[:-1] + self.Q.shape[::-1])
         if inv_N is None:
-            dP[self._dx] = ys[:, :, None]
+            dP[..., self._dx[0], self._dx[1]] = ys[..., :, :, None]
         else:
-            dP[self._dN] = -(P * inv_N[:, None, None]).reshape(
-                self.net.r, -1, 1)
-            dP[self._dx] += ys[:, :, None] * inv_N[:, None, None]
-        dP[self._dy] += xeff[:, None, :]
-        return self.M0 + alpha * self.L + self.Q @ dP
+            dP[..., self._dN[0], self._dN[1]] = -(
+                P * inv_N[..., None, None]).reshape(
+                    X.shape[:-1] + (self.net.r, -1, 1))
+            dP[..., self._dx[0], self._dx[1]] += (
+                ys[..., :, :, None] * inv_N[..., None, None])
+        dP[..., self._dy[0], self._dy[1]] += xeff[..., None, :]
+        return self._linear(alpha) + self.Q @ dP
+
+    def _per_state(self, reference, alpha, X):
+        """reference(models, net, alpha, x) for every state x of the batch."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            return reference(self.models, self.net, alpha, X)
+        return np.stack([self._per_state(reference, alpha, row) for row in X])
 
 
 def build_rhs(models: Sequence[PatchModel], net: MobilityNetwork,
@@ -405,7 +438,8 @@ def continue_branch(pattern: EquilibriumPattern,
             if stop_at_exit:
                 break
         prev_alpha, prev_X = alpha, X
-    verdict = "vanishes" if exit_alpha is not None else "persists"
+    verdict = ("vanishes" if exit_alpha is not None
+               else None if failure is not None else "persists")
     return BranchRecord(pattern=pattern, points=points, exit_alpha=exit_alpha,
                         verdict_observed=verdict, failure=failure)
 
@@ -491,7 +525,8 @@ def _continue_dfe(pattern, system, targets) -> BranchRecord:
         rnorm = float(np.max(np.abs(system.residual(alpha, X))))
         points.append(_accept(system, alpha, X, rnorm))
     return BranchRecord(pattern=pattern, points=points, exit_alpha=None,
-                        verdict_observed="persists", failure=failure)
+                        verdict_observed=None if failure else "persists",
+                        failure=failure)
 
 
 def _dfe_y(mod: PatchModel) -> np.ndarray:

@@ -15,13 +15,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import matalg
-from .model import (HivParams, InadmissibleStateError, PatchModel, PatchState,
-                    hiv_vaccination, new_infection_operator, patch_jacobian,
-                    patch_residual, split_state)
+from .model import (HivParams, PatchModel, PatchState, hiv_vaccination,
+                    new_infection_operator, patch_jacobian, split_state)
 
 # Newton acceptance for a root, and merge distance for duplicates.
 ROOT_RESIDUAL_TOL = 1e-9
 ROOT_MERGE_TOL = 1e-7
+
+# Seeds of the generic search that share one batched Newton; bounds the
+# stacked Jacobians at SEED_BATCH * size^2 doubles (3^12 seeds for four
+# groups would otherwise need gigabytes).
+SEED_BATCH = 4096
 
 # |max real eigenvalue| below this is a marginal equilibrium; those are
 # excluded from continuation (the persistence theorem needs an invertible
@@ -284,14 +288,15 @@ def estimate_Rc(params: HivParams, bifurcation_param: str = "beta1",
     return local_reproduction_number(model)
 
 
-def bifurcation_report(model: PatchModel,
-                       estimate_fold: bool = True) -> BifurcationReport:
+def bifurcation_report(model: PatchModel, estimate_fold: bool = True,
+                       equilibria=None) -> BifurcationReport:
     """Root census and regime of one patch, any family.
 
     The HIV family gets its force-of-infection roots and, inside the
     backward window, a fold estimate from a parameter sweep below the
     configured transmission rate. Other families classify the regime
-    from the endemic root count alone.
+    from the endemic root count alone, taken from equilibria (the
+    patch_equilibria of this model) when given instead of a new search.
     """
     if model.family == "hiv_vaccination":
         params = HivParams(**model.params)
@@ -305,8 +310,11 @@ def bifurcation_report(model: PatchModel,
             return replace(report, R_c_estimate=rc)
         return report
     R = local_reproduction_number(model)
-    roots, _ = endemic_equilibria_generic(model)
-    return BifurcationReport(R_local=R, regime=_regime_from(R, len(roots)),
+    if equilibria is None:
+        nroots = len(endemic_equilibria_generic(model)[0])
+    else:
+        nroots = len(equilibria) - 1
+    return BifurcationReport(R_local=R, regime=_regime_from(R, nroots),
                              endemic_lambdas=())
 
 
@@ -319,30 +327,44 @@ def endemic_equilibria_generic(model: PatchModel) -> tuple:
 
     Returns (equilibria, discarded) where discarded counts seeds whose
     Newton iteration failed to converge or converged outside the open
-    positive cone; those are dropped silently by design.
+    positive cone; those are dropped silently by design. Newton runs on
+    up to SEED_BATCH seeds at once (_newton_seeds); the acceptance tests
+    then go through the seeds in grid order, so the first seed to reach a
+    root is the one kept.
     """
+    from .continuation import CoupledSystem
+    from .network import from_edges
+
     y0 = _susceptible_equilibrium(model)
     scale = float(np.sum(y0))
-    grid = [0.1 * scale, 1.0 * scale, 10.0 * scale]
-    nn = model.size
+    grid = np.array([0.1 * scale, 1.0 * scale, 10.0 * scale])
+    system = CoupledSystem([model], from_edges([], 1, model.n, model.m,
+                                               model.k))
     u_dfe = PatchState(np.zeros(model.n), y0, np.zeros(model.k)).concat()
+    # seed i takes grid[d_j] in coordinate j, d its base-3 digits with the
+    # last coordinate fastest: the order of itertools.product
+    place = 3 ** np.arange(model.size - 1, -1, -1)
+    nseeds = 3 ** model.size
     roots = []
     discarded = 0
-    for combo in itertools.product(grid, repeat=nn):
-        u = _damped_newton(model, np.array(combo))
-        if u is None:
-            discarded += 1
-            continue
+    for start in range(0, nseeds, SEED_BATCH):
+        index = np.arange(start, min(start + SEED_BATCH, nseeds))
+        U, converged = _newton_seeds(system, grid[index[:, None] // place % 3])
         # the open positive cone only; a seed that slid back to the DFE
         # (x numerically zero) is the disease-free root, and a root pinned
         # to any face of the cone (a component at Newton roundoff scale)
         # is a boundary state outside the endemic dichotomy
-        floor = ROOT_MERGE_TOL * (1.0 + float(np.max(np.abs(u))))
-        if np.any(u <= floor) or _state_distance(u, u_dfe) <= ROOT_MERGE_TOL:
-            discarded += 1
-            continue
-        if not any(_state_distance(u, v) <= ROOT_MERGE_TOL for v in roots):
-            roots.append(u)
+        size = np.max(np.abs(U), axis=1)
+        floor = ROOT_MERGE_TOL * (1.0 + size)
+        to_dfe = (np.max(np.abs(U - u_dfe), axis=1)
+                  / (1.0 + np.maximum(size, np.max(np.abs(u_dfe)))))
+        endemic = (converged & ~np.any(U <= floor[:, None], axis=1)
+                   & ~(to_dfe <= ROOT_MERGE_TOL))
+        discarded += index.size - int(np.count_nonzero(endemic))
+        for u in U[endemic]:
+            if not any(_state_distance(u, v) <= ROOT_MERGE_TOL
+                       for v in roots):
+                roots.append(u)
     roots.sort(key=lambda u: float(np.sum(u[:model.n])))
     out = []
     for idx, u in enumerate(roots, start=1):
@@ -359,53 +381,90 @@ def _state_distance(a: np.ndarray, b: np.ndarray) -> float:
                  / (1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)))))
 
 
-def _damped_newton(model: PatchModel, u0: np.ndarray, maxit: int = 80):
-    u = u0.astype(float).copy()
+def _newton_seeds(system, U0: np.ndarray, maxit: int = 80) -> tuple:
+    """Damped Newton for system.residual(0, u) = 0 from every row of U0.
 
-    def res(v):
-        try:
-            return patch_residual(model, split_state(model, v))
-        except InadmissibleStateError:
-            return None
-
-    r = res(u)
-    if r is None:
-        return None
+    Returns (U, converged). Every row follows the rules of a single-start
+    damped Newton on its own: it fails on an inadmissible start, a
+    residual that is not finite or above 1e12, a singular Jacobian,
+    twenty Armijo halvings without sufficient decrease, or maxit steps;
+    once its residual is at most ROOT_RESIDUAL_TOL it gets up to four
+    full polishing steps, kept while the residual still improves. The
+    rows only share the array operations, never a decision.
+    """
+    U = np.array(U0, dtype=float)
+    R = _residuals(system, U)
+    active = np.all(np.isfinite(R), axis=1)   # inadmissible starts fail
+    converged = np.zeros(len(U), dtype=bool)
     for _ in range(maxit):
-        norm = np.max(np.abs(r))
-        if norm <= ROOT_RESIDUAL_TOL:
-            # polish: keep iterating while the residual still improves
-            for _ in range(4):
-                try:
-                    J = patch_jacobian(model, split_state(model, u))
-                    du = np.linalg.solve(J, -r)
-                except (np.linalg.LinAlgError, InadmissibleStateError):
-                    break
-                r2 = res(u + du)
-                if r2 is None or np.max(np.abs(r2)) >= norm:
-                    break
-                u, r, norm = u + du, r2, np.max(np.abs(r2))
-            return u
-        if not np.isfinite(norm) or norm > 1e12:
-            return None
-        try:
-            J = patch_jacobian(model, split_state(model, u))
-            du = np.linalg.solve(J, -r)
-        except (np.linalg.LinAlgError, InadmissibleStateError):
-            return None
+        norm = np.max(np.abs(R), axis=1)
+        done = active & (norm <= ROOT_RESIDUAL_TOL)
+        converged |= done
+        active &= ~done & np.isfinite(norm) & (norm <= 1e12)
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        dU, solved = _newton_steps(system, U[idx], R[idx])
+        active[idx[~solved]] = False
+        idx, dU = idx[solved], dU[solved]
         # Armijo backtracking on the squared residual norm
-        base = float(r @ r)
-        step = 1.0
+        base = np.sum(R[idx] * R[idx], axis=1)
+        step = np.ones(idx.size)
+        pending = np.ones(idx.size, dtype=bool)
         for _ in range(20):
-            r_new = res(u + step * du)
-            if r_new is not None and float(r_new @ r_new) <= (1 - 1e-4 * step) * base:
+            p = np.flatnonzero(pending)
+            if not p.size:
                 break
-            step *= 0.5
-        else:
-            return None
-        u = u + step * du
-        r = r_new
-    return None
+            trial = U[idx[p]] + step[p, None] * dU[p]
+            R_t = _residuals(system, trial)
+            ok = (np.sum(R_t * R_t, axis=1)
+                  <= (1 - 1e-4 * step[p]) * base[p])
+            U[idx[p[ok]]], R[idx[p[ok]]] = trial[ok], R_t[ok]
+            pending[p[ok]] = False
+            step[p[~ok]] *= 0.5
+        active[idx[pending]] = False
+    # polish: keep iterating while the residual still improves
+    idx = np.flatnonzero(converged)
+    for _ in range(4):
+        if not idx.size:
+            break
+        dU, solved = _newton_steps(system, U[idx], R[idx])
+        trial = U[idx] + dU
+        R_t = _residuals(system, trial)
+        better = solved & (np.max(np.abs(R_t), axis=1)
+                           < np.max(np.abs(R[idx]), axis=1))
+        idx, trial, R_t = idx[better], trial[better], R_t[better]
+        U[idx], R[idx] = trial, R_t
+    return U, converged
+
+
+def _residuals(system, U: np.ndarray) -> np.ndarray:
+    """Residual of every row of U at alpha = 0; NaN rows where inadmissible."""
+    R = np.full_like(U, np.nan)
+    ok = system.admissible(U)
+    if ok.any():
+        R[ok] = system.residual(0.0, U[ok])
+    return R
+
+
+def _newton_steps(system, U: np.ndarray, R: np.ndarray) -> tuple:
+    """(dU, solved): the Newton step J(u) du = -r of every row.
+
+    A singular Jacobian fails its own row only (solved False).
+    """
+    J = system.jacobian(0.0, U)
+    try:
+        return (np.linalg.solve(J, -R[:, :, None])[:, :, 0],
+                np.ones(len(U), dtype=bool))
+    except np.linalg.LinAlgError:
+        dU = np.zeros_like(U)
+        solved = np.ones(len(U), dtype=bool)
+        for i in range(len(U)):
+            try:
+                dU[i] = np.linalg.solve(J[i], -R[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return dU, solved
 
 
 # ====================================================================

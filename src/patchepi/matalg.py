@@ -7,17 +7,15 @@ dense decompositions; robustness beats speed at these sizes.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Absolute threshold below which a matrix entry counts as structurally zero.
 # Entries are model parameters, not noisy data, so this is generous.
 ZERO_TOL = 1e-14
 
-# Condition estimate above which a linear system is reported singular.
+# 1-norm condition number above which a linear system is reported singular.
 COND_LIMIT = 1e12
 
 
@@ -26,10 +24,10 @@ class NonSquareError(ValueError):
 
 
 class SingularMatrixError(ValueError):
-    """Linear solve rejected; carries the condition estimate."""
+    """Linear solve rejected; carries the 1-norm condition number."""
 
     def __init__(self, cond: float):
-        super().__init__(f"matrix numerically singular (condition estimate {cond:.3e})")
+        super().__init__(f"matrix numerically singular (condition number {cond:.3e})")
         self.cond = cond
 
 
@@ -98,26 +96,23 @@ def m_matrix_report(A: np.ndarray) -> SignPatternReport:
                              inverse_nonneg=inverse_nonneg, min_real_eig=min_re)
 
 
-def _lu_condition(A: np.ndarray):
-    """(lu, piv, cond): LU factors of A and its 1-norm condition estimate.
+def _inverse_condition(A: np.ndarray):
+    """(inv, cond): the inverse of A and its 1-norm condition number.
 
-    lu and piv are None, and cond is inf, when A cannot be factored.
+    cond is ||A||_1 ||A^{-1}||_1, exact rather than estimated; inv is None
+    and cond inf when A cannot be inverted.
     """
     try:
-        with warnings.catch_warnings():
-            # an exactly singular pivot is a valid outcome here, not a bug
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(A)
-    except (scipy.linalg.LinAlgError, ValueError):
-        return None, None, np.inf
-    anorm = np.linalg.norm(A, 1)
-    rcond = scipy.linalg.lapack.dgecon(lu, anorm)[0]
-    return lu, piv, (np.inf if rcond == 0.0 else 1.0 / rcond)
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    cond = float(np.linalg.norm(A, 1) * np.linalg.norm(inv, 1))
+    return inv, (cond if np.isfinite(cond) else np.inf)
 
 
 def condition_estimate(A: np.ndarray) -> float:
-    """1-norm condition estimate via LU."""
-    return _lu_condition(_require_square(A))[2]
+    """1-norm condition number ||A||_1 ||A^{-1}||_1 (inf if singular)."""
+    return _inverse_condition(_require_square(A))[1]
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,15 +120,15 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The residual is required to satisfy ||Ax - b||_inf <= 1e-9 (1 + ||b||_inf);
     one step of iterative refinement keeps that bound easy to meet. The
-    condition estimate comes from the same LU factors as the solve.
+    condition number comes from the same inverse as the solve.
     """
     A = _require_square(A)
     b = np.asarray(b, dtype=float)
-    lu, piv, cond = _lu_condition(A)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    inv, cond = _inverse_condition(A)
+    if cond > COND_LIMIT:
         raise SingularMatrixError(cond)
-    x = scipy.linalg.lu_solve((lu, piv), b)
-    x = x + scipy.linalg.lu_solve((lu, piv), b - A @ x)
+    x = inv @ b
+    x = x + inv @ (b - A @ x)
     resid = np.max(np.abs(A @ x - b)) if b.size else 0.0
     bound = 1e-9 * (1.0 + (np.max(np.abs(b)) if b.size else 0.0))
     if resid > bound:

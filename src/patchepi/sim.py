@@ -7,7 +7,7 @@ so the integrator is the linearly implicit Rosenbrock method Rodas4
 (Hairer & Wanner, Solving ODEs II, sec. VI.4): order 4 with an embedded
 order-3 solution, stiffly accurate, driven by the analytic Jacobian of the
 coupled system (continuation.CoupledSystem, built once per trajectory) at
-the start of each step, with one LU factorization of I/(h gamma) - J per
+the start of each step, with one inverse of I/(h gamma) - J per trial
 step.
 
 Step control has one model-specific twist: an accepted step may not take
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .continuation import CoupledSystem, build_rhs
 from .model import InadmissibleStateError, PatchModel
@@ -110,9 +109,11 @@ def _susceptible_first(models: Sequence[PatchModel], r: int) -> np.ndarray:
 
     Where no region holds infection, the Jacobian has no entry from a
     susceptible column into an infected or removed row. Eliminating the
-    susceptible columns first then never pivots on those rows, so the LU
-    solve returns exact zeros for them and the disease-free subspace stays
-    invariant to the last bit, as the right-hand side keeps it.
+    susceptible columns first then never pivots on those rows, so the
+    inverse of I/(h gamma) - J has exact zeros in its infected/removed x
+    susceptible block, the stages get exact zeros there, and the
+    disease-free subspace stays invariant to the last bit, as the
+    right-hand side keeps it.
     """
     n, m, k = models[0].n, models[0].m, models[0].k
     idx = np.arange(r * (n + m + k)).reshape(r, n + m + k)
@@ -124,14 +125,18 @@ def _rodas_step(rhs, jac, order: np.ndarray, X: np.ndarray, f0: np.ndarray,
                 J: np.ndarray, h: float, rtol: float, atol: float):
     """One trial Rodas4 step of size h from X, where f0 = rhs(X), J = jac(X).
 
-    The stage systems are solved in the variable order `order`. Returns
-    (err, X_new, f_new, J_new): err is the RMS norm of the error estimate
-    scaled by atol + rtol * max(|X|, |X_new|). err is inf, and the rest
-    None, when the step cannot be accepted whatever its accuracy.
+    jac returns the Jacobian with rows and columns in the variable order
+    `order`, in which the stage systems are solved through one inverse of
+    I/(h gamma) - J. Returns (err, X_new, f_new, J_new): err is the RMS
+    norm of the error estimate scaled by atol + rtol * max(|X|, |X_new|).
+    err is inf, and the rest None, when the step cannot be accepted
+    whatever its accuracy.
     """
-    lu, piv, info = scipy.linalg.lapack.dgetrf(
-        np.eye(X.size) / (h * _RODAS_GAMMA) - J[np.ix_(order, order)])
-    if info != 0:
+    M = -J
+    M.flat[::X.size + 1] += 1.0 / (h * _RODAS_GAMMA)
+    try:
+        W = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
         return np.inf, None, None, None
     U = np.empty((6, X.size))
     b = f0
@@ -140,7 +145,7 @@ def _rodas_step(rhs, jac, order: np.ndarray, X: np.ndarray, f0: np.ndarray,
             if i:
                 b = (rhs(X + _RODAS_A[i, :i] @ U[:i])
                      + (_RODAS_C[i, :i] @ U[:i]) / h)
-            U[i, order] = scipy.linalg.lapack.dgetrs(lu, piv, b[order])[0]
+            U[i, order] = W @ b[order]
         X_new = X + _RODAS_A[5] @ U[:5] + U[5]
         scale = atol + rtol * np.maximum(np.abs(X), np.abs(X_new))
         err = float(np.sqrt(np.mean((U[5] / scale) ** 2)))
@@ -178,11 +183,11 @@ def integrate(models: Sequence[PatchModel], net: MobilityNetwork,
 
     rhs = build_rhs(models, net, alpha)
     system = CoupledSystem(models, net)
+    order = _susceptible_first(models, net.r)
+    in_order = np.ix_(order, order)
 
     def jac(Y):
-        return system.jacobian(alpha, Y)
-
-    order = _susceptible_first(models, net.r)
+        return system.jacobian(alpha, Y)[in_order]
 
     t = 0.0
     f_cur = rhs(X)

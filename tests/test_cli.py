@@ -1,6 +1,9 @@
 """Config validation, frozen report values, artifacts and exit codes."""
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +49,10 @@ def test_report_float_formatting():
                              "b": (np.int64(3), "s", None)}) \
         == {"a": 0.666666666667, "b": [3, "s", None]}
     assert cli.round_floats(np.arange(3.0)) == [0.0, 1.0, 2.0]
+    # numpy bools become JSON booleans, not a json.dumps TypeError
+    flags = cli.round_floats({"ok": np.bool_(True), "no": [np.bool_(False)]})
+    assert flags["ok"] is True and flags["no"][0] is False
+    assert json.dumps(flags) == '{"ok": true, "no": [false]}'
     assert cli.pattern_label((0, 1, 2)) == "0-1-2"
 
 
@@ -407,6 +414,11 @@ def test_every_subcommand_exits_cleanly_on_shipped_fixtures(name, tmp_path,
                          "--out", str(tmp_path / command)])
         assert code in (0, 2, 3), (command, code)
         assert "Traceback" not in capsys.readouterr().err
+    # a failed branch claims no verdict, so it neither agrees nor disagrees
+    report = json.loads((tmp_path / "continue" / "continue.json").read_text())
+    for branch in report["branches"]:
+        if branch["failure"] is not None:
+            assert branch["observed"] is None and branch["agree"] is None
 
 
 def test_artifacts_byte_deterministic(tmp_path):
@@ -423,3 +435,15 @@ def test_artifacts_byte_deterministic(tmp_path):
     for name in ("continue.json", "branch_0-1-0.csv"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_cli_import_leaves_scipy_out():
+    # the package needs numpy only; scipy is a test-time oracle
+    import patchepi
+    src = os.path.dirname(os.path.dirname(patchepi.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, patchepi.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

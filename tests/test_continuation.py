@@ -117,6 +117,14 @@ def test_kernel_jacobian_matches_stacked_patch_jacobians(case):
         res = continuation.coupled_residual(models, net, alpha, X)
         assert np.max(np.abs(system.residual(alpha, X) - res)) \
             <= 1e-13 * (1.0 + np.max(np.abs(res)))
+        # a leading batch axis evaluates every state of the stack
+        Xs = np.stack([X, 2.0 * X, X + 1.0])
+        assert system.admissible(Xs).tolist() == [True] * 3
+        for Jb, Rb, Xi in zip(system.jacobian(alpha, Xs),
+                              system.residual(alpha, Xs), Xs):
+            Ji, Ri = system.jacobian(alpha, Xi), system.residual(alpha, Xi)
+            assert np.max(np.abs(Jb - Ji)) <= 1e-13 * np.max(np.abs(Ji))
+            assert np.max(np.abs(Rb - Ri)) <= 1e-13 * (1.0 + np.max(np.abs(Ri)))
 
 
 def test_fast_rhs_agrees_with_reference(mixed):
@@ -236,6 +244,8 @@ def test_inadmissible_corrector_start_is_a_branch_failure(backward):
     assert not rec.complete
     assert "inadmissible at alpha = 0.01" in rec.failure
     assert [p.alpha for p in rec.points] == [0.0]
+    # a branch that failed before leaving the cone has no observed verdict
+    assert rec.verdict_observed is None
 
 
 def test_stable_unstable_census(backward):

@@ -154,8 +154,8 @@ def test_generic_single_group_closed_form():
     # S* = (gam+mu)/beta; I* = Lam/(gam+mu) - mu/beta; R_rem* = gam I*/mu
     beta, Lam, mu, gam = 0.06, 1.0, 0.05, 0.05
     mg = model.multigroup([[beta]], Lam, mu, gam)
-    roots, _ = equilibria.endemic_equilibria_generic(mg)
-    assert len(roots) == 1
+    roots, discarded = equilibria.endemic_equilibria_generic(mg)
+    assert len(roots) == 1 and discarded == 12
     S = (gam + mu) / beta
     I = Lam / (gam + mu) - mu / beta
     assert roots[0].state.y[0] == pytest.approx(S, rel=1e-9)
@@ -177,14 +177,93 @@ def test_generic_discards_boundary_roots():
     b = np.array([1.2, 0.8]) * (gam + mu) / (Lam / mu)
     ms = model.multistrain(b, gam, Lam, mu)
     roots, discarded = equilibria.endemic_equilibria_generic(ms)
-    assert roots == [] and discarded > 0
+    assert roots == [] and discarded == 81
+
+
+# Generic patches of the benchmark catalog: (family, parameters, endemic
+# roots, discarded seeds) as the one-seed-at-a-time damped Newton found them.
+GENERIC_CATALOG = [
+    ("multigroup", {"beta": [[0.02, 0.01], [0.005, 0.03]], "Lam": [1.0, 0.8],
+                    "mu": [0.05, 0.05], "gamma": [0.05, 0.05]}, 1, 405),
+    ("multigroup", {"beta": [[0.03, 0.004], [0.01, 0.025]], "Lam": [1.0, 1.2],
+                    "mu": [0.05, 0.06], "gamma": [0.04, 0.05]}, 1, 495),
+    ("multigroup", {"beta": [[0.002, 0.001], [0.0005, 0.003]],
+                    "Lam": [1.0, 0.8], "mu": [0.05, 0.05],
+                    "gamma": [0.05, 0.05]}, 0, 729),
+    ("multistrain", {"beta": [0.05, 0.07, 0.04], "gamma": [0.3, 0.4, 0.2],
+                     "Lam": 1.0, "mu": 0.1}, 0, 243),
+    ("multistrain", {"beta": [0.08, 0.03, 0.06], "gamma": [0.35, 0.25, 0.3],
+                     "Lam": 1.0, "mu": 0.1}, 0, 243),
+    ("multistrain", {"beta": [0.01, 0.015, 0.012], "gamma": [0.3, 0.4, 0.2],
+                     "Lam": 1.0, "mu": 0.1}, 0, 243),
+    ("stage_progression", {"beta": [0.04, 0.01, 0.02], "nu": [0.2, 0.1, 0.15],
+                           "Lam": 1.0, "mu": 0.05}, 1, 129),
+    ("stage_progression", {"beta": [0.03, 0.02, 0.01], "nu": [0.25, 0.2, 0.1],
+                           "Lam": 1.0, "mu": 0.05}, 1, 126),
+    ("stage_progression", {"beta": [0.004, 0.001, 0.002],
+                           "nu": [0.2, 0.1, 0.15], "Lam": 1.0, "mu": 0.05},
+     0, 243),
+]
+
+
+@pytest.mark.parametrize("family, params, nroots, discarded", GENERIC_CATALOG)
+def test_generic_search_roots_and_discards(family, params, nroots, discarded):
+    mod = getattr(model, family)(**params)
+    roots, got = equilibria.endemic_equilibria_generic(mod)
+    assert (len(roots), got) == (nroots, discarded)
+    for eq in roots:
+        assert np.max(np.abs(model.patch_residual(mod, eq.state))) <= 1e-9
+        assert np.all(eq.state.concat() > 0)
+
+
+def test_generic_search_in_small_batches(monkeypatch):
+    # batches split the seed grid without changing its order or any outcome
+    mod = hiv_patch(0.85)
+    want, want_discarded = equilibria.endemic_equilibria_generic(mod)
+    monkeypatch.setattr(equilibria, "SEED_BATCH", 100)
+    got, got_discarded = equilibria.endemic_equilibria_generic(mod)
+    assert got_discarded == want_discarded == 15
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert np.allclose(g.state.concat(), w.state.concat(),
+                           rtol=1e-12, atol=0.0)
+
+
+def test_singular_jacobian_fails_its_own_seed_only():
+    class Stack:
+        def jacobian(self, alpha, U):
+            return np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+
+    R = np.array([[1.0, 2.0], [1.0, 1.0], [4.0, 6.0]])
+    dU, solved = equilibria._newton_steps(Stack(), np.zeros((3, 2)), R)
+    assert solved.tolist() == [True, False, True]
+    assert np.array_equal(dU[[0, 2]], [[-1.0, -2.0], [-2.0, -3.0]])
+
+
+def test_generic_search_recruitment_callback_twin():
+    # the same affine recruitment as a callback: per-state residuals and
+    # finite-difference Jacobians in the same batched Newton
+    import dataclasses
+    for mod in (model.stage_progression([0.04, 0.01, 0.02], [0.2, 0.1, 0.15],
+                                        1.0, 0.05),
+                model.multigroup([[0.06]], 1.0, 0.05, 0.05)):
+        twin = dataclasses.replace(
+            mod, g_func=lambda y, m=mod: m.g_const + m.g_lin @ y)
+        want, want_discarded = equilibria.endemic_equilibria_generic(mod)
+        got, got_discarded = equilibria.endemic_equilibria_generic(twin)
+        assert len(got) == len(want) == 1
+        assert got_discarded == want_discarded
+        for g, w in zip(got, want):
+            assert np.allclose(g.state.concat(), w.state.concat(),
+                               rtol=1e-9, atol=0.0)
+            assert g.stability == w.stability
 
 
 def test_generic_path_reproduces_hiv_scalar_roots():
     mod = hiv_patch(0.85)
-    roots, _ = equilibria.endemic_equilibria_generic(mod)
+    roots, discarded = equilibria.endemic_equilibria_generic(mod)
     scalar = hiv_eqs(0.85)[1:]
-    assert len(roots) == len(scalar) == 2
+    assert len(roots) == len(scalar) == 2 and discarded == 15
     for got, want in zip(roots, scalar):
         dist = np.max(np.abs(got.state.concat() - want.state.concat()))
         assert dist < 1e-7

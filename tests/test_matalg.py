@@ -88,9 +88,14 @@ def test_solve_linear_refines_ill_conditioned():
 
 def test_condition_estimate_orders_of_magnitude():
     assert matalg.condition_estimate(np.eye(3)) == pytest.approx(1.0)
-    # dgecon gives an estimate; exact for diagonal scaling up to a factor
     A = np.diag([1.0, 1e-6])
     assert matalg.condition_estimate(A) == pytest.approx(1e6, rel=0.1)
+    # the exact 1-norm condition number, not an estimate of it
+    B = np.array([[4.0, -1.0, 0.5], [2.0, 3.0, -1.0], [0.0, 1e-3, 2.0]])
+    want = np.abs(B).sum(axis=0).max() \
+        * np.abs(np.linalg.inv(B)).sum(axis=0).max()
+    assert matalg.condition_estimate(B) == pytest.approx(want, rel=1e-12)
+    assert matalg.condition_estimate(np.ones((2, 2))) == np.inf
 
 
 def test_is_irreducible():
