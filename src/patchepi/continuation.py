@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import matalg
-from .equilibria import EquilibriumPattern, patch_equilibria
+from .equilibria import EquilibriumPattern, patch_equilibria, stability_of
 from .model import (InadmissibleStateError, PatchModel,
                     patch_jacobian, patch_residual, split_state)
 from .network import MobilityNetwork
@@ -29,12 +29,9 @@ from .persist import BranchDerivative
 NEWTON_TOL = 1e-10        # corrector target, residual sup norm
 ACCEPT_TOL = 1e-9         # accepted-point invariant
 SIGN_EXIT_TOL = -1e-9     # below this a component counts as negative
-STABILITY_MARGIN = 1e-9
 MAX_NEWTON_ITERS = 60
 MAX_HALVINGS = 20         # Armijo: step down to 2^-20
 ARMIJO_SLOPE = 1e-4
-
-DEFAULT_ALPHA_GRID = tuple(10.0 ** e for e in range(-8, 0))
 
 
 class HypothesisViolationError(RuntimeError):
@@ -299,11 +296,19 @@ def build_rhs(models: Sequence[PatchModel], net: MobilityNetwork,
 # Corrector
 # ====================================================================
 
-def _newton_correct(system, alpha, X0):
-    """Damped Newton for T(alpha, .) = 0 from X0. Returns (X, residual_norm)."""
+def _newton_correct(residual, jacobian, X0, alpha):
+    """Damped Newton for residual(X) = 0 from X0. Returns (X, residual_norm).
+
+    The package's one single-start Newton: the branch corrector, the exit
+    refinement, the DFE branch (on the susceptible unknowns) and the
+    disease-free level of a recruitment callback all solve with it.
+    Merit is the squared residual sup norm, with Armijo backtracking; an
+    InadmissibleStateError at a trial point halves the step. Failures
+    raise CorrectionFailureError naming alpha, the point being solved.
+    """
     X = np.array(X0, dtype=float)
     try:
-        res = system.residual(alpha, X)
+        res = residual(X)
     except InadmissibleStateError as exc:
         raise CorrectionFailureError(
             f"corrector start inadmissible at alpha = {alpha:g}: {exc}"
@@ -312,9 +317,8 @@ def _newton_correct(system, alpha, X0):
     for _ in range(MAX_NEWTON_ITERS):
         if rnorm <= NEWTON_TOL:
             return X, rnorm
-        J = system.jacobian(alpha, X)
         try:
-            step = matalg.solve_linear(J, -res)
+            step = matalg.solve_linear(jacobian(X), -res)
         except matalg.SingularMatrixError as exc:
             raise CorrectionFailureError(
                 f"singular Jacobian at alpha = {alpha:g}") from exc
@@ -323,7 +327,7 @@ def _newton_correct(system, alpha, X0):
         for _ in range(MAX_HALVINGS + 1):
             try:
                 trial = X + t * step
-                res_t = system.residual(alpha, trial)
+                res_t = residual(trial)
                 m_t = float(np.max(np.abs(res_t))) ** 2
                 if m_t <= (1.0 - 2.0 * ARMIJO_SLOPE * t) * merit:
                     break
@@ -344,18 +348,8 @@ def _newton_correct(system, alpha, X0):
         f"Newton exceeded {MAX_NEWTON_ITERS} iterations at alpha = {alpha:g}")
 
 
-def _stability(system, alpha, X):
-    eigs = matalg.eigen_spectrum(system.jacobian(alpha, X))
-    top = float(np.max(eigs.real))
-    if top < -STABILITY_MARGIN:
-        return "stable", top
-    if top > STABILITY_MARGIN:
-        return "unstable", top
-    return "marginal", top
-
-
 def _accept(system, alpha, X, rnorm) -> CoupledState:
-    stability, top = _stability(system, alpha, X)
+    stability, top = stability_of(system.jacobian(alpha, X))
     return CoupledState(alpha=float(alpha), X=X,
                         residual_norm=rnorm, stability=stability,
                         min_component=float(np.min(X)), max_real_eig=top)
@@ -410,7 +404,7 @@ def continue_branch(pattern: EquilibriumPattern,
             f"alpha = 0 for pattern {pattern.choices}")
 
     if pattern.is_dfe:
-        return _continue_dfe(pattern, system, targets)
+        return _continue_dfe(pattern, system, X0, targets)
 
     r0 = float(np.max(np.abs(system.residual(0.0, X0))))
     points = [_accept(system, 0.0, X0, r0)]
@@ -420,13 +414,14 @@ def continue_branch(pattern: EquilibriumPattern,
     for alpha in targets:
         try:
             slope = matalg.solve_linear(
-                system.jacobian(prev_alpha, prev_X),
-                -travel_operator(net, prev_X))
+                system.jacobian(prev_alpha, prev_X), -(system.L @ prev_X))
             predictor = prev_X + (alpha - prev_alpha) * slope
         except matalg.SingularMatrixError:
             predictor = prev_X
         try:
-            X, rnorm = _newton_correct(system, alpha, predictor)
+            X, rnorm = _newton_correct(
+                lambda X: system.residual(alpha, X),
+                lambda X: system.jacobian(alpha, X), predictor, alpha)
         except CorrectionFailureError as exc:
             failure = str(exc)
             break
@@ -451,7 +446,8 @@ def _refine_exit(system, lo, X_lo, hi) -> float:
             break
         mid = np.sqrt(max(lo, hi * 1e-4) * hi) if lo == 0.0 else np.sqrt(lo * hi)
         try:
-            X, _ = _newton_correct(system, mid, X_lo)
+            X, _ = _newton_correct(lambda X: system.residual(mid, X),
+                                   lambda X: system.jacobian(mid, X), X_lo, mid)
         except CorrectionFailureError:
             return hi
         if float(np.min(X)) < SIGN_EXIT_TOL:
@@ -461,64 +457,34 @@ def _refine_exit(system, lo, X_lo, hi) -> float:
     return hi
 
 
-def _continue_dfe(pattern, system, targets) -> BranchRecord:
-    """DFE branch via the reduced susceptible subsystem.
+def _continue_dfe(pattern, system, X0, targets) -> BranchRecord:
+    """DFE branch via the susceptible unknowns of the coupled system.
 
-    With the infected blocks pinned at zero the x and z equations hold
-    exactly, so only the y-subsystem (affine for affine recruitment) is
-    solved; the result is embedded with exact zeros. This keeps the
-    continued DFE free of spurious infected-block drift.
+    With the infected and removed classes pinned at zero their equations
+    hold exactly, so Newton solves only the susceptible rows and columns
+    of the coupled residual and Jacobian (an affine system for affine
+    recruitment) at the state that embeds the susceptibles with exact
+    zeros elsewhere. This keeps the continued DFE free of spurious
+    infected-block drift.
     """
-    models, net = system.models, system.net
-    n, m, k = net.block_sizes
-    s = n + m + k
-    r = net.r
-    slices = _block_slices(r, n, m, k)
+    n, m, s = system.n, system.m, system.s
+    sus = (np.arange(system.net.r)[:, None] * s + n + np.arange(m)).ravel()
 
     def embed(Y):
-        X = np.zeros(r * s)
-        for i in range(r):
-            X[slices[i][1]] = Y[i * m:(i + 1) * m]
+        X = np.zeros(X0.size)
+        X[sus] = Y
         return X
 
-    def solve_reduced(alpha, Y_guess):
-        A = np.zeros((r * m, r * m))
-        b = np.zeros(r * m)
-        affine = all(mod.g_func is None for mod in models)
-        outflow = net.cy.sum(axis=0)
-        if affine:
-            for i, mod in enumerate(models):
-                A[i * m:(i + 1) * m, i * m:(i + 1) * m] = (
-                    mod.g_lin - alpha * np.diag(outflow[i]))
-                for j in range(r):
-                    if j != i:
-                        A[i * m:(i + 1) * m, j * m:(j + 1) * m] += (
-                            alpha * np.diag(net.cy[i, j]))
-                b[i * m:(i + 1) * m] = -mod.g_const
-            return matalg.solve_linear(A, b)
-        # general recruitment: damped Newton on the reduced residual
-        Y = np.array(Y_guess, dtype=float)
-        for _ in range(MAX_NEWTON_ITERS):
-            res = np.concatenate([
-                models[i].recruitment(Y[i * m:(i + 1) * m]) -
-                alpha * outflow[i] * Y[i * m:(i + 1) * m] +
-                alpha * sum(net.cy[i, j] * Y[j * m:(j + 1) * m]
-                            for j in range(r) if j != i)
-                for i in range(r)])
-            if np.max(np.abs(res)) <= NEWTON_TOL:
-                return Y
-            Jr = _fd_reduced_jacobian(models, net, alpha, Y, m, r, outflow)
-            Y = Y + matalg.solve_linear(Jr, -res)
-        raise CorrectionFailureError(
-            f"reduced susceptible solve stalled at alpha = {alpha:g}")
-
-    Y = np.concatenate([_dfe_y(mod) for mod in models])
+    Y = X0[sus]
     points = []
     failure = None
     for alpha in [0.0] + targets:
         try:
-            Y = solve_reduced(alpha, Y)
-        except (matalg.SingularMatrixError, CorrectionFailureError) as exc:
+            Y, _ = _newton_correct(
+                lambda Y: system.residual(alpha, embed(Y))[sus],
+                lambda Y: system.jacobian(alpha, embed(Y))[np.ix_(sus, sus)],
+                Y, alpha)
+        except CorrectionFailureError as exc:
             failure = str(exc)
             break
         X = embed(Y)
@@ -527,29 +493,6 @@ def _continue_dfe(pattern, system, targets) -> BranchRecord:
     return BranchRecord(pattern=pattern, points=points, exit_alpha=None,
                         verdict_observed=None if failure else "persists",
                         failure=failure)
-
-
-def _dfe_y(mod: PatchModel) -> np.ndarray:
-    from .equilibria import disease_free_equilibrium
-    return disease_free_equilibrium(mod).state.y
-
-
-def _fd_reduced_jacobian(models, net, alpha, Y, m, r, outflow):
-    def res_of(Yv):
-        return np.concatenate([
-            models[i].recruitment(Yv[i * m:(i + 1) * m]) -
-            alpha * outflow[i] * Yv[i * m:(i + 1) * m] +
-            alpha * sum(net.cy[i, j] * Yv[j * m:(j + 1) * m]
-                        for j in range(r) if j != i)
-            for i in range(r)])
-    base = res_of(Y)
-    J = np.zeros((Y.size, Y.size))
-    for c in range(Y.size):
-        h = 1e-6 * (1.0 + abs(Y[c]))
-        Yp = Y.copy()
-        Yp[c] += h
-        J[:, c] = (res_of(Yp) - base) / h
-    return J
 
 
 # ====================================================================

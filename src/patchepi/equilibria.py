@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import matalg
-from .model import (HivParams, PatchModel, PatchState, hiv_vaccination,
-                    new_infection_operator, patch_jacobian, split_state)
+from .model import (HivParams, PatchModel, PatchState, fd_jacobian,
+                    hiv_vaccination, new_infection_operator, patch_jacobian,
+                    split_state)
 
 # Newton acceptance for a root, and merge distance for duplicates.
 ROOT_RESIDUAL_TOL = 1e-9
@@ -27,7 +28,7 @@ ROOT_MERGE_TOL = 1e-7
 # groups would otherwise need gigabytes).
 SEED_BATCH = 4096
 
-# |max real eigenvalue| below this is a marginal equilibrium; those are
+# |max real eigenvalue| at most this is a marginal equilibrium; those are
 # excluded from continuation (the persistence theorem needs an invertible
 # Jacobian).
 STABILITY_MARGIN = 1e-9
@@ -99,7 +100,8 @@ def disease_free_equilibrium(model: PatchModel) -> PatchEquilibrium:
     """The unique steady state with all infected and removed classes zero.
 
     For affine recruitment y0 solves g_const + g_lin y = 0 directly; a
-    custom g_func is solved by damped Newton from the affine seed.
+    custom g_func is solved by the single-start damped Newton of
+    continuation, from the affine seed.
     """
     y0 = _susceptible_equilibrium(model)
     state = PatchState(np.zeros(model.n), y0, np.zeros(model.k))
@@ -109,40 +111,25 @@ def disease_free_equilibrium(model: PatchModel) -> PatchEquilibrium:
 
 
 def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
+    from .continuation import CorrectionFailureError, _newton_correct
+
     try:
         y0 = matalg.solve_linear(-model.g_lin, model.g_const)
     except matalg.SingularMatrixError as exc:
         raise DegenerateModelError(
             "disease-free susceptible level is not unique") from exc
     if model.g_func is not None:
-        y0 = _newton_on(lambda y: model.recruitment(y), y0)
+        try:
+            y0, _ = _newton_correct(
+                model.recruitment,
+                lambda y: fd_jacobian(model.recruitment, y), y0, 0.0)
+        except CorrectionFailureError as exc:
+            raise DegenerateModelError(
+                "susceptible-equilibrium Newton did not converge") from exc
     if np.any(y0 <= 0):
         raise DegenerateModelError(
             f"disease-free susceptible level not positive: {y0}")
     return y0
-
-
-def _newton_on(fun, y0, tol=1e-12, maxit=100):
-    y = np.asarray(y0, dtype=float).copy()
-    for _ in range(maxit):
-        f = fun(y)
-        if np.max(np.abs(f)) < tol:
-            return y
-        J = _fd_jac_vec(fun, y)
-        y = y + np.linalg.solve(J, -f)
-    raise DegenerateModelError("susceptible-equilibrium Newton did not converge")
-
-
-def _fd_jac_vec(fun, y, h=1e-7):
-    nn = y.size
-    J = np.zeros((nn, nn))
-    for j in range(nn):
-        step = h * (1.0 + abs(y[j]))
-        up, um = y.copy(), y.copy()
-        up[j] += step
-        um[j] -= step
-        J[:, j] = (fun(up) - fun(um)) / (2.0 * step)
-    return J
 
 
 def local_reproduction_number(model: PatchModel) -> float:
@@ -154,18 +141,24 @@ def local_reproduction_number(model: PatchModel) -> float:
     return matalg.spectral_radius(FVinv)
 
 
+def stability_of(J: np.ndarray) -> tuple:
+    """(label, top): top is the largest real part of an eigenvalue of J.
+
+    The label is "stable" below -STABILITY_MARGIN, "unstable" above
+    STABILITY_MARGIN and "marginal" in between, ends included.
+    """
+    top = float(np.max(matalg.eigen_spectrum(J).real))
+    if top < -STABILITY_MARGIN:
+        return "stable", top
+    if top > STABILITY_MARGIN:
+        return "unstable", top
+    return "marginal", top
+
+
 def _classify(model: PatchModel, state: PatchState) -> tuple:
     J = patch_jacobian(model, state)
-    eigs = matalg.eigen_spectrum(J)
-    max_re = float(np.max(eigs.real))
-    if abs(max_re) < STABILITY_MARGIN:
-        stability = "marginal"
-    elif max_re < 0:
-        stability = "stable"
-    else:
-        stability = "unstable"
-    invertible = matalg.condition_estimate(J) < matalg.COND_LIMIT
-    return stability, invertible
+    stability, _ = stability_of(J)
+    return stability, matalg.condition_estimate(J) < matalg.COND_LIMIT
 
 
 # ====================================================================
@@ -391,6 +384,11 @@ def _newton_seeds(system, U0: np.ndarray, maxit: int = 80) -> tuple:
     once its residual is at most ROOT_RESIDUAL_TOL it gets up to four
     full polishing steps, kept while the residual still improves. The
     rows only share the array operations, never a decision.
+
+    This loop stays apart from the single-start continuation._newton_correct,
+    whose merit is the sup norm and which has no polish: run as a batch of
+    one through this loop, the branch corrector takes another path on the
+    hiv_mixed fixture and loses branch (2, 1, 1) at alpha = 0.1.
     """
     U = np.array(U0, dtype=float)
     R = _residuals(system, U)

@@ -15,7 +15,10 @@ the n infected classes, and F is the resulting new-infection operator
 
 Recruitment g is affine (g = g_const + g_lin y) for every built-in family;
 a callable extension point is provided for anything else, in which case
-Jacobians fall back to central finite differences. Note that the guarantees
+Jacobians fall back to central finite differences. fd_jacobian is the one
+finite-difference Jacobian of the package: patch_jacobian uses it for such
+a patch, and the single-start Newton that finds its disease-free
+susceptible level (equilibria) uses it on g itself. Note that the guarantees
 on higher-order branch derivatives elsewhere in this package need g smooth
 enough (r-1 continuous derivatives for r patches); affine recruitment has
 all orders, user extensions are on their own.
@@ -330,7 +333,8 @@ def patch_jacobian(model: PatchModel, s: PatchState) -> np.ndarray:
     x-row has no y/z coupling through the incidence terms.
     """
     if model.g_func is not None:
-        return _fd_jacobian(model, s)
+        return fd_jacobian(lambda u: patch_residual(model, split_state(model, u)),
+                           s.concat())
     n, m, k = model.n, model.m, model.k
     B = transmission_matrix(model, s)
     F = _assemble_F(model.eta, s.y, B)
@@ -373,15 +377,18 @@ def patch_jacobian(model: PatchModel, s: PatchState) -> np.ndarray:
     return J
 
 
-def _fd_jacobian(model: PatchModel, s: PatchState) -> np.ndarray:
-    u0 = s.concat()
-    nn = u0.size
-    J = np.zeros((nn, nn))
-    for j in range(nn):
+def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray],
+                u0: np.ndarray) -> np.ndarray:
+    """Central finite-difference Jacobian of fun: R^d -> R^d at u0.
+
+    Column j steps u0[j] by FD_STEP * (1 + |u0[j]|) both ways.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    J = np.zeros((u0.size, u0.size))
+    for j in range(u0.size):
         h = FD_STEP * (1.0 + abs(u0[j]))
         up, um = u0.copy(), u0.copy()
         up[j] += h
         um[j] -= h
-        J[:, j] = (patch_residual(model, split_state(model, up))
-                   - patch_residual(model, split_state(model, um))) / (2.0 * h)
+        J[:, j] = (fun(up) - fun(um)) / (2.0 * h)
     return J

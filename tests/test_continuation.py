@@ -236,6 +236,46 @@ def test_dfe_branch_stays_disease_free(backward):
             assert np.min(blk[4:6]) > 0.0             # susceptibles
 
 
+def test_dfe_branch_with_recruitment_callback():
+    # an affine recruitment given as a callback takes the per-state
+    # reference residual and the finite-difference Jacobian
+    import dataclasses
+    from patchepi import model
+    models = [model.multigroup([[0.06, 0.01], [0.02, 0.05]], lam, 0.05, 0.05)
+              for lam in (1.0, 2.0, 0.5)]
+    twins = [dataclasses.replace(mod, g_func=lambda y, m=mod: m.g_const
+                                 + m.g_lin @ y) for mod in models]
+    net = network.preset("fig3b", n=2, m=2, k=2)
+    grid = [1e-4, 1e-2, 0.5]
+    recs = [continuation.continue_branch(
+        EquilibriumPattern((0, 0, 0)), mods, net, grid,
+        equilibria=[[equilibria.disease_free_equilibrium(m)] for m in mods])
+        for mods in (models, twins)]
+    for rec in recs:
+        assert rec.verdict_observed == "persists" and rec.complete
+        assert [p.alpha for p in rec.points] == [0.0] + grid
+    susceptible = np.tile([False, False, True, True, False, False], 3)
+    for want, got in zip(*(rec.points for rec in recs)):
+        assert np.all(got.X[~susceptible] == 0.0)
+        assert np.max(np.abs(got.X - want.X)) <= 1e-9 * np.max(np.abs(want.X))
+        assert got.stability == want.stability
+    # travel moves the susceptible levels away from the disconnected DFE
+    assert np.max(np.abs(recs[0].points[-1].X - recs[0].points[0].X)) > 0.1
+
+
+def test_mixed_fixture_branch_persists_on_shipped_grid():
+    # guards the corrector's merit and damping: (2, 1, 1) reaches
+    # alpha = 0.1 on hiv_mixed's own grid without a corrector failure
+    from patchepi import cli
+    cfg = cli.load_config(cli.fixture_path("hiv_mixed.json"))
+    models = cli.build_models(cfg)
+    rec = continuation.continue_branch(EquilibriumPattern((2, 1, 1)), models,
+                                       cli.build_network(cfg, models),
+                                       cfg.alpha_grid)
+    assert rec.failure is None and rec.verdict_observed == "persists"
+    assert [p.alpha for p in rec.points] == [0.0, 1e-5, 1e-3, 0.1]
+
+
 def test_inadmissible_corrector_start_is_a_branch_failure(backward):
     models, eqs, R, net = backward
     # one Euler step from alpha = 0 to 1e-2 leaves a patch with N <= 0

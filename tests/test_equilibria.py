@@ -122,6 +122,28 @@ def test_degenerate_susceptible_levels():
     negative = model.PatchModel(**base, g_const=[1.0], g_lin=[[0.1]])
     with pytest.raises(equilibria.DegenerateModelError, match="not positive"):
         equilibria.disease_free_equilibrium(negative)
+    # recruitment callbacks: no root at all, and only a negative one
+    rootless = model.PatchModel(**base, g_const=[1.0], g_lin=[[-0.05]],
+                                g_func=lambda y: 1.0 + y ** 2)
+    with pytest.raises(equilibria.DegenerateModelError,
+                       match="did not converge"):
+        equilibria.disease_free_equilibrium(rootless)
+    negative_root = model.PatchModel(**base, g_const=[1.0], g_lin=[[-0.05]],
+                                     g_func=lambda y: -1.0 - 0.05 * y)
+    with pytest.raises(equilibria.DegenerateModelError, match="not positive"):
+        equilibria.disease_free_equilibrium(negative_root)
+
+
+def test_dfe_of_nonlinear_recruitment_callback():
+    # g(y) = 1 - 0.05 y - 0.01 y^2 has the positive root below
+    import dataclasses
+    sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
+    mod = dataclasses.replace(
+        sp, g_func=lambda y: 1.0 - 0.05 * y - 0.01 * y ** 2)
+    dfe = equilibria.disease_free_equilibrium(mod)
+    closed = (-0.05 + np.sqrt(0.0425)) / 0.02
+    assert dfe.state.y == pytest.approx([closed], rel=1e-12)
+    assert np.all(dfe.state.x == 0.0) and np.all(dfe.state.z == 0.0)
 
 
 def test_estimate_Rc_backward_window():
