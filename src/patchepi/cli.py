@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -35,10 +36,16 @@ EXIT_NUMERICAL = 3
 
 _TOP_LEVEL_KEYS = {"schema_version", "patches", "network", "alpha_grid",
                    "t_end", "rtol", "atol", "initial_sets", "patterns"}
+_EDGE_NETWORK_KEYS = {"edges", "r", "weight", "name"}
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the field."""
+
+
+def _finite(value) -> bool:
+    """A number other than NaN or an infinity (JSON admits all three)."""
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 # ====================================================================
@@ -122,7 +129,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("network: must be an object")
     if ("preset" in netspec) == ("edges" in netspec):
         raise ConfigError("network: give exactly one of 'preset' or 'edges'")
+    unknown = set(netspec) - _EDGE_NETWORK_KEYS - {"preset"}
+    if unknown:
+        raise ConfigError(f"network: unknown fields {sorted(unknown)}")
     if "preset" in netspec:
+        extra = set(netspec) - {"preset"}
+        if extra:
+            raise ConfigError(
+                f"network: {sorted(extra)} not allowed with 'preset'")
         if netspec["preset"] not in network.PRESET_EDGES:
             raise ConfigError(
                 f"network.preset: unknown preset {netspec['preset']!r}; "
@@ -146,21 +160,21 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 raise ConfigError(
                     f"network.edges[{eidx}]: self-loops are not allowed")
     weight = netspec.get("weight", 1.0)
-    if not isinstance(weight, (int, float)) or weight <= 0:
-        raise ConfigError("network.weight: must be a positive number")
+    if not _finite(weight) or weight <= 0:
+        raise ConfigError("network.weight: must be a finite positive number")
 
     alpha_grid = data.get("alpha_grid", [0.0])
     if (not isinstance(alpha_grid, list) or
-            not all(isinstance(a, (int, float)) and a >= 0
-                    for a in alpha_grid)):
-        raise ConfigError("alpha_grid: must be a list of nonnegative reals")
+            not all(_finite(a) and a >= 0 for a in alpha_grid)):
+        raise ConfigError(
+            "alpha_grid: must be a list of finite nonnegative reals")
 
     t_end = data.get("t_end", sim.DEFAULT_T_END)
     rtol = data.get("rtol", sim.DEFAULT_RTOL)
     atol = data.get("atol", sim.DEFAULT_ATOL)
     for name, val in (("t_end", t_end), ("rtol", rtol), ("atol", atol)):
-        if not isinstance(val, (int, float)) or val <= 0:
-            raise ConfigError(f"{name}: must be a positive number")
+        if not _finite(val) or val <= 0:
+            raise ConfigError(f"{name}: must be a finite positive number")
 
     raw_sets = data.get("initial_sets", [])
     if not isinstance(raw_sets, list):
@@ -178,9 +192,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 f"({len(patches)})")
         for ridx, st in enumerate(regions):
             if (not isinstance(st, list) or
-                    not all(isinstance(v, (int, float)) for v in st)):
+                    not all(_finite(v) and v >= 0 for v in st)):
                 raise ConfigError(
-                    f"{path}.regions[{ridx}]: must be a list of numbers")
+                    f"{path}.regions[{ridx}]: must be a list of numbers, "
+                    "finite and nonnegative")
         initial_sets.append((str(item["label"]), regions))
 
     patterns = data.get("patterns")
@@ -598,8 +613,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
             alpha_grid = tuple(float(tok) for tok in args.alpha.split(","))
         except ValueError as exc:
             raise ConfigError(f"--alpha: {exc}") from exc
-        if any(a < 0 for a in alpha_grid):
-            raise ConfigError("--alpha: values must be nonnegative")
+        if not all(_finite(a) and a >= 0 for a in alpha_grid):
+            raise ConfigError("--alpha: values must be finite and nonnegative")
     return ExperimentConfig(
         patches=config.patches, network=net, alpha_grid=alpha_grid,
         t_end=config.t_end, rtol=config.rtol, atol=config.atol,

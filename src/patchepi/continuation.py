@@ -90,7 +90,7 @@ def _block_slices(r: int, n: int, m: int, k: int):
 # ====================================================================
 
 def travel_operator(net: MobilityNetwork, X: np.ndarray) -> np.ndarray:
-    """L(X): the alpha-linear travel part of the coupled residual."""
+    """L(X), the travel part of coupled_residual: a test reference only."""
     n, m, k = net.block_sizes
     r = net.r
     slices = _block_slices(r, n, m, k)
@@ -109,7 +109,7 @@ def travel_operator(net: MobilityNetwork, X: np.ndarray) -> np.ndarray:
 
 def coupled_residual(models: Sequence[PatchModel], net: MobilityNetwork,
                      alpha: float, X: np.ndarray) -> np.ndarray:
-    """Stacked patch residuals plus alpha-scaled travel terms."""
+    """Stacked patch residuals plus alpha L(X); the kernel's test reference."""
     n, m, k = _check_families(models, net)
     s = n + m + k
     X = np.asarray(X, dtype=float)
@@ -126,7 +126,7 @@ def coupled_residual(models: Sequence[PatchModel], net: MobilityNetwork,
 
 def coupled_jacobian(models: Sequence[PatchModel], net: MobilityNetwork,
                      alpha: float, X: np.ndarray) -> np.ndarray:
-    """Block-diagonal patch Jacobians plus alpha times the travel matrix."""
+    """Stacked patch Jacobians plus alpha L; the kernel's test reference."""
     n, m, k = _check_families(models, net)
     s = n + m + k
     X = np.asarray(X, dtype=float)
@@ -158,63 +158,62 @@ class CoupledSystem:
     Within patch i every incidence term is linear in the products
     P_i[p, q] = y_p x_q / N_i (x_q alone under mass action):
 
-        T(alpha, X) = (M0 + alpha L) X + c + Q P(X),
-        dT/dX       =  M0 + alpha L        + Q dP/dX,
+        T(alpha, X) = (M0 + alpha L) X + c + Q P(X) + G(X),
+        dT/dX       =  M0 + alpha L        + Q dP/dX + dG/dX,
 
     where M0 holds each patch's linear terms (-V, g_lin, Z, -D), L is the
     travel matrix, c the constant recruitment, and Q maps the products to
     new infections, Q[x_j, P_pq] = eta[p, q, j] beta[p, q], and to
     susceptible losses, Q[y_p, P_pq] = -beta[p, q]. All four are built
     once, and M0 + alpha L once per alpha; an evaluation is then a few
-    array operations over every patch at once. For affine recruitment
-    M0 + alpha L is the whole constant part of the Jacobian.
+    array operations over every patch at once. N and the dP/dN terms
+    enter only for standard-incidence patches. A recruitment callback
+    puts nothing into c or M0: G adds its g(y) to the patch's y rows and
+    dG/dX its recruitment_jacobian(y) to the y-y block, state by state.
 
     X may carry leading batch axes, X[..., r * s]: residual and jacobian
     then evaluate every state of the batch at once, as the multi-start
     equilibrium search of one patch does (one region, alpha = 0).
-
-    Models with a recruitment callback, or patches mixing the two
-    incidences, use the per-patch reference coupled_residual and
-    coupled_jacobian instead, one state at a time.
     """
 
     def __init__(self, models: Sequence[PatchModel], net: MobilityNetwork):
         n, m, k = _check_families(models, net)
-        self.models, self.net = models, net
+        self.net = net
         self.n, self.m, self.s = n, m, n + m + k
         self.L = travel_matrix(net)
+        r, s = net.r, self.s
         self._standard_patch = np.array([mod.incidence == "standard"
                                          for mod in models])
-        self.compiled = (all(mod.g_func is None for mod in models)
-                         and len(set(self._standard_patch)) == 1)
-        if not self.compiled:
-            return
-        self.standard = bool(self._standard_patch[0])
-        r, s = net.r, self.s
+        self._std = np.flatnonzero(self._standard_patch)
+        self._mixed = 0 < self._std.size < r
+        self._callbacks = [(mod, slice(i * s + n, i * s + n + m))
+                           for i, mod in enumerate(models)
+                           if mod.g_func is not None]
         self.M0 = np.zeros((r * s, r * s))
         self.c = np.zeros(r * s)
         self.Q = np.zeros((r * s, r * m * n))
         for i, mod in enumerate(models):
             base, cols = i * s, slice(i * m * n, (i + 1) * m * n)
             self.M0[base:base + n, base:base + n] = -mod.V
-            self.M0[base + n:base + n + m, base + n:base + n + m] = mod.g_lin
+            if mod.g_func is None:
+                self.M0[base + n:base + n + m, base + n:base + n + m] = mod.g_lin
+                self.c[base + n:base + n + m] = mod.g_const
             self.M0[base + n + m:base + s, base:base + n] = mod.Z
             self.M0[base + n + m:base + s, base + n + m:base + s] = -mod.D
-            self.c[base + n:base + n + m] = mod.g_const
             self.Q[base:base + n, cols] = np.einsum(
                 "pqj,pq->jpq", mod.eta, mod.beta).reshape(n, m * n)
             self.Q[base + n:base + n + m, cols] = (
                 -np.eye(m)[:, :, None] * mod.beta).reshape(m, m * n)
         self._alpha = self._A = None
         # dP/dX is block diagonal; row P_i[p, q] meets column x_q of patch i
-        # (d/dx_q = y_p / N), column y_p (d/dy_p = x_q / N) and, under
-        # standard incidence, every x and y column (d/dN = -P / N)
+        # (d/dx_q = y_p / N), column y_p (d/dy_p = x_q / N) and, in a
+        # standard-incidence patch, every x and y column (d/dN = -P / N)
         rows = np.arange(r * m * n).reshape(r, m, n)
         patch = np.arange(r)[:, None, None] * s
         self._dx = (rows, patch + np.arange(n))
         self._dy = (rows, patch + n + np.arange(m)[:, None])
-        self._dN = (rows.reshape(r, m * n, 1),
-                    np.arange(r)[:, None, None] * s + np.arange(n + m))
+        self._dN = (rows[self._std, ..., None],
+                    self._std[:, None, None, None] * s + np.arange(n + m))
 
     def _linear(self, alpha: float) -> np.ndarray:
         """M0 + alpha L, formed again only when alpha changes."""
@@ -234,13 +233,15 @@ class CoupledSystem:
         return np.all((Ns > 0.0) | ~self._standard_patch, axis=-1)
 
     def _products(self, X: np.ndarray):
-        """(P, y, x_eff, 1/N) per patch; 1/N is None under mass action."""
+        """(P, y, x_eff, 1/N) per patch; 1/N is None if no patch is standard."""
         X3 = X.reshape(X.shape[:-1] + (self.net.r, self.s))
         xs = X3[..., :self.n]
         ys = X3[..., self.n:self.n + self.m]
         inv_N = None
-        if self.standard:
+        if self._std.size:
             Ns = X3[..., :self.n + self.m].sum(axis=-1)
+            if self._mixed:   # a mass-action patch divides by N = 1
+                Ns = np.where(self._standard_patch, Ns, 1.0)
             if not Ns.min() > 0.0:
                 raise InadmissibleStateError(
                     "standard incidence undefined at N = 0")
@@ -250,35 +251,33 @@ class CoupledSystem:
 
     def residual(self, alpha: float, X: np.ndarray) -> np.ndarray:
         """T(alpha, X); equals coupled_residual(models, net, alpha, X)."""
-        if not self.compiled:
-            return self._per_state(coupled_residual, alpha, X)
         P = self._products(X)[0]
-        return (X @ self._linear(alpha).T + self.c
-                + P.reshape(X.shape[:-1] + (-1,)) @ self.Q.T)
+        res = (X @ self._linear(alpha).T + self.c
+               + P.reshape(X.shape[:-1] + (-1,)) @ self.Q.T)
+        for mod, rows in self._callbacks:
+            for i in np.ndindex(X.shape[:-1]):
+                res[i][rows] += mod.recruitment(X[i][rows])
+        return res
 
     def jacobian(self, alpha: float, X: np.ndarray) -> np.ndarray:
         """dT/dX at (alpha, X); equals coupled_jacobian(models, net, alpha, X)."""
-        if not self.compiled:
-            return self._per_state(coupled_jacobian, alpha, X)
         P, ys, xeff, inv_N = self._products(X)
         dP = np.zeros(X.shape[:-1] + self.Q.shape[::-1])
         if inv_N is None:
             dP[..., self._dx[0], self._dx[1]] = ys[..., :, :, None]
         else:
-            dP[..., self._dN[0], self._dN[1]] = -(
-                P * inv_N[..., None, None]).reshape(
-                    X.shape[:-1] + (self.net.r, -1, 1))
+            PN = P * inv_N[..., None, None]
+            if self._mixed:
+                PN = PN[..., self._std, :, :]
+            dP[..., self._dN[0], self._dN[1]] = -PN[..., None]
             dP[..., self._dx[0], self._dx[1]] += (
                 ys[..., :, :, None] * inv_N[..., None, None])
         dP[..., self._dy[0], self._dy[1]] += xeff[..., None, :]
-        return self._linear(alpha) + self.Q @ dP
-
-    def _per_state(self, reference, alpha, X):
-        """reference(models, net, alpha, x) for every state x of the batch."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return reference(self.models, self.net, alpha, X)
-        return np.stack([self._per_state(reference, alpha, row) for row in X])
+        J = self._linear(alpha) + self.Q @ dP
+        for mod, rows in self._callbacks:
+            for i in np.ndindex(X.shape[:-1]):
+                J[i][rows, rows] += mod.recruitment_jacobian(X[i][rows])
+        return J
 
 
 def build_rhs(models: Sequence[PatchModel], net: MobilityNetwork,

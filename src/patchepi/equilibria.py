@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import matalg
-from .model import (HivParams, PatchModel, PatchState, fd_jacobian,
-                    hiv_vaccination, new_infection_operator, patch_jacobian,
-                    split_state)
+from .model import (HivParams, PatchModel, PatchState, hiv_vaccination,
+                    new_infection_operator, patch_jacobian, split_state)
 
 # Newton acceptance for a root, and merge distance for duplicates.
 ROOT_RESIDUAL_TOL = 1e-9
@@ -120,9 +119,8 @@ def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
             "disease-free susceptible level is not unique") from exc
     if model.g_func is not None:
         try:
-            y0, _ = _newton_correct(
-                model.recruitment,
-                lambda y: fd_jacobian(model.recruitment, y), y0, 0.0)
+            y0, _ = _newton_correct(model.recruitment,
+                                    model.recruitment_jacobian, y0, 0.0)
         except CorrectionFailureError as exc:
             raise DegenerateModelError(
                 "susceptible-equilibrium Newton did not converge") from exc

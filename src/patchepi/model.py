@@ -15,13 +15,12 @@ the n infected classes, and F is the resulting new-infection operator
 
 Recruitment g is affine (g = g_const + g_lin y) for every built-in family;
 a callable extension point is provided for anything else, in which case
-Jacobians fall back to central finite differences. fd_jacobian is the one
-finite-difference Jacobian of the package: patch_jacobian uses it for such
-a patch, and the single-start Newton that finds its disease-free
-susceptible level (equilibria) uses it on g itself. Note that the guarantees
-on higher-order branch derivatives elsewhere in this package need g smooth
-enough (r-1 continuous derivatives for r patches); affine recruitment has
-all orders, user extensions are on their own.
+only dg/dy is taken by central finite differences, in
+PatchModel.recruitment_jacobian, the one caller of fd_jacobian; every other
+Jacobian term stays analytic. Note that the guarantees on higher-order
+branch derivatives elsewhere in this package need g smooth enough (r-1
+continuous derivatives for r patches); affine recruitment has all orders,
+user extensions are on their own.
 
 Built-in families:
     multigroup        n groups, one susceptible class per group
@@ -140,6 +139,12 @@ class PatchModel:
         if self.g_func is not None:
             return np.asarray(self.g_func(y), dtype=float)
         return self.g_const + self.g_lin @ y
+
+    def recruitment_jacobian(self, y: np.ndarray) -> np.ndarray:
+        """dg/dy: g_lin, or central differences of a recruitment callback."""
+        if self.g_func is not None:
+            return fd_jacobian(self.recruitment, y)
+        return self.g_lin
 
 
 @dataclass(frozen=True)
@@ -315,7 +320,7 @@ def _assemble_F(eta: np.ndarray, y: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def patch_residual(model: PatchModel, s: PatchState) -> np.ndarray:
-    """Right-hand side of the patch ODE; zero exactly at steady states."""
+    """Right-hand side of the patch ODE; the kernel's test reference."""
     B = transmission_matrix(model, s)
     F = _assemble_F(model.eta, s.y, B)
     rx = F @ s.x - model.V @ s.x
@@ -327,14 +332,11 @@ def patch_residual(model: PatchModel, s: PatchState) -> np.ndarray:
 def patch_jacobian(model: PatchModel, s: PatchState) -> np.ndarray:
     """Jacobian of patch_residual at a state.
 
-    Analytic for the built-in families (affine g, constant or 1/N-scaled
-    beta); central finite differences when a custom g_func is attached.
-    At a disease-free state the upper-left block reduces to F - V and the
-    x-row has no y/z coupling through the incidence terms.
+    Analytic apart from dg/dy, which the y-y block takes from
+    recruitment_jacobian. At a disease-free state the upper-left block
+    reduces to F - V and the x-row has no y/z coupling through the
+    incidence terms.
     """
-    if model.g_func is not None:
-        return fd_jacobian(lambda u: patch_residual(model, split_state(model, u)),
-                           s.concat())
     n, m, k = model.n, model.m, model.k
     B = transmission_matrix(model, s)
     F = _assemble_F(model.eta, s.y, B)
@@ -364,7 +366,7 @@ def patch_jacobian(model: PatchModel, s: PatchState) -> np.ndarray:
         J[sl_x, n + ell] = col
 
     # y-rows: d(g - diag(y) B x)
-    J[sl_y, sl_y] = model.g_lin - np.diag(Bx)
+    J[sl_y, sl_y] = model.recruitment_jacobian(s.y) - np.diag(Bx)
     J[sl_y, sl_x] = -s.y[:, None] * B
     if dB_scale:
         # d(Bx)_p/dw picks up dB_scale (Bx)_p for every x- or y-component w

@@ -87,6 +87,25 @@ REJECTIONS = [
      "list of numbers"),
     (lambda d: d.update(patterns=[[0]]), "patterns[0]"),
     (lambda d: d.update(patterns=[[0, -1]]), "patterns[0]"),
+    # a negative initial component is a config error, not a traceback
+    (lambda d: d["initial_sets"][0]["regions"][1].__setitem__(0, -1.0),
+     "initial_sets[0].regions[1]"),
+    # JSON NaN and Infinity are numbers to the parser, not to the config
+    (lambda d: d.update(alpha_grid=[0.0, float("nan")]), "alpha_grid"),
+    (lambda d: d.update(alpha_grid=[float("inf")]), "alpha_grid"),
+    (lambda d: d.update(t_end=float("inf")), "t_end"),
+    (lambda d: d.update(rtol=float("nan")), "rtol"),
+    (lambda d: d.update(atol=float("inf")), "atol"),
+    (lambda d: d["network"].update(weight=float("inf")), "network.weight"),
+    (lambda d: d["network"].update(weight=float("nan")), "network.weight"),
+    (lambda d: d["initial_sets"][0]["regions"][0].__setitem__(1, float("nan")),
+     "initial_sets[0].regions[0]"),
+    (lambda d: d["initial_sets"][0]["regions"][0].__setitem__(1, float("inf")),
+     "initial_sets[0].regions[0]"),
+    # network keys the parser would ignore
+    (lambda d: d["network"].update(weights={"x": 1.0}), "unknown fields"),
+    (lambda d: d.update(network={"preset": "fig3b", "weight": 2.0}),
+     "not allowed with 'preset'"),
 ]
 
 
@@ -191,7 +210,8 @@ def test_apply_overrides():
     same = cli._apply_overrides(cfg, argparse.Namespace(preset=None,
                                                         alpha=None))
     assert same == cfg
-    for preset, alpha in (("nope", None), (None, "a,b"), (None, "-1")):
+    for preset, alpha in (("nope", None), (None, "a,b"), (None, "-1"),
+                          (None, "nan"), (None, "0,inf"), (None, "-inf")):
         with pytest.raises(cli.ConfigError):
             cli._apply_overrides(cfg, argparse.Namespace(preset=preset,
                                                          alpha=alpha))
@@ -375,6 +395,13 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
                      "--preset", "fig9z"]) == 2
     assert cli.main(["analyze", "--config", fixture, "--alpha", "0,x"]) == 2
     assert cli.main(["analyze", "--config", fixture, "--alpha", "-0.1"]) == 2
+    assert cli.main(["continue", "--config", fixture, "--alpha", "nan"]) == 2
+    # a negative initial component stops simulate before any integration
+    data = fixture_dict("hiv_mixed.json")
+    data["initial_sets"][0]["regions"][0][0] = -1.0
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps(data))
+    assert cli.main(["simulate", "--config", str(negative)]) == 2
     assert "config error" in capsys.readouterr().err
 
 

@@ -80,27 +80,44 @@ def _kernel_cases():
     def g_func(y):
         return 1.0 - 0.05 * y - 0.01 * y ** 2
 
+    def callback(mod):
+        return dataclasses.replace(mod, g_func=g_func)
+
     small = network.preset("fig3c", n=2, m=1, k=1)
     return {
-        "hiv_standard": (hiv, hiv_net("fig3b"), True),
-        "hiv_mass_action": ([mass(m) for m in hiv], hiv_net("fig4b"), True),
-        "multigroup": ([mg] * 3, network.preset("fig3b", n=2, m=2, k=2), True),
+        "hiv_standard": (hiv, hiv_net("fig3b")),
+        "hiv_mass_action": ([mass(m) for m in hiv], hiv_net("fig4b")),
+        "multigroup": ([mg] * 3, network.preset("fig3b", n=2, m=2, k=2)),
         "multigroup_standard": ([std(mg)] * 3,
-                                network.preset("fig3a", n=2, m=2, k=2), True),
-        "stage_progression_multistrain": ([sp, ms, sp], small, True),
-        "multistrain_standard": ([std(ms)] * 3, small, True),
-        "mixed_incidence": ([sp, std(sp), sp], small, False),
-        "recruitment_callback": ([dataclasses.replace(sp, g_func=g_func)] * 3,
-                                 small, False),
+                                network.preset("fig3a", n=2, m=2, k=2)),
+        "stage_progression_multistrain": ([sp, ms, sp], small),
+        "multistrain_standard": ([std(ms)] * 3, small),
+        "mixed_incidence": ([sp, std(sp), sp], small),
+        "recruitment_callback": ([callback(sp)] * 3, small),
+        "mixed_incidence_callback": (
+            [callback(sp), std(sp), std(callback(sp))], small),
     }
 
 
+def _forbid_reference_path(mp):
+    """Make the per-patch reference functions raise when called."""
+    from patchepi import model
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("CoupledSystem called a per-patch reference")
+
+    for module in (continuation, model):
+        for name in ("coupled_residual", "coupled_jacobian",
+                     "patch_residual", "patch_jacobian"):
+            if hasattr(module, name):
+                mp.setattr(module, name, forbidden)
+
+
 @pytest.mark.parametrize("case", sorted(_kernel_cases()))
-def test_kernel_jacobian_matches_stacked_patch_jacobians(case):
+def test_kernel_jacobian_matches_stacked_patch_jacobians(case, monkeypatch):
     from patchepi.model import patch_jacobian, split_state
-    models, net, compiled = _kernel_cases()[case]
+    models, net = _kernel_cases()[case]
     system = continuation.CoupledSystem(models, net)
-    assert system.compiled == compiled
     s = models[0].size
     rng = np.random.default_rng(21)
     for alpha in (0.0, 3e-3, 0.5):
@@ -109,20 +126,25 @@ def test_kernel_jacobian_matches_stacked_patch_jacobians(case):
         for i, mod in enumerate(models):
             ref[i * s:(i + 1) * s, i * s:(i + 1) * s] += patch_jacobian(
                 mod, split_state(mod, X[i * s:(i + 1) * s]))
-        J = system.jacobian(alpha, X)
-        assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref)), alpha
         assert np.max(np.abs(
             continuation.coupled_jacobian(models, net, alpha, X) - ref)) \
             <= 1e-13 * np.max(np.abs(ref))
         res = continuation.coupled_residual(models, net, alpha, X)
-        assert np.max(np.abs(system.residual(alpha, X) - res)) \
-            <= 1e-13 * (1.0 + np.max(np.abs(res)))
-        # a leading batch axis evaluates every state of the stack
+        # a leading batch axis evaluates every state of the stack; neither
+        # form may fall back on the per-patch reference functions
         Xs = np.stack([X, 2.0 * X, X + 1.0])
-        assert system.admissible(Xs).tolist() == [True] * 3
-        for Jb, Rb, Xi in zip(system.jacobian(alpha, Xs),
-                              system.residual(alpha, Xs), Xs):
-            Ji, Ri = system.jacobian(alpha, Xi), system.residual(alpha, Xi)
+        with monkeypatch.context() as mp:
+            _forbid_reference_path(mp)
+            J, R = system.jacobian(alpha, X), system.residual(alpha, X)
+            batched = zip(system.jacobian(alpha, Xs),
+                          system.residual(alpha, Xs), Xs)
+            single = [(Jb, Rb, system.jacobian(alpha, Xi),
+                       system.residual(alpha, Xi)) for Jb, Rb, Xi in batched]
+            admissible = system.admissible(Xs).tolist()
+        assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref)), alpha
+        assert np.max(np.abs(R - res)) <= 1e-13 * (1.0 + np.max(np.abs(res)))
+        assert admissible == [True] * 3
+        for Jb, Rb, Ji, Ri in single:
             assert np.max(np.abs(Jb - Ji)) <= 1e-13 * np.max(np.abs(Ji))
             assert np.max(np.abs(Rb - Ri)) <= 1e-13 * (1.0 + np.max(np.abs(Ri)))
 
@@ -237,8 +259,8 @@ def test_dfe_branch_stays_disease_free(backward):
 
 
 def test_dfe_branch_with_recruitment_callback():
-    # an affine recruitment given as a callback takes the per-state
-    # reference residual and the finite-difference Jacobian
+    # an affine recruitment given as a callback: the kernel adds g(y) and
+    # its finite-difference dg/dy state by state, everything else as usual
     import dataclasses
     from patchepi import model
     models = [model.multigroup([[0.06, 0.01], [0.02, 0.05]], lam, 0.05, 0.05)

@@ -263,8 +263,8 @@ def test_singular_jacobian_fails_its_own_seed_only():
 
 
 def test_generic_search_recruitment_callback_twin():
-    # the same affine recruitment as a callback: per-state residuals and
-    # finite-difference Jacobians in the same batched Newton
+    # the same affine recruitment as a callback: per-state g(y) and
+    # finite-difference dg/dy in the same batched Newton
     import dataclasses
     for mod in (model.stage_progression([0.04, 0.01, 0.02], [0.2, 0.1, 0.15],
                                         1.0, 0.05),

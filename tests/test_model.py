@@ -101,18 +101,20 @@ def test_patch_jacobian_matches_finite_differences(name, mod):
 
 
 def test_custom_g_func_jacobian_route():
-    # affine g attached as a callable must reproduce the analytic Jacobian
-    mg = model.multigroup([[0.02]], 1.0, 0.05, 0.05)
-    custom = model.PatchModel(
-        family="custom", n=1, m=1, k=1, V=mg.V, D=mg.D, Z=mg.Z,
-        eta=mg.eta, beta=mg.beta, incidence="mass_action",
-        g_const=mg.g_const, g_lin=mg.g_lin,
-        g_func=lambda y: mg.g_const + mg.g_lin @ y)
+    # affine g attached as a callable must reproduce the analytic Jacobian:
+    # only dg/dy is differenced, every other entry is the analytic one
+    import dataclasses
     rng = np.random.default_rng(3)
-    s = split_state(mg, random_admissible_state(mg, rng))
-    J_analytic = model.patch_jacobian(mg, s)
-    J_fd_route = model.patch_jacobian(custom, s)
-    assert np.max(np.abs(J_analytic - J_fd_route)) < 1e-5
+    for name, mod in all_families():
+        custom = dataclasses.replace(mod, family="custom",
+                                     g_func=lambda y, m=mod: m.recruitment(y))
+        s = split_state(mod, random_admissible_state(mod, rng))
+        J_analytic = model.patch_jacobian(mod, s)
+        J_fd_route = model.patch_jacobian(custom, s)
+        yy = np.zeros_like(J_analytic, dtype=bool)
+        yy[mod.n:mod.n + mod.m, mod.n:mod.n + mod.m] = True
+        assert np.array_equal(J_fd_route[~yy], J_analytic[~yy]), name
+        assert np.max(np.abs(J_fd_route[yy] - J_analytic[yy])) <= 1e-9, name
 
 
 def test_stage_progression_structure():
