@@ -196,7 +196,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 raise ConfigError(
                     f"{path}.regions[{ridx}]: must be a list of numbers, "
                     "finite and nonnegative")
-        initial_sets.append((str(item["label"]), regions))
+        # the label names a simulate artifact file
+        label = str(item["label"])
+        if "/" in label or "\0" in label:
+            raise ConfigError(f"{path}.label: must not contain '/' or NUL")
+        if label in [other for other, _ in initial_sets]:
+            raise ConfigError(f"{path}.label: {label!r} is already used")
+        initial_sets.append((label, regions))
 
     patterns = data.get("patterns")
     if patterns is not None:
@@ -497,6 +503,12 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
     """Integrate each configured initial set at each alpha."""
     if not config.initial_sets:
         raise ConfigError("simulate needs at least one entry in initial_sets")
+    # trajectory files are named by alpha's :g form
+    tags = [f"{alpha:g}" for alpha in config.alpha_grid]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise ConfigError(f"alpha_grid: two values print as {tag}, "
+                              "so their trajectory files would collide")
     models = build_models(config)
     net = build_network(config, models)
     eqs = [equilibria.patch_equilibria(mod) for mod in models]
@@ -559,7 +571,7 @@ def _classified_equilibria(models, net, eqs, alpha):
         label = f"pattern_{pattern_label(pat.choices)}"
         if alpha == 0.0:
             out.append((label,
-                        continuation.product_state(pat, models, eqs)))
+                        continuation.product_state(pat, eqs)))
             continue
         try:
             rec = continuation.continue_branch(

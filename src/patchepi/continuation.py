@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import matalg
-from .equilibria import EquilibriumPattern, patch_equilibria, stability_of
+from .equilibria import EquilibriumPattern, enumerate_patterns, stability_of
 from .model import (InadmissibleStateError, PatchModel,
                     patch_jacobian, patch_residual, split_state)
 from .network import MobilityNetwork
@@ -358,9 +358,9 @@ def _accept(system, alpha, X, rnorm) -> CoupledState:
 # Branch continuation
 # ====================================================================
 
-def product_state(pattern: EquilibriumPattern, models: Sequence[PatchModel],
-                  equilibria) -> np.ndarray:
-    """Concatenated disconnected equilibrium for the given pattern."""
+def product_state(pattern: EquilibriumPattern, equilibria) -> np.ndarray:
+    """Concatenated disconnected equilibrium: pattern.choices picks one
+    of each patch's patch_equilibria."""
     parts = []
     for choice, eqs in zip(pattern.choices, equilibria):
         if not 0 <= choice < len(eqs):
@@ -373,7 +373,7 @@ def continue_branch(pattern: EquilibriumPattern,
                     models: Sequence[PatchModel],
                     net: MobilityNetwork,
                     alpha_targets: Sequence[float],
-                    equilibria=None,
+                    equilibria,
                     refine_exit: bool = False,
                     stop_at_exit: bool = True) -> BranchRecord:
     """Natural continuation of one product pattern over an alpha grid.
@@ -386,16 +386,15 @@ def continue_branch(pattern: EquilibriumPattern,
     smooth curve regardless of the cone); exit_alpha still marks the
     first violation. Derivative cross-checks need this to reach their
     full difference stencil when a pattern vanishes immediately.
+    equilibria holds each patch's patch_equilibria.
     """
-    if equilibria is None:
-        equilibria = [patch_equilibria(mod) for mod in models]
     targets = sorted(float(a) for a in alpha_targets)
     if targets and targets[0] < 0.0:
         raise ValueError("alpha targets must be nonnegative")
     targets = [a for a in targets if a > 0.0]
 
     system = CoupledSystem(models, net)
-    X0 = product_state(pattern, models, equilibria)
+    X0 = product_state(pattern, equilibria)
     J0 = system.jacobian(0.0, X0)
     if matalg.condition_estimate(J0) > matalg.COND_LIMIT:
         raise HypothesisViolationError(
@@ -542,18 +541,16 @@ def branch_derivative_check(record: BranchRecord,
 
 
 def count_stable(models: Sequence[PatchModel], net: MobilityNetwork,
-                 alpha: float, equilibria=None):
-    """(stable, unstable) tally over branches surviving at the given alpha."""
-    from .equilibria import enumerate_patterns
+                 alpha: float, equilibria):
+    """(stable, unstable) tally over branches surviving at the given alpha.
 
-    if equilibria is None:
-        equilibria = [patch_equilibria(mod) for mod in models]
+    equilibria holds each patch's patch_equilibria.
+    """
     counts = [len(eq) - 1 for eq in equilibria]
     ladder = [alpha / 100.0, alpha / 10.0, alpha]
     stable = unstable = 0
     for pattern in enumerate_patterns(counts):
-        record = continue_branch(pattern, models, net, ladder,
-                                 equilibria=equilibria)
+        record = continue_branch(pattern, models, net, ladder, equilibria)
         if record.failure is not None:
             raise CorrectionFailureError(
                 f"pattern {pattern.choices}: {record.failure}")

@@ -27,6 +27,9 @@ ROOT_MERGE_TOL = 1e-7
 # groups would otherwise need gigabytes).
 SEED_BATCH = 4096
 
+# Newton steps a seed of the generic search may take before it fails.
+SEED_STEPS = 80
+
 # |max real eigenvalue| at most this is a marginal equilibrium; those are
 # excluded from continuation (the persistence theorem needs an invertible
 # Jacobian).
@@ -279,7 +282,7 @@ def estimate_Rc(params: HivParams, bifurcation_param: str = "beta1",
     return local_reproduction_number(model)
 
 
-def bifurcation_report(model: PatchModel, estimate_fold: bool = True,
+def bifurcation_report(model: PatchModel,
                        equilibria=None) -> BifurcationReport:
     """Root census and regime of one patch, any family.
 
@@ -292,7 +295,7 @@ def bifurcation_report(model: PatchModel, estimate_fold: bool = True,
     if model.family == "hiv_vaccination":
         params = HivParams(**model.params)
         report = endemic_equilibria_hiv(params)
-        if estimate_fold and report.regime == "backward_window":
+        if report.regime == "backward_window":
             try:
                 rc = estimate_Rc(params, "beta1",
                                  (0.5 * params.beta1, params.beta1))
@@ -372,13 +375,13 @@ def _state_distance(a: np.ndarray, b: np.ndarray) -> float:
                  / (1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)))))
 
 
-def _newton_seeds(system, U0: np.ndarray, maxit: int = 80) -> tuple:
+def _newton_seeds(system, U0: np.ndarray) -> tuple:
     """Damped Newton for system.residual(0, u) = 0 from every row of U0.
 
     Returns (U, converged). Every row follows the rules of a single-start
     damped Newton on its own: it fails on an inadmissible start, a
     residual that is not finite or above 1e12, a singular Jacobian,
-    twenty Armijo halvings without sufficient decrease, or maxit steps;
+    twenty Armijo halvings without sufficient decrease, or SEED_STEPS steps;
     once its residual is at most ROOT_RESIDUAL_TOL it gets up to four
     full polishing steps, kept while the residual still improves. The
     rows only share the array operations, never a decision.
@@ -392,7 +395,7 @@ def _newton_seeds(system, U0: np.ndarray, maxit: int = 80) -> tuple:
     R = _residuals(system, U)
     active = np.all(np.isfinite(R), axis=1)   # inadmissible starts fail
     converged = np.zeros(len(U), dtype=bool)
-    for _ in range(maxit):
+    for _ in range(SEED_STEPS):
         norm = np.max(np.abs(R), axis=1)
         done = active & (norm <= ROOT_RESIDUAL_TOL)
         converged |= done

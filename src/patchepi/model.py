@@ -101,7 +101,10 @@ class PatchModel:
 
     def __post_init__(self):
         for name in ("V", "D", "Z", "eta", "beta", "g_const", "g_lin"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, arr)
         n, m, k = self.n, self.m, self.k
         if self.family not in FAMILIES and self.family != "custom":
             raise ValueError(f"unknown family {self.family!r}")
@@ -180,6 +183,8 @@ class HivParams:
         # everything else is a rate or fraction the equations divide by
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"HIV parameter {name} must be finite")
             if name in ("beta1", "beta2", "s1", "s2"):
                 if value < 0:
                     raise ValueError(f"HIV parameter {name} must be nonnegative")

@@ -14,7 +14,7 @@ exists; it drives the order of the first nonvanishing branch derivative.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,14 +28,12 @@ class MobilityNetwork:
 
     cx[i, j] (length n), cy[i, j] (length m), cz[i, j] (length k) hold the
     diagonals of C_x^{ij}, C_y^{ij}, C_z^{ij}; diagonal blocks (i = j) are
-    unused and kept at zero. alpha is the global mobility scalar the
-    connectivities are multiplied by.
+    unused and kept at zero.
     """
     r: int
     cx: np.ndarray
     cy: np.ndarray
     cz: np.ndarray
-    alpha: float = 0.0
     name: Optional[str] = None
 
     def __post_init__(self):
@@ -48,8 +46,6 @@ class MobilityNetwork:
             arr = arr.copy()
             arr[np.arange(self.r), np.arange(self.r), :] = 0.0
             object.__setattr__(self, nm, arr)
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
 
     @property
     def block_sizes(self) -> tuple:
@@ -68,15 +64,18 @@ class PatternClassification:
     m_values[i] is None for EAT regions; for DFAT regions it is the least
     number of in-between regions on an EAT-to-i path, or r - 1 when i is
     not reachable from any EAT region (then reachable_from_eat[i] False).
+    eat_paths[i] is such a shortest path, EAT region first and i last, for
+    a reachable DFAT region, and None otherwise.
     """
     is_eat: tuple
     m_values: tuple
     reachable_from_eat: tuple
+    eat_paths: tuple
 
 
 def from_edges(edges: Sequence[tuple], r: int, n: int, m: int, k: int,
                blocks: Sequence[str] = ("x", "y", "z"),
-               weight: float = 1.0, alpha: float = 0.0,
+               weight: float = 1.0,
                name: Optional[str] = None) -> MobilityNetwork:
     """Build a network from (from_region, to_region) pairs, 0-based.
 
@@ -94,7 +93,7 @@ def from_edges(edges: Sequence[tuple], r: int, n: int, m: int, k: int,
             raise ValueError("self-loops are not allowed")
         for b in blocks:
             store[b][t, f, :] = weight  # C^{tf}: from f to t
-    return MobilityNetwork(r=r, cx=cx, cy=cy, cz=cz, alpha=alpha, name=name)
+    return MobilityNetwork(r=r, cx=cx, cy=cy, cz=cz, name=name)
 
 
 # ====================================================================
@@ -120,13 +119,13 @@ PRESET_EDGES = {
 }
 
 
-def preset(name: str, n: int, m: int, k: int, alpha: float = 0.0) -> MobilityNetwork:
+def preset(name: str, n: int, m: int, k: int) -> MobilityNetwork:
     """A named three-region figure network with unit potentials on all blocks."""
     if name not in PRESET_EDGES:
         raise KeyError(f"unknown network preset {name!r}; "
                        f"available: {sorted(PRESET_EDGES)}")
     return from_edges(PRESET_EDGES[name], r=3, n=n, m=m, k=k,
-                      blocks=("x", "y", "z"), alpha=alpha, name=name)
+                      blocks=("x", "y", "z"), name=name)
 
 
 def enumerate_networks(r: int, n: int, m: int, k: int) -> list:
@@ -159,18 +158,7 @@ def direct_connection(net: MobilityNetwork, frm: int, to: int) -> bool:
 def reachable(net: MobilityNetwork, frm: int, to: int) -> bool:
     """True iff a directed path of direct connections leads frm -> to."""
     _check_pair(net, frm, to)
-    adj = net.adjacency()
-    seen = {frm}
-    queue = deque([frm])
-    while queue:
-        u = queue.popleft()
-        for v in range(net.r):
-            if adj[u, v] and v not in seen:
-                if v == to:
-                    return True
-                seen.add(v)
-                queue.append(v)
-    return False
+    return _search(net, [frm])[to] is not None
 
 
 def _check_pair(net: MobilityNetwork, frm: int, to: int):
@@ -180,42 +168,47 @@ def _check_pair(net: MobilityNetwork, frm: int, to: int):
         raise ValueError("source and target regions must differ")
 
 
+def _search(net: MobilityNetwork, sources: Sequence[int]) -> list:
+    """Breadth-first search of the region digraph from all sources at once.
+
+    Returns per region a shortest path from a source to it (a tuple of
+    regions, source first), or None when no source reaches it. Sources and
+    out-neighbours are visited in index order.
+    """
+    adj = net.adjacency()
+    paths = [None] * net.r
+    for u in sources:
+        paths[u] = (u,)
+    queue = deque(sources)
+    while queue:
+        u = queue.popleft()
+        for v in range(net.r):
+            if adj[u, v] and paths[v] is None:
+                paths[v] = paths[u] + (v,)
+                queue.append(v)
+    return paths
+
+
 def classify_pattern(net: MobilityNetwork,
                      pattern: EquilibriumPattern) -> PatternClassification:
-    """EAT/DFAT labels and the in-between count M_i per DFAT region.
+    """EAT/DFAT labels, the in-between count M_i and a shortest EAT path
+    per DFAT region.
 
-    Multi-source breadth-first search from the EAT set; a path with d edges
-    passes d - 1 in-between regions, and unreachable regions keep the
-    sentinel M_i = r - 1.
+    Multi-source breadth-first search from the EAT set; a path through
+    d + 1 regions passes d - 1 in-between regions, and unreachable regions
+    keep the sentinel M_i = r - 1.
     """
     r = net.r
     if len(pattern.choices) != r:
         raise ValueError("pattern length does not match region count")
     is_eat = tuple(c > 0 for c in pattern.choices)
-    adj = net.adjacency()
-    dist = [None] * r
-    queue = deque()
-    for i, eat in enumerate(is_eat):
-        if eat:
-            dist[i] = 0
-            queue.append(i)
-    while queue:
-        u = queue.popleft()
-        for v in range(r):
-            if adj[u, v] and dist[v] is None:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    m_values = []
-    reach = []
-    for i, eat in enumerate(is_eat):
-        if eat:
-            m_values.append(None)
-            reach.append(None)
-        elif dist[i] is None:
-            m_values.append(r - 1)
-            reach.append(False)
-        else:
-            m_values.append(dist[i] - 1)
-            reach.append(True)
-    return PatternClassification(is_eat=is_eat, m_values=tuple(m_values),
-                                 reachable_from_eat=tuple(reach))
+    found = _search(net, [i for i in range(r) if is_eat[i]])
+    paths = tuple(None if eat else path for eat, path in zip(is_eat, found))
+    return PatternClassification(
+        is_eat=is_eat,
+        m_values=tuple(None if eat else r - 1 if path is None
+                       else len(path) - 2
+                       for eat, path in zip(is_eat, paths)),
+        reachable_from_eat=tuple(None if eat else path is not None
+                                 for eat, path in zip(is_eat, paths)),
+        eat_paths=paths)

@@ -27,8 +27,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import matalg
-from .equilibria import EquilibriumPattern, PatchEquilibrium, patch_equilibria
-from .model import PatchModel, PatchState, new_infection_operator
+from .equilibria import (EquilibriumPattern, PatchEquilibrium,
+                         enumerate_patterns, local_reproduction_number)
+from .model import PatchModel, new_infection_operator
 from .network import MobilityNetwork, classify_pattern
 
 # Tolerance for classifying derivative components as zero.
@@ -86,25 +87,16 @@ def _sign_class(value: np.ndarray) -> str:
     return "nonneg_mixed"
 
 
-def _resolve_equilibria(models: Sequence[PatchModel],
-                        equilibria: Optional[Sequence[Sequence[PatchEquilibrium]]]):
-    if equilibria is None:
-        return [patch_equilibria(mod) for mod in models]
-    return list(equilibria)
-
-
-def _dfe_state(eqs: Sequence[PatchEquilibrium]) -> PatchState:
-    return eqs[0].state
-
-
 def _x_hat(eqs: Sequence[PatchEquilibrium], choice: int, n: int) -> np.ndarray:
     if choice == 0:
         return np.zeros(n)
     return eqs[choice].state.x
 
 
-def _v_minus_f(model: PatchModel, dfe: PatchState) -> np.ndarray:
-    return model.V - new_infection_operator(model, dfe)
+def _v_minus_f(model: PatchModel,
+               eqs: Sequence[PatchEquilibrium]) -> np.ndarray:
+    """V - F at the patch's disease-free state, eqs[0]."""
+    return model.V - new_infection_operator(model, eqs[0].state)
 
 
 # ====================================================================
@@ -114,22 +106,22 @@ def _v_minus_f(model: PatchModel, dfe: PatchState) -> np.ndarray:
 def branch_first_derivative(i: int, pattern: EquilibriumPattern,
                             models: Sequence[PatchModel],
                             net: MobilityNetwork,
-                            equilibria=None) -> BranchDerivative:
+                            equilibria) -> BranchDerivative:
     """First derivative of a DFAT region's x-block at alpha = 0.
 
     Solves (V - F) d = sum_{j != i} C_x^{ij} xhat^j with the disconnected
     endemic states xhat^j on the right-hand side and F evaluated at region
-    i's own disease-free state.
+    i's own disease-free state. equilibria holds each patch's
+    patch_equilibria, disease-free state first.
     """
     if pattern.choices[i] != 0:
         raise ValueError(f"region {i} is not DFAT in pattern {pattern.choices}")
-    eqs = _resolve_equilibria(models, equilibria)
     n = models[i].n
     rhs = np.zeros(n)
     for j in range(net.r):
         if j != i:
-            rhs += net.cx[i, j] * _x_hat(eqs[j], pattern.choices[j], n)
-    return _solve_chain_step(i, 1, rhs, models[i], eqs[i])
+            rhs += net.cx[i, j] * _x_hat(equilibria[j], pattern.choices[j], n)
+    return _solve_chain_step(i, 1, rhs, models[i], equilibria[i])
 
 
 def branch_higher_derivative(i: int, order: int,
@@ -137,7 +129,7 @@ def branch_higher_derivative(i: int, order: int,
                              pattern: EquilibriumPattern,
                              models: Sequence[PatchModel],
                              net: MobilityNetwork,
-                             equilibria=None) -> BranchDerivative:
+                             equilibria) -> BranchDerivative:
     """Order-N derivative of a DFAT region's x-block at alpha = 0.
 
     Valid only when every lower-order derivative of region i vanishes
@@ -165,7 +157,6 @@ def branch_higher_derivative(i: int, order: int,
             raise ChainPreconditionError(
                 f"order-{ell} derivative of region {i} is nonzero; "
                 f"the order-{order} recursion does not apply")
-    eqs = _resolve_equilibria(models, equilibria)
     n = models[i].n
     rhs = np.zeros(n)
     prev = lower_order_values[order - 1]
@@ -179,12 +170,12 @@ def branch_higher_derivative(i: int, order: int,
                 f"missing order-{order - 1} value for in-neighbor {j}")
         rhs += net.cx[i, j] * prev[j]
     rhs *= order
-    return _solve_chain_step(i, order, rhs, models[i], eqs[i])
+    return _solve_chain_step(i, order, rhs, models[i], equilibria[i])
 
 
 def _solve_chain_step(i: int, order: int, rhs: np.ndarray,
                       model: PatchModel, eqs_i) -> BranchDerivative:
-    VmF = _v_minus_f(model, _dfe_state(eqs_i))
+    VmF = _v_minus_f(model, eqs_i)
     try:
         value = matalg.solve_linear(VmF, rhs)
     except matalg.SingularMatrixError as exc:
@@ -197,32 +188,30 @@ def _solve_chain_step(i: int, order: int, rhs: np.ndarray,
 def derivative_chain(pattern: EquilibriumPattern,
                      models: Sequence[PatchModel],
                      net: MobilityNetwork,
-                     equilibria=None,
-                     max_order: Optional[int] = None) -> dict:
+                     equilibria) -> dict:
     """Per-DFAT-region derivatives, raised order by order until signed.
 
     Returns {region: BranchDerivative} holding each DFAT region's first
     derivative with a nonzero sign class, or its highest computed one
-    (still "zero") when everything through max_order vanishes.
+    (still "zero") when everything through order r - 1 vanishes.
     """
-    eqs = _resolve_equilibria(models, equilibria)
-    max_order = net.r - 1 if max_order is None else max_order
     dfat = [i for i in range(net.r) if pattern.choices[i] == 0]
     values = {}      # order -> {region: vector}, zeros propagated
     result = {}
     n = models[0].n
-    values[0] = {j: _x_hat(eqs[j], pattern.choices[j], n) for j in range(net.r)}
-    for order in range(1, max_order + 1):
+    values[0] = {j: _x_hat(equilibria[j], pattern.choices[j], n)
+                 for j in range(net.r)}
+    for order in range(1, net.r):
         values[order] = {}
         for i in dfat:
             if i in result and result[i].sign_class != "zero":
                 continue
             if order == 1:
                 der = branch_first_derivative(i, pattern, models, net,
-                                              equilibria=eqs)
+                                              equilibria)
             else:
                 der = branch_higher_derivative(i, order, values, pattern,
-                                               models, net, equilibria=eqs)
+                                               models, net, equilibria)
             values[order][i] = der.value
             result[i] = der
         # EAT regions only ever feed the recursion at order 0
@@ -236,7 +225,7 @@ def derivative_chain(pattern: EquilibriumPattern,
 def predict(pattern: EquilibriumPattern,
             models: Sequence[PatchModel],
             net: MobilityNetwork,
-            equilibria=None,
+            equilibria,
             R_values: Optional[Sequence[float]] = None) -> PersistenceVerdict:
     """Persistence verdict for one product pattern.
 
@@ -247,9 +236,9 @@ def predict(pattern: EquilibriumPattern,
     was reached: via the complete-network or direct-inflow corollaries,
     via general reachability, or via the direct derivative fallback used
     when some patch violates the V - F irreducibility assumption.
+    equilibria holds each patch's patch_equilibria; R_values, each
+    patch's local reproduction number, is computed when not given.
     """
-    from .equilibria import local_reproduction_number  # cycle guard
-
     if len(pattern.choices) != net.r or len(models) != net.r:
         raise ValueError("pattern/models/network region counts disagree")
     if R_values is None:
@@ -261,14 +250,13 @@ def predict(pattern: EquilibriumPattern,
                                   rule="positive_theorem_4_2",
                                   R_values=R_values)
 
-    eqs = _resolve_equilibria(models, equilibria)
-    irreducible = all(
-        matalg.is_irreducible(_v_minus_f(mod, _dfe_state(eq)))
-        for mod, eq in zip(models, eqs))
-    if not irreducible:
-        return _predict_by_derivatives(pattern, models, net, eqs, R_values)
-
     cls = classify_pattern(net, pattern)
+    irreducible = all(matalg.is_irreducible(_v_minus_f(mod, eqs))
+                      for mod, eqs in zip(models, equilibria))
+    if not irreducible:
+        return _predict_by_derivatives(pattern, models, net, equilibria,
+                                       R_values, cls)
+
     dfat = [i for i in range(net.r) if not cls.is_eat[i]]
 
     # R = 1 makes V - F singular, breaking the implicit function theorem
@@ -286,9 +274,8 @@ def predict(pattern: EquilibriumPattern,
     rule = _corollary_rule(net, cls, dfat)
     if offenders:
         region = min(offenders, key=lambda i: cls.m_values[i])
-        path = _shortest_eat_path(net, cls, region)
         witness = PersistenceWitness(region=region, local_R=R_values[region],
-                                     path=path)
+                                     path=cls.eat_paths[region])
         return PersistenceVerdict(pattern=pattern, verdict="vanishes",
                                   rule=rule, witness=witness,
                                   R_values=R_values)
@@ -307,29 +294,7 @@ def _corollary_rule(net: MobilityNetwork, cls, dfat) -> str:
     return "corollary_general"
 
 
-def _shortest_eat_path(net: MobilityNetwork, cls, target: int) -> tuple:
-    """Shortest path from any EAT region to the target (inclusive ends)."""
-    from collections import deque
-    adj = net.adjacency()
-    parent = {}
-    queue = deque(j for j in range(net.r) if cls.is_eat[j])
-    seen = set(queue)
-    while queue:
-        u = queue.popleft()
-        if u == target:
-            path = [u]
-            while path[-1] in parent:
-                path.append(parent[path[-1]])
-            return tuple(reversed(path))
-        for v in range(net.r):
-            if adj[u, v] and v not in seen:
-                seen.add(v)
-                parent[v] = u
-                queue.append(v)
-    return ()
-
-
-def _predict_by_derivatives(pattern, models, net, eqs, R_values):
+def _predict_by_derivatives(pattern, models, net, equilibria, R_values, cls):
     """Fallback for reducible V - F: read the verdict off the derivative
     chain directly, up to order r - 1.
 
@@ -341,11 +306,10 @@ def _predict_by_derivatives(pattern, models, net, eqs, R_values):
     theorem applies and the verdict is indeterminate.
     """
     try:
-        chain = derivative_chain(pattern, models, net, equilibria=eqs)
+        chain = derivative_chain(pattern, models, net, equilibria)
     except (DegenerateThresholdError, ChainPreconditionError):
         return PersistenceVerdict(pattern=pattern, verdict="indeterminate",
                                   rule="derivative_direct", R_values=R_values)
-    cls = classify_pattern(net, pattern)
     unresolved = None
     for i, der in chain.items():
         if der.sign_class == "has_negative":
@@ -369,27 +333,21 @@ def _predict_by_derivatives(pattern, models, net, eqs, R_values):
 
 
 def count_persisting(models: Sequence[PatchModel], net: MobilityNetwork,
-                     equilibria=None,
-                     R_values: Optional[Sequence[float]] = None) -> int:
+                     equilibria, R_values: Sequence[float]) -> int:
     """Number of product patterns (DFE included) that persist.
 
-    Raises if any pattern comes back indeterminate; callers scanning
-    regimes should stay clear of R = 1.
+    equilibria and R_values hold each patch's patch_equilibria and local
+    reproduction number. Raises if any pattern comes back indeterminate;
+    callers scanning regimes should stay clear of R = 1.
     """
-    from .equilibria import enumerate_patterns, local_reproduction_number
-
     if net.r != 3:
         raise ValueError("count_persisting covers the three-region theory")
-    eqs = _resolve_equilibria(models, equilibria)
-    if R_values is None:
-        R_values = [local_reproduction_number(mod) for mod in models]
-    counts = [len(eq) - 1 for eq in eqs]
+    counts = [len(eq) - 1 for eq in equilibria]
     if any(c not in (0, 1, 2) for c in counts):
         raise ValueError(f"per-patch endemic counts {counts} outside 0..2")
     total = 0
     for pattern in enumerate_patterns(counts):
-        verdict = predict(pattern, models, net, equilibria=eqs,
-                          R_values=R_values)
+        verdict = predict(pattern, models, net, equilibria, R_values)
         if verdict.verdict == "indeterminate":
             raise RuntimeError(
                 f"indeterminate verdict for pattern {pattern.choices}")

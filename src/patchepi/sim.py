@@ -231,13 +231,12 @@ def integrate(models: Sequence[PatchModel], net: MobilityNetwork,
 def basin_probe(models: Sequence[PatchModel], net: MobilityNetwork,
                 alpha: float, initial_set: Sequence[Tuple[str, np.ndarray]],
                 t_end: float = DEFAULT_T_END,
-                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                 classified: Optional[Sequence[Tuple[str, np.ndarray]]] = None
                 ) -> List[Tuple[str, str]]:
     """Terminal classification for each labeled initial state, in order."""
     table = []
     for label, X0 in initial_set:
-        traj = integrate(models, net, alpha, X0, t_end=t_end, rtol=rtol,
-                         atol=atol, classified=classified)
+        traj = integrate(models, net, alpha, X0, t_end=t_end,
+                         classified=classified)
         table.append((label, traj.terminal_classification))
     return table

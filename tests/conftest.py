@@ -67,8 +67,8 @@ RG1_SETS = {
 }
 
 
-def hiv_net(name, alpha=0.0):
-    return network.preset(name, n=4, m=2, k=1, alpha=alpha)
+def hiv_net(name):
+    return network.preset(name, n=4, m=2, k=1)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Config validation, frozen report values, artifacts and exit codes."""
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -106,6 +107,13 @@ REJECTIONS = [
     (lambda d: d["network"].update(weights={"x": 1.0}), "unknown fields"),
     (lambda d: d.update(network={"preset": "fig3b", "weight": 2.0}),
      "not allowed with 'preset'"),
+    # labels name simulate's trajectory files
+    (lambda d: d["initial_sets"][0].update(label="a/b"),
+     "initial_sets[0].label"),
+    (lambda d: d["initial_sets"][0].update(label="a\0b"),
+     "initial_sets[0].label"),
+    (lambda d: d["initial_sets"].append(dict(d["initial_sets"][0])),
+     "initial_sets[1].label"),
 ]
 
 
@@ -168,6 +176,19 @@ def test_build_models_errors():
     with pytest.raises(cli.ConfigError) as err:
         cli.build_models(cli.config_from_dict(data))
     assert "patches[0].params" in str(err.value)
+
+    # non-finite parameters, for the HIV family and a generic one
+    for bad in (float("nan"), float("inf")):
+        data = fixture_dict("hiv_mixed.json")
+        data["patches"][1]["params"]["mu"] = bad
+        with pytest.raises(cli.ConfigError, match=r"patches\[1\]\.params.*"
+                                                  "finite"):
+            cli.build_models(cli.config_from_dict(data))
+        data = base_dict()
+        data["patches"][0]["params"]["Lam"] = bad
+        with pytest.raises(cli.ConfigError, match=r"patches\[0\]\.params.*"
+                                                  "finite"):
+            cli.build_models(cli.config_from_dict(data))
 
     # an HIV patch (4,2,1) cannot be coupled to a multigroup patch (1,1,1)
     data = base_dict()
@@ -402,6 +423,24 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
     negative = tmp_path / "negative.json"
     negative.write_text(json.dumps(data))
     assert cli.main(["simulate", "--config", str(negative)]) == 2
+    # trajectory file names: a label with a path separator, a repeated
+    # label, and two alphas that print alike under :g
+    for label in ("a/b", "red"):
+        data = fixture_dict("hiv_backward.json")
+        data["initial_sets"][0]["label"] = label
+        cfgp = tmp_path / "label.json"
+        cfgp.write_text(json.dumps(data))
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 2, label
+    assert cli.main(["simulate", "--config", fixture,
+                     "--alpha", "0,0.1,0.1000001"]) == 2
+    # a non-finite patch parameter stops the model build
+    for bad in (float("nan"), float("inf")):
+        data = fixture_dict("hiv_mixed.json")
+        data["patches"][0]["params"]["Lam"] = bad
+        cfgp = tmp_path / "lam.json"
+        cfgp.write_text(json.dumps(data))
+        for command in ("analyze", "census"):
+            assert cli.main([command, "--config", str(cfgp)]) == 2, command
     assert "config error" in capsys.readouterr().err
 
 
@@ -431,16 +470,89 @@ def test_main_numerical_failure_exit_3(tmp_path, capsys):
     assert verdicts == {"persists", "indeterminate"}
 
 
+# sha256 of (exit code, stderr, output directory) for every run on every
+# shipped fixture, recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64
+# Linux. A refactor must leave them unchanged; a change that means to alter
+# an output re-records the entry and explains the new digits.
+FIXTURE_RUNS = ("analyze", "census", "census --exhaustive-networks",
+                "continue", "simulate")
+FIXTURE_DIGESTS = {
+    ("hiv_backward.json", "analyze"):
+        "bc13808d35b500ab5fbafb2d315128daee5bb54247293e6d04c9d1c6e1a57487",
+    ("hiv_backward.json", "census"):
+        "d779a00317346bcd71997939df65d524437c7c9a368edac28ddda0cafe8f4c78",
+    ("hiv_backward.json", "census --exhaustive-networks"):
+        "ddddc293d7e341261817573636ee27225cfc3662e4d5e6604713c20abf4427f4",
+    ("hiv_backward.json", "continue"):
+        "bf4209dd2641a113a381b3e791200a3a7db97d788047f7fa94d5afc3a80a9369",
+    ("hiv_backward.json", "simulate"):
+        "cca92f7b32b4661a187db06c2186f4222cc25776f03af8609f9bce40464ebce0",
+    ("hiv_mixed.json", "analyze"):
+        "98ab60f315f4b1cc7a4c79b9956f32861ec5776f090892f6b47014be942c2e75",
+    ("hiv_mixed.json", "census"):
+        "8abc1691ff5c303435f3fcb6b5018f087b731b6bfce86f7823ea57e60c7fd0ce",
+    ("hiv_mixed.json", "census --exhaustive-networks"):
+        "5be829c76c41e4f3f490314b0fb07e904cd5cc47d914e10ac25a4bbe84c10789",
+    ("hiv_mixed.json", "continue"):
+        "c26270077856a53055ff8730ebe8f84538abb5ebfdb6dafc3e035406b362dd32",
+    ("hiv_mixed.json", "simulate"):
+        "7e535152b9db430173ceb95d79e02a3a53ce7724f10f935047c066ad9635e780",
+    ("hiv_above_one.json", "analyze"):
+        "1ed5ed59c25eb12b35171475866f2818b43f0ec7879e10428a5024747ff6f8a9",
+    ("hiv_above_one.json", "census"):
+        "297597eb548595ba34f6d73878411d0d808441e160c7b824df3cbbb85e93c7de",
+    ("hiv_above_one.json", "census --exhaustive-networks"):
+        "4434fa4ffa47f66432c1cb75b95ffec51b144fcea2ca63779dd9c0329d68d23b",
+    ("hiv_above_one.json", "continue"):
+        "7b9dcfd68c31060be5fc341492b6f89f06e1981efc1894fd9851009b7a619a89",
+    ("hiv_above_one.json", "simulate"):
+        "ca4809da265eaacf44d87e4ed87df71834c027cab20d93a1e934f2a127f46973",
+    ("hiv_below_rc.json", "analyze"):
+        "fcb1a45506fed01a17ab6f56c258803d24e0b2b7d5554f367611135d71aa9bc5",
+    ("hiv_below_rc.json", "census"):
+        "888821ef1a00e78198ae4ea93a63028927ee0f8e7cf516e3337c5fede22a48bf",
+    ("hiv_below_rc.json", "census --exhaustive-networks"):
+        "dca479858d00a13327892a4522d7d31ef0b5a23715bf0b05006630971e246926",
+    ("hiv_below_rc.json", "continue"):
+        "538e9c49175e761e5bb2e8259f400692a7ba6d22d5407caeee6bdf117f7fa6b9",
+    ("hiv_below_rc.json", "simulate"):
+        "ca4809da265eaacf44d87e4ed87df71834c027cab20d93a1e934f2a127f46973",
+    ("zero_transmission.json", "analyze"):
+        "99772d2b79dd0e911cc9f11b18a226132973229525aa239f93eb8b06e8bbb4a9",
+    ("zero_transmission.json", "census"):
+        "2df93d2cda33856fb622149bfc7b7e4bb746c8a50de430f9082e13d651829182",
+    ("zero_transmission.json", "census --exhaustive-networks"):
+        "3aed5da461700571b04cf9349d03b5b019b1760197a59d8a7bd52658082fc8ba",
+    ("zero_transmission.json", "continue"):
+        "e51478ee62c8cb28f26daec99c31789b7a74c4bc591b8257c4d1528580dee85d",
+    ("zero_transmission.json", "simulate"):
+        "ca4809da265eaacf44d87e4ed87df71834c027cab20d93a1e934f2a127f46973",
+}
+
+
+def run_digest(code: int, err: str, outdir) -> str:
+    digest = hashlib.sha256(f"exit {code}\n{err}".encode())
+    if outdir.exists():
+        for path in sorted(outdir.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_every_subcommand_exits_cleanly_on_shipped_fixtures(name, tmp_path,
                                                             capsys):
     # exit codes are documented as 0 (ok), 2 (config), 3 (numerical);
     # anything else escaping main would be a traceback
-    for command in ("analyze", "census", "continue", "simulate"):
+    for run in FIXTURE_RUNS:
+        command, *flags = run.split()
+        outdir = tmp_path / run.replace(" ", "_")
         code = cli.main([command, "--config", cli.fixture_path(name),
-                         "--out", str(tmp_path / command)])
-        assert code in (0, 2, 3), (command, code)
-        assert "Traceback" not in capsys.readouterr().err
+                         "--out", str(outdir)] + flags)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (run, code)
+        assert "Traceback" not in err
+        assert run_digest(code, err, outdir) == FIXTURE_DIGESTS[name, run], \
+            f"{name}: {run} output changed"
     # a failed branch claims no verdict, so it neither agrees nor disagrees
     report = json.loads((tmp_path / "continue" / "continue.json").read_text())
     for branch in report["branches"]:

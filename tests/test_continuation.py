@@ -28,7 +28,7 @@ def test_product_states_are_equilibria_at_alpha_zero(mixed):
     models, eqs, R, net = mixed
     worst = 0.0
     for pat in equilibria.enumerate_patterns([len(e) - 1 for e in eqs]):
-        X0 = continuation.product_state(pat, models, eqs)
+        X0 = continuation.product_state(pat, eqs)
         res = continuation.coupled_residual(models, net, 0.0, X0)
         worst = max(worst, float(np.max(np.abs(res))))
     assert worst < 1e-9
@@ -291,9 +291,10 @@ def test_mixed_fixture_branch_persists_on_shipped_grid():
     from patchepi import cli
     cfg = cli.load_config(cli.fixture_path("hiv_mixed.json"))
     models = cli.build_models(cfg)
+    eqs = [equilibria.patch_equilibria(m) for m in models]
     rec = continuation.continue_branch(EquilibriumPattern((2, 1, 1)), models,
                                        cli.build_network(cfg, models),
-                                       cfg.alpha_grid)
+                                       cfg.alpha_grid, equilibria=eqs)
     assert rec.failure is None and rec.verdict_observed == "persists"
     assert [p.alpha for p in rec.points] == [0.0, 1e-5, 1e-3, 0.1]
 

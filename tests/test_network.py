@@ -28,6 +28,21 @@ def brute_force_m_values(adj, is_eat, r):
     return out
 
 
+def check_eat_paths(cls, adj, is_eat, want, r):
+    """Each reachable DFAT region's path starts at an EAT region, follows
+    edges, ends at the region and has the oracle's length; every other
+    region has no path."""
+    for i in range(r):
+        path = cls.eat_paths[i]
+        if is_eat[i] or want[i] == r - 1:
+            assert path is None, i
+            continue
+        assert is_eat[path[0]] and path[-1] == i, (i, path)
+        assert all(adj[f, t] for f, t in zip(path, path[1:])), (i, path)
+        # want[i] in-between regions plus the two ends
+        assert len(path) == want[i] + 2, (i, path)
+
+
 def test_from_edges_direction_and_storage():
     net = network.from_edges([(0, 1)], r=3, n=2, m=1, k=1)
     adj = net.adjacency()
@@ -53,8 +68,6 @@ def test_from_edges_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         network.MobilityNetwork(r=2, cx=-np.ones((2, 2, 1)),
                                 cy=np.zeros((2, 2, 1)), cz=np.zeros((2, 2, 1)))
-    with pytest.raises(ValueError, match="alpha"):
-        network.from_edges([(0, 1)], r=2, n=1, m=1, k=1, alpha=-1.0)
 
 
 def test_network_diagonal_blocks_forced_zero():
@@ -151,8 +164,10 @@ def test_classify_pattern_exhaustive_r3():
             choices = tuple((mask >> i) & 1 for i in range(3))
             pat = equilibria.EquilibriumPattern(choices)
             cls = network.classify_pattern(net, pat)
-            want = brute_force_m_values(adj, [c > 0 for c in choices], 3)
+            is_eat = [c > 0 for c in choices]
+            want = brute_force_m_values(adj, is_eat, 3)
             assert list(cls.m_values) == want, (net.name, choices)
+            check_eat_paths(cls, adj, is_eat, want, 3)
             # any shortest path among 3 regions uses at most 2 edges, so
             # m = 2 can only be the unreachable sentinel here
             for i, c in enumerate(choices):
@@ -170,5 +185,7 @@ def test_classify_pattern_sampled_r4(edge_mask, choice_mask):
     choices = tuple((choice_mask >> i) & 1 for i in range(r))
     pat = equilibria.EquilibriumPattern(choices)
     cls = network.classify_pattern(net, pat)
-    want = brute_force_m_values(net.adjacency(), [c > 0 for c in choices], r)
+    is_eat = [c > 0 for c in choices]
+    want = brute_force_m_values(net.adjacency(), is_eat, r)
     assert list(cls.m_values) == want
+    check_eat_paths(cls, net.adjacency(), is_eat, want, r)

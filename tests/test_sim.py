@@ -18,7 +18,7 @@ def product_labels(backward):
     models, eqs, net = backward
     pats = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
     return [("-".join(str(c) for c in p.choices),
-             continuation.product_state(p, models, eqs)) for p in pats]
+             continuation.product_state(p, eqs)) for p in pats]
 
 
 def test_disease_free_subspace_invariant(backward):
@@ -98,7 +98,7 @@ def test_take_off_in_supercritical_regions():
 
 def test_return_to_stable_equilibrium(backward):
     models, eqs, net = backward
-    Xeq = continuation.product_state(EquilibriumPattern((2, 2, 2)), models, eqs)
+    Xeq = continuation.product_state(EquilibriumPattern((2, 2, 2)), eqs)
     rng = np.random.default_rng(3)
     Xp = Xeq * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, Xeq.size))
     traj = sim.integrate(models, net, 0.0, Xp, t_end=1e4)
@@ -134,7 +134,7 @@ def test_basin_probe_multigroup():
     eqs = [equilibria.patch_equilibria(m) for m in models]
     net = network.preset("fig3c", n=1, m=1, k=1)
     labels = [("-".join(str(c) for c in p.choices),
-               continuation.product_state(p, models, eqs))
+               continuation.product_state(p, eqs))
               for p in equilibria.enumerate_patterns([1, 1, 1])]
     seeded = np.array([0.3, 10.0, 0.0] * 3)
     empty = np.array([0.0, 2.0, 0.0] * 3)
