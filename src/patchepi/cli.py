@@ -356,22 +356,15 @@ def cmd_census(config: ExperimentConfig,
     eqs = [equilibria.patch_equilibria(mod) for mod in models]
     R = [equilibria.local_reproduction_number(mod) for mod in models]
     counts = [len(e) - 1 for e in eqs]
-    rows = []
-    persisting = 0
-    for pat in equilibria.enumerate_patterns(counts):
-        verdict = persist.predict(pat, models, net, equilibria=eqs,
-                                  R_values=R)
-        if verdict.verdict == "persists":
-            persisting += 1
-        rows.append(_verdict_report(verdict))
+    verdicts = persist.predict_all(models, net, equilibria=eqs, R_values=R)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "census",
         "network": _network_report(net),
         "R": list(R),
         "per_patch_endemic_counts": counts,
-        "patterns": rows,
-        "persisting_count": persisting,
+        "patterns": [_verdict_report(v) for v in verdicts],
+        "persisting_count": sum(v.verdict == "persists" for v in verdicts),
     }
     if exhaustive_networks:
         if net.r != 3:

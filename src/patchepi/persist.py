@@ -239,53 +239,85 @@ def predict(pattern: EquilibriumPattern,
     equilibria holds each patch's patch_equilibria; R_values, each
     patch's local reproduction number, is computed when not given.
     """
-    if len(pattern.choices) != net.r or len(models) != net.r:
-        raise ValueError("pattern/models/network region counts disagree")
-    if R_values is None:
-        R_values = [local_reproduction_number(mod) for mod in models]
-    R_values = tuple(float(R) for R in R_values)
+    if len(pattern.choices) != net.r:
+        raise ValueError(f"pattern has {len(pattern.choices)} regions, "
+                         f"the network {net.r}")
+    return _SystemFacts(models, net, equilibria, R_values).verdict(pattern)
 
-    if pattern.is_all_endemic:
-        return PersistenceVerdict(pattern=pattern, verdict="persists",
-                                  rule="positive_theorem_4_2",
-                                  R_values=R_values)
 
-    cls = classify_pattern(net, pattern)
-    irreducible = all(matalg.is_irreducible(_v_minus_f(mod, eqs))
-                      for mod, eqs in zip(models, equilibria))
-    if not irreducible:
-        return _predict_by_derivatives(pattern, models, net, equilibria,
-                                       R_values, cls)
+def predict_all(models: Sequence[PatchModel], net: MobilityNetwork,
+                equilibria, R_values: Sequence[float]) -> list:
+    """predict's verdict for every product pattern, in enumerate_patterns
+    order.
 
-    dfat = [i for i in range(net.r) if not cls.is_eat[i]]
+    The facts that depend only on the system (the local R values, the
+    V - F irreducibility of every patch, the network adjacency) are
+    settled once; each pattern then only classifies its EAT/DFAT split.
+    """
+    system = _SystemFacts(models, net, equilibria, R_values)
+    counts = [len(eq) - 1 for eq in equilibria]
+    return [system.verdict(pattern) for pattern in enumerate_patterns(counts)]
 
-    # R = 1 makes V - F singular, breaking the implicit function theorem
-    # behind every verdict; the theorems are strict inequalities.
-    for i in dfat:
-        if abs(R_values[i] - 1.0) < MARGINAL_R_TOL:
-            return PersistenceVerdict(pattern=pattern, verdict="indeterminate",
-                                      rule=_corollary_rule(net, cls, dfat),
-                                      witness=PersistenceWitness(
-                                          region=i, local_R=R_values[i]),
+
+class _SystemFacts:
+    """A system's pattern-independent verdict facts and the verdict rule."""
+
+    def __init__(self, models, net, equilibria, R_values):
+        for what, seq in (("models", models), ("equilibria", equilibria),
+                          ("R_values", R_values)):
+            if seq is not None and len(seq) != net.r:
+                raise ValueError(f"{what} has {len(seq)} entries, "
+                                 f"the network {net.r} regions")
+        if R_values is None:
+            R_values = [local_reproduction_number(mod) for mod in models]
+        self.models, self.net, self.equilibria = models, net, equilibria
+        self.R_values = tuple(float(R) for R in R_values)
+        self.irreducible = all(matalg.is_irreducible(_v_minus_f(mod, eqs))
+                               for mod, eqs in zip(models, equilibria))
+        self.adj = net.adjacency()
+
+    def verdict(self, pattern: EquilibriumPattern) -> PersistenceVerdict:
+        R_values = self.R_values
+        if pattern.is_all_endemic:
+            return PersistenceVerdict(pattern=pattern, verdict="persists",
+                                      rule="positive_theorem_4_2",
                                       R_values=R_values)
 
-    offenders = [i for i in dfat
-                 if cls.reachable_from_eat[i] and R_values[i] > 1.0]
-    rule = _corollary_rule(net, cls, dfat)
-    if offenders:
-        region = min(offenders, key=lambda i: cls.m_values[i])
-        witness = PersistenceWitness(region=region, local_R=R_values[region],
-                                     path=cls.eat_paths[region])
-        return PersistenceVerdict(pattern=pattern, verdict="vanishes",
-                                  rule=rule, witness=witness,
-                                  R_values=R_values)
-    return PersistenceVerdict(pattern=pattern, verdict="persists", rule=rule,
-                              R_values=R_values)
+        net = self.net
+        cls = classify_pattern(net, pattern)
+        if not self.irreducible:
+            return _predict_by_derivatives(pattern, self.models, net,
+                                           self.equilibria, R_values, cls)
+
+        dfat = [i for i in range(net.r) if not cls.is_eat[i]]
+        rule = _corollary_rule(self.adj, cls, dfat)
+
+        # R = 1 makes V - F singular, breaking the implicit function theorem
+        # behind every verdict; the theorems are strict inequalities.
+        for i in dfat:
+            if abs(R_values[i] - 1.0) < MARGINAL_R_TOL:
+                return PersistenceVerdict(pattern=pattern,
+                                          verdict="indeterminate", rule=rule,
+                                          witness=PersistenceWitness(
+                                              region=i, local_R=R_values[i]),
+                                          R_values=R_values)
+
+        offenders = [i for i in dfat
+                     if cls.reachable_from_eat[i] and R_values[i] > 1.0]
+        if offenders:
+            region = min(offenders, key=lambda i: cls.m_values[i])
+            witness = PersistenceWitness(region=region,
+                                         local_R=R_values[region],
+                                         path=cls.eat_paths[region])
+            return PersistenceVerdict(pattern=pattern, verdict="vanishes",
+                                      rule=rule, witness=witness,
+                                      R_values=R_values)
+        return PersistenceVerdict(pattern=pattern, verdict="persists",
+                                  rule=rule, R_values=R_values)
 
 
-def _corollary_rule(net: MobilityNetwork, cls, dfat) -> str:
-    adj = net.adjacency()
-    r = net.r
+def _corollary_rule(adj: np.ndarray, cls, dfat) -> str:
+    r = len(adj)
     if all(adj[f, t] for f in range(r) for t in range(r) if f != t):
         return "corollary_complete"
     eat = [j for j in range(r) if cls.is_eat[j]]
@@ -346,11 +378,11 @@ def count_persisting(models: Sequence[PatchModel], net: MobilityNetwork,
     if any(c not in (0, 1, 2) for c in counts):
         raise ValueError(f"per-patch endemic counts {counts} outside 0..2")
     total = 0
-    for pattern in enumerate_patterns(counts):
-        verdict = predict(pattern, models, net, equilibria, R_values)
+    for verdict in predict_all(models, net, equilibria, R_values):
         if verdict.verdict == "indeterminate":
             raise RuntimeError(
-                f"indeterminate verdict for pattern {pattern.choices}")
+                f"indeterminate verdict for pattern {verdict.pattern.choices} "
+                f"on network {net.name!r}")
         if verdict.verdict == "persists":
             total += 1
     return total

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import hiv_net, hiv_system, marginal_beta1, BACKWARD_TRIPLE, MIXED_TRIPLE
-from patchepi import equilibria, model, network, persist
+from patchepi import cli, equilibria, matalg, model, network, persist
 from patchepi.equilibria import EquilibriumPattern
 
 # chain-coupling oracle values for the mixed regime on fig3b, pattern
@@ -165,6 +165,69 @@ def test_count_persisting_requires_three_regions(mixed):
                                  R_values=R[:2])
 
 
+def test_per_patch_lengths_must_match_network(mixed):
+    models, eqs, R, net = mixed
+    pat = EquilibriumPattern((0, 1, 0))
+    with pytest.raises(ValueError, match="equilibria has 2 entries.* 3 regions"):
+        persist.predict(pat, models, net, equilibria=eqs[:2], R_values=R)
+    with pytest.raises(ValueError, match="R_values has 2 entries.* 3 regions"):
+        persist.predict(pat, models, net, equilibria=eqs, R_values=R[:2])
+    with pytest.raises(ValueError, match="R_values has 2 entries.* 3 regions"):
+        persist.count_persisting(models, net, equilibria=eqs, R_values=R[:2])
+    with pytest.raises(ValueError, match="equilibria has 4 entries.* 3 regions"):
+        persist.count_persisting(models, net, equilibria=eqs + eqs[:1],
+                                 R_values=R)
+
+
+def test_is_irreducible_runs_once_per_patch_per_count(mixed, monkeypatch):
+    models, eqs, R, net = mixed
+    calls = []
+    real = matalg.is_irreducible
+
+    def counting(A):
+        calls.append(1)
+        return real(A)
+
+    monkeypatch.setattr(matalg, "is_irreducible", counting)
+    assert persist.count_persisting(models, net, equilibria=eqs,
+                                    R_values=R) == 4
+    assert 0 < len(calls) <= net.r
+
+
+def _fixture_system(name):
+    models = cli.build_models(cli.load_config(cli.fixture_path(name)))
+    return (models, [equilibria.patch_equilibria(m) for m in models],
+            [equilibria.local_reproduction_number(m) for m in models])
+
+
+@pytest.mark.parametrize("system", ["hiv_backward.json", "hiv_mixed.json",
+                                    "multistrain"])
+def test_all_pattern_verdicts_match_per_pattern_predict(system):
+    if system == "multistrain":
+        models, eqs, R = multistrain_system()
+    else:
+        models, eqs, R = _fixture_system(system)
+    mod = models[0]
+    counts = [len(e) - 1 for e in eqs]
+    rules = set()
+    for net in network.enumerate_networks(3, n=mod.n, m=mod.m, k=mod.k):
+        want = [persist.predict(pat, models, net, equilibria=eqs, R_values=R)
+                for pat in equilibria.enumerate_patterns(counts)]
+        assert persist.predict_all(models, net, eqs, R) == want, net.name
+        rules.update(v.rule for v in want)
+        if any(v.verdict == "indeterminate" for v in want):
+            with pytest.raises(RuntimeError, match=repr(net.name)):
+                persist.count_persisting(models, net, eqs, R)
+        else:
+            assert persist.count_persisting(models, net, eqs, R) == sum(
+                v.verdict == "persists" for v in want), net.name
+    if system == "multistrain":
+        assert rules == {"derivative_direct"}
+    else:
+        assert {"corollary_complete", "corollary_irreducible",
+                "corollary_general"} <= rules
+
+
 def test_relabeling_invariance(mixed):
     models, eqs, R, _ = mixed
     perm = [2, 0, 1]
@@ -187,7 +250,7 @@ def test_marginal_R_is_indeterminate():
     v = persist.predict(EquilibriumPattern((0, 1, 1)), models, net,
                         equilibria=eqs, R_values=R)
     assert v.verdict == "indeterminate"
-    with pytest.raises(RuntimeError, match="indeterminate"):
+    with pytest.raises(RuntimeError, match="indeterminate.*'fig3b'"):
         persist.count_persisting(models, net, equilibria=eqs, R_values=R)
 
 
