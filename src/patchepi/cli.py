@@ -75,10 +75,14 @@ def round_floats(obj):
     return obj
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.12g}"
-    return str(v)
+def _csv_lines(header: List[str], rows) -> List[str]:
+    """The header line, then one line per row of floats.
+
+    Every value prints as f"{v:.12g}" would; the whole row goes through
+    one %-format.
+    """
+    fmt = ",".join(["%.12g"] * len(header))
+    return [",".join(header)] + [fmt % tuple(row) for row in rows]
 
 
 def pattern_label(choices) -> str:
@@ -400,7 +404,7 @@ def _verdict_report(verdict: persist.PersistenceVerdict) -> dict:
 def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
     """Continue every (or each selected) pattern across the alpha grid.
 
-    Returns (report, artifacts): artifacts maps CSV file names to rows.
+    Returns (report, artifacts): artifacts maps CSV file names to lines.
     """
     models = build_models(config)
     net = build_network(config, models)
@@ -484,12 +488,11 @@ def _component_names(models: Sequence[PatchModel]) -> List[str]:
 
 
 def _branch_csv(record: continuation.BranchRecord,
-                comp_names: List[str]) -> List[List[str]]:
-    rows = [["alpha"] + comp_names + ["min_component", "max_real_eig"]]
-    for p in record.points:
-        rows.append([_csv_cell(p.alpha)] + [_csv_cell(v) for v in p.X] +
-                    [_csv_cell(p.min_component), _csv_cell(p.max_real_eig)])
-    return rows
+                comp_names: List[str]) -> List[str]:
+    return _csv_lines(
+        ["alpha"] + comp_names + ["min_component", "max_real_eig"],
+        ([p.alpha, *p.X.tolist(), p.min_component, p.max_real_eig]
+         for p in record.points))
 
 
 def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
@@ -507,16 +510,24 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
     eqs = [equilibria.patch_equilibria(mod) for mod in models]
     size = sum((mod.n + mod.m + mod.k) for mod in models)
     comp_names = _component_names(models)
+    system = continuation.CoupledSystem(models, net)
+    starts = []
+    for label, regions in config.initial_sets:
+        X0 = np.concatenate([np.asarray(st, dtype=float) for st in regions])
+        if X0.size != size:
+            raise ConfigError(
+                f"initial set {label!r}: state size {X0.size}, "
+                f"expected {size}")
+        empty = _empty_regions(system, X0)
+        if empty:
+            raise ConfigError(
+                f"initial set {label!r}: region {empty[0] + 1} has zero "
+                "population, where standard incidence is undefined")
+        starts.append((label, X0))
     jobs = []
     for alpha in config.alpha_grid:
         classified = _classified_equilibria(models, net, eqs, alpha)
-        for label, regions in config.initial_sets:
-            X0 = np.concatenate([np.asarray(st, dtype=float)
-                                 for st in regions])
-            if X0.size != size:
-                raise ConfigError(
-                    f"initial set {label!r}: state size {X0.size}, "
-                    f"expected {size}")
+        for label, X0 in starts:
             jobs.append((label, alpha, X0, classified))
 
     artifacts = {}
@@ -538,8 +549,7 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
             entry.update({
                 "csv": name,
                 "terminal_classification": traj.terminal_classification,
-                "min_component_overall": float(min(np.min(s)
-                                                   for s in traj.states)),
+                "min_component_overall": float(traj.states.min()),
                 "steps": len(traj.times) - 1,
                 "failure": None,
             })
@@ -554,6 +564,19 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
         "failures": failures,
     })
     return report, artifacts
+
+
+def _empty_regions(system: continuation.CoupledSystem,
+                   X: np.ndarray) -> List[int]:
+    """Regions whose block of X is not admissible (N = 0, standard incidence).
+
+    Probe j holds region j's block of X and ones everywhere else, so
+    system.admissible judges region j alone.
+    """
+    r = system.net.r
+    probes = np.ones((r, r, system.s))
+    probes[np.arange(r), np.arange(r)] = X.reshape(r, system.s)
+    return np.flatnonzero(~system.admissible(probes.reshape(r, -1))).tolist()
 
 
 def _classified_equilibria(models, net, eqs, alpha):
@@ -578,11 +601,9 @@ def _classified_equilibria(models, net, eqs, alpha):
 
 
 def _trajectory_csv(traj: sim.Trajectory,
-                    comp_names: List[str]) -> List[List[str]]:
-    rows = [["time"] + comp_names]
-    for t, X in zip(traj.times, traj.states):
-        rows.append([_csv_cell(t)] + [_csv_cell(v) for v in X])
-    return rows
+                    comp_names: List[str]) -> List[str]:
+    return _csv_lines(["time"] + comp_names,
+                      np.column_stack([traj.times, traj.states]).tolist())
 
 
 # ====================================================================
@@ -601,9 +622,8 @@ def _write_artifacts(outdir: str, report: dict, artifacts: dict,
     os.makedirs(outdir, exist_ok=True)
     _write_atomic(os.path.join(outdir, report_name),
                   json.dumps(report, indent=2) + "\n")
-    for name, rows in artifacts.items():
-        text = "\n".join(",".join(row) for row in rows) + "\n"
-        _write_atomic(os.path.join(outdir, name), text)
+    for name, lines in artifacts.items():
+        _write_atomic(os.path.join(outdir, name), "\n".join(lines) + "\n")
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:

@@ -205,15 +205,8 @@ class CoupledSystem:
             self.Q[base + n:base + n + m, cols] = (
                 -np.eye(m)[:, :, None] * mod.beta).reshape(m, m * n)
         self._alpha = self._A = None
-        # dP/dX is block diagonal; row P_i[p, q] meets column x_q of patch i
-        # (d/dx_q = y_p / N), column y_p (d/dy_p = x_q / N) and, in a
-        # standard-incidence patch, every x and y column (d/dN = -P / N)
-        rows = np.arange(r * m * n).reshape(r, m, n)
-        patch = np.arange(r)[:, None, None] * s
-        self._dx = (rows, patch + np.arange(n))
-        self._dy = (rows, patch + n + np.arange(m)[:, None])
-        self._dN = (rows[self._std, ..., None],
-                    self._std[:, None, None, None] * s + np.arange(n + m))
+        # the patches whose dP/dN block is filled: all of them, or a subset
+        self._std_sel = self._std if self._mixed else slice(None)
 
     def _linear(self, alpha: float) -> np.ndarray:
         """M0 + alpha L, formed again only when alpha changes."""
@@ -251,7 +244,20 @@ class CoupledSystem:
 
     def residual(self, alpha: float, X: np.ndarray) -> np.ndarray:
         """T(alpha, X); equals coupled_residual(models, net, alpha, X)."""
-        P = self._products(X)[0]
+        return self._residual(alpha, X, self._products(X))
+
+    def jacobian(self, alpha: float, X: np.ndarray) -> np.ndarray:
+        """dT/dX at (alpha, X); equals coupled_jacobian(models, net, alpha, X)."""
+        return self._jacobian(alpha, X, self._products(X))
+
+    def residual_and_jacobian(self, alpha: float, X: np.ndarray):
+        """(residual, jacobian) at (alpha, X) from one set of products."""
+        products = self._products(X)
+        return (self._residual(alpha, X, products),
+                self._jacobian(alpha, X, products))
+
+    def _residual(self, alpha, X, products):
+        P = products[0]
         res = (X @ self._linear(alpha).T + self.c
                + P.reshape(X.shape[:-1] + (-1,)) @ self.Q.T)
         for mod, rows in self._callbacks:
@@ -259,20 +265,35 @@ class CoupledSystem:
                 res[i][rows] += mod.recruitment(X[i][rows])
         return res
 
-    def jacobian(self, alpha: float, X: np.ndarray) -> np.ndarray:
-        """dT/dX at (alpha, X); equals coupled_jacobian(models, net, alpha, X)."""
-        P, ys, xeff, inv_N = self._products(X)
-        dP = np.zeros(X.shape[:-1] + self.Q.shape[::-1])
+    def _jacobian(self, alpha, X, products):
+        # dP/dX is block diagonal: row P_i[p, q] meets only the columns of
+        # patch i, at x_q (d/dx_q = y_p / N), at y_p (d/dy_p = x_q / N) and,
+        # in a standard-incidence patch, at every x and y (d/dN = -P / N).
+        # dP is the head of a buffer with s spare entries after each
+        # patch's rows, so patch i's block starts i * stride entries in,
+        # and reshapes and slices of the buffer reach every block at once.
+        P, ys, xeff, inv_N = products
+        r, m, n = self.net.r, self.m, self.n
+        cols = self.Q.shape[0]                        # r s
+        stride = m * n * cols + self.s
+        batch = X.shape[:-1]
+        buf = np.zeros(batch + (r * stride,))
+        blocks = buf.reshape(batch + (r, stride))
+        # heads[..., i, p, q * cols + c] is dP[..., i m n + p n + q, i s + c]
+        heads = blocks[..., :m * n * cols].reshape(batch + (r, m, n * cols))
+        dx = heads[..., ::cols + 1]                   # c = q
+        dy = blocks[..., n:n + m * (n * cols + 1)].reshape(
+            batch + (r, m, n * cols + 1))[..., :n * cols:cols]   # c = n + p
         if inv_N is None:
-            dP[..., self._dx[0], self._dx[1]] = ys[..., :, :, None]
+            dx[...] = ys[..., :, :, None]
         else:
+            sel = self._std_sel
             PN = P * inv_N[..., None, None]
-            if self._mixed:
-                PN = PN[..., self._std, :, :]
-            dP[..., self._dN[0], self._dN[1]] = -PN[..., None]
-            dP[..., self._dx[0], self._dx[1]] += (
-                ys[..., :, :, None] * inv_N[..., None, None])
-        dP[..., self._dy[0], self._dy[1]] += xeff[..., None, :]
+            heads.reshape(batch + (r, m, n, cols))[..., sel, :, :, :n + m] = (
+                -PN[..., sel, :, :, None])
+            dx += ys[..., :, :, None] * inv_N[..., None, None]
+        dy += xeff[..., None, :]
+        dP = buf[..., :r * m * n * cols].reshape(batch + self.Q.shape[::-1])
         J = self._linear(alpha) + self.Q @ dP
         for mod, rows in self._callbacks:
             for i in np.ndindex(X.shape[:-1]):

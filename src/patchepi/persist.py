@@ -275,6 +275,15 @@ class _SystemFacts:
         self.irreducible = all(matalg.is_irreducible(_v_minus_f(mod, eqs))
                                for mod, eqs in zip(models, equilibria))
         self.adj = net.adjacency()
+        self._classes = {}        # EAT set -> classify_pattern's answer
+
+    def _classify(self, pattern: EquilibriumPattern):
+        """classify_pattern(net, pattern), which reads only the EAT set."""
+        key = tuple(c > 0 for c in pattern.choices)
+        cls = self._classes.get(key)
+        if cls is None:
+            cls = self._classes[key] = classify_pattern(self.net, pattern)
+        return cls
 
     def verdict(self, pattern: EquilibriumPattern) -> PersistenceVerdict:
         R_values = self.R_values
@@ -284,7 +293,7 @@ class _SystemFacts:
                                       R_values=R_values)
 
         net = self.net
-        cls = classify_pattern(net, pattern)
+        cls = self._classify(pattern)
         if not self.irreducible:
             return _predict_by_derivatives(pattern, self.models, net,
                                            self.equilibria, R_values, cls)

@@ -8,7 +8,10 @@ so the integrator is the linearly implicit Rosenbrock method Rodas4
 order-3 solution, stiffly accurate, driven by the analytic Jacobian of the
 coupled system (continuation.CoupledSystem, built once per trajectory) at
 the start of each step, with one inverse of I/(h gamma) - J per trial
-step.
+step. A trial step evaluates the right-hand side at its five later
+stages; the first stage reuses the right-hand side at the step's start.
+An accepted point evaluates the right-hand side and the Jacobian
+together, from one set of incidence products.
 
 Step control has one model-specific twist: an accepted step may not take
 any component below -1e-9. Undershoots trigger step rejection rather
@@ -20,6 +23,7 @@ or its Jacobian is not finite, or when I/(h gamma) - J is singular.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -62,6 +66,7 @@ _RODAS_C = np.array([
     [8.083246795921522, -7.981132988064893, -31.52159432874371,
      16.31930543123136, -6.058818238834054],
 ])
+_STAGE_ROWS = [(_RODAS_A[i, :i], _RODAS_C[i, :i]) for i in range(1, 6)]
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -121,43 +126,42 @@ def _susceptible_first(models: Sequence[PatchModel], r: int) -> np.ndarray:
                            idx[:, n + m:].ravel()])
 
 
-def _rodas_step(rhs, jac, order: np.ndarray, X: np.ndarray, f0: np.ndarray,
-                J: np.ndarray, h: float, rtol: float, atol: float):
-    """One trial Rodas4 step of size h from X, where f0 = rhs(X), J = jac(X).
+def _rodas_step(rhs, point, order: np.ndarray, X: np.ndarray,
+                f0: np.ndarray, J: np.ndarray, h: float, rtol: float,
+                atol: float):
+    """One trial Rodas4 step of size h from X, where (f0, J) = point(X).
 
-    jac returns the Jacobian with rows and columns in the variable order
-    `order`, in which the stage systems are solved through one inverse of
-    I/(h gamma) - J. Returns (err, X_new, f_new, J_new): err is the RMS
-    norm of the error estimate scaled by atol + rtol * max(|X|, |X_new|).
-    err is inf, and the rest None, when the step cannot be accepted
-    whatever its accuracy.
+    rhs evaluates the right-hand side at the stages; point returns the
+    right-hand side and the Jacobian together, the Jacobian with rows and
+    columns in the variable order `order`, in which the stage systems are
+    solved through one inverse of I/(h gamma) - J. Returns (err, X_new,
+    f_new, J_new): err is the RMS norm of the error estimate scaled by
+    atol + rtol * max(|X|, |X_new|). err is inf, and the rest None, when
+    the step cannot be accepted whatever its accuracy.
     """
     M = -J
-    M.flat[::X.size + 1] += 1.0 / (h * _RODAS_GAMMA)
+    M.ravel()[::X.size + 1] += 1.0 / (h * _RODAS_GAMMA)
     try:
         W = np.linalg.inv(M)
     except np.linalg.LinAlgError:
         return np.inf, None, None, None
     U = np.empty((6, X.size))
-    b = f0
+    U[0][order] = W @ f0[order]
     try:
-        for i in range(6):
-            if i:
-                b = (rhs(X + _RODAS_A[i, :i] @ U[:i])
-                     + (_RODAS_C[i, :i] @ U[:i]) / h)
-            U[i, order] = W @ b[order]
+        for i, (a, c) in enumerate(_STAGE_ROWS, 1):
+            b = rhs(X + a @ U[:i]) + (c @ U[:i]) / h
+            U[i][order] = W @ b[order]
         X_new = X + _RODAS_A[5] @ U[:5] + U[5]
-        scale = atol + rtol * np.maximum(np.abs(X), np.abs(X_new))
-        err = float(np.sqrt(np.mean((U[5] / scale) ** 2)))
+        e = U[5] / (atol + rtol * np.maximum(np.abs(X), np.abs(X_new)))
+        err = math.sqrt((e * e).sum() / e.size)
         if not (err <= 1.0):
-            return (err if np.isfinite(err) else np.inf), None, None, None
-        if float(np.min(X_new)) < UNDERSHOOT_TOL:
+            return (err if math.isfinite(err) else np.inf), None, None, None
+        if X_new.min() < UNDERSHOOT_TOL:
             return np.inf, None, None, None
-        f_new = rhs(X_new)
-        J_new = jac(X_new)
+        f_new, J_new = point(X_new)
     except InadmissibleStateError:
         return np.inf, None, None, None
-    if not (np.all(np.isfinite(f_new)) and np.all(np.isfinite(J_new))):
+    if not (np.isfinite(f_new).all() and np.isfinite(J_new).all()):
         return np.inf, None, None, None
     return err, X_new, f_new, J_new
 
@@ -176,7 +180,7 @@ def integrate(models: Sequence[PatchModel], net: MobilityNetwork,
     X = np.asarray(X0, dtype=float).copy()
     if X.ndim != 1:
         raise ValueError("X0 must be a flat coupled state vector")
-    if float(np.min(X)) < UNDERSHOOT_TOL:
+    if X.min() < UNDERSHOOT_TOL:
         raise InadmissibleStateError("initial state has negative components")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -186,12 +190,12 @@ def integrate(models: Sequence[PatchModel], net: MobilityNetwork,
     order = _susceptible_first(models, net.r)
     in_order = np.ix_(order, order)
 
-    def jac(Y):
-        return system.jacobian(alpha, Y)[in_order]
+    def point(Y):
+        f, J = system.residual_and_jacobian(alpha, Y)
+        return f, J[in_order]
 
     t = 0.0
-    f_cur = rhs(X)
-    J = jac(X)
+    f_cur, J = point(X)
     h = _initial_step(f_cur, X, t_end, rtol, atol)
     h_min = max(1e-14 * t_end, 1e-13)
     times = [0.0]
@@ -202,8 +206,8 @@ def integrate(models: Sequence[PatchModel], net: MobilityNetwork,
         last = h >= t_end - t
         if last:
             h = t_end - t
-        err, X_new, f_new, J_new = _rodas_step(rhs, jac, order, X, f_cur, J,
-                                               h, rtol, atol)
+        err, X_new, f_new, J_new = _rodas_step(rhs, point, order, X, f_cur,
+                                               J, h, rtol, atol)
         if err <= 1.0:
             t = t_end if last else t + h
             X, f_cur, J = X_new, f_new, J_new

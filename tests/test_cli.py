@@ -349,7 +349,7 @@ def test_continue_report_and_artifacts():
     assert kept["exit_alpha"] is None and kept["agree"] is True
     assert kept["points"][-1]["min_component"] > 0
 
-    csv = arts["branch_0-1-0.csv"]
+    csv = [line.split(",") for line in arts["branch_0-1-0.csv"]]
     assert [len(row) for row in csv] == [24, 24, 24]  # alpha + 21 + 2
     assert csv[0][:2] == ["alpha", "r1_x1"]
     assert csv[0][-2:] == ["min_component", "max_real_eig"]
@@ -376,12 +376,43 @@ def test_simulate_zero_transmission_reaches_dfe():
     assert row["terminal_classification"] == "pattern_0-0-0"
     assert row["csv"] == "traj_seeded_a0.csv"
     assert row["min_component_overall"] >= -1e-9
-    csv = arts["traj_seeded_a0.csv"]
+    csv = [line.split(",") for line in arts["traj_seeded_a0.csv"]]
     assert csv[0] == ["time", "r1_x1", "r1_y1", "r1_z1",
                       "r2_x1", "r2_y1", "r2_z1", "r3_x1", "r3_y1", "r3_z1"]
     assert float(csv[-1][0]) == 600.0
     assert float(csv[-1][1]) < 1e-8                   # infections die out
     assert float(csv[-1][2]) == pytest.approx(20.0, abs=1e-3)  # S -> Lam/mu
+
+
+def test_simulate_rejects_zero_population_region(tmp_path, capsys):
+    # standard incidence is undefined at N = 0: a config error, found
+    # before anything is integrated, not a traceback
+    data = fixture_dict("hiv_backward.json")
+    data["initial_sets"][0]["regions"][1] = [0.0] * 7
+    label = data["initial_sets"][0]["label"]
+    with pytest.raises(cli.ConfigError,
+                       match=f"{label!r}: region 2 has zero population"):
+        cli.cmd_simulate(cli.config_from_dict(data))
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(data))
+    code = cli.main(["simulate", "--config", str(cfgp)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err and "region 2" in err
+    # mass action is defined at N = 0, so an empty region is fine there
+    data = base_dict()
+    data["initial_sets"][0]["regions"][1] = [0.0, 0.0, 0.0]
+    rep, _ = cli.cmd_simulate(cli.config_from_dict(data))
+    assert rep["failures"] == 0
+
+
+def test_csv_lines_match_per_value_format():
+    values = [-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, 123456789012.5, 3.0,
+              -7.0, 1e300, float("inf"), float("-inf"), float("nan")]
+    header = [f"c{i}" for i in range(len(values))]
+    lines = cli._csv_lines(header, [values, values[::-1]])
+    assert lines == [",".join(header),
+                     ",".join(f"{v:.12g}" for v in values),
+                     ",".join(f"{v:.12g}" for v in values[::-1])]
 
 
 def test_simulate_requires_initial_sets():

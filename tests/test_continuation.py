@@ -149,6 +149,28 @@ def test_kernel_jacobian_matches_stacked_patch_jacobians(case, monkeypatch):
             assert np.max(np.abs(Rb - Ri)) <= 1e-13 * (1.0 + np.max(np.abs(Ri)))
 
 
+@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+def test_kernel_results_own_their_memory(case):
+    # a later evaluation must not write into an earlier result
+    models, net = _kernel_cases()[case]
+    system = continuation.CoupledSystem(models, net)
+    rng = np.random.default_rng(5)
+    size = net.r * models[0].size
+    for shape in ((size,), (3, size)):
+        X1 = np.abs(rng.normal(3.0, 1.0, size=shape)) + 0.1
+        X2 = np.abs(rng.normal(3.0, 1.0, size=shape)) + 0.1
+        first = [system.residual(0.2, X1), system.jacobian(0.2, X1),
+                 *system.residual_and_jacobian(0.2, X1)]
+        kept = [a.copy() for a in first]
+        system.residual(0.2, X2)
+        system.jacobian(0.2, X2)
+        system.residual_and_jacobian(0.2, X2)
+        for a, b in zip(first, kept):
+            assert np.array_equal(a, b)
+        R, J = system.residual_and_jacobian(0.2, X1)
+        assert np.array_equal(R, kept[0]) and np.array_equal(J, kept[1])
+
+
 def test_fast_rhs_agrees_with_reference(mixed):
     models, eqs, R, net = mixed
     rhs = continuation.build_rhs(models, net, 3e-4)

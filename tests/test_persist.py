@@ -228,6 +228,27 @@ def test_all_pattern_verdicts_match_per_pattern_predict(system):
                 "corollary_general"} <= rules
 
 
+def test_classify_pattern_runs_once_per_eat_set(monkeypatch):
+    cfg = cli.load_config(cli.fixture_path("hiv_backward.json"))
+    models, eqs, R = _fixture_system("hiv_backward.json")
+    net = cli.build_network(cfg, models)
+    patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
+    want = [persist.predict(pat, models, net, equilibria=eqs, R_values=R)
+            for pat in patterns]
+    calls = []
+    real = persist.classify_pattern
+
+    def counting(net, pattern):
+        calls.append(tuple(c > 0 for c in pattern.choices))
+        return real(net, pattern)
+
+    monkeypatch.setattr(persist, "classify_pattern", counting)
+    assert persist.predict_all(models, net, eqs, R) == want
+    # 27 patterns, 8 EAT sets; the all-EAT set needs no classification
+    assert len(patterns) == 27
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 7
+
+
 def test_relabeling_invariance(mixed):
     models, eqs, R, _ = mixed
     perm = [2, 0, 1]
