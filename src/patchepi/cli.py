@@ -218,6 +218,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 raise ConfigError(
                     f"patterns[{pidx}]: must be {len(patches)} nonnegative "
                     "equilibrium indices")
+            if pat in patterns[:pidx]:
+                raise ConfigError(f"patterns[{pidx}]: {pat} is already listed")
         patterns = tuple(tuple(p) for p in patterns)
 
     return ExperimentConfig(
@@ -360,7 +362,8 @@ def cmd_census(config: ExperimentConfig,
     eqs = [equilibria.patch_equilibria(mod) for mod in models]
     R = [equilibria.local_reproduction_number(mod) for mod in models]
     counts = [len(e) - 1 for e in eqs]
-    verdicts = persist.predict_all(models, net, equilibria=eqs, R_values=R)
+    facts = persist.SystemFacts(models, eqs, R)
+    verdicts = facts.verdicts(net)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "census",
@@ -377,8 +380,7 @@ def cmd_census(config: ExperimentConfig,
         attained = set()
         n, m, k = models[0].n, models[0].m, models[0].k
         for candidate in network.enumerate_networks(net.r, n=n, m=m, k=k):
-            cnt = persist.count_persisting(models, candidate, equilibria=eqs,
-                                           R_values=R)
+            cnt = facts.persisting_count(candidate)
             attained.add(cnt)
             scan.append({"name": candidate.name,
                          "edges": _network_report(candidate)["edges"],
@@ -423,24 +425,22 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
     else:
         pats = list(equilibria.enumerate_patterns(counts))
     targets = sorted(a for a in config.alpha_grid if a > 0)
+    verdicts = persist.SystemFacts(models, eqs, R).verdicts(net, pats)
+    records = continuation.continue_branches(pats, models, net, targets,
+                                             equilibria=eqs)
     branches = []
     artifacts = {}
     mismatches = 0
     failures = 0
     comp_names = _component_names(models)
-    for pat in pats:
-        predicted = persist.predict(pat, models, net, equilibria=eqs,
-                                    R_values=R)
+    for pat, predicted, record in zip(pats, verdicts, records):
         entry = {"choices": list(pat.choices),
                  "predicted": predicted.verdict,
                  "rule": predicted.rule}
-        try:
-            record = continuation.continue_branch(pat, models, net, targets,
-                                                  equilibria=eqs)
-        except continuation.HypothesisViolationError as exc:
+        if isinstance(record, continuation.HypothesisViolationError):
             failures += 1
             entry.update({"observed": None, "exit_alpha": None,
-                          "agree": None, "failure": str(exc), "points": []})
+                          "agree": None, "failure": str(record), "points": []})
             branches.append(entry)
             continue
         name = f"branch_{pattern_label(pat.choices)}.csv"
@@ -581,23 +581,17 @@ def _empty_regions(system: continuation.CoupledSystem,
 
 def _classified_equilibria(models, net, eqs, alpha):
     """Labeled equilibria at the given alpha for terminal classification."""
-    counts = [len(e) - 1 for e in eqs]
-    out = []
-    for pat in equilibria.enumerate_patterns(counts):
-        label = f"pattern_{pattern_label(pat.choices)}"
-        if alpha == 0.0:
-            out.append((label,
-                        continuation.product_state(pat, eqs)))
-            continue
-        try:
-            rec = continuation.continue_branch(
-                pat, models, net, [alpha / 100.0, alpha / 10.0, alpha],
-                equilibria=eqs)
-        except continuation.HypothesisViolationError:
-            continue
-        if rec.failure is None and rec.verdict_observed == "persists":
-            out.append((label, rec.points[-1].X))
-    return out
+    patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
+    labels = [f"pattern_{pattern_label(pat.choices)}" for pat in patterns]
+    if alpha == 0.0:
+        return [(label, continuation.product_state(pat, eqs))
+                for label, pat in zip(labels, patterns)]
+    records = continuation.continue_branches(
+        patterns, models, net, [alpha / 100.0, alpha / 10.0, alpha],
+        equilibria=eqs)
+    return [(label, rec.points[-1].X) for label, rec in zip(labels, records)
+            if isinstance(rec, continuation.BranchRecord)
+            and rec.failure is None and rec.verdict_observed == "persists"]
 
 
 def _trajectory_csv(traj: sim.Trajectory,

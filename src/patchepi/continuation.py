@@ -11,6 +11,17 @@ and a damped Newton corrector, recording component signs and linear
 stability along the way. A branch is abandoned (never projected back)
 once a component drops below the sign-noise band: outside the cone the
 state has no epidemiological meaning.
+
+continue_branches moves all patterns of a system along the grid as the
+rows of one stack: one stacked predictor, one Newton corrector over the
+rows still on the grid and one stacked stability test per grid point. A
+row leaves the stack when it exits the cone, fails or finishes, and
+takes no decision from another row. Rows reach the kernel as
+X[:, None, :], so each residual is its own matrix-vector product with
+the bits of a single-state call; a plain (B, r s) stack would go through
+one matrix-matrix product and differ in the last bits. The stacked
+Jacobians, inverses, spectra and norms already give each row the bits it
+gets alone, so a branch's record does not depend on its batch.
 """
 from __future__ import annotations
 
@@ -32,6 +43,9 @@ SIGN_EXIT_TOL = -1e-9     # below this a component counts as negative
 MAX_NEWTON_ITERS = 60
 MAX_HALVINGS = 20         # Armijo: step down to 2^-20
 ARMIJO_SLOPE = 1e-4
+
+# what a state outside CoupledSystem.admissible is refused with
+INADMISSIBLE = "standard incidence undefined at N = 0"
 
 
 class HypothesisViolationError(RuntimeError):
@@ -236,8 +250,7 @@ class CoupledSystem:
             if self._mixed:   # a mass-action patch divides by N = 1
                 Ns = np.where(self._standard_patch, Ns, 1.0)
             if not Ns.min() > 0.0:
-                raise InadmissibleStateError(
-                    "standard incidence undefined at N = 0")
+                raise InadmissibleStateError(INADMISSIBLE)
             inv_N = 1.0 / Ns
             xs = xs * inv_N[..., None]
         return ys[..., :, None] * xs[..., None, :], ys, xs, inv_N
@@ -316,63 +329,102 @@ def build_rhs(models: Sequence[PatchModel], net: MobilityNetwork,
 # Corrector
 # ====================================================================
 
-def _newton_correct(residual, jacobian, X0, alpha):
-    """Damped Newton for residual(X) = 0 from X0. Returns (X, residual_norm).
+def _newton_correct(residual, jacobian, X0, alpha, admissible=None):
+    """Damped Newton for residual(X) = 0 from every row of X0.
 
-    The package's one single-start Newton: the branch corrector, the exit
-    refinement, the DFE branch (on the susceptible unknowns) and the
-    disease-free level of a recruitment callback all solve with it.
-    Merit is the squared residual sup norm, with Armijo backtracking; an
-    InadmissibleStateError at a trial point halves the step. Failures
-    raise CorrectionFailureError naming alpha, the point being solved.
+    Returns (X, rnorm, failures): per row the corrected state, its
+    residual sup norm, and None or the message of its failure. residual
+    and jacobian take a stack of rows and return one residual or Jacobian
+    per row; residual sees only rows that admissible (all rows if None)
+    accepts. The package's one damped Newton for a few unknowns: the
+    branch corrector, the exit refinement, the DFE branch (on the
+    susceptible unknowns) and the disease-free level of a recruitment
+    callback all solve with it.
+
+    Every row follows the single-start rules on its own, and the rows
+    share only the array operations: merit is the squared residual sup
+    norm, with Armijo backtracking; an inadmissible trial point halves the
+    step; twenty halvings without sufficient decrease stall the row
+    unless its residual is already within ACCEPT_TOL. A row fails on an
+    inadmissible start, a singular Jacobian, a stall or MAX_NEWTON_ITERS
+    iterations; the message names alpha, the point being solved.
     """
+    if admissible is None:
+        def admissible(X):
+            return np.ones(len(X), dtype=bool)
     X = np.array(X0, dtype=float)
-    try:
-        res = residual(X)
-    except InadmissibleStateError as exc:
-        raise CorrectionFailureError(
-            f"corrector start inadmissible at alpha = {alpha:g}: {exc}"
-        ) from exc
-    rnorm = float(np.max(np.abs(res)))
+    failures = [None] * len(X)
+    res = np.zeros_like(X)
+    rnorm = np.full(len(X), np.inf)
+    active = admissible(X)
+    for i in np.flatnonzero(~active):
+        failures[i] = (f"corrector start inadmissible at alpha = {alpha:g}: "
+                       f"{INADMISSIBLE}")
+    if active.any():
+        res[active] = residual(X[active])
+        rnorm[active] = np.max(np.abs(res[active]), axis=1)
     for _ in range(MAX_NEWTON_ITERS):
-        if rnorm <= NEWTON_TOL:
-            return X, rnorm
-        try:
-            step = matalg.solve_linear(jacobian(X), -res)
-        except matalg.SingularMatrixError as exc:
-            raise CorrectionFailureError(
-                f"singular Jacobian at alpha = {alpha:g}") from exc
-        merit = rnorm * rnorm
-        t = 1.0
+        active &= ~(rnorm <= NEWTON_TOL)
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        step = matalg.solve_linear(jacobian(X[idx]), -res[idx])
+        singular = np.isnan(step).any(axis=1)
+        for i in idx[singular]:
+            failures[i] = f"singular Jacobian at alpha = {alpha:g}"
+        active[idx[singular]] = False
+        idx, step = idx[~singular], step[~singular]
+        merit = rnorm[idx] * rnorm[idx]
+        t = np.ones(idx.size)
+        pending = np.ones(idx.size, dtype=bool)
         for _ in range(MAX_HALVINGS + 1):
-            try:
-                trial = X + t * step
-                res_t = residual(trial)
-                m_t = float(np.max(np.abs(res_t))) ** 2
-                if m_t <= (1.0 - 2.0 * ARMIJO_SLOPE * t) * merit:
-                    break
-            except InadmissibleStateError:
-                pass
-            t *= 0.5
-        else:
-            if rnorm <= ACCEPT_TOL:
-                return X, rnorm
-            raise CorrectionFailureError(
-                f"Newton stalled at alpha = {alpha:g}, residual {rnorm:.3e}")
-        X = trial
-        res = res_t
-        rnorm = float(np.max(np.abs(res)))
-    if rnorm <= ACCEPT_TOL:
-        return X, rnorm
-    raise CorrectionFailureError(
-        f"Newton exceeded {MAX_NEWTON_ITERS} iterations at alpha = {alpha:g}")
+            p = np.flatnonzero(pending)
+            if not p.size:
+                break
+            trial = X[idx[p]] + t[p, None] * step[p]
+            ok = admissible(trial)
+            res_t = np.zeros_like(trial)
+            norm_t = np.full(p.size, np.inf)
+            if ok.any():
+                res_t[ok] = residual(trial[ok])
+                norm_t[ok] = np.max(np.abs(res_t[ok]), axis=1)
+            # float ** 2 is libm pow, which differs from x * x in the last
+            # bit of about one value in a thousand; the Armijo test keeps it
+            m_t = np.array([v ** 2 for v in norm_t.tolist()])
+            ok &= m_t <= (1.0 - 2.0 * ARMIJO_SLOPE * t[p]) * merit[p]
+            rows = idx[p[ok]]
+            X[rows], res[rows], rnorm[rows] = trial[ok], res_t[ok], norm_t[ok]
+            pending[p[ok]] = False
+            t[p[~ok]] *= 0.5
+        for i in idx[pending]:
+            if not rnorm[i] <= ACCEPT_TOL:
+                failures[i] = (f"Newton stalled at alpha = {alpha:g}, "
+                               f"residual {rnorm[i]:.3e}")
+        active[idx[pending]] = False
+    for i in np.flatnonzero(active & ~(rnorm <= ACCEPT_TOL)):
+        failures[i] = (f"Newton exceeded {MAX_NEWTON_ITERS} iterations at "
+                       f"alpha = {alpha:g}")
+    return X, rnorm, failures
 
 
-def _accept(system, alpha, X, rnorm) -> CoupledState:
-    stability, top = stability_of(system.jacobian(alpha, X))
-    return CoupledState(alpha=float(alpha), X=X,
-                        residual_norm=rnorm, stability=stability,
-                        min_component=float(np.min(X)), max_real_eig=top)
+def _correct(system, alpha, X):
+    """_newton_correct on the coupled system at alpha, from every row of X.
+
+    Rows reach the kernel as X[:, None, :], so each residual is its own
+    matrix-vector product with the bits of a single-state evaluation.
+    """
+    return _newton_correct(lambda X: system.residual(alpha, X[:, None])[:, 0],
+                           lambda X: system.jacobian(alpha, X), X, alpha,
+                           system.admissible)
+
+
+def _accepted(alpha, X, rnorm, J) -> list:
+    """The accepted CoupledState of every row of X; J holds their Jacobians."""
+    labels, tops = stability_of(J)
+    return [CoupledState(alpha=float(alpha), X=x, residual_norm=float(r),
+                         stability=label, min_component=float(x.min()),
+                         max_real_eig=float(top))
+            for x, r, label, top in zip(X, rnorm, labels, tops)]
 
 
 # ====================================================================
@@ -390,24 +442,36 @@ def product_state(pattern: EquilibriumPattern, equilibria) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def continue_branch(pattern: EquilibriumPattern,
-                    models: Sequence[PatchModel],
-                    net: MobilityNetwork,
-                    alpha_targets: Sequence[float],
-                    equilibria,
-                    refine_exit: bool = False,
-                    stop_at_exit: bool = True) -> BranchRecord:
-    """Natural continuation of one product pattern over an alpha grid.
+def continue_branches(patterns: Sequence[EquilibriumPattern],
+                      models: Sequence[PatchModel],
+                      net: MobilityNetwork,
+                      alpha_targets: Sequence[float],
+                      equilibria,
+                      refine_exit: bool = False,
+                      stop_at_exit: bool = True) -> list:
+    """Natural continuation of every given pattern over one alpha grid.
+
+    Returns one entry per pattern, in order: its BranchRecord, or the
+    HypothesisViolationError it raises when its coupled Jacobian at
+    alpha = 0 is singular (1-norm condition above COND_LIMIT).
 
     The predictor is the previous point plus an Euler step using the
-    exact branch slope -J^{-1} L(X); the corrector is damped Newton.
-    Stops at the first point with a component below -1e-9 (recording
-    exit_alpha) or at corrector failure (partial record with diagnostic).
-    With stop_at_exit False the grid is finished anyway (the branch is a
-    smooth curve regardless of the cone); exit_alpha still marks the
-    first violation. Derivative cross-checks need this to reach their
-    full difference stencil when a pattern vanishes immediately.
-    equilibria holds each patch's patch_equilibria.
+    exact branch slope -J^{-1} L(X), with J the Jacobian of that point
+    (the previous point itself if the solve refuses); the corrector is
+    damped Newton. A branch stops at the first point with a component
+    below -1e-9 (recording exit_alpha) or at corrector failure (partial
+    record with diagnostic). With stop_at_exit False the grid is finished
+    anyway (the branch is a smooth curve regardless of the cone);
+    exit_alpha still marks the first violation. Derivative cross-checks
+    need this to reach their full difference stencil when a pattern
+    vanishes immediately. equilibria holds each patch's patch_equilibria.
+
+    All patterns but the DFE move along the grid together: one stacked
+    predictor, one corrector over the rows still on the grid and one
+    stacked stability test per grid point. Every stacked operation gives
+    each row the bits it would get alone, so a record does not depend on
+    the other patterns of the call. The DFE pattern is continued on its
+    susceptible unknowns (_continue_dfe).
     """
     targets = sorted(float(a) for a in alpha_targets)
     if targets and targets[0] < 0.0:
@@ -415,47 +479,89 @@ def continue_branch(pattern: EquilibriumPattern,
     targets = [a for a in targets if a > 0.0]
 
     system = CoupledSystem(models, net)
-    X0 = product_state(pattern, equilibria)
+    patterns = list(patterns)
+    if not patterns:
+        return []
+    X0 = np.array([product_state(pattern, equilibria) for pattern in patterns])
     J0 = system.jacobian(0.0, X0)
-    if matalg.condition_estimate(J0) > matalg.COND_LIMIT:
-        raise HypothesisViolationError(
-            "theorem hypothesis violated: coupled Jacobian singular at "
-            f"alpha = 0 for pattern {pattern.choices}")
+    cond = matalg.condition_estimate(J0)
+    out = [None] * len(patterns)
+    rows = []
+    for b, pattern in enumerate(patterns):
+        if cond[b] > matalg.COND_LIMIT:
+            out[b] = HypothesisViolationError(
+                "theorem hypothesis violated: coupled Jacobian singular at "
+                f"alpha = 0 for pattern {pattern.choices}")
+        elif pattern.is_dfe:
+            out[b] = _continue_dfe(pattern, system, X0[b], targets)
+        else:
+            rows.append(b)
+    if rows:
+        records = _continue_rows([patterns[b] for b in rows], system, X0[rows],
+                                 J0[rows], targets, refine_exit, stop_at_exit)
+        for b, record in zip(rows, records):
+            out[b] = record
+    return out
 
-    if pattern.is_dfe:
-        return _continue_dfe(pattern, system, X0, targets)
 
-    r0 = float(np.max(np.abs(system.residual(0.0, X0))))
-    points = [_accept(system, 0.0, X0, r0)]
-    exit_alpha = None
-    failure = None
-    prev_alpha, prev_X = 0.0, X0
+def _continue_rows(patterns, system, X0, J0, targets, refine_exit,
+                   stop_at_exit) -> list:
+    """continue_branches for non-DFE patterns from X0, J0 = J(0, X0)."""
+    r0 = np.max(np.abs(system.residual(0.0, X0[:, None])[:, 0]), axis=1)
+    points = [[point] for point in _accepted(0.0, X0, r0, J0)]
+    exit_alpha = [None] * len(patterns)
+    failure = [None] * len(patterns)
+    live = np.arange(len(patterns))       # the rows still on the grid
+    prev_alpha, prev_X, prev_J = 0.0, X0, J0
     for alpha in targets:
-        try:
-            slope = matalg.solve_linear(
-                system.jacobian(prev_alpha, prev_X), -(system.L @ prev_X))
-            predictor = prev_X + (alpha - prev_alpha) * slope
-        except matalg.SingularMatrixError:
-            predictor = prev_X
-        try:
-            X, rnorm = _newton_correct(
-                lambda X: system.residual(alpha, X),
-                lambda X: system.jacobian(alpha, X), predictor, alpha)
-        except CorrectionFailureError as exc:
-            failure = str(exc)
+        if not live.size:
             break
-        points.append(_accept(system, alpha, X, rnorm))
-        if points[-1].min_component < SIGN_EXIT_TOL and exit_alpha is None:
-            exit_alpha = alpha
-            if refine_exit:
-                exit_alpha = _refine_exit(system, prev_alpha, prev_X, alpha)
-            if stop_at_exit:
-                break
-        prev_alpha, prev_X = alpha, X
-    verdict = ("vanishes" if exit_alpha is not None
-               else None if failure is not None else "persists")
-    return BranchRecord(pattern=pattern, points=points, exit_alpha=exit_alpha,
-                        verdict_observed=verdict, failure=failure)
+        slope = matalg.solve_linear(
+            prev_J, -(system.L @ prev_X[:, :, None])[:, :, 0])
+        predictor = prev_X + (alpha - prev_alpha) * slope
+        refused = np.isnan(slope).any(axis=1)
+        predictor[refused] = prev_X[refused]
+        X, rnorm, failures = _correct(system, alpha, predictor)
+        for b, f in zip(live, failures):
+            failure[b] = f
+        ok = np.array([f is None for f in failures])
+        live, X, rnorm, prev_X = live[ok], X[ok], rnorm[ok], prev_X[ok]
+        if not live.size:
+            break
+        J = system.jacobian(alpha, X)
+        keep = np.ones(live.size, dtype=bool)
+        for j, (b, point) in enumerate(zip(live, _accepted(alpha, X, rnorm,
+                                                           J))):
+            points[b].append(point)
+            if point.min_component < SIGN_EXIT_TOL and exit_alpha[b] is None:
+                exit_alpha[b] = alpha
+                if refine_exit:
+                    exit_alpha[b] = _refine_exit(system, prev_alpha,
+                                                 prev_X[j], alpha)
+                keep[j] = not stop_at_exit
+        live, prev_alpha, prev_X, prev_J = live[keep], alpha, X[keep], J[keep]
+    return [BranchRecord(pattern=pattern, points=pts, exit_alpha=ex,
+                         verdict_observed=("vanishes" if ex is not None
+                                           else None if fail is not None
+                                           else "persists"),
+                         failure=fail)
+            for pattern, pts, ex, fail in zip(patterns, points, exit_alpha,
+                                              failure)]
+
+
+def continue_branch(pattern: EquilibriumPattern,
+                    models: Sequence[PatchModel],
+                    net: MobilityNetwork,
+                    alpha_targets: Sequence[float],
+                    equilibria,
+                    refine_exit: bool = False,
+                    stop_at_exit: bool = True) -> BranchRecord:
+    """continue_branches for one pattern; raises HypothesisViolationError."""
+    (record,) = continue_branches([pattern], models, net, alpha_targets,
+                                  equilibria, refine_exit, stop_at_exit)
+    if isinstance(record, HypothesisViolationError):
+        raise record
+    return record
 
 
 def _refine_exit(system, lo, X_lo, hi) -> float:
@@ -464,15 +570,13 @@ def _refine_exit(system, lo, X_lo, hi) -> float:
         if hi / max(lo, 1e-300) <= 1.05:
             break
         mid = np.sqrt(max(lo, hi * 1e-4) * hi) if lo == 0.0 else np.sqrt(lo * hi)
-        try:
-            X, _ = _newton_correct(lambda X: system.residual(mid, X),
-                                   lambda X: system.jacobian(mid, X), X_lo, mid)
-        except CorrectionFailureError:
+        X, _, failures = _correct(system, mid, X_lo[None])
+        if failures[0] is not None:
             return hi
-        if float(np.min(X)) < SIGN_EXIT_TOL:
+        if float(np.min(X[0])) < SIGN_EXIT_TOL:
             hi = mid
         else:
-            lo, X_lo = mid, X
+            lo, X_lo = mid, X[0]
     return hi
 
 
@@ -490,25 +594,26 @@ def _continue_dfe(pattern, system, X0, targets) -> BranchRecord:
     sus = (np.arange(system.net.r)[:, None] * s + n + np.arange(m)).ravel()
 
     def embed(Y):
-        X = np.zeros(X0.size)
-        X[sus] = Y
+        X = np.zeros(Y.shape[:-1] + (X0.size,))
+        X[..., sus] = Y
         return X
 
     Y = X0[sus]
     points = []
     failure = None
     for alpha in [0.0] + targets:
-        try:
-            Y, _ = _newton_correct(
-                lambda Y: system.residual(alpha, embed(Y))[sus],
-                lambda Y: system.jacobian(alpha, embed(Y))[np.ix_(sus, sus)],
-                Y, alpha)
-        except CorrectionFailureError as exc:
-            failure = str(exc)
+        Ys, _, failures = _newton_correct(
+            lambda Y: system.residual(alpha, embed(Y)[:, None])[:, 0, sus],
+            lambda Y: system.jacobian(alpha, embed(Y))[:, sus[:, None], sus],
+            Y[None], alpha, lambda Y: system.admissible(embed(Y)))
+        if failures[0] is not None:
+            failure = failures[0]
             break
-        X = embed(Y)
-        rnorm = float(np.max(np.abs(system.residual(alpha, X))))
-        points.append(_accept(system, alpha, X, rnorm))
+        Y = Ys[0]
+        X = embed(Y)[None]
+        rnorm = np.max(np.abs(system.residual(alpha, X[:, None])[:, 0]),
+                       axis=1)
+        points.extend(_accepted(alpha, X, rnorm, system.jacobian(alpha, X)))
     return BranchRecord(pattern=pattern, points=points, exit_alpha=None,
                         verdict_observed=None if failure else "persists",
                         failure=failure)
@@ -568,10 +673,14 @@ def count_stable(models: Sequence[PatchModel], net: MobilityNetwork,
     equilibria holds each patch's patch_equilibria.
     """
     counts = [len(eq) - 1 for eq in equilibria]
-    ladder = [alpha / 100.0, alpha / 10.0, alpha]
+    patterns = enumerate_patterns(counts)
+    records = continue_branches(patterns, models, net,
+                                [alpha / 100.0, alpha / 10.0, alpha],
+                                equilibria)
     stable = unstable = 0
-    for pattern in enumerate_patterns(counts):
-        record = continue_branch(pattern, models, net, ladder, equilibria)
+    for pattern, record in zip(patterns, records):
+        if isinstance(record, HypothesisViolationError):
+            raise record
         if record.failure is not None:
             raise CorrectionFailureError(
                 f"pattern {pattern.choices}: {record.failure}")

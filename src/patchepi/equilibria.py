@@ -102,8 +102,8 @@ def disease_free_equilibrium(model: PatchModel) -> PatchEquilibrium:
     """The unique steady state with all infected and removed classes zero.
 
     For affine recruitment y0 solves g_const + g_lin y = 0 directly; a
-    custom g_func is solved by the single-start damped Newton of
-    continuation, from the affine seed.
+    custom g_func is solved by the damped Newton of continuation, as a
+    batch of one row, from the affine seed.
     """
     y0 = _susceptible_equilibrium(model)
     state = PatchState(np.zeros(model.n), y0, np.zeros(model.k))
@@ -113,7 +113,7 @@ def disease_free_equilibrium(model: PatchModel) -> PatchEquilibrium:
 
 
 def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
-    from .continuation import CorrectionFailureError, _newton_correct
+    from .continuation import _newton_correct
 
     try:
         y0 = matalg.solve_linear(-model.g_lin, model.g_const)
@@ -121,12 +121,14 @@ def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
         raise DegenerateModelError(
             "disease-free susceptible level is not unique") from exc
     if model.g_func is not None:
-        try:
-            y0, _ = _newton_correct(model.recruitment,
-                                    model.recruitment_jacobian, y0, 0.0)
-        except CorrectionFailureError as exc:
+        Y, _, failures = _newton_correct(
+            lambda Y: np.array([model.recruitment(y) for y in Y]),
+            lambda Y: np.array([model.recruitment_jacobian(y) for y in Y]),
+            y0[None], 0.0)
+        if failures[0] is not None:
             raise DegenerateModelError(
-                "susceptible-equilibrium Newton did not converge") from exc
+                "susceptible-equilibrium Newton did not converge")
+        y0 = Y[0]
     if np.any(y0 <= 0):
         raise DegenerateModelError(
             f"disease-free susceptible level not positive: {y0}")
@@ -146,14 +148,16 @@ def stability_of(J: np.ndarray) -> tuple:
     """(label, top): top is the largest real part of an eigenvalue of J.
 
     The label is "stable" below -STABILITY_MARGIN, "unstable" above
-    STABILITY_MARGIN and "marginal" in between, ends included.
+    STABILITY_MARGIN and "marginal" in between, ends included. A stack
+    J[..., n, n] gives (labels, tops) with one entry per matrix: a nested
+    list of labels and an array of tops.
     """
-    top = float(np.max(matalg.eigen_spectrum(J).real))
-    if top < -STABILITY_MARGIN:
-        return "stable", top
-    if top > STABILITY_MARGIN:
-        return "unstable", top
-    return "marginal", top
+    top = matalg.eigen_spectrum(J).real.max(axis=-1)
+    label = np.where(top < -STABILITY_MARGIN, "stable",
+                     np.where(top > STABILITY_MARGIN, "unstable", "marginal"))
+    if np.ndim(J) == 2:
+        return str(label), float(top)
+    return label.tolist(), top
 
 
 def _classify(model: PatchModel, state: PatchState) -> tuple:
@@ -386,10 +390,16 @@ def _newton_seeds(system, U0: np.ndarray) -> tuple:
     full polishing steps, kept while the residual still improves. The
     rows only share the array operations, never a decision.
 
-    This loop stays apart from the single-start continuation._newton_correct,
-    whose merit is the sup norm and which has no polish: run as a batch of
-    one through this loop, the branch corrector takes another path on the
-    hiv_mixed fixture and loses branch (2, 1, 1) at alpha = 0.1.
+    This loop stays apart from continuation._newton_correct, the row-batched
+    corrector of the branches, because the two take different steps. Its
+    merit is the squared 2-norm, it drops rows whose residual is not
+    finite or above 1e12, and converged rows get polish steps; the branch
+    corrector's merit is the squared sup norm, with no polish. Run through
+    this loop, the branch corrector takes another path on the hiv_mixed
+    fixture and loses branch (2, 1, 1) at alpha = 0.1. This loop also keeps
+    the seeds as one (B, size) stack for the kernel's matrix-matrix
+    products, which are cheaper over thousands of seeds than the per-row
+    matrix-vector products the branch corrector needs for exact bits.
     """
     U = np.array(U0, dtype=float)
     R = _residuals(system, U)

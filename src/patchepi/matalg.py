@@ -44,9 +44,11 @@ class SignPatternReport:
     min_real_eig: float
 
 
-def _require_square(A: np.ndarray) -> np.ndarray:
+def _require_square(A: np.ndarray, batch: bool = False) -> np.ndarray:
+    """A as floats; square, or with batch a stack of squares A[..., n, n]."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if (A.ndim < 2 or (A.ndim != 2 and not batch)
+            or A.shape[-1] != A.shape[-2]):
         raise NonSquareError(f"expected square matrix, got shape {A.shape}")
     return A
 
@@ -97,22 +99,36 @@ def m_matrix_report(A: np.ndarray) -> SignPatternReport:
 
 
 def _inverse_condition(A: np.ndarray):
-    """(inv, cond): the inverse of A and its 1-norm condition number.
+    """(inv, cond): the inverse of each matrix of A and its 1-norm condition.
 
-    cond is ||A||_1 ||A^{-1}||_1, exact rather than estimated; inv is None
-    and cond inf when A cannot be inverted.
+    cond is ||A||_1 ||A^{-1}||_1, exact rather than estimated, and inf when
+    a matrix cannot be inverted; its inverse is then None for a single
+    matrix, a NaN block in a stack. Each matrix of a stack gets the bits
+    it would get alone.
     """
     try:
         inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        return None, np.inf
-    cond = float(np.linalg.norm(A, 1) * np.linalg.norm(inv, 1))
-    return inv, (cond if np.isfinite(cond) else np.inf)
+        if A.ndim == 2:
+            return None, np.inf
+        inv = np.full_like(A, np.nan)
+        for i in np.ndindex(A.shape[:-2]):
+            try:
+                inv[i] = np.linalg.inv(A[i])
+            except np.linalg.LinAlgError:
+                pass
+    cond = (np.linalg.norm(A, 1, axis=(-2, -1))
+            * np.linalg.norm(inv, 1, axis=(-2, -1)))
+    cond = np.where(np.isfinite(cond), cond, np.inf)
+    return inv, (float(cond) if A.ndim == 2 else cond)
 
 
-def condition_estimate(A: np.ndarray) -> float:
-    """1-norm condition number ||A||_1 ||A^{-1}||_1 (inf if singular)."""
-    return _inverse_condition(_require_square(A))[1]
+def condition_estimate(A: np.ndarray):
+    """1-norm condition number ||A||_1 ||A^{-1}||_1 (inf if singular).
+
+    A stack A[..., n, n] gives one condition number per matrix.
+    """
+    return _inverse_condition(_require_square(A, batch=True))[1]
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,18 +137,33 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     The residual is required to satisfy ||Ax - b||_inf <= 1e-9 (1 + ||b||_inf);
     one step of iterative refinement keeps that bound easy to meet. The
     condition number comes from the same inverse as the solve.
+
+    A stack A[..., n, n], b[..., n] solves every system on its own, with the
+    bits it would get alone: a refused system does not raise but comes back
+    as a row of NaN, so it fails only itself.
     """
-    A = _require_square(A)
+    A = _require_square(A, batch=True)
     b = np.asarray(b, dtype=float)
     inv, cond = _inverse_condition(A)
-    if cond > COND_LIMIT:
+    if A.ndim == 2 and cond > COND_LIMIT:
         raise SingularMatrixError(cond)
-    x = inv @ b
-    x = x + inv @ (b - A @ x)
-    resid = np.max(np.abs(A @ x - b)) if b.size else 0.0
-    bound = 1e-9 * (1.0 + (np.max(np.abs(b)) if b.size else 0.0))
-    if resid > bound:
-        raise SingularMatrixError(cond)
+
+    def times(M, v):           # one matrix-vector product per system
+        return (M @ v[..., None])[..., 0]
+
+    x = times(inv, b)
+    x = x + times(inv, b - times(A, x))
+    if b.shape[-1]:
+        resid = np.max(np.abs(times(A, x) - b), axis=-1)
+        bound = 1e-9 * (1.0 + np.max(np.abs(b), axis=-1))
+    else:
+        resid = bound = np.zeros(b.shape[:-1])
+    refused = (cond > COND_LIMIT) | (resid > bound)
+    if A.ndim == 2:
+        if refused:
+            raise SingularMatrixError(cond)
+        return x
+    x[refused] = np.nan
     return x
 
 
@@ -156,6 +187,9 @@ def is_irreducible(pattern: np.ndarray) -> bool:
 
 
 def eigen_spectrum(A: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a square matrix, as complex values."""
-    A = _require_square(A)
+    """All eigenvalues of a square matrix, as complex values.
+
+    A stack A[..., n, n] gives eigenvalues[..., n], one row per matrix.
+    """
+    A = _require_square(A, batch=True)
     return np.linalg.eigvals(A)

@@ -242,64 +242,96 @@ def predict(pattern: EquilibriumPattern,
     if len(pattern.choices) != net.r:
         raise ValueError(f"pattern has {len(pattern.choices)} regions, "
                          f"the network {net.r}")
-    return _SystemFacts(models, net, equilibria, R_values).verdict(pattern)
+    return SystemFacts(models, equilibria, R_values).verdicts(net,
+                                                              [pattern])[0]
 
 
 def predict_all(models: Sequence[PatchModel], net: MobilityNetwork,
                 equilibria, R_values: Sequence[float]) -> list:
     """predict's verdict for every product pattern, in enumerate_patterns
-    order.
+    order; SystemFacts(models, equilibria, R_values).verdicts(net)."""
+    return SystemFacts(models, equilibria, R_values).verdicts(net)
 
-    The facts that depend only on the system (the local R values, the
-    V - F irreducibility of every patch, the network adjacency) are
-    settled once; each pattern then only classifies its EAT/DFAT split.
+
+class SystemFacts:
+    """A system's network-independent verdict facts and the verdict rule.
+
+    The local R values and the V - F irreducibility of every patch are
+    settled once. verdicts and persisting_count then apply the rule on
+    any network, settling only its adjacency and the classification of
+    each EAT set. equilibria holds each patch's patch_equilibria;
+    R_values, each patch's local reproduction number, is computed when
+    not given.
     """
-    system = _SystemFacts(models, net, equilibria, R_values)
-    counts = [len(eq) - 1 for eq in equilibria]
-    return [system.verdict(pattern) for pattern in enumerate_patterns(counts)]
 
-
-class _SystemFacts:
-    """A system's pattern-independent verdict facts and the verdict rule."""
-
-    def __init__(self, models, net, equilibria, R_values):
-        for what, seq in (("models", models), ("equilibria", equilibria),
-                          ("R_values", R_values)):
-            if seq is not None and len(seq) != net.r:
-                raise ValueError(f"{what} has {len(seq)} entries, "
-                                 f"the network {net.r} regions")
+    def __init__(self, models: Sequence[PatchModel], equilibria,
+                 R_values: Optional[Sequence[float]] = None):
         if R_values is None:
             R_values = [local_reproduction_number(mod) for mod in models]
-        self.models, self.net, self.equilibria = models, net, equilibria
+        self.models, self.equilibria = models, equilibria
         self.R_values = tuple(float(R) for R in R_values)
         self.irreducible = all(matalg.is_irreducible(_v_minus_f(mod, eqs))
                                for mod, eqs in zip(models, equilibria))
-        self.adj = net.adjacency()
-        self._classes = {}        # EAT set -> classify_pattern's answer
 
-    def _classify(self, pattern: EquilibriumPattern):
-        """classify_pattern(net, pattern), which reads only the EAT set."""
-        key = tuple(c > 0 for c in pattern.choices)
-        cls = self._classes.get(key)
-        if cls is None:
-            cls = self._classes[key] = classify_pattern(self.net, pattern)
-        return cls
+    def verdicts(self, net: MobilityNetwork, patterns=None) -> list:
+        """predict's verdict for each pattern on net, in the given order.
 
-    def verdict(self, pattern: EquilibriumPattern) -> PersistenceVerdict:
+        patterns defaults to every product pattern in enumerate_patterns
+        order. classify_pattern runs once per EAT set, as it reads nothing
+        else of the pattern.
+        """
+        for what, seq in (("models", self.models),
+                          ("equilibria", self.equilibria),
+                          ("R_values", self.R_values)):
+            if len(seq) != net.r:
+                raise ValueError(f"{what} has {len(seq)} entries, "
+                                 f"the network {net.r} regions")
+        if patterns is None:
+            patterns = enumerate_patterns([len(eq) - 1
+                                           for eq in self.equilibria])
+        adj = net.adjacency()
+        classes = {}              # EAT set -> classify_pattern's answer
+
+        def classify(pattern):
+            key = tuple(c > 0 for c in pattern.choices)
+            if key not in classes:
+                classes[key] = classify_pattern(net, pattern)
+            return classes[key]
+
+        return [self._verdict(pattern, net, adj, classify)
+                for pattern in patterns]
+
+    def persisting_count(self, net: MobilityNetwork) -> int:
+        """count_persisting on net."""
+        if net.r != 3:
+            raise ValueError("count_persisting covers the three-region theory")
+        counts = [len(eq) - 1 for eq in self.equilibria]
+        if any(c not in (0, 1, 2) for c in counts):
+            raise ValueError(f"per-patch endemic counts {counts} outside 0..2")
+        total = 0
+        for verdict in self.verdicts(net):
+            if verdict.verdict == "indeterminate":
+                raise RuntimeError(
+                    f"indeterminate verdict for pattern "
+                    f"{verdict.pattern.choices} on network {net.name!r}")
+            if verdict.verdict == "persists":
+                total += 1
+        return total
+
+    def _verdict(self, pattern, net, adj, classify) -> PersistenceVerdict:
         R_values = self.R_values
         if pattern.is_all_endemic:
             return PersistenceVerdict(pattern=pattern, verdict="persists",
                                       rule="positive_theorem_4_2",
                                       R_values=R_values)
 
-        net = self.net
-        cls = self._classify(pattern)
+        cls = classify(pattern)
         if not self.irreducible:
             return _predict_by_derivatives(pattern, self.models, net,
                                            self.equilibria, R_values, cls)
 
         dfat = [i for i in range(net.r) if not cls.is_eat[i]]
-        rule = _corollary_rule(self.adj, cls, dfat)
+        rule = _corollary_rule(adj, cls, dfat)
 
         # R = 1 makes V - F singular, breaking the implicit function theorem
         # behind every verdict; the theorems are strict inequalities.
@@ -379,19 +411,8 @@ def count_persisting(models: Sequence[PatchModel], net: MobilityNetwork,
 
     equilibria and R_values hold each patch's patch_equilibria and local
     reproduction number. Raises if any pattern comes back indeterminate;
-    callers scanning regimes should stay clear of R = 1.
+    callers scanning regimes should stay clear of R = 1. A scan over many
+    networks of one system settles the patch facts once through
+    SystemFacts(models, equilibria, R_values).persisting_count(net).
     """
-    if net.r != 3:
-        raise ValueError("count_persisting covers the three-region theory")
-    counts = [len(eq) - 1 for eq in equilibria]
-    if any(c not in (0, 1, 2) for c in counts):
-        raise ValueError(f"per-patch endemic counts {counts} outside 0..2")
-    total = 0
-    for verdict in predict_all(models, net, equilibria, R_values):
-        if verdict.verdict == "indeterminate":
-            raise RuntimeError(
-                f"indeterminate verdict for pattern {verdict.pattern.choices} "
-                f"on network {net.name!r}")
-        if verdict.verdict == "persists":
-            total += 1
-    return total
+    return SystemFacts(models, equilibria, R_values).persisting_count(net)

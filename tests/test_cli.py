@@ -362,6 +362,22 @@ def test_continue_rejects_out_of_range_pattern():
         cli.cmd_continue(continue_config([[0, 2, 0]]))
 
 
+def test_continue_rejects_repeated_pattern(tmp_path, capsys):
+    # a repeated pattern would give two report entries for one branch file
+    data = fixture_dict("hiv_backward.json")
+    data["patterns"] = [[1, 0, 0], [2, 1, 0], [1, 0, 0]]
+    with pytest.raises(cli.ConfigError,
+                       match=r"patterns\[2\]: \[1, 0, 0\] is already listed"):
+        cli.config_from_dict(data)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(data))
+    code = cli.main(["continue", "--config", str(cfgp),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and "[1, 0, 0]" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_zero_transmission_reaches_dfe():
     data = fixture_dict("zero_transmission.json")
     data["initial_sets"] = [{"label": "seeded",

@@ -387,3 +387,93 @@ def test_count_stable_skips_vanished_branches(mixed):
     # mixed regime on fig3b: 4 of 12 persist at alpha past all cone exits
     st, un = continuation.count_stable(models, net, 1e-5, equilibria=eqs)
     assert st + un == 4
+
+
+# ====================================================================
+# Row-batched driver
+# ====================================================================
+
+SHIPPED_GRID = [1e-5, 1e-3, 0.1]
+FINE_GRID = [10.0 ** (-7 + k / 2) for k in range(9)]     # 1e-7 ... 1e-3
+
+
+def _fixture(name):
+    from patchepi import cli
+    cfg = cli.load_config(cli.fixture_path(name))
+    models = cli.build_models(cfg)
+    eqs = [equilibria.patch_equilibria(m) for m in models]
+    return models, cli.build_network(cfg, models), eqs
+
+
+def _assert_same_record(got, want):
+    assert got.pattern == want.pattern
+    assert (got.exit_alpha, got.verdict_observed, got.failure) == \
+        (want.exit_alpha, want.verdict_observed, want.failure), want.pattern
+    assert len(got.points) == len(want.points), want.pattern
+    for p, q in zip(got.points, want.points):
+        assert np.array_equal(p.X, q.X), (want.pattern, q.alpha)
+        assert (p.alpha, p.residual_norm, p.stability, p.min_component,
+                p.max_real_eig) == (q.alpha, q.residual_norm, q.stability,
+                                    q.min_component, q.max_real_eig)
+
+
+@pytest.mark.parametrize("name", ["hiv_backward.json", "hiv_mixed.json"])
+@pytest.mark.parametrize("grid", [FINE_GRID, SHIPPED_GRID],
+                         ids=["fine", "shipped"])
+def test_batch_equals_single_runs(name, grid):
+    models, net, eqs = _fixture(name)
+    patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
+    batch = continuation.continue_branches(patterns, models, net, grid, eqs)
+    assert len(batch) == len(patterns)
+    for pattern, got in zip(patterns, batch):
+        want = continuation.continue_branch(pattern, models, net, grid, eqs)
+        _assert_same_record(got, want)
+    # the same holds in any order and with a row's neighbours changed
+    half = continuation.continue_branches(patterns[::-2], models, net, grid,
+                                          eqs)
+    for got, want in zip(half, batch[::-2]):
+        _assert_same_record(got, want)
+
+
+def test_failed_row_leaves_the_others_unchanged(backward):
+    models, eqs, R, net = backward
+    grid = [1e-2]
+    patterns = [EquilibriumPattern(c)
+                for c in ((2, 2, 2), (2, 0, 2), (1, 1, 1), (0, 0, 0))]
+    batch = continuation.continue_branches(patterns, models, net, grid, eqs)
+    failed = batch[1]
+    assert "corrector start inadmissible at alpha = 0.01" in failed.failure
+    assert [p.alpha for p in failed.points] == [0.0]
+    persisting = [rec for rec in batch if rec.verdict_observed == "persists"]
+    assert len(persisting) >= 2
+    for pattern, got in zip(patterns, batch):
+        _assert_same_record(got, continuation.continue_branch(
+            pattern, models, net, grid, eqs))
+
+
+def test_one_jacobian_per_accepted_point_and_newton_iteration(mixed,
+                                                              monkeypatch):
+    # the Euler predictor reuses the Jacobian of the last accepted point
+    models, eqs, R, net = mixed
+    grid = [1e-7, 1e-6, 1e-5, 1e-4]
+    jacobians, solves = [], []
+    real_jacobian = continuation.CoupledSystem.jacobian
+    real_solve = continuation.matalg.solve_linear
+
+    def jacobian(self, alpha, X):
+        jacobians.append(alpha)
+        return real_jacobian(self, alpha, X)
+
+    def solve(A, b):
+        solves.append(1)
+        return real_solve(A, b)
+
+    monkeypatch.setattr(continuation.CoupledSystem, "jacobian", jacobian)
+    monkeypatch.setattr(continuation.matalg, "solve_linear", solve)
+    rec = continuation.continue_branch(EquilibriumPattern((1, 1, 1)), models,
+                                       net, grid, equilibria=eqs)
+    assert rec.verdict_observed == "persists" and len(rec.points) == 5
+    # one predictor solve per grid step, the rest are Newton iterations
+    newton_iterations = len(solves) - len(grid)
+    assert newton_iterations >= len(grid)
+    assert len(jacobians) == len(rec.points) + newton_iterations

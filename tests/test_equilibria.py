@@ -251,6 +251,19 @@ def test_generic_search_in_small_batches(monkeypatch):
                            rtol=1e-12, atol=0.0)
 
 
+def test_stacked_stability_matches_single_matrices():
+    margin = equilibria.STABILITY_MARGIN
+    J = np.stack([np.diag([-1.0, -2.0]), np.diag([-1.0, 0.5]),
+                  np.diag([-1.0, 0.1 * margin]),
+                  np.array([[-0.1, 3.0], [-3.0, -0.1]])])
+    labels, tops = equilibria.stability_of(J)
+    assert labels == ["stable", "unstable", "marginal", "stable"]
+    for Ji, label, top in zip(J, labels, tops):
+        assert equilibria.stability_of(Ji) == (label, top)
+    nested, _ = equilibria.stability_of(J.reshape(2, 2, 2, 2))
+    assert nested == [labels[:2], labels[2:]]
+
+
 def test_singular_jacobian_fails_its_own_seed_only():
     class Stack:
         def jacobian(self, alpha, U):

@@ -86,6 +86,34 @@ def test_solve_linear_refines_ill_conditioned():
     assert np.max(np.abs(A @ x - b)) <= 1e-9 * 2.0
 
 
+def test_stacked_solves_match_single_solves_row_by_row():
+    rng = np.random.default_rng(17)
+    A = rng.normal(size=(5, 6, 6)) + 4.0 * np.eye(6)
+    A[1] = np.outer(np.arange(1.0, 7.0), np.ones(6))     # singular
+    A[3] = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-14])      # past COND_LIMIT
+    b = rng.normal(size=(5, 6))
+    x = matalg.solve_linear(A, b)
+    cond = matalg.condition_estimate(A)
+    assert x.shape == (5, 6) and cond.shape == (5,)
+    for i in range(5):
+        assert cond[i] == matalg.condition_estimate(A[i])
+        if i in (1, 3):
+            # a refused system fails only itself: NaN here, a raise alone
+            assert np.isnan(x[i]).all()
+            with pytest.raises(matalg.SingularMatrixError):
+                matalg.solve_linear(A[i], b[i])
+        else:
+            assert np.array_equal(x[i], matalg.solve_linear(A[i], b[i]))
+    assert cond[1] == np.inf and cond[3] > matalg.COND_LIMIT
+    # a stack of well-posed systems takes the batched inverse
+    good = A[[0, 2, 4]]
+    x = matalg.solve_linear(good, b[[0, 2, 4]])
+    for xi, Ai, bi in zip(x, good, b[[0, 2, 4]]):
+        assert np.array_equal(xi, matalg.solve_linear(Ai, bi))
+    with pytest.raises(matalg.NonSquareError):
+        matalg.solve_linear(np.zeros((2, 3, 4)), np.zeros((2, 3)))
+
+
 def test_condition_estimate_orders_of_magnitude():
     assert matalg.condition_estimate(np.eye(3)) == pytest.approx(1.0)
     A = np.diag([1.0, 1e-6])

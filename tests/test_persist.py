@@ -194,6 +194,22 @@ def test_is_irreducible_runs_once_per_patch_per_count(mixed, monkeypatch):
     assert 0 < len(calls) <= net.r
 
 
+def test_exhaustive_census_settles_patch_facts_once(monkeypatch):
+    # the census and its 64-digraph scan share one set of patch facts
+    calls = []
+    real = matalg.is_irreducible
+
+    def counting(A):
+        calls.append(1)
+        return real(A)
+
+    config = cli.load_config(cli.fixture_path("hiv_backward.json"))
+    want = cli.cmd_census(config, exhaustive_networks=True)
+    monkeypatch.setattr(matalg, "is_irreducible", counting)
+    assert cli.cmd_census(config, exhaustive_networks=True) == want
+    assert len(calls) == 3
+
+
 def _fixture_system(name):
     models = cli.build_models(cli.load_config(cli.fixture_path(name)))
     return (models, [equilibria.patch_equilibria(m) for m in models],
