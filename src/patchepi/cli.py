@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,8 +44,26 @@ class ConfigError(ValueError):
 
 
 def _finite(value) -> bool:
-    """A number other than NaN or an infinity (JSON admits all three)."""
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    """A number other than NaN or an infinity (JSON admits all three).
+
+    A JSON boolean is no number here, although Python's bool is an int.
+    """
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _boolean_path(value, path: str) -> Optional[str]:
+    """Path of the first JSON boolean in value, a JSON tree, or None."""
+    if isinstance(value, bool):
+        return path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}", item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    found = (_boolean_path(item, where) for where, item in items)
+    return next((where for where in found if where is not None), None)
 
 
 # ====================================================================
@@ -127,6 +145,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"{path}.family: must be a string")
         if not isinstance(blk.get("params"), dict):
             raise ConfigError(f"{path}.params: must be an object")
+        found = _boolean_path(blk["params"], f"{path}.params")
+        if found is not None:
+            raise ConfigError(f"{found}: must be a number, not a boolean")
 
     netspec = data.get("network")
     if not isinstance(netspec, dict):
@@ -148,13 +169,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     else:
         edges = netspec["edges"]
         r = netspec.get("r", len(patches))
-        if not isinstance(r, int) or r < 1:
+        if type(r) is not int or r < 1:  # bool is an int subclass
             raise ConfigError("network.r: must be a positive integer")
         if not isinstance(edges, list):
             raise ConfigError("network.edges: must be a list of [from, to]")
         for eidx, edge in enumerate(edges):
             if (not isinstance(edge, list) or len(edge) != 2 or
-                    not all(isinstance(v, int) for v in edge)):
+                    not all(type(v) is int for v in edge)):
                 raise ConfigError(
                     f"network.edges[{eidx}]: must be [from, to] integers")
             if not all(1 <= v <= r for v in edge):
@@ -214,7 +235,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError("patterns: must be a list of choice lists")
         for pidx, pat in enumerate(patterns):
             if (not isinstance(pat, list) or len(pat) != len(patches) or
-                    not all(isinstance(c, int) and c >= 0 for c in pat)):
+                    not all(type(c) is int and c >= 0 for c in pat)):
                 raise ConfigError(
                     f"patterns[{pidx}]: must be {len(patches)} nonnegative "
                     "equilibrium indices")
@@ -634,10 +655,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
             raise ConfigError(f"--alpha: {exc}") from exc
         if not all(_finite(a) and a >= 0 for a in alpha_grid):
             raise ConfigError("--alpha: values must be finite and nonnegative")
-    return ExperimentConfig(
-        patches=config.patches, network=net, alpha_grid=alpha_grid,
-        t_end=config.t_end, rtol=config.rtol, atol=config.atol,
-        initial_sets=config.initial_sets, patterns=config.patterns)
+    return replace(config, network=net, alpha_grid=alpha_grid)
 
 
 def _build_parser() -> argparse.ArgumentParser:

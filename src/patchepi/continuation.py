@@ -32,8 +32,7 @@ import numpy as np
 
 from . import matalg
 from .equilibria import EquilibriumPattern, enumerate_patterns, stability_of
-from .model import (InadmissibleStateError, PatchModel,
-                    patch_jacobian, patch_residual, split_state)
+from .model import InadmissibleStateError, PatchModel
 from .network import MobilityNetwork
 from .persist import BranchDerivative
 
@@ -92,64 +91,9 @@ def _check_families(models: Sequence[PatchModel], net: MobilityNetwork):
     return n, m, k
 
 
-def _block_slices(r: int, n: int, m: int, k: int):
-    s = n + m + k
-    return [(slice(i * s, i * s + n),
-             slice(i * s + n, i * s + n + m),
-             slice(i * s + n + m, (i + 1) * s)) for i in range(r)]
-
-
 # ====================================================================
 # Coupled residual and Jacobian
 # ====================================================================
-
-def travel_operator(net: MobilityNetwork, X: np.ndarray) -> np.ndarray:
-    """L(X), the travel part of coupled_residual: a test reference only."""
-    n, m, k = net.block_sizes
-    r = net.r
-    slices = _block_slices(r, n, m, k)
-    out = np.zeros_like(X)
-    for c, pos in ((net.cx, 0), (net.cy, 1), (net.cz, 2)):
-        outflow = c.sum(axis=0)                    # [i, :] = sum_j C^{ji}
-        for i in range(r):
-            sl = slices[i][pos]
-            acc = -outflow[i] * X[sl]
-            for j in range(r):
-                if j != i:
-                    acc = acc + c[i, j] * X[slices[j][pos]]
-            out[sl] = acc
-    return out
-
-
-def coupled_residual(models: Sequence[PatchModel], net: MobilityNetwork,
-                     alpha: float, X: np.ndarray) -> np.ndarray:
-    """Stacked patch residuals plus alpha L(X); the kernel's test reference."""
-    n, m, k = _check_families(models, net)
-    s = n + m + k
-    X = np.asarray(X, dtype=float)
-    if X.shape != (net.r * s,):
-        raise ValueError(f"state length {X.size}, expected {net.r * s}")
-    res = np.empty_like(X)
-    for i, mod in enumerate(models):
-        res[i * s:(i + 1) * s] = patch_residual(
-            mod, split_state(mod, X[i * s:(i + 1) * s]))
-    if alpha != 0.0:
-        res += alpha * travel_operator(net, X)
-    return res
-
-
-def coupled_jacobian(models: Sequence[PatchModel], net: MobilityNetwork,
-                     alpha: float, X: np.ndarray) -> np.ndarray:
-    """Stacked patch Jacobians plus alpha L; the kernel's test reference."""
-    n, m, k = _check_families(models, net)
-    s = n + m + k
-    X = np.asarray(X, dtype=float)
-    J = alpha * travel_matrix(net)
-    for i, mod in enumerate(models):
-        J[i * s:(i + 1) * s, i * s:(i + 1) * s] += patch_jacobian(
-            mod, split_state(mod, X[i * s:(i + 1) * s]))
-    return J
-
 
 def travel_matrix(net: MobilityNetwork) -> np.ndarray:
     """Dense matrix of the linear travel operator L."""
@@ -187,7 +131,8 @@ class CoupledSystem:
 
     X may carry leading batch axes, X[..., r * s]: residual and jacobian
     then evaluate every state of the batch at once, as the multi-start
-    equilibrium search of one patch does (one region, alpha = 0).
+    equilibrium search and the stability classification of one patch's
+    equilibria do (one region, alpha = 0).
     """
 
     def __init__(self, models: Sequence[PatchModel], net: MobilityNetwork):
@@ -256,11 +201,11 @@ class CoupledSystem:
         return ys[..., :, None] * xs[..., None, :], ys, xs, inv_N
 
     def residual(self, alpha: float, X: np.ndarray) -> np.ndarray:
-        """T(alpha, X); equals coupled_residual(models, net, alpha, X)."""
+        """T(alpha, X), the right-hand side of the coupled ODE."""
         return self._residual(alpha, X, self._products(X))
 
     def jacobian(self, alpha: float, X: np.ndarray) -> np.ndarray:
-        """dT/dX at (alpha, X); equals coupled_jacobian(models, net, alpha, X)."""
+        """dT/dX at (alpha, X)."""
         return self._jacobian(alpha, X, self._products(X))
 
     def residual_and_jacobian(self, alpha: float, X: np.ndarray):
@@ -312,17 +257,6 @@ class CoupledSystem:
             for i in np.ndindex(X.shape[:-1]):
                 J[i][rows, rows] += mod.recruitment_jacobian(X[i][rows])
         return J
-
-
-def build_rhs(models: Sequence[PatchModel], net: MobilityNetwork,
-              alpha: float):
-    """Function computing coupled_residual(models, net, alpha, X) fast.
-
-    The coupled system is built once, so repeated evaluation (time
-    integration) skips all construction and validation.
-    """
-    system = CoupledSystem(models, net)
-    return lambda X: system.residual(alpha, X)
 
 
 # ====================================================================

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matalg
 from .model import (HivParams, PatchModel, PatchState, hiv_vaccination,
-                    new_infection_operator, patch_jacobian, split_state)
+                    new_infection_operator, split_state)
 
 # Newton acceptance for a root, and merge distance for duplicates.
 ROOT_RESIDUAL_TOL = 1e-9
@@ -105,11 +105,12 @@ def disease_free_equilibrium(model: PatchModel) -> PatchEquilibrium:
     custom g_func is solved by the damped Newton of continuation, as a
     batch of one row, from the affine seed.
     """
-    y0 = _susceptible_equilibrium(model)
-    state = PatchState(np.zeros(model.n), y0, np.zeros(model.k))
-    stability, invertible = _classify(model, state)
-    return PatchEquilibrium(state=state, kind="disease_free", index=0,
-                            stability=stability, jac_invertible=invertible)
+    return _classified(_patch_system(model), [_dfe_state(model)], 0)[0]
+
+
+def _dfe_state(model: PatchModel) -> PatchState:
+    return PatchState(np.zeros(model.n), _susceptible_equilibrium(model),
+                      np.zeros(model.k))
 
 
 def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
@@ -137,9 +138,7 @@ def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
 
 def local_reproduction_number(model: PatchModel) -> float:
     """Spectral radius of F V^{-1} with F evaluated at the patch DFE."""
-    y0 = _susceptible_equilibrium(model)
-    dfe_state = PatchState(np.zeros(model.n), y0, np.zeros(model.k))
-    F = new_infection_operator(model, dfe_state)
+    F = new_infection_operator(model, _dfe_state(model))
     FVinv = np.linalg.solve(model.V.T, F.T).T
     return matalg.spectral_radius(FVinv)
 
@@ -160,10 +159,33 @@ def stability_of(J: np.ndarray) -> tuple:
     return label.tolist(), top
 
 
-def _classify(model: PatchModel, state: PatchState) -> tuple:
-    J = patch_jacobian(model, state)
-    stability, _ = stability_of(J)
-    return stability, matalg.condition_estimate(J) < matalg.COND_LIMIT
+def _patch_system(model: PatchModel):
+    """The patch's own equations: a one-region CoupledSystem, no travel."""
+    from .continuation import CoupledSystem
+    from .network import from_edges
+
+    return CoupledSystem([model], from_edges([], 1, model.n, model.m,
+                                             model.k))
+
+
+def _classified(system, states: Sequence[PatchState],
+                first_index: int) -> list:
+    """The states as PatchEquilibrium, indexed from first_index (0: DFE).
+
+    One stacked Jacobian of the patch's system at alpha = 0 gives every
+    stability label and, by its condition number, jac_invertible.
+    """
+    if not states:
+        return []
+    J = system.jacobian(0.0, np.array([st.concat() for st in states]))
+    labels, _ = stability_of(J)
+    invertible = (matalg.condition_estimate(J) < matalg.COND_LIMIT).tolist()
+    return [PatchEquilibrium(state=st,
+                             kind="endemic" if idx else "disease_free",
+                             index=idx, stability=label,
+                             jac_invertible=inv)
+            for idx, (st, label, inv) in enumerate(
+                zip(states, labels, invertible), start=first_index)]
 
 
 # ====================================================================
@@ -325,20 +347,23 @@ def endemic_equilibria_generic(model: PatchModel) -> tuple:
 
     Returns (equilibria, discarded) where discarded counts seeds whose
     Newton iteration failed to converge or converged outside the open
-    positive cone; those are dropped silently by design. Newton runs on
-    up to SEED_BATCH seeds at once (_newton_seeds); the acceptance tests
-    then go through the seeds in grid order, so the first seed to reach a
-    root is the one kept.
+    positive cone; those are dropped silently by design.
     """
-    from .continuation import CoupledSystem
-    from .network import from_edges
+    system = _patch_system(model)
+    states, discarded = _generic_roots(model, system, _dfe_state(model))
+    return _classified(system, states, 1), discarded
 
-    y0 = _susceptible_equilibrium(model)
-    scale = float(np.sum(y0))
+
+def _generic_roots(model: PatchModel, system, dfe: PatchState) -> tuple:
+    """(states, discarded): endemic_equilibria_generic's unclassified roots.
+
+    Newton runs on up to SEED_BATCH seeds at once (_newton_seeds) on the
+    patch's system; the acceptance tests then go through the seeds in grid
+    order, so the first seed to reach a root is the one kept.
+    """
+    scale = float(np.sum(dfe.y))
     grid = np.array([0.1 * scale, 1.0 * scale, 10.0 * scale])
-    system = CoupledSystem([model], from_edges([], 1, model.n, model.m,
-                                               model.k))
-    u_dfe = PatchState(np.zeros(model.n), y0, np.zeros(model.k)).concat()
+    u_dfe = dfe.concat()
     # seed i takes grid[d_j] in coordinate j, d its base-3 digits with the
     # last coordinate fastest: the order of itertools.product
     place = 3 ** np.arange(model.size - 1, -1, -1)
@@ -364,14 +389,7 @@ def endemic_equilibria_generic(model: PatchModel) -> tuple:
                        for v in roots):
                 roots.append(u)
     roots.sort(key=lambda u: float(np.sum(u[:model.n])))
-    out = []
-    for idx, u in enumerate(roots, start=1):
-        state = split_state(model, u)
-        stability, invertible = _classify(model, state)
-        out.append(PatchEquilibrium(state=state, kind="endemic", index=idx,
-                                    stability=stability,
-                                    jac_invertible=invertible))
-    return out, discarded
+    return [split_state(model, u) for u in roots], discarded
 
 
 def _state_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -484,21 +502,18 @@ def patch_equilibria(model: PatchModel) -> list:
     """DFE plus endemic states of one patch, as classified equilibria.
 
     The HIV family goes through the scalar force-of-infection reduction;
-    other families use the generic multi-start Newton.
+    other families use the generic multi-start Newton. One system of the
+    patch serves the search and the classification of every state.
     """
-    out = [disease_free_equilibrium(model)]
+    system = _patch_system(model)
+    dfe = _dfe_state(model)
     if model.family == "hiv_vaccination":
         params = HivParams(**model.params)
-        for idx, lam in enumerate(sorted(hiv_lambda_roots(params)), start=1):
-            state = hiv_state_from_lambda(params, lam)
-            stability, invertible = _classify(model, state)
-            out.append(PatchEquilibrium(state=state, kind="endemic", index=idx,
-                                        stability=stability,
-                                        jac_invertible=invertible))
+        endemic = [hiv_state_from_lambda(params, lam)
+                   for lam in sorted(hiv_lambda_roots(params))]
     else:
-        endemic, _ = endemic_equilibria_generic(model)
-        out.extend(endemic)
-    return out
+        endemic, _ = _generic_roots(model, system, dfe)
+    return _classified(system, [dfe] + endemic, 0)
 
 
 def enumerate_patterns(counts: Sequence[int]) -> list:

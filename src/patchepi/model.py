@@ -32,6 +32,10 @@ Built-in families:
 
 Incidence is either mass_action (B constant) or standard (B = beta / N with
 N = sum(y) + sum(x), the population outside the removed classes).
+
+The right-hand side and its Jacobian, of one patch as of a coupled
+system, come from continuation.CoupledSystem alone; this module describes
+patches, and evaluates only F (new_infection_operator).
 """
 from __future__ import annotations
 
@@ -322,66 +326,6 @@ def new_infection_operator(model: PatchModel, s: PatchState) -> np.ndarray:
 def _assemble_F(eta: np.ndarray, y: np.ndarray, B: np.ndarray) -> np.ndarray:
     # eta[p, q] is the n-vector over j; F[j, q] = sum_p eta[p, q, j] y[p] B[p, q]
     return np.einsum("pqj,p,pq->jq", eta, y, B)
-
-
-def patch_residual(model: PatchModel, s: PatchState) -> np.ndarray:
-    """Right-hand side of the patch ODE; the kernel's test reference."""
-    B = transmission_matrix(model, s)
-    F = _assemble_F(model.eta, s.y, B)
-    rx = F @ s.x - model.V @ s.x
-    ry = model.recruitment(s.y) - s.y * (B @ s.x)
-    rz = -model.D @ s.z + model.Z @ s.x
-    return np.concatenate([rx, ry, rz])
-
-
-def patch_jacobian(model: PatchModel, s: PatchState) -> np.ndarray:
-    """Jacobian of patch_residual at a state.
-
-    Analytic apart from dg/dy, which the y-y block takes from
-    recruitment_jacobian. At a disease-free state the upper-left block
-    reduces to F - V and the x-row has no y/z coupling through the
-    incidence terms.
-    """
-    n, m, k = model.n, model.m, model.k
-    B = transmission_matrix(model, s)
-    F = _assemble_F(model.eta, s.y, B)
-    Bx = B @ s.x
-    J = np.zeros((model.size, model.size))
-    sl_x = slice(0, n)
-    sl_y = slice(n, n + m)
-    sl_z = slice(n + m, n + m + k)
-
-    # dB/dw is zero under mass action; -B/N for every x- or y-component
-    # under standard incidence (N = sum y + sum x).
-    if model.incidence == "standard":
-        N = _population(s)
-        dB_scale = -1.0 / N  # dB/dw = dB_scale * B for w in x or y
-    else:
-        dB_scale = 0.0
-
-    # x-rows: d(Fx - Vx)
-    J[sl_x, sl_x] = F - model.V
-    if dB_scale:
-        # sum_q x_q sum_p eta[p,q,j] y_p dB[p,q] = dB_scale * (F x) per j
-        J[sl_x, sl_x] += dB_scale * np.outer(F @ s.x, np.ones(n))
-    for ell in range(m):
-        col = _assemble_F(model.eta[[ell]], np.ones(1), B[[ell]]) @ s.x
-        if dB_scale:
-            col = col + dB_scale * (F @ s.x)
-        J[sl_x, n + ell] = col
-
-    # y-rows: d(g - diag(y) B x)
-    J[sl_y, sl_y] = model.recruitment_jacobian(s.y) - np.diag(Bx)
-    J[sl_y, sl_x] = -s.y[:, None] * B
-    if dB_scale:
-        # d(Bx)_p/dw picks up dB_scale (Bx)_p for every x- or y-component w
-        J[sl_y, sl_x] -= dB_scale * np.outer(s.y * Bx, np.ones(n))
-        J[sl_y, sl_y] -= dB_scale * np.outer(s.y * Bx, np.ones(m))
-
-    # z-rows are exactly linear.
-    J[sl_z, sl_x] = model.Z
-    J[sl_z, sl_z] = -model.D
-    return J
 
 
 def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray],

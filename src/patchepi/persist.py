@@ -246,13 +246,6 @@ def predict(pattern: EquilibriumPattern,
                                                               [pattern])[0]
 
 
-def predict_all(models: Sequence[PatchModel], net: MobilityNetwork,
-                equilibria, R_values: Sequence[float]) -> list:
-    """predict's verdict for every product pattern, in enumerate_patterns
-    order; SystemFacts(models, equilibria, R_values).verdicts(net)."""
-    return SystemFacts(models, equilibria, R_values).verdicts(net)
-
-
 class SystemFacts:
     """A system's network-independent verdict facts and the verdict rule.
 

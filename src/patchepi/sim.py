@@ -6,12 +6,13 @@ module are rest points of these trajectories. The coupled system is stiff
 so the integrator is the linearly implicit Rosenbrock method Rodas4
 (Hairer & Wanner, Solving ODEs II, sec. VI.4): order 4 with an embedded
 order-3 solution, stiffly accurate, driven by the analytic Jacobian of the
-coupled system (continuation.CoupledSystem, built once per trajectory) at
-the start of each step, with one inverse of I/(h gamma) - J per trial
-step. A trial step evaluates the right-hand side at its five later
-stages; the first stage reuses the right-hand side at the step's start.
-An accepted point evaluates the right-hand side and the Jacobian
-together, from one set of incidence products.
+coupled system at the start of each step, with one inverse of
+I/(h gamma) - J per trial step. A trajectory builds one
+continuation.CoupledSystem and takes everything from it: a trial step
+evaluates its residual at the five later stages (the first stage reuses
+the right-hand side at the step's start), and an accepted point evaluates
+the residual and the Jacobian together, from one set of incidence
+products.
 
 Step control has one model-specific twist: an accepted step may not take
 any component below -1e-9. Undershoots trigger step rejection rather
@@ -25,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .continuation import CoupledSystem, build_rhs
+from .continuation import CoupledSystem
 from .model import InadmissibleStateError, PatchModel
 from .network import MobilityNetwork
 
@@ -185,10 +187,11 @@ def integrate(models: Sequence[PatchModel], net: MobilityNetwork,
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
 
-    rhs = build_rhs(models, net, alpha)
     system = CoupledSystem(models, net)
     order = _susceptible_first(models, net.r)
     in_order = np.ix_(order, order)
+
+    rhs = partial(system.residual, alpha)
 
     def point(Y):
         f, J = system.residual_and_jacobian(alpha, Y)

@@ -97,3 +97,18 @@ def marginal_beta1(tol_digits=60):
 def random_admissible_state(mod, rng, scale=5.0):
     """Strictly positive random state, safe for standard incidence."""
     return np.abs(rng.normal(scale, 2.0, size=mod.size)) + 0.5
+
+
+@pytest.fixture
+def coupled_systems_built(monkeypatch):
+    """A list that gains one entry per CoupledSystem construction."""
+    from patchepi import continuation
+    built = []
+    init = continuation.CoupledSystem.__init__
+
+    def counting(self, models, net):
+        built.append(net.r)
+        init(self, models, net)
+
+    monkeypatch.setattr(continuation.CoupledSystem, "__init__", counting)
+    return built

@@ -491,6 +491,40 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# where a JSON boolean goes in hiv_backward.json: field named by the
+# error, key path into the config, value put there
+EDGES = [[1, 2], [2, 3]]
+BOOLEAN_CASES = [
+    ("alpha_grid", ["alpha_grid"], [0, True]),
+    ("t_end", ["t_end"], True),
+    ("rtol", ["rtol"], True),
+    ("atol", ["atol"], True),
+    ("network.weight", ["network"], {"edges": EDGES, "weight": True}),
+    ("network.r", ["network"], {"edges": EDGES, "r": True}),
+    ("network.edges[0]", ["network"], {"edges": [[True, 2]]}),
+    ("patterns[0]", ["patterns"], [[True, 0, 0]]),
+    ("initial_sets[0].regions[0]", ["initial_sets", 0, "regions", 0, 0],
+     True),
+    ("patches[0].params.beta1", ["patches", 0, "params", "beta1"], True),
+]
+
+
+@pytest.mark.parametrize("field, keys, value", BOOLEAN_CASES,
+                         ids=[case[0] for case in BOOLEAN_CASES])
+def test_json_boolean_is_not_a_number(field, keys, value, tmp_path, capsys):
+    # Python's bool is an int, so true would otherwise pass as 1
+    data = fixture_dict("hiv_backward.json")
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    cfgp = tmp_path / "boolean.json"
+    cfgp.write_text(json.dumps(data))
+    assert cli.main(["analyze", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}") and "Traceback" not in err
+
+
 def test_main_numerical_failure_exit_3(tmp_path, capsys):
     # a patch pinned to R = 1 makes the strict exhaustive count refuse
     data = fixture_dict("hiv_backward.json")

@@ -3,8 +3,10 @@ import pytest
 
 from conftest import (BACKWARD_TRIPLE, MIXED_TRIPLE, hiv_net, hiv_system,
                       marginal_beta1)
-from patchepi import continuation, equilibria, network, persist
+from patchepi import continuation, equilibria, matalg, network, persist
 from patchepi.equilibria import EquilibriumPattern
+from reference import (coupled_jacobian, coupled_residual, patch_jacobian,
+                       travel_operator)
 
 # frozen cross-check values for the mixed regime on fig3b, pattern (0,1,0)
 EXIT_MIN_AT_1E6 = -3.0888950017712716e-09
@@ -29,7 +31,7 @@ def test_product_states_are_equilibria_at_alpha_zero(mixed):
     worst = 0.0
     for pat in equilibria.enumerate_patterns([len(e) - 1 for e in eqs]):
         X0 = continuation.product_state(pat, eqs)
-        res = continuation.coupled_residual(models, net, 0.0, X0)
+        res = coupled_residual(models, net, 0.0, X0)
         worst = max(worst, float(np.max(np.abs(res))))
     assert worst < 1e-9
 
@@ -38,7 +40,7 @@ def test_travel_conserves_every_compartment(mixed):
     models, eqs, R, net = mixed
     rng = np.random.default_rng(4)
     X = np.abs(rng.normal(5.0, 2.0, size=21)) + 0.5
-    travel = continuation.travel_operator(net, X).reshape(3, 7)
+    travel = travel_operator(net, X).reshape(3, 7)
     assert np.max(np.abs(travel.sum(axis=0))) < 1e-12
     # the dense operator matches and its columns sum to zero
     L = continuation.travel_matrix(net)
@@ -51,15 +53,15 @@ def test_coupled_jacobian_matches_finite_differences(mixed):
     rng = np.random.default_rng(7)
     X = np.abs(rng.normal(5.0, 2.0, size=21)) + 0.5
     alpha = 3e-3
-    J = continuation.coupled_jacobian(models, net, alpha, X)
+    J = coupled_jacobian(models, net, alpha, X)
     Jfd = np.zeros_like(J)
     for c in range(21):
         h = 1e-6 * (1.0 + abs(X[c]))
         Xp, Xm = X.copy(), X.copy()
         Xp[c] += h
         Xm[c] -= h
-        Jfd[:, c] = (continuation.coupled_residual(models, net, alpha, Xp) -
-                     continuation.coupled_residual(models, net, alpha, Xm)) / (2 * h)
+        Jfd[:, c] = (coupled_residual(models, net, alpha, Xp) -
+                     coupled_residual(models, net, alpha, Xm)) / (2 * h)
     assert np.max(np.abs(J - Jfd)) < 1e-5
 
 
@@ -99,23 +101,20 @@ def _kernel_cases():
     }
 
 
-def _forbid_reference_path(mp):
-    """Make the per-patch reference functions raise when called."""
+def test_package_keeps_no_reference_equations():
+    # the reference lives in tests/reference.py; the package evaluates the
+    # model equations through CoupledSystem only
     from patchepi import model
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("CoupledSystem called a per-patch reference")
-
     for module in (continuation, model):
-        for name in ("coupled_residual", "coupled_jacobian",
-                     "patch_residual", "patch_jacobian"):
-            if hasattr(module, name):
-                mp.setattr(module, name, forbidden)
+        for name in ("patch_residual", "patch_jacobian", "coupled_residual",
+                     "coupled_jacobian", "travel_operator", "_block_slices",
+                     "build_rhs"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 @pytest.mark.parametrize("case", sorted(_kernel_cases()))
-def test_kernel_jacobian_matches_stacked_patch_jacobians(case, monkeypatch):
-    from patchepi.model import patch_jacobian, split_state
+def test_kernel_jacobian_matches_stacked_patch_jacobians(case):
+    from patchepi.model import split_state
     models, net = _kernel_cases()[case]
     system = continuation.CoupledSystem(models, net)
     s = models[0].size
@@ -127,26 +126,37 @@ def test_kernel_jacobian_matches_stacked_patch_jacobians(case, monkeypatch):
             ref[i * s:(i + 1) * s, i * s:(i + 1) * s] += patch_jacobian(
                 mod, split_state(mod, X[i * s:(i + 1) * s]))
         assert np.max(np.abs(
-            continuation.coupled_jacobian(models, net, alpha, X) - ref)) \
+            coupled_jacobian(models, net, alpha, X) - ref)) \
             <= 1e-13 * np.max(np.abs(ref))
-        res = continuation.coupled_residual(models, net, alpha, X)
-        # a leading batch axis evaluates every state of the stack; neither
-        # form may fall back on the per-patch reference functions
+        res = coupled_residual(models, net, alpha, X)
+        # a leading batch axis evaluates every state of the stack
         Xs = np.stack([X, 2.0 * X, X + 1.0])
-        with monkeypatch.context() as mp:
-            _forbid_reference_path(mp)
-            J, R = system.jacobian(alpha, X), system.residual(alpha, X)
-            batched = zip(system.jacobian(alpha, Xs),
-                          system.residual(alpha, Xs), Xs)
-            single = [(Jb, Rb, system.jacobian(alpha, Xi),
-                       system.residual(alpha, Xi)) for Jb, Rb, Xi in batched]
-            admissible = system.admissible(Xs).tolist()
+        J, R = system.jacobian(alpha, X), system.residual(alpha, X)
+        batched = zip(system.jacobian(alpha, Xs),
+                      system.residual(alpha, Xs), Xs)
+        single = [(Jb, Rb, system.jacobian(alpha, Xi),
+                   system.residual(alpha, Xi)) for Jb, Rb, Xi in batched]
+        admissible = system.admissible(Xs).tolist()
         assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref)), alpha
         assert np.max(np.abs(R - res)) <= 1e-13 * (1.0 + np.max(np.abs(res)))
         assert admissible == [True] * 3
         for Jb, Rb, Ji, Ri in single:
             assert np.max(np.abs(Jb - Ji)) <= 1e-13 * np.max(np.abs(Ji))
             assert np.max(np.abs(Rb - Ri)) <= 1e-13 * (1.0 + np.max(np.abs(Ri)))
+
+
+@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+def test_patch_classification_matches_reference_jacobian(case):
+    # patch_equilibria classifies through the one-region kernel; the
+    # per-patch reference Jacobian gives every state the same label and
+    # invertibility
+    models, _ = _kernel_cases()[case]
+    for mod in {id(mod): mod for mod in models}.values():
+        for eq in equilibria.patch_equilibria(mod):
+            J = patch_jacobian(mod, eq.state)
+            assert eq.stability == equilibria.stability_of(J)[0], eq.index
+            assert eq.jac_invertible == (
+                matalg.condition_estimate(J) < matalg.COND_LIMIT), eq.index
 
 
 @pytest.mark.parametrize("case", sorted(_kernel_cases()))
@@ -173,12 +183,13 @@ def test_kernel_results_own_their_memory(case):
 
 def test_fast_rhs_agrees_with_reference(mixed):
     models, eqs, R, net = mixed
-    rhs = continuation.build_rhs(models, net, 3e-4)
+    system = continuation.CoupledSystem(models, net)
     rng = np.random.default_rng(12)
     for _ in range(20):
         X = np.abs(rng.normal(5.0, 2.0, size=21)) + 0.1
-        ref = continuation.coupled_residual(models, net, 3e-4, X)
-        assert np.max(np.abs(rhs(X) - ref)) < 1e-12 * (1.0 + np.max(np.abs(ref)))
+        ref = coupled_residual(models, net, 3e-4, X)
+        assert (np.max(np.abs(system.residual(3e-4, X) - ref))
+                < 1e-12 * (1.0 + np.max(np.abs(ref))))
 
 
 def test_fast_rhs_heterogeneous_families():
@@ -189,12 +200,13 @@ def test_fast_rhs_heterogeneous_families():
               model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05),
               model.multistrain(b, gam, Lam, mu)]
     net = network.preset("fig3c", n=2, m=1, k=1)
-    rhs = continuation.build_rhs(models, net, 2e-3)
+    system = continuation.CoupledSystem(models, net)
     rng = np.random.default_rng(9)
     for _ in range(10):
         X = np.abs(rng.normal(3.0, 1.0, size=12)) + 0.1
-        ref = continuation.coupled_residual(models, net, 2e-3, X)
-        assert np.max(np.abs(rhs(X) - ref)) < 1e-12 * (1.0 + np.max(np.abs(ref)))
+        ref = coupled_residual(models, net, 2e-3, X)
+        assert (np.max(np.abs(system.residual(2e-3, X) - ref))
+                < 1e-12 * (1.0 + np.max(np.abs(ref))))
 
 
 def test_sole_witness_branch_exits_at_cone(mixed):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import BASE, hiv_patch, hiv_eqs, hiv_R
 from patchepi import equilibria, model
 from patchepi.model import HivParams, PatchState
+from reference import patch_residual
 
 
 def scalar_force_residual(params: HivParams, lam: float) -> float:
@@ -76,7 +77,7 @@ def test_hiv_roots_satisfy_independent_back_substitution():
             # reconstructed full state is a steady state of the patch ODE
             state = equilibria.hiv_state_from_lambda(params, lam)
             mod = hiv_patch(beta1)
-            assert np.max(np.abs(model.patch_residual(mod, state))) < 1e-9
+            assert np.max(np.abs(patch_residual(mod, state))) < 1e-9
             assert np.all(state.concat() > 0)
 
 
@@ -202,6 +203,21 @@ def test_generic_discards_boundary_roots():
     assert roots == [] and discarded == 81
 
 
+@pytest.mark.parametrize("family", ["hiv_vaccination", "multigroup"])
+def test_one_coupled_system_per_patch_equilibria(family,
+                                                 coupled_systems_built):
+    # the search (generic families) and the classification of every state
+    # share the patch's one-region system
+    if family == "hiv_vaccination":
+        mod = hiv_patch(0.85)
+    else:
+        mod = model.multigroup([[0.02, 0.01], [0.005, 0.03]], [1.0, 0.8],
+                               0.05, 0.05)
+    eqs = equilibria.patch_equilibria(mod)
+    assert len(eqs) == (3 if family == "hiv_vaccination" else 2)
+    assert coupled_systems_built == [1]
+
+
 # Generic patches of the benchmark catalog: (family, parameters, endemic
 # roots, discarded seeds) as the one-seed-at-a-time damped Newton found them.
 GENERIC_CATALOG = [
@@ -234,7 +250,7 @@ def test_generic_search_roots_and_discards(family, params, nroots, discarded):
     roots, got = equilibria.endemic_equilibria_generic(mod)
     assert (len(roots), got) == (nroots, discarded)
     for eq in roots:
-        assert np.max(np.abs(model.patch_residual(mod, eq.state))) <= 1e-9
+        assert np.max(np.abs(patch_residual(mod, eq.state))) <= 1e-9
         assert np.all(eq.state.concat() > 0)
 
 

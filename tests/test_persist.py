@@ -229,7 +229,8 @@ def test_all_pattern_verdicts_match_per_pattern_predict(system):
     for net in network.enumerate_networks(3, n=mod.n, m=mod.m, k=mod.k):
         want = [persist.predict(pat, models, net, equilibria=eqs, R_values=R)
                 for pat in equilibria.enumerate_patterns(counts)]
-        assert persist.predict_all(models, net, eqs, R) == want, net.name
+        assert (persist.SystemFacts(models, eqs, R).verdicts(net)
+                == want), net.name
         rules.update(v.rule for v in want)
         if any(v.verdict == "indeterminate" for v in want):
             with pytest.raises(RuntimeError, match=repr(net.name)):
@@ -259,7 +260,7 @@ def test_classify_pattern_runs_once_per_eat_set(monkeypatch):
         return real(net, pattern)
 
     monkeypatch.setattr(persist, "classify_pattern", counting)
-    assert persist.predict_all(models, net, eqs, R) == want
+    assert persist.SystemFacts(models, eqs, R).verdicts(net) == want
     # 27 patterns, 8 EAT sets; the all-EAT set needs no classification
     assert len(patterns) == 27
     assert sorted(calls) == sorted(set(calls)) and len(calls) == 7

@@ -51,6 +51,15 @@ def test_trajectory_structure(backward):
     assert traj.terminal_classification == "unresolved"  # nothing supplied
 
 
+def test_one_coupled_system_per_trajectory(backward, coupled_systems_built):
+    # the stage right-hand sides and the Jacobians share one kernel
+    models, eqs, net = backward
+    for k, alpha in enumerate((0.0, 1e-3), start=1):
+        sim.integrate(models, net, alpha, np.array(RL1_SETS["blue"]),
+                      t_end=5.0)
+        assert coupled_systems_built == [3] * k
+
+
 def test_rl1_terminal_census_alpha_zero(backward, product_labels):
     """Four seeded runs of the decoupled backward regime reach three
     distinct product states; nonnegativity holds along every trajectory."""
