@@ -343,7 +343,7 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
     patches = []
     for idx, mod in enumerate(models):
         eqs = equilibria.patch_equilibria(mod)
-        report = equilibria.bifurcation_report(mod, equilibria=eqs)
+        report = equilibria.bifurcation_report(mod, eqs)
         dfe = eqs[0]
         entry = {
             "region": idx + 1,
@@ -381,15 +381,14 @@ def cmd_census(config: ExperimentConfig,
     models = build_models(config)
     net = build_network(config, models)
     eqs = [equilibria.patch_equilibria(mod) for mod in models]
-    R = [equilibria.local_reproduction_number(mod) for mod in models]
     counts = [len(e) - 1 for e in eqs]
-    facts = persist.SystemFacts(models, eqs, R)
+    facts = persist.SystemFacts(models, eqs)
     verdicts = facts.verdicts(net)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "census",
         "network": _network_report(net),
-        "R": list(R),
+        "R": list(facts.R_values),
         "per_patch_endemic_counts": counts,
         "patterns": [_verdict_report(v) for v in verdicts],
         "persisting_count": sum(v.verdict == "persists" for v in verdicts),
@@ -432,7 +431,7 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
     models = build_models(config)
     net = build_network(config, models)
     eqs = [equilibria.patch_equilibria(mod) for mod in models]
-    R = [equilibria.local_reproduction_number(mod) for mod in models]
+    facts = persist.SystemFacts(models, eqs)
     counts = [len(e) - 1 for e in eqs]
     if config.patterns is not None:
         pats = []
@@ -446,7 +445,7 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
     else:
         pats = list(equilibria.enumerate_patterns(counts))
     targets = sorted(a for a in config.alpha_grid if a > 0)
-    verdicts = persist.SystemFacts(models, eqs, R).verdicts(net, pats)
+    verdicts = facts.verdicts(net, pats)
     records = continuation.continue_branches(pats, models, net, targets,
                                              equilibria=eqs)
     branches = []
@@ -491,7 +490,7 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
         "command": "continue",
         "network": _network_report(net),
         "alpha_grid": list(config.alpha_grid),
-        "R": list(R),
+        "R": list(facts.R_values),
         "branches": branches,
         "mismatches": mismatches,
         "failures": failures,
@@ -601,12 +600,13 @@ def _empty_regions(system: continuation.CoupledSystem,
 
 
 def _classified_equilibria(models, net, eqs, alpha):
-    """Labeled equilibria at the given alpha for terminal classification."""
+    """Labeled equilibria at the given alpha for terminal classification.
+
+    At alpha = 0 continue_branches drops the whole ladder, so each record
+    holds just its alpha-0 point.
+    """
     patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
     labels = [f"pattern_{pattern_label(pat.choices)}" for pat in patterns]
-    if alpha == 0.0:
-        return [(label, continuation.product_state(pat, eqs))
-                for label, pat in zip(labels, patterns)]
     records = continuation.continue_branches(
         patterns, models, net, [alpha / 100.0, alpha / 10.0, alpha],
         equilibria=eqs)
@@ -711,10 +711,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (matalg.SingularMatrixError, equilibria.DegenerateModelError,
-            equilibria.NoFoldError, continuation.HypothesisViolationError,
-            continuation.CorrectionFailureError,
-            sim.StepSizeUnderflowError, RuntimeError) as exc:
+    except (matalg.SingularMatrixError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if args.out:
             partial = {"schema_version": SCHEMA_VERSION,

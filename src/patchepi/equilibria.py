@@ -253,18 +253,6 @@ def hiv_lambda_roots(params: HivParams) -> list:
     return roots
 
 
-def endemic_equilibria_hiv(params: HivParams) -> BifurcationReport:
-    """Endemic-root census of one HIV patch.
-
-    An empty root list is a valid outcome (below the backward window).
-    """
-    model = hiv_vaccination(params)
-    R = local_reproduction_number(model)
-    roots = tuple(sorted(hiv_lambda_roots(params)))
-    regime = _regime_from(R, len(roots))
-    return BifurcationReport(R_local=R, regime=regime, endemic_lambdas=roots)
-
-
 def _regime_from(R: float, nroots: int) -> str:
     if nroots == 0:
         return "below_Rc"
@@ -276,8 +264,8 @@ def _regime_from(R: float, nroots: int) -> str:
         f"unclassifiable root census: R={R}, {nroots} positive roots")
 
 
-def estimate_Rc(params: HivParams, bifurcation_param: str = "beta1",
-                param_range: tuple = (0.5, 0.85)) -> float:
+def estimate_Rc(params: HivParams, bifurcation_param: str,
+                param_range: tuple) -> float:
     """Locate the fold of the backward bifurcation.
 
     Bisects the named parameter on the 0-to-2 change in the number of
@@ -308,34 +296,31 @@ def estimate_Rc(params: HivParams, bifurcation_param: str = "beta1",
     return local_reproduction_number(model)
 
 
-def bifurcation_report(model: PatchModel,
-                       equilibria=None) -> BifurcationReport:
+def bifurcation_report(model: PatchModel, equilibria) -> BifurcationReport:
     """Root census and regime of one patch, any family.
 
-    The HIV family gets its force-of-infection roots and, inside the
-    backward window, a fold estimate from a parameter sweep below the
-    configured transmission rate. Other families classify the regime
-    from the endemic root count alone, taken from equilibria (the
-    patch_equilibria of this model) when given instead of a new search.
+    equilibria, the patch_equilibria of this model, give the endemic root
+    count that classifies the regime. The HIV family adds its
+    force-of-infection roots and, inside the backward window, a fold
+    estimate from a parameter sweep below the configured transmission
+    rate.
     """
-    if model.family == "hiv_vaccination":
-        params = HivParams(**model.params)
-        report = endemic_equilibria_hiv(params)
-        if report.regime == "backward_window":
-            try:
-                rc = estimate_Rc(params, "beta1",
-                                 (0.5 * params.beta1, params.beta1))
-            except NoFoldError:
-                rc = None
-            return replace(report, R_c_estimate=rc)
-        return report
     R = local_reproduction_number(model)
-    if equilibria is None:
-        nroots = len(endemic_equilibria_generic(model)[0])
-    else:
-        nroots = len(equilibria) - 1
-    return BifurcationReport(R_local=R, regime=_regime_from(R, nroots),
-                             endemic_lambdas=())
+    regime = _regime_from(R, len(equilibria) - 1)
+    if model.family != "hiv_vaccination":
+        return BifurcationReport(R_local=R, regime=regime, endemic_lambdas=())
+    params = HivParams(**model.params)
+    rc = None
+    if regime == "backward_window":
+        try:
+            rc = estimate_Rc(params, "beta1",
+                             (0.5 * params.beta1, params.beta1))
+        except NoFoldError:
+            pass
+    return BifurcationReport(
+        R_local=R, regime=regime,
+        endemic_lambdas=tuple(sorted(hiv_lambda_roots(params))),
+        R_c_estimate=rc)
 
 
 # ====================================================================

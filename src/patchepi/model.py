@@ -118,9 +118,10 @@ class PatchModel:
             raise ValueError("V/D/Z dimensions inconsistent with (n, m, k)")
         if self.eta.shape != (m, n, n) or self.beta.shape != (m, n):
             raise ValueError("eta/beta dimensions inconsistent with (n, m, k)")
-        if not matalg.z_pattern_check(self.V):
+        v_report = matalg.m_matrix_report(self.V)
+        if not v_report.is_Z_pattern:
             raise ValueError("V must have the Z sign pattern")
-        if not matalg.m_matrix_report(self.V).is_nonsingular_M:
+        if not v_report.is_nonsingular_M:
             raise ValueError("V must be a nonsingular M-matrix")
         if np.any(self.V.sum(axis=0) < -matalg.ZERO_TOL):
             raise ValueError("V must have nonnegative column sums")

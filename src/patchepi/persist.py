@@ -74,7 +74,6 @@ class PersistenceVerdict:
     verdict: str                       # "persists" | "vanishes" | "indeterminate"
     rule: str
     witness: Optional[PersistenceWitness] = None
-    R_values: tuple = ()
 
 
 def _sign_class(value: np.ndarray) -> str:
@@ -225,7 +224,7 @@ def derivative_chain(pattern: EquilibriumPattern,
 def predict(pattern: EquilibriumPattern,
             models: Sequence[PatchModel],
             net: MobilityNetwork,
-            equilibria,
+            equilibria, *,
             R_values: Optional[Sequence[float]] = None) -> PersistenceVerdict:
     """Persistence verdict for one product pattern.
 
@@ -236,33 +235,33 @@ def predict(pattern: EquilibriumPattern,
     was reached: via the complete-network or direct-inflow corollaries,
     via general reachability, or via the direct derivative fallback used
     when some patch violates the V - F irreducibility assumption.
-    equilibria holds each patch's patch_equilibria; R_values, each
-    patch's local reproduction number, is computed when not given.
+    equilibria holds each patch's patch_equilibria; SystemFacts derives
+    each patch's local R from its model. R_values is accepted only from
+    callers that still pass those numbers in, and must equal them.
     """
     if len(pattern.choices) != net.r:
         raise ValueError(f"pattern has {len(pattern.choices)} regions, "
                          f"the network {net.r}")
-    return SystemFacts(models, equilibria, R_values).verdicts(net,
-                                                              [pattern])[0]
+    facts = SystemFacts(models, equilibria)
+    if R_values is not None and tuple(R_values) != facts.R_values:
+        raise ValueError("R_values differ from the patches' own local R")
+    return facts.verdicts(net, [pattern])[0]
 
 
 class SystemFacts:
     """A system's network-independent verdict facts and the verdict rule.
 
-    The local R values and the V - F irreducibility of every patch are
-    settled once. verdicts and persisting_count then apply the rule on
-    any network, settling only its adjacency and the classification of
-    each EAT set. equilibria holds each patch's patch_equilibria;
-    R_values, each patch's local reproduction number, is computed when
-    not given.
+    The local R values (each patch's local_reproduction_number) and the
+    V - F irreducibility of every patch are settled once. verdicts and
+    persisting_count then apply the rule on any network, settling only
+    its adjacency and the classification of each EAT set. equilibria
+    holds each patch's patch_equilibria.
     """
 
-    def __init__(self, models: Sequence[PatchModel], equilibria,
-                 R_values: Optional[Sequence[float]] = None):
-        if R_values is None:
-            R_values = [local_reproduction_number(mod) for mod in models]
+    def __init__(self, models: Sequence[PatchModel], equilibria):
         self.models, self.equilibria = models, equilibria
-        self.R_values = tuple(float(R) for R in R_values)
+        self.R_values = tuple(local_reproduction_number(mod)
+                              for mod in models)
         self.irreducible = all(matalg.is_irreducible(_v_minus_f(mod, eqs))
                                for mod, eqs in zip(models, equilibria))
 
@@ -274,8 +273,7 @@ class SystemFacts:
         else of the pattern.
         """
         for what, seq in (("models", self.models),
-                          ("equilibria", self.equilibria),
-                          ("R_values", self.R_values)):
+                          ("equilibria", self.equilibria)):
             if len(seq) != net.r:
                 raise ValueError(f"{what} has {len(seq)} entries, "
                                  f"the network {net.r} regions")
@@ -315,8 +313,7 @@ class SystemFacts:
         R_values = self.R_values
         if pattern.is_all_endemic:
             return PersistenceVerdict(pattern=pattern, verdict="persists",
-                                      rule="positive_theorem_4_2",
-                                      R_values=R_values)
+                                      rule="positive_theorem_4_2")
 
         cls = classify(pattern)
         if not self.irreducible:
@@ -333,8 +330,7 @@ class SystemFacts:
                 return PersistenceVerdict(pattern=pattern,
                                           verdict="indeterminate", rule=rule,
                                           witness=PersistenceWitness(
-                                              region=i, local_R=R_values[i]),
-                                          R_values=R_values)
+                                              region=i, local_R=R_values[i]))
 
         offenders = [i for i in dfat
                      if cls.reachable_from_eat[i] and R_values[i] > 1.0]
@@ -344,10 +340,9 @@ class SystemFacts:
                                          local_R=R_values[region],
                                          path=cls.eat_paths[region])
             return PersistenceVerdict(pattern=pattern, verdict="vanishes",
-                                      rule=rule, witness=witness,
-                                      R_values=R_values)
+                                      rule=rule, witness=witness)
         return PersistenceVerdict(pattern=pattern, verdict="persists",
-                                  rule=rule, R_values=R_values)
+                                  rule=rule)
 
 
 def _corollary_rule(adj: np.ndarray, cls, dfat) -> str:
@@ -360,7 +355,7 @@ def _corollary_rule(adj: np.ndarray, cls, dfat) -> str:
     return "corollary_general"
 
 
-def _predict_by_derivatives(pattern, models, net, equilibria, R_values, cls):
+def _predict_by_derivatives(pattern, models, net, equilibria, R, cls):
     """Fallback for reducible V - F: read the verdict off the derivative
     chain directly, up to order r - 1.
 
@@ -375,14 +370,14 @@ def _predict_by_derivatives(pattern, models, net, equilibria, R_values, cls):
         chain = derivative_chain(pattern, models, net, equilibria)
     except (DegenerateThresholdError, ChainPreconditionError):
         return PersistenceVerdict(pattern=pattern, verdict="indeterminate",
-                                  rule="derivative_direct", R_values=R_values)
+                                  rule="derivative_direct")
     unresolved = None
     for i, der in chain.items():
         if der.sign_class == "has_negative":
-            witness = PersistenceWitness(region=i, local_R=R_values[i])
+            witness = PersistenceWitness(region=i, local_R=R[i])
             return PersistenceVerdict(pattern=pattern, verdict="vanishes",
                                       rule="derivative_direct",
-                                      witness=witness, R_values=R_values)
+                                      witness=witness)
         if der.sign_class == "nonneg_mixed":
             unresolved = i
         elif der.sign_class == "zero" and cls.reachable_from_eat[i]:
@@ -392,20 +387,18 @@ def _predict_by_derivatives(pattern, models, net, equilibria, R_values, cls):
                                   rule="derivative_direct",
                                   witness=PersistenceWitness(
                                       region=unresolved,
-                                      local_R=R_values[unresolved]),
-                                  R_values=R_values)
+                                      local_R=R[unresolved]))
     return PersistenceVerdict(pattern=pattern, verdict="persists",
-                              rule="derivative_direct", R_values=R_values)
+                              rule="derivative_direct")
 
 
 def count_persisting(models: Sequence[PatchModel], net: MobilityNetwork,
-                     equilibria, R_values: Sequence[float]) -> int:
+                     equilibria) -> int:
     """Number of product patterns (DFE included) that persist.
 
-    equilibria and R_values hold each patch's patch_equilibria and local
-    reproduction number. Raises if any pattern comes back indeterminate;
-    callers scanning regimes should stay clear of R = 1. A scan over many
-    networks of one system settles the patch facts once through
-    SystemFacts(models, equilibria, R_values).persisting_count(net).
+    equilibria holds each patch's patch_equilibria. Raises if any pattern
+    comes back indeterminate; callers scanning regimes should stay clear
+    of R = 1. A scan over many networks of one system settles the patch
+    facts once through SystemFacts(models, equilibria).persisting_count(net).
     """
-    return SystemFacts(models, equilibria, R_values).persisting_count(net)
+    return SystemFacts(models, equilibria).persisting_count(net)

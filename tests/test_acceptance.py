@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (BACKWARD_TRIPLE, BASE, MIXED_TRIPLE, REGIME_BETA1,
-                      hiv_eqs, hiv_net, hiv_patch, hiv_R, hiv_system,
+                      hiv_eqs, hiv_net, hiv_patch, hiv_system,
                       random_admissible_state)
 from patchepi import (cli, continuation, equilibria, matalg, model, network,
                       persist, sim)
@@ -25,7 +25,8 @@ def test_01_patch_reproduction_numbers():
     window = model.hiv_vaccination(model.HivParams(**BASE))
     R_above = equilibria.local_reproduction_number(above)
     R_window = equilibria.local_reproduction_number(window)
-    R_c = equilibria.bifurcation_report(window).R_c_estimate
+    R_c = equilibria.bifurcation_report(
+        window, equilibria.patch_equilibria(window)).R_c_estimate
     assert R_above == pytest.approx(1.12, abs=5e-3)
     assert R_c is not None and R_c < R_window < 1.0
     assert time.perf_counter() - t0 < 1.0
@@ -34,7 +35,8 @@ def test_01_patch_reproduction_numbers():
 def test_02_backward_window_endemic_roots():
     t0 = time.perf_counter()
     mod = model.hiv_vaccination(model.HivParams(**BASE))
-    report = equilibria.bifurcation_report(mod)
+    report = equilibria.bifurcation_report(mod,
+                                           equilibria.patch_equilibria(mod))
     lams = sorted(report.endemic_lambdas)
     assert len(lams) == 2
     assert lams[0] == pytest.approx(0.0195, abs=1e-3)
@@ -61,10 +63,8 @@ def test_03_exhaustive_digraph_regime_census():
     for triple in itertools.product(regimes, repeat=3):
         models = [hiv_patch(b) for b in triple]
         eqs = [list(hiv_eqs(b)) for b in triple]
-        R = [hiv_R(b) for b in triple]
         for net in nets:
-            cnt = persist.count_persisting(models, net, equilibria=eqs,
-                                           R_values=R)
+            cnt = persist.count_persisting(models, net, equilibria=eqs)
             adj = net.adjacency()
             attained.add(cnt)
             if matalg.is_irreducible((adj | adj.T).astype(float)):
@@ -93,12 +93,12 @@ def test_03_exhaustive_digraph_regime_census():
 def test_04_seed_and_spread_network_counts():
     t0 = time.perf_counter()
     models, eqs, R = hiv_system(MIXED_TRIPLE)
-    R_c = equilibria.bifurcation_report(models[0]).R_c_estimate
+    R_c = equilibria.bifurcation_report(models[0], eqs[0]).R_c_estimate
     assert R_c < R[0] < 1.0 and R[1] > 1.0 and R[2] > 1.0
     for name, want in (("fig4a", 4), ("fig4b", 5), ("fig4c", 6),
                        ("fig4d", 7)):
         got = persist.count_persisting(models, hiv_net(name),
-                                       equilibria=eqs, R_values=R)
+                                       equilibria=eqs)
         assert got == want, name
     assert time.perf_counter() - t0 < 10.0
 
@@ -113,7 +113,7 @@ def test_05_predictions_match_continuation():
             net = hiv_net(name)
             for pat in equilibria.enumerate_patterns(counts):
                 predicted = persist.predict(pat, models, net,
-                                            equilibria=eqs, R_values=R)
+                                            equilibria=eqs)
                 rec = continuation.continue_branch(pat, models, net, [1e-6],
                                                    equilibria=eqs)
                 assert rec.failure is None, (triple, name, pat.choices)

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import (BACKWARD_TRIPLE, MIXED_TRIPLE, hiv_net, hiv_system,
                       marginal_beta1)
-from patchepi import continuation, equilibria, matalg, network, persist
+from patchepi import (cli, continuation, equilibria, matalg, network,
+                      persist)
 from patchepi.equilibria import EquilibriumPattern
 from reference import (coupled_jacobian, coupled_residual, patch_jacobian,
                        travel_operator)
@@ -370,11 +371,32 @@ def test_stability_matches_disconnected_classification(backward):
 def test_predict_matches_continuation_fig3b(mixed):
     models, eqs, R, net = mixed
     for pat in equilibria.enumerate_patterns([len(e) - 1 for e in eqs]):
-        v = persist.predict(pat, models, net, equilibria=eqs, R_values=R)
+        v = persist.predict(pat, models, net, equilibria=eqs)
         rec = continuation.continue_branch(pat, models, net, [1e-6],
                                            equilibria=eqs)
         assert rec.failure is None
         assert v.verdict == rec.verdict_observed, pat.choices
+
+
+@pytest.mark.parametrize("fixture", ["hiv_backward.json", "hiv_mixed.json"])
+def test_verdicts_match_continuation_on_every_digraph(fixture):
+    # the verdict rule, with each local R derived by SystemFacts, against
+    # the continued branch at alpha = 1e-6 on all 64 three-region digraphs
+    models = cli.build_models(cli.load_config(cli.fixture_path(fixture)))
+    eqs = [equilibria.patch_equilibria(m) for m in models]
+    patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
+    facts = persist.SystemFacts(models, eqs)
+    mod = models[0]
+    nets = network.enumerate_networks(3, n=mod.n, m=mod.m, k=mod.k)
+    assert len(nets) == 64
+    for net in nets:
+        records = continuation.continue_branches(patterns, models, net,
+                                                 [1e-6], eqs)
+        for verdict, rec in zip(facts.verdicts(net), records, strict=True):
+            where = (net.name, verdict.pattern.choices)
+            assert isinstance(rec, continuation.BranchRecord), where
+            assert rec.failure is None, where
+            assert verdict.verdict == rec.verdict_observed, where
 
 
 def test_marginal_threshold_violates_hypotheses():

@@ -157,19 +157,19 @@ def test_estimate_Rc_backward_window():
 
 
 def test_bifurcation_report_regimes():
-    rep = equilibria.bifurcation_report(hiv_patch(0.85))
+    rep = equilibria.bifurcation_report(hiv_patch(0.85), hiv_eqs(0.85))
     assert rep.regime == "backward_window"
     assert len(rep.endemic_lambdas) == 2 and rep.R_local < 1.0
     assert rep.R_c_estimate is not None and rep.R_c_estimate < rep.R_local
-    rep1 = equilibria.bifurcation_report(hiv_patch(1.0))
+    rep1 = equilibria.bifurcation_report(hiv_patch(1.0), hiv_eqs(1.0))
     assert rep1.regime == "above_one" and len(rep1.endemic_lambdas) == 1
     assert rep1.R_c_estimate is None
-    rep0 = equilibria.bifurcation_report(hiv_patch(0.5))
+    rep0 = equilibria.bifurcation_report(hiv_patch(0.5), hiv_eqs(0.5))
     assert rep0.regime == "below_Rc" and rep0.endemic_lambdas == ()
 
     # generic families report through root counting, no fold estimate
     mg = model.multigroup([[0.06]], 1.0, 0.05, 0.05)
-    repg = equilibria.bifurcation_report(mg)
+    repg = equilibria.bifurcation_report(mg, equilibria.patch_equilibria(mg))
     assert repg.regime == "above_one" and repg.R_local == pytest.approx(12.0, rel=1e-9)
 
 

@@ -93,24 +93,24 @@ def test_predict_verdicts_fig3b(mixed):
     models, eqs, R, net = mixed
     # sole witness: region 3 has R > 1 and is reachable through region 1
     v = persist.predict(EquilibriumPattern((0, 1, 0)), models, net,
-                        equilibria=eqs, R_values=R)
+                        equilibria=eqs)
     assert v.verdict == "vanishes" and v.rule == "corollary_general"
     assert v.witness.region == 2 and v.witness.local_R == pytest.approx(R[2])
     assert v.witness.path == (1, 0, 2)
 
     # all-endemic persists by strict positivity
     v = persist.predict(EquilibriumPattern((1, 1, 1)), models, net,
-                        equilibria=eqs, R_values=R)
+                        equilibria=eqs)
     assert v.verdict == "persists" and v.rule == "positive_theorem_4_2"
 
     # the disconnected DFE always continues
     v = persist.predict(EquilibriumPattern((0, 0, 0)), models, net,
-                        equilibria=eqs, R_values=R)
+                        equilibria=eqs)
     assert v.verdict == "persists"
 
     # only region 1 disease-free, R[0] < 1: nothing can push it out
     v = persist.predict(EquilibriumPattern((0, 1, 1)), models, net,
-                        equilibria=eqs, R_values=R)
+                        equilibria=eqs)
     assert v.verdict == "persists" and v.rule == "corollary_irreducible"
 
 
@@ -118,16 +118,14 @@ def test_predict_rule_depends_on_topology(mixed):
     models, eqs, R, _ = mixed
     pat = EquilibriumPattern((0, 1, 0))
     # complete digraph: strongest corollary
-    v = persist.predict(pat, models, hiv_net("fig3c"), equilibria=eqs,
-                        R_values=R)
+    v = persist.predict(pat, models, hiv_net("fig3c"), equilibria=eqs)
     assert v.verdict == "vanishes" and v.rule == "corollary_complete"
     # every disease-free region fed directly by an endemic one
     v = persist.predict(EquilibriumPattern((1, 0, 0)), models, hiv_net("fig3b"),
-                        equilibria=eqs, R_values=R)
+                        equilibria=eqs)
     assert v.verdict == "vanishes" and v.rule == "corollary_irreducible"
     # region 2 endemic on fig4b: 2 -> 1 -> 3 needs the reachability form
-    v = persist.predict(pat, models, hiv_net("fig4b"), equilibria=eqs,
-                        R_values=R)
+    v = persist.predict(pat, models, hiv_net("fig4b"), equilibria=eqs)
     assert v.verdict == "vanishes" and v.rule == "corollary_general"
     assert v.witness.path == (1, 0, 2)
 
@@ -136,8 +134,7 @@ def test_count_persisting_fixture_networks(mixed):
     models, eqs, R, _ = mixed
     for name, want in [("fig4a", 4), ("fig4b", 5), ("fig4c", 6),
                        ("fig4d", 7), ("fig3c", 4)]:
-        got = persist.count_persisting(models, hiv_net(name), equilibria=eqs,
-                                       R_values=R)
+        got = persist.count_persisting(models, hiv_net(name), equilibria=eqs)
         assert got == want, name
 
 
@@ -146,14 +143,13 @@ def test_count_persisting_backward_regime_all_networks():
     # no region exceeds threshold, so every one of the 27 product states
     # survives on any topology
     for name in ("fig3a", "fig3b", "fig3c", "fig4c"):
-        assert persist.count_persisting(models, hiv_net(name), equilibria=eqs,
-                                        R_values=R) == 27
+        assert persist.count_persisting(models, hiv_net(name),
+                                        equilibria=eqs) == 27
 
 
 def test_count_persisting_census_example():
     models, eqs, R = hiv_system((0.85, 1.0, 0.85))
-    got = persist.count_persisting(models, hiv_net("fig3b"), equilibria=eqs,
-                                   R_values=R)
+    got = persist.count_persisting(models, hiv_net("fig3b"), equilibria=eqs)
     assert got == 10
 
 
@@ -161,22 +157,16 @@ def test_count_persisting_requires_three_regions(mixed):
     models, eqs, R, _ = mixed
     net2 = network.from_edges([(0, 1)], r=2, n=4, m=2, k=1)
     with pytest.raises(ValueError):
-        persist.count_persisting(models[:2], net2, equilibria=eqs[:2],
-                                 R_values=R[:2])
+        persist.count_persisting(models[:2], net2, equilibria=eqs[:2])
 
 
 def test_per_patch_lengths_must_match_network(mixed):
     models, eqs, R, net = mixed
     pat = EquilibriumPattern((0, 1, 0))
     with pytest.raises(ValueError, match="equilibria has 2 entries.* 3 regions"):
-        persist.predict(pat, models, net, equilibria=eqs[:2], R_values=R)
-    with pytest.raises(ValueError, match="R_values has 2 entries.* 3 regions"):
-        persist.predict(pat, models, net, equilibria=eqs, R_values=R[:2])
-    with pytest.raises(ValueError, match="R_values has 2 entries.* 3 regions"):
-        persist.count_persisting(models, net, equilibria=eqs, R_values=R[:2])
+        persist.predict(pat, models, net, equilibria=eqs[:2])
     with pytest.raises(ValueError, match="equilibria has 4 entries.* 3 regions"):
-        persist.count_persisting(models, net, equilibria=eqs + eqs[:1],
-                                 R_values=R)
+        persist.count_persisting(models, net, equilibria=eqs + eqs[:1])
 
 
 def test_is_irreducible_runs_once_per_patch_per_count(mixed, monkeypatch):
@@ -189,8 +179,7 @@ def test_is_irreducible_runs_once_per_patch_per_count(mixed, monkeypatch):
         return real(A)
 
     monkeypatch.setattr(matalg, "is_irreducible", counting)
-    assert persist.count_persisting(models, net, equilibria=eqs,
-                                    R_values=R) == 4
+    assert persist.count_persisting(models, net, equilibria=eqs) == 4
     assert 0 < len(calls) <= net.r
 
 
@@ -227,16 +216,16 @@ def test_all_pattern_verdicts_match_per_pattern_predict(system):
     counts = [len(e) - 1 for e in eqs]
     rules = set()
     for net in network.enumerate_networks(3, n=mod.n, m=mod.m, k=mod.k):
-        want = [persist.predict(pat, models, net, equilibria=eqs, R_values=R)
+        want = [persist.predict(pat, models, net, equilibria=eqs)
                 for pat in equilibria.enumerate_patterns(counts)]
-        assert (persist.SystemFacts(models, eqs, R).verdicts(net)
+        assert (persist.SystemFacts(models, eqs).verdicts(net)
                 == want), net.name
         rules.update(v.rule for v in want)
         if any(v.verdict == "indeterminate" for v in want):
             with pytest.raises(RuntimeError, match=repr(net.name)):
-                persist.count_persisting(models, net, eqs, R)
+                persist.count_persisting(models, net, eqs)
         else:
-            assert persist.count_persisting(models, net, eqs, R) == sum(
+            assert persist.count_persisting(models, net, eqs) == sum(
                 v.verdict == "persists" for v in want), net.name
     if system == "multistrain":
         assert rules == {"derivative_direct"}
@@ -250,7 +239,7 @@ def test_classify_pattern_runs_once_per_eat_set(monkeypatch):
     models, eqs, R = _fixture_system("hiv_backward.json")
     net = cli.build_network(cfg, models)
     patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
-    want = [persist.predict(pat, models, net, equilibria=eqs, R_values=R)
+    want = [persist.predict(pat, models, net, equilibria=eqs)
             for pat in patterns]
     calls = []
     real = persist.classify_pattern
@@ -260,7 +249,7 @@ def test_classify_pattern_runs_once_per_eat_set(monkeypatch):
         return real(net, pattern)
 
     monkeypatch.setattr(persist, "classify_pattern", counting)
-    assert persist.SystemFacts(models, eqs, R).verdicts(net) == want
+    assert persist.SystemFacts(models, eqs).verdicts(net) == want
     # 27 patterns, 8 EAT sets; the all-EAT set needs no classification
     assert len(patterns) == 27
     assert sorted(calls) == sorted(set(calls)) and len(calls) == 7
@@ -272,12 +261,10 @@ def test_relabeling_invariance(mixed):
     edges = network.PRESET_EDGES["fig3b"]
     relabeled = network.from_edges([(perm[f], perm[t]) for f, t in edges],
                                    r=3, n=4, m=2, k=1)
-    base = persist.count_persisting(models, hiv_net("fig3b"), equilibria=eqs,
-                                    R_values=R)
+    base = persist.count_persisting(models, hiv_net("fig3b"), equilibria=eqs)
     got = persist.count_persisting([models[perm.index(i)] for i in range(3)],
                                    relabeled,
-                                   equilibria=[eqs[perm.index(i)] for i in range(3)],
-                                   R_values=[R[perm.index(i)] for i in range(3)])
+                                   equilibria=[eqs[perm.index(i)] for i in range(3)])
     assert got == base
 
 
@@ -286,10 +273,10 @@ def test_marginal_R_is_indeterminate():
     assert abs(R[0] - 1.0) < persist.MARGINAL_R_TOL
     net = hiv_net("fig3b")
     v = persist.predict(EquilibriumPattern((0, 1, 1)), models, net,
-                        equilibria=eqs, R_values=R)
+                        equilibria=eqs)
     assert v.verdict == "indeterminate"
     with pytest.raises(RuntimeError, match="indeterminate.*'fig3b'"):
-        persist.count_persisting(models, net, equilibria=eqs, R_values=R)
+        persist.count_persisting(models, net, equilibria=eqs)
 
 
 def multistrain_system():
@@ -310,14 +297,14 @@ def test_derivative_fallback_for_reducible_patches():
     assert [len(e) - 1 for e in eqs] == [0, 1, 0]
     pat = EquilibriumPattern((0, 1, 0))
     net = network.preset("fig3b", n=2, m=1, k=1)
-    v = persist.predict(pat, models, net, equilibria=eqs, R_values=R)
+    v = persist.predict(pat, models, net, equilibria=eqs)
     assert v.verdict == "vanishes" and v.rule == "derivative_direct"
     assert v.witness.region == 0
 
     # same pattern with no path back from the endemic region: the branch
     # is identically zero on the disease-free blocks and survives
     net4c = network.preset("fig4c", n=2, m=1, k=1)
-    v = persist.predict(pat, models, net4c, equilibria=eqs, R_values=R)
+    v = persist.predict(pat, models, net4c, equilibria=eqs)
     assert v.verdict == "persists" and v.rule == "derivative_direct"
 
 
