@@ -3,8 +3,8 @@
 The package enumerates the product equilibria of disconnected patch
 models, predicts from the mobility network and the local reproduction
 numbers which of them survive once a small amount of travel couples the
-patches, and verifies those predictions by equilibrium continuation,
-branch-derivative checks and time integration.
+patches, and verifies those predictions by equilibrium continuation
+and time integration.
 """
 from . import (cli, continuation, equilibria, matalg, model, network,
                persist, sim)

@@ -428,6 +428,9 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
 
     Returns (report, artifacts): artifacts maps CSV file names to lines.
     """
+    targets = sorted(a for a in config.alpha_grid if a > 0)
+    if not targets:
+        raise ConfigError("alpha_grid: continue needs a positive alpha")
     models = build_models(config)
     net = build_network(config, models)
     eqs = [equilibria.patch_equilibria(mod) for mod in models]
@@ -444,7 +447,6 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
             pats.append(equilibria.EquilibriumPattern(choices))
     else:
         pats = list(equilibria.enumerate_patterns(counts))
-    targets = sorted(a for a in config.alpha_grid if a > 0)
     verdicts = facts.verdicts(net, pats)
     records = continuation.continue_branches(pats, models, net, targets,
                                              equilibria=eqs)
@@ -600,17 +602,10 @@ def _empty_regions(system: continuation.CoupledSystem,
 
 
 def _classified_equilibria(models, net, eqs, alpha):
-    """Labeled equilibria at the given alpha for terminal classification.
-
-    At alpha = 0 continue_branches drops the whole ladder, so each record
-    holds just its alpha-0 point.
-    """
-    patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
-    labels = [f"pattern_{pattern_label(pat.choices)}" for pat in patterns]
-    records = continuation.continue_branches(
-        patterns, models, net, [alpha / 100.0, alpha / 10.0, alpha],
-        equilibria=eqs)
-    return [(label, rec.points[-1].X) for label, rec in zip(labels, records)
+    """Labeled equilibria at the given alpha for terminal classification."""
+    return [(f"pattern_{pattern_label(pat.choices)}", rec.points[-1].X)
+            for pat, rec in continuation.continue_every_pattern(
+                models, net, alpha, eqs)
             if isinstance(rec, continuation.BranchRecord)
             and rec.failure is None and rec.verdict_observed == "persists"]
 

@@ -34,7 +34,6 @@ from . import matalg
 from .equilibria import EquilibriumPattern, enumerate_patterns, stability_of
 from .model import InadmissibleStateError, PatchModel
 from .network import MobilityNetwork
-from .persist import BranchDerivative
 
 NEWTON_TOL = 1e-10        # corrector target, residual sup norm
 ACCEPT_TOL = 1e-9         # accepted-point invariant
@@ -49,10 +48,6 @@ INADMISSIBLE = "standard incidence undefined at N = 0"
 
 class HypothesisViolationError(RuntimeError):
     """Coupled Jacobian singular where the theory requires otherwise."""
-
-
-class CorrectionFailureError(RuntimeError):
-    """Newton corrector failed to reach the residual target."""
 
 
 @dataclass(frozen=True)
@@ -73,10 +68,6 @@ class BranchRecord:
     exit_alpha: Optional[float]
     verdict_observed: Optional[str]   # "persists" | "vanishes"; None if failed
     failure: Optional[str] = None
-
-    @property
-    def complete(self) -> bool:
-        return self.failure is None
 
 
 def _check_families(models: Sequence[PatchModel], net: MobilityNetwork):
@@ -271,9 +262,8 @@ def _newton_correct(residual, jacobian, X0, alpha, admissible=None):
     and jacobian take a stack of rows and return one residual or Jacobian
     per row; residual sees only rows that admissible (all rows if None)
     accepts. The package's one damped Newton for a few unknowns: the
-    branch corrector, the exit refinement, the DFE branch (on the
-    susceptible unknowns) and the disease-free level of a recruitment
-    callback all solve with it.
+    branch corrector, the DFE branch (on the susceptible unknowns) and the
+    disease-free level of a recruitment callback all solve with it.
 
     Every row follows the single-start rules on its own, and the rows
     share only the array operations: merit is the squared residual sup
@@ -381,7 +371,6 @@ def continue_branches(patterns: Sequence[EquilibriumPattern],
                       net: MobilityNetwork,
                       alpha_targets: Sequence[float],
                       equilibria,
-                      refine_exit: bool = False,
                       stop_at_exit: bool = True) -> list:
     """Natural continuation of every given pattern over one alpha grid.
 
@@ -392,13 +381,15 @@ def continue_branches(patterns: Sequence[EquilibriumPattern],
     The predictor is the previous point plus an Euler step using the
     exact branch slope -J^{-1} L(X), with J the Jacobian of that point
     (the previous point itself if the solve refuses); the corrector is
-    damped Newton. A branch stops at the first point with a component
-    below -1e-9 (recording exit_alpha) or at corrector failure (partial
-    record with diagnostic). With stop_at_exit False the grid is finished
-    anyway (the branch is a smooth curve regardless of the cone);
-    exit_alpha still marks the first violation. Derivative cross-checks
-    need this to reach their full difference stencil when a pattern
-    vanishes immediately. equilibria holds each patch's patch_equilibria.
+    damped Newton. A branch stops at the first grid point with a component
+    below SIGN_EXIT_TOL, and exit_alpha records that grid alpha: the exit
+    is located to the grid's resolution. A branch also stops at corrector
+    failure (partial record with diagnostic). With stop_at_exit False the
+    grid is finished anyway (the branch is a smooth curve regardless of
+    the cone); exit_alpha still marks the first violation. Derivative
+    cross-checks need this to reach their full difference stencil when a
+    pattern vanishes immediately. equilibria holds each patch's
+    patch_equilibria.
 
     All patterns but the DFE move along the grid together: one stacked
     predictor, one corrector over the rows still on the grid and one
@@ -432,14 +423,13 @@ def continue_branches(patterns: Sequence[EquilibriumPattern],
             rows.append(b)
     if rows:
         records = _continue_rows([patterns[b] for b in rows], system, X0[rows],
-                                 J0[rows], targets, refine_exit, stop_at_exit)
+                                 J0[rows], targets, stop_at_exit)
         for b, record in zip(rows, records):
             out[b] = record
     return out
 
 
-def _continue_rows(patterns, system, X0, J0, targets, refine_exit,
-                   stop_at_exit) -> list:
+def _continue_rows(patterns, system, X0, J0, targets, stop_at_exit) -> list:
     """continue_branches for non-DFE patterns from X0, J0 = J(0, X0)."""
     r0 = np.max(np.abs(system.residual(0.0, X0[:, None])[:, 0]), axis=1)
     points = [[point] for point in _accepted(0.0, X0, r0, J0)]
@@ -459,7 +449,7 @@ def _continue_rows(patterns, system, X0, J0, targets, refine_exit,
         for b, f in zip(live, failures):
             failure[b] = f
         ok = np.array([f is None for f in failures])
-        live, X, rnorm, prev_X = live[ok], X[ok], rnorm[ok], prev_X[ok]
+        live, X, rnorm = live[ok], X[ok], rnorm[ok]
         if not live.size:
             break
         J = system.jacobian(alpha, X)
@@ -469,9 +459,6 @@ def _continue_rows(patterns, system, X0, J0, targets, refine_exit,
             points[b].append(point)
             if point.min_component < SIGN_EXIT_TOL and exit_alpha[b] is None:
                 exit_alpha[b] = alpha
-                if refine_exit:
-                    exit_alpha[b] = _refine_exit(system, prev_alpha,
-                                                 prev_X[j], alpha)
                 keep[j] = not stop_at_exit
         live, prev_alpha, prev_X, prev_J = live[keep], alpha, X[keep], J[keep]
     return [BranchRecord(pattern=pattern, points=pts, exit_alpha=ex,
@@ -488,30 +475,29 @@ def continue_branch(pattern: EquilibriumPattern,
                     net: MobilityNetwork,
                     alpha_targets: Sequence[float],
                     equilibria,
-                    refine_exit: bool = False,
                     stop_at_exit: bool = True) -> BranchRecord:
     """continue_branches for one pattern; raises HypothesisViolationError."""
     (record,) = continue_branches([pattern], models, net, alpha_targets,
-                                  equilibria, refine_exit, stop_at_exit)
+                                  equilibria, stop_at_exit)
     if isinstance(record, HypothesisViolationError):
         raise record
     return record
 
 
-def _refine_exit(system, lo, X_lo, hi) -> float:
-    """Bisect the first sign violation to about two significant digits."""
-    for _ in range(40):
-        if hi / max(lo, 1e-300) <= 1.05:
-            break
-        mid = np.sqrt(max(lo, hi * 1e-4) * hi) if lo == 0.0 else np.sqrt(lo * hi)
-        X, _, failures = _correct(system, mid, X_lo[None])
-        if failures[0] is not None:
-            return hi
-        if float(np.min(X[0])) < SIGN_EXIT_TOL:
-            hi = mid
-        else:
-            lo, X_lo = mid, X[0]
-    return hi
+def continue_every_pattern(models: Sequence[PatchModel],
+                           net: MobilityNetwork, alpha: float,
+                           equilibria) -> list:
+    """(pattern, record) for every product pattern, continued to alpha.
+
+    Each branch climbs the ladder [alpha / 100, alpha / 10, alpha]; at
+    alpha = 0 its record holds just the alpha-0 point. A record is what
+    continue_branches returns for the pattern. equilibria holds each
+    patch's patch_equilibria.
+    """
+    patterns = enumerate_patterns([len(eq) - 1 for eq in equilibria])
+    return list(zip(patterns, continue_branches(
+        patterns, models, net, [alpha / 100.0, alpha / 10.0, alpha],
+        equilibria)))
 
 
 def _continue_dfe(pattern, system, X0, targets) -> BranchRecord:
@@ -551,78 +537,3 @@ def _continue_dfe(pattern, system, X0, targets) -> BranchRecord:
     return BranchRecord(pattern=pattern, points=points, exit_alpha=None,
                         verdict_observed=None if failure else "persists",
                         failure=failure)
-
-
-# ====================================================================
-# Cross-checks and census
-# ====================================================================
-
-def branch_derivative_check(record: BranchRecord,
-                            persist_derivative: BranchDerivative) -> float:
-    """Relative discrepancy between the analytic branch derivative and
-    finite differences of the continued branch on the DFAT x-block.
-
-    Needs points at alpha in {0, h, 2h} with h <= 1e-6. Order 1 compares
-    against the Richardson value 2 D(h) - D(2h); order 2 first checks the
-    first difference vanishes and then compares the central second
-    difference (f(0) - 2 f(h) + f(2h)) / h^2.
-    """
-    if len(record.points) < 3:
-        raise ValueError("need branch points at alpha in {0, h, 2h}")
-    p0, p1, p2 = record.points[:3]
-    h = p1.alpha
-    if p0.alpha != 0.0 or h > 1e-6 + 1e-18 or abs(p2.alpha - 2 * h) > 1e-15 * max(1.0, h):
-        raise ValueError(
-            f"grid ({p0.alpha:g}, {p1.alpha:g}, {p2.alpha:g}) is not "
-            "(0, h, 2h) with h <= 1e-6")
-    nblk = persist_derivative.value.size
-    per_region = record.points[0].X.size // len(record.pattern.choices)
-    sl = slice(persist_derivative.region * per_region,
-               persist_derivative.region * per_region + nblk)
-    f0, f1, f2 = p0.X[sl], p1.X[sl], p2.X[sl]
-    if persist_derivative.order == 1:
-        fd = 2.0 * (f1 - f0) / h - (f2 - f0) / (2.0 * h)
-        ana = persist_derivative.value
-    elif persist_derivative.order == 2:
-        first = (f1 - f0) / h
-        scale = max(float(np.max(np.abs(persist_derivative.value))) * h, 1e-12)
-        if np.max(np.abs(first)) > 10.0 * scale:
-            raise ValueError("first difference nonzero; order-2 check invalid")
-        fd = (f0 - 2.0 * f1 + f2) / (h * h)
-        ana = persist_derivative.value
-    else:
-        raise ValueError(f"unsupported derivative order {persist_derivative.order}")
-    denom = float(np.max(np.abs(ana)))
-    diff = float(np.max(np.abs(fd - ana)))
-    if denom <= 1e-11:
-        # zero analytic target: report the bare finite-difference size
-        return diff
-    return diff / denom
-
-
-def count_stable(models: Sequence[PatchModel], net: MobilityNetwork,
-                 alpha: float, equilibria):
-    """(stable, unstable) tally over branches surviving at the given alpha.
-
-    equilibria holds each patch's patch_equilibria.
-    """
-    counts = [len(eq) - 1 for eq in equilibria]
-    patterns = enumerate_patterns(counts)
-    records = continue_branches(patterns, models, net,
-                                [alpha / 100.0, alpha / 10.0, alpha],
-                                equilibria)
-    stable = unstable = 0
-    for pattern, record in zip(patterns, records):
-        if isinstance(record, HypothesisViolationError):
-            raise record
-        if record.failure is not None:
-            raise CorrectionFailureError(
-                f"pattern {pattern.choices}: {record.failure}")
-        if record.verdict_observed != "persists":
-            continue
-        last = record.points[-1]
-        if last.stability == "stable":
-            stable += 1
-        elif last.stability == "unstable":
-            unstable += 1
-    return stable, unstable

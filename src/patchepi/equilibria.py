@@ -58,6 +58,7 @@ class PatchEquilibrium:
     index: int                # 0 for the DFE, 1..e for endemic states
     stability: str            # "stable" | "unstable" | "marginal"
     jac_invertible: bool
+    lam: Optional[float] = None   # force of infection of an HIV endemic state
 
 
 @dataclass(frozen=True)
@@ -169,23 +170,26 @@ def _patch_system(model: PatchModel):
 
 
 def _classified(system, states: Sequence[PatchState],
-                first_index: int) -> list:
+                first_index: int, lams: Optional[Sequence] = None) -> list:
     """The states as PatchEquilibrium, indexed from first_index (0: DFE).
 
     One stacked Jacobian of the patch's system at alpha = 0 gives every
-    stability label and, by its condition number, jac_invertible.
+    stability label and, by its condition number, jac_invertible. lams,
+    if given, holds each state's force of infection (None for the DFE).
     """
     if not states:
         return []
     J = system.jacobian(0.0, np.array([st.concat() for st in states]))
     labels, _ = stability_of(J)
     invertible = (matalg.condition_estimate(J) < matalg.COND_LIMIT).tolist()
+    if lams is None:
+        lams = [None] * len(states)
     return [PatchEquilibrium(state=st,
                              kind="endemic" if idx else "disease_free",
                              index=idx, stability=label,
-                             jac_invertible=inv)
-            for idx, (st, label, inv) in enumerate(
-                zip(states, labels, invertible), start=first_index)]
+                             jac_invertible=inv, lam=lam)
+            for idx, (st, label, inv, lam) in enumerate(
+                zip(states, labels, invertible, lams), start=first_index)]
 
 
 # ====================================================================
@@ -300,9 +304,9 @@ def bifurcation_report(model: PatchModel, equilibria) -> BifurcationReport:
     """Root census and regime of one patch, any family.
 
     equilibria, the patch_equilibria of this model, give the endemic root
-    count that classifies the regime. The HIV family adds its
-    force-of-infection roots and, inside the backward window, a fold
-    estimate from a parameter sweep below the configured transmission
+    count that classifies the regime. The HIV family adds the forces of
+    infection of its endemic states and, inside the backward window, a
+    fold estimate from a parameter sweep below the configured transmission
     rate.
     """
     R = local_reproduction_number(model)
@@ -319,7 +323,7 @@ def bifurcation_report(model: PatchModel, equilibria) -> BifurcationReport:
             pass
     return BifurcationReport(
         R_local=R, regime=regime,
-        endemic_lambdas=tuple(sorted(hiv_lambda_roots(params))),
+        endemic_lambdas=tuple(eq.lam for eq in equilibria[1:]),
         R_c_estimate=rc)
 
 
@@ -494,10 +498,10 @@ def patch_equilibria(model: PatchModel) -> list:
     dfe = _dfe_state(model)
     if model.family == "hiv_vaccination":
         params = HivParams(**model.params)
-        endemic = [hiv_state_from_lambda(params, lam)
-                   for lam in sorted(hiv_lambda_roots(params))]
-    else:
-        endemic, _ = _generic_roots(model, system, dfe)
+        lams = sorted(hiv_lambda_roots(params))
+        endemic = [hiv_state_from_lambda(params, lam) for lam in lams]
+        return _classified(system, [dfe] + endemic, 0, [None] + lams)
+    endemic, _ = _generic_roots(model, system, dfe)
     return _classified(system, [dfe] + endemic, 0)
 
 

@@ -149,25 +149,6 @@ def enumerate_networks(r: int, n: int, m: int, k: int) -> list:
 # Graph queries
 # ====================================================================
 
-def direct_connection(net: MobilityNetwork, frm: int, to: int) -> bool:
-    """True iff some infected class travels directly from frm to to."""
-    _check_pair(net, frm, to)
-    return bool(np.any(net.cx[to, frm] > 0.0))
-
-
-def reachable(net: MobilityNetwork, frm: int, to: int) -> bool:
-    """True iff a directed path of direct connections leads frm -> to."""
-    _check_pair(net, frm, to)
-    return _search(net, [frm])[to] is not None
-
-
-def _check_pair(net: MobilityNetwork, frm: int, to: int):
-    if not (0 <= frm < net.r and 0 <= to < net.r):
-        raise IndexError(f"region index out of range (r={net.r})")
-    if frm == to:
-        raise ValueError("source and target regions must differ")
-
-
 def _search(net: MobilityNetwork, sources: Sequence[int]) -> list:
     """Breadth-first search of the region digraph from all sources at once.
 

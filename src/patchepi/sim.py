@@ -81,10 +81,6 @@ class Trajectory:
     states: np.ndarray              # shape (steps, r * (n + m + k))
     terminal_classification: str
 
-    @property
-    def terminal_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _classify_terminal(X: np.ndarray, classified) -> str:
     """Label of the nearest classified equilibrium within tolerance."""

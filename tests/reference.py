@@ -1,19 +1,24 @@
-"""Per-patch and coupled reference equations the kernel is tested against.
+"""Reference equations and cross-checks the package is tested against.
 
 patchepi evaluates the model equations through one path,
 continuation.CoupledSystem. These functions write the same equations out
 directly, patch by patch and region by region, so the tests can check the
 kernel (and the classifications built on it) against an independent
-evaluation. Nothing in the package imports them.
+evaluation. The branch cross-checks at the end read continued branches
+against the analytic derivatives of persist and tally their stability.
+Nothing in the package imports them.
 """
 from typing import Sequence
 
 import numpy as np
 
-from patchepi.continuation import _check_families, travel_matrix
+from patchepi.continuation import (BranchRecord, HypothesisViolationError,
+                                   _check_families, continue_every_pattern,
+                                   travel_matrix)
 from patchepi.model import (PatchModel, PatchState, _assemble_F,
                             _population, split_state, transmission_matrix)
 from patchepi.network import MobilityNetwork
+from patchepi.persist import BranchDerivative
 
 
 def patch_residual(model: PatchModel, s: PatchState) -> np.ndarray:
@@ -129,3 +134,67 @@ def coupled_jacobian(models: Sequence[PatchModel], net: MobilityNetwork,
         J[i * s:(i + 1) * s, i * s:(i + 1) * s] += patch_jacobian(
             mod, split_state(mod, X[i * s:(i + 1) * s]))
     return J
+
+
+def branch_derivative_check(record: BranchRecord,
+                            persist_derivative: BranchDerivative) -> float:
+    """Relative discrepancy between the analytic branch derivative and
+    finite differences of the continued branch on the DFAT x-block.
+
+    Needs points at alpha in {0, h, 2h} with h <= 1e-6. Order 1 compares
+    against the Richardson value 2 D(h) - D(2h); order 2 first checks the
+    first difference vanishes and then compares the central second
+    difference (f(0) - 2 f(h) + f(2h)) / h^2.
+    """
+    if len(record.points) < 3:
+        raise ValueError("need branch points at alpha in {0, h, 2h}")
+    p0, p1, p2 = record.points[:3]
+    h = p1.alpha
+    if p0.alpha != 0.0 or h > 1e-6 + 1e-18 or abs(p2.alpha - 2 * h) > 1e-15 * max(1.0, h):
+        raise ValueError(
+            f"grid ({p0.alpha:g}, {p1.alpha:g}, {p2.alpha:g}) is not "
+            "(0, h, 2h) with h <= 1e-6")
+    nblk = persist_derivative.value.size
+    per_region = record.points[0].X.size // len(record.pattern.choices)
+    sl = slice(persist_derivative.region * per_region,
+               persist_derivative.region * per_region + nblk)
+    f0, f1, f2 = p0.X[sl], p1.X[sl], p2.X[sl]
+    if persist_derivative.order == 1:
+        fd = 2.0 * (f1 - f0) / h - (f2 - f0) / (2.0 * h)
+        ana = persist_derivative.value
+    elif persist_derivative.order == 2:
+        first = (f1 - f0) / h
+        scale = max(float(np.max(np.abs(persist_derivative.value))) * h, 1e-12)
+        if np.max(np.abs(first)) > 10.0 * scale:
+            raise ValueError("first difference nonzero; order-2 check invalid")
+        fd = (f0 - 2.0 * f1 + f2) / (h * h)
+        ana = persist_derivative.value
+    else:
+        raise ValueError(f"unsupported derivative order {persist_derivative.order}")
+    denom = float(np.max(np.abs(ana)))
+    diff = float(np.max(np.abs(fd - ana)))
+    if denom <= 1e-11:
+        # zero analytic target: report the bare finite-difference size
+        return diff
+    return diff / denom
+
+
+def count_stable(models: Sequence[PatchModel], net: MobilityNetwork,
+                 alpha: float, equilibria) -> tuple:
+    """(stable, unstable) tally over the branches that persist to alpha.
+
+    Every pattern climbs continue_every_pattern's ladder, the one the
+    simulate command labels trajectories with; a branch that fails or
+    violates the hypotheses raises.
+    """
+    stable = unstable = 0
+    for pattern, record in continue_every_pattern(models, net, alpha,
+                                                  equilibria):
+        if isinstance(record, HypothesisViolationError):
+            raise record
+        if record.failure is not None:
+            raise RuntimeError(f"pattern {pattern.choices}: {record.failure}")
+        if record.verdict_observed == "persists":
+            stable += record.points[-1].stability == "stable"
+            unstable += record.points[-1].stability == "unstable"
+    return stable, unstable

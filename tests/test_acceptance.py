@@ -16,7 +16,8 @@ from conftest import (BACKWARD_TRIPLE, BASE, MIXED_TRIPLE, REGIME_BETA1,
 from patchepi import (cli, continuation, equilibria, matalg, model, network,
                       persist, sim)
 from patchepi.model import split_state
-from reference import patch_jacobian, patch_residual
+from reference import (branch_derivative_check, count_stable,
+                       patch_jacobian, patch_residual)
 
 
 def test_01_patch_reproduction_numbers():
@@ -148,7 +149,7 @@ def test_06_branch_derivatives_match_finite_differences():
                                                stop_at_exit=False)
             assert rec.failure is None, (name, pat.choices)
             for der in ders:
-                rel = continuation.branch_derivative_check(rec, der)
+                rel = branch_derivative_check(rec, der)
                 assert rel < 1e-3, (name, pat.choices, der.region, rel)
                 checked += 1
     assert checked > 20   # the scan must actually exercise blocks
@@ -161,7 +162,7 @@ def test_06_branch_derivatives_match_finite_differences():
     assert d2.order == 2 and d2.sign_class == "has_negative"
     rec = continuation.continue_branch(pat, models, net, [1e-6, 2e-6],
                                        equilibria=eqs, stop_at_exit=False)
-    assert continuation.branch_derivative_check(rec, d2) < 1e-2
+    assert branch_derivative_check(rec, d2) < 1e-2
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -169,8 +170,7 @@ def test_07_weak_coupling_stability_tally():
     t0 = time.perf_counter()
     models, eqs, _ = hiv_system(BACKWARD_TRIPLE)
     for name in ("fig3a", "fig3b"):
-        tally = continuation.count_stable(models, hiv_net(name), 1e-5,
-                                          equilibria=eqs)
+        tally = count_stable(models, hiv_net(name), 1e-5, equilibria=eqs)
         assert tally == (8, 19), name
     assert time.perf_counter() - t0 < 300.0
 

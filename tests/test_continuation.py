@@ -6,7 +6,8 @@ from conftest import (BACKWARD_TRIPLE, MIXED_TRIPLE, hiv_net, hiv_system,
 from patchepi import (cli, continuation, equilibria, matalg, network,
                       persist)
 from patchepi.equilibria import EquilibriumPattern
-from reference import (coupled_jacobian, coupled_residual, patch_jacobian,
+from reference import (branch_derivative_check, count_stable,
+                       coupled_jacobian, coupled_residual, patch_jacobian,
                        travel_operator)
 
 # frozen cross-check values for the mixed regime on fig3b, pattern (0,1,0)
@@ -111,6 +112,52 @@ def test_package_keeps_no_reference_equations():
                      "coupled_jacobian", "travel_operator", "_block_slices",
                      "build_rhs"):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+# the public functions and methods no module of the package calls, each
+# kept for callers outside it
+LIBRARY_API = {
+    "cli.fixture_path": "locates a shipped config for tests and perfbench",
+    "continuation.continue_branch":
+        "the single-run reference of test_batch_equals_single_runs",
+    "equilibria.disease_free_equilibrium":
+        "a patch's DFE without the endemic search",
+    "equilibria.endemic_equilibria_generic":
+        "the generic search with its discard count, which tests read",
+    "persist.predict": "one pattern's verdict; perfbench passes R_values",
+    "persist.count_persisting": "one system's count on one network",
+    "sim.basin_probe": "terminal labels of an initial set, for basin scans",
+}
+
+
+def test_package_keeps_no_uncalled_public_functions():
+    # code that only tests call belongs in the tests, not in the package
+    import ast
+    import pathlib
+
+    import patchepi
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in pathlib.Path(patchepi.__file__).parent.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node.name)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{f.name}", f.name) for f in node.body
+                        if isinstance(f, ast.FunctionDef)]
+            else:
+                defs = []
+            uncalled.update(f"{module}.{qualified}" for qualified, name in defs
+                            if not name.startswith("_") and name not in used)
+    assert uncalled == set(LIBRARY_API)
 
 
 @pytest.mark.parametrize("case", sorted(_kernel_cases()))
@@ -230,7 +277,7 @@ def test_branch_point_invariants(mixed):
     rec = continuation.continue_branch(EquilibriumPattern((1, 1, 1)), models,
                                        net, [1e-7, 1e-6, 1e-5], equilibria=eqs)
     assert rec.verdict_observed == "persists"
-    assert rec.exit_alpha is None and rec.complete
+    assert rec.exit_alpha is None and rec.failure is None
     alphas = [p.alpha for p in rec.points]
     assert alphas == [0.0, 1e-7, 1e-6, 1e-5]
     for p in rec.points:
@@ -242,13 +289,15 @@ def test_branch_point_invariants(mixed):
 def test_exit_refinement_brackets_the_crossing(mixed):
     models, eqs, R, net = mixed
     pat = EquilibriumPattern((0, 1, 0))
-    rec = continuation.continue_branch(pat, models, net, [1e-7, 1e-6],
-                                       equilibria=eqs, refine_exit=True)
+    # grid steps under 5%: the exit is located to that resolution
+    rec = continuation.continue_branch(pat, models, net,
+                                       np.geomspace(1e-7, 1e-6, 49),
+                                       equilibria=eqs)
     assert rec.exit_alpha is not None
     # the first derivative vanishes on region 3, the second is negative,
     # so the crossing sits where alpha^2 overtakes the tiny linear inflow
     assert 1e-7 < rec.exit_alpha < 1e-6
-    # the refined value is the violating end of a 5%-wide bracket
+    # the exit is the violating end of a bracket under 5% wide
     probe = continuation.continue_branch(pat, models, net, [rec.exit_alpha],
                                          equilibria=eqs)
     assert -5e-9 < probe.points[-1].min_component < continuation.SIGN_EXIT_TOL
@@ -262,7 +311,7 @@ def test_derivative_cross_checks(mixed):
     assert rec.exit_alpha is not None  # still recorded while continuing
 
     d1_0 = persist.branch_first_derivative(0, pat, models, net, equilibria=eqs)
-    err1 = continuation.branch_derivative_check(rec, d1_0)
+    err1 = branch_derivative_check(rec, d1_0)
     assert err1 == pytest.approx(RICHARDSON_ORDER1, rel=0.05)
     assert err1 < 1e-3
 
@@ -270,13 +319,13 @@ def test_derivative_cross_checks(mixed):
     d2_2 = persist.branch_higher_derivative(
         2, 2, {1: {0: d1_0.value, 2: d1_2.value}}, pat, models, net,
         equilibria=eqs)
-    err2 = continuation.branch_derivative_check(rec, d2_2)
+    err2 = branch_derivative_check(rec, d2_2)
     assert err2 == pytest.approx(CENTRAL_ORDER2, rel=0.05)
     assert err2 < 1e-2
 
     # zero analytic target: the check degrades to the bare difference,
     # which stays at roundoff-plus-curvature scale
-    err0 = continuation.branch_derivative_check(rec, d1_2)
+    err0 = branch_derivative_check(rec, d1_2)
     assert err0 < 1e-5
 
 
@@ -284,7 +333,7 @@ def test_dfe_branch_stays_disease_free(backward):
     models, eqs, R, net = backward
     rec = continuation.continue_branch(EquilibriumPattern((0, 0, 0)), models,
                                        net, [1e-5, 1e-3, 1e-1], equilibria=eqs)
-    assert rec.verdict_observed == "persists" and rec.complete
+    assert rec.verdict_observed == "persists" and rec.failure is None
     for pt in rec.points:
         for i in range(3):
             blk = pt.X[i * 7:(i + 1) * 7]
@@ -309,7 +358,7 @@ def test_dfe_branch_with_recruitment_callback():
         equilibria=[[equilibria.disease_free_equilibrium(m)] for m in mods])
         for mods in (models, twins)]
     for rec in recs:
-        assert rec.verdict_observed == "persists" and rec.complete
+        assert rec.verdict_observed == "persists" and rec.failure is None
         assert [p.alpha for p in rec.points] == [0.0] + grid
     susceptible = np.tile([False, False, True, True, False, False], 3)
     for want, got in zip(*(rec.points for rec in recs)):
@@ -339,7 +388,7 @@ def test_inadmissible_corrector_start_is_a_branch_failure(backward):
     # one Euler step from alpha = 0 to 1e-2 leaves a patch with N <= 0
     rec = continuation.continue_branch(EquilibriumPattern((2, 0, 2)), models,
                                        net, [1e-2], equilibria=eqs)
-    assert not rec.complete
+    assert rec.failure is not None
     assert "inadmissible at alpha = 0.01" in rec.failure
     assert [p.alpha for p in rec.points] == [0.0]
     # a branch that failed before leaving the cone has no observed verdict
@@ -349,8 +398,7 @@ def test_inadmissible_corrector_start_is_a_branch_failure(backward):
 def test_stable_unstable_census(backward):
     models, eqs, R, _ = backward
     for name in ("fig3a", "fig3b"):
-        st, un = continuation.count_stable(models, hiv_net(name), 1e-5,
-                                           equilibria=eqs)
+        st, un = count_stable(models, hiv_net(name), 1e-5, equilibria=eqs)
         assert (st, un) == (8, 19), name
 
 
@@ -419,7 +467,7 @@ def test_block_size_mismatch_rejected(mixed):
 def test_count_stable_skips_vanished_branches(mixed):
     models, eqs, R, net = mixed
     # mixed regime on fig3b: 4 of 12 persist at alpha past all cone exits
-    st, un = continuation.count_stable(models, net, 1e-5, equilibria=eqs)
+    st, un = count_stable(models, net, 1e-5, equilibria=eqs)
     assert st + un == 4
 
 

@@ -111,14 +111,16 @@ def test_preset_irreducibility_split():
 
 def test_direct_connection_and_reachable():
     net = network.preset("fig3a", n=1, m=1, k=1)
-    assert network.direct_connection(net, 1, 0)
-    assert not network.direct_connection(net, 0, 2)
-    assert network.reachable(net, 2, 0)       # 2 -> 1 -> 0
-    assert not network.reachable(net, 0, 2)   # nothing enters 2... or leaves 0 to it
-    with pytest.raises(ValueError):
-        network.reachable(net, 1, 1)
-    with pytest.raises(IndexError):
-        network.direct_connection(net, 0, 5)
+    adj = net.adjacency()
+    assert adj[1, 0]
+    assert not adj[0, 2]
+    # reachability from one region: classify the pattern endemic there only
+    from_2 = network.classify_pattern(
+        net, equilibria.EquilibriumPattern((0, 0, 1)))
+    from_0 = network.classify_pattern(
+        net, equilibria.EquilibriumPattern((1, 0, 0)))
+    assert from_2.reachable_from_eat[0]       # 2 -> 1 -> 0
+    assert not from_0.reachable_from_eat[2]   # nothing enters 2
 
 
 def test_enumerate_networks_catalog():

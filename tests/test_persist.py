@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import hiv_net, hiv_system, marginal_beta1, BACKWARD_TRIPLE, MIXED_TRIPLE
+from conftest import (hiv_net, hiv_system, marginal_beta1, BACKWARD_TRIPLE,
+                      MIXED_TRIPLE, REGIME_BETA1)
 from patchepi import cli, equilibria, matalg, model, network, persist
 from patchepi.equilibria import EquilibriumPattern
 
@@ -151,6 +154,59 @@ def test_count_persisting_census_example():
     models, eqs, R = hiv_system((0.85, 1.0, 0.85))
     got = persist.count_persisting(models, hiv_net("fig3b"), equilibria=eqs)
     assert got == 10
+
+
+def _weak_components(adj):
+    """Regions of each weakly connected component of the digraph adj."""
+    linked = adj | adj.T
+    components, seen = [], set()
+    for start in range(len(adj)):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, stack = [], [start]
+        while stack:
+            u = stack.pop()
+            component.append(u)
+            for v in np.flatnonzero(linked[u]).tolist():
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        components.append(sorted(component))
+    return components
+
+
+def test_persisting_count_is_a_product_over_components():
+    # travel couples only the regions of one weakly connected component,
+    # so on a disconnected digraph each component keeps its own count; an
+    # isolated region keeps every one of its patch equilibria. This is
+    # what lets the exhaustive census attain 8 = 4 x 2.
+    nets = network.enumerate_networks(3, n=4, m=2, k=1)
+    cases = 0
+    for triple in itertools.product(REGIME_BETA1.values(), repeat=3):
+        models, eqs, R = hiv_system(triple)
+        facts = persist.SystemFacts(models, eqs)
+        for net in nets:
+            adj = net.adjacency()
+            components = _weak_components(adj)
+            if len(components) == 1:
+                continue
+            want = 1
+            for comp in components:
+                if len(comp) == 1:
+                    want *= len(eqs[comp[0]])
+                    continue
+                edges = [(comp.index(f), comp.index(t))
+                         for f in comp for t in comp if adj[f, t]]
+                sub = network.from_edges(edges, r=len(comp), n=4, m=2, k=1,
+                                         blocks=("x",))
+                verdicts = persist.SystemFacts(
+                    [models[i] for i in comp],
+                    [eqs[i] for i in comp]).verdicts(sub)
+                want *= sum(v.verdict == "persists" for v in verdicts)
+            assert facts.persisting_count(net) == want, (triple, net.name)
+            cases += 1
+    assert cases == 27 * 10
 
 
 def test_count_persisting_requires_three_regions(mixed):

@@ -29,14 +29,14 @@ def test_disease_free_subspace_invariant(backward):
         X0[i * 7 + 5] = 2.0
     for alpha in (0.0, 1e-3):
         traj = sim.integrate(models, net, alpha, X0, t_end=600.0)
-        Xf = traj.terminal_state
+        Xf = traj.states[-1]
         for i in range(3):
             blk = Xf[i * 7:(i + 1) * 7]
             assert np.max(np.abs(blk[:4])) < 1e-12
             assert abs(blk[6]) < 1e-12
     # susceptibles approach the patch disease-free levels when decoupled
     traj = sim.integrate(models, net, 0.0, X0, t_end=600.0)
-    assert np.allclose(traj.terminal_state[4:6], [10.01, 9.99], atol=1e-6)
+    assert np.allclose(traj.states[-1][4:6], [10.01, 9.99], atol=1e-6)
 
 
 def test_trajectory_structure(backward):
@@ -47,7 +47,6 @@ def test_trajectory_structure(backward):
     assert np.all(np.diff(traj.times) > 0)
     assert traj.states.shape == (traj.times.size, 21)
     assert np.array_equal(traj.states[0], X0)
-    assert np.array_equal(traj.terminal_state, traj.states[-1])
     assert traj.terminal_classification == "unresolved"  # nothing supplied
 
 
@@ -100,7 +99,7 @@ def test_take_off_in_supercritical_regions():
         # seeded only in region 1; regions 2 and 3 start disease-free
         assert np.all(X0[7:11] == 0.0) and np.all(X0[14:18] == 0.0)
         traj = sim.integrate(models, net, 1e-5, X0, t_end=5e3)
-        Xf = traj.terminal_state
+        Xf = traj.states[-1]
         assert np.sum(Xf[7:11]) > 0.1
         assert np.sum(Xf[14:18]) > 0.1
 
@@ -111,7 +110,7 @@ def test_return_to_stable_equilibrium(backward):
     rng = np.random.default_rng(3)
     Xp = Xeq * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, Xeq.size))
     traj = sim.integrate(models, net, 0.0, Xp, t_end=1e4)
-    assert np.max(np.abs(traj.terminal_state - Xeq)) < 1e-6
+    assert np.max(np.abs(traj.states[-1] - Xeq)) < 1e-6
 
 
 def test_inadmissible_initial_state_raises(backward):
@@ -162,4 +161,4 @@ def test_tolerances_change_steps_not_the_answer(backward, product_labels):
                           rtol=sim.DEFAULT_RTOL / 2, atol=sim.DEFAULT_ATOL / 2,
                           classified=product_labels)
     assert loose.terminal_classification == tight.terminal_classification
-    assert np.max(np.abs(loose.terminal_state - tight.terminal_state)) < 1e-5
+    assert np.max(np.abs(loose.states[-1] - tight.states[-1])) < 1e-5
