@@ -52,6 +52,23 @@ def _finite(value) -> bool:
             and math.isfinite(value))
 
 
+def _alpha_grid(values, where: str) -> tuple:
+    """values as an alpha grid: a list of distinct finite nonnegative reals.
+
+    Shared by the config's alpha_grid and the --alpha override; where
+    names the source in the error message.
+    """
+    if (not isinstance(values, list) or
+            not all(_finite(a) and a >= 0 for a in values)):
+        raise ConfigError(f"{where}: must be a list of finite nonnegative "
+                          "reals")
+    grid = tuple(float(a) for a in values)
+    for idx, alpha in enumerate(grid):
+        if alpha in grid[:idx]:
+            raise ConfigError(f"{where}: alpha {alpha:g} is listed twice")
+    return grid
+
+
 def _boolean_path(value, path: str) -> Optional[str]:
     """Path of the first JSON boolean in value, a JSON tree, or None."""
     if isinstance(value, bool):
@@ -188,11 +205,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not _finite(weight) or weight <= 0:
         raise ConfigError("network.weight: must be a finite positive number")
 
-    alpha_grid = data.get("alpha_grid", [0.0])
-    if (not isinstance(alpha_grid, list) or
-            not all(_finite(a) and a >= 0 for a in alpha_grid)):
-        raise ConfigError(
-            "alpha_grid: must be a list of finite nonnegative reals")
+    alpha_grid = _alpha_grid(data.get("alpha_grid", [0.0]), "alpha_grid")
 
     t_end = data.get("t_end", sim.DEFAULT_T_END)
     rtol = data.get("rtol", sim.DEFAULT_RTOL)
@@ -245,7 +258,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         patches=tuple(patches), network=dict(netspec),
-        alpha_grid=tuple(float(a) for a in alpha_grid),
+        alpha_grid=alpha_grid,
         t_end=float(t_end), rtol=float(rtol), atol=float(atol),
         initial_sets=tuple(initial_sets), patterns=patterns)
 
@@ -645,11 +658,10 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         net = {"preset": args.preset}
     if args.alpha:
         try:
-            alpha_grid = tuple(float(tok) for tok in args.alpha.split(","))
+            alpha_grid = [float(tok) for tok in args.alpha.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--alpha: {exc}") from exc
-        if not all(_finite(a) and a >= 0 for a in alpha_grid):
-            raise ConfigError("--alpha: values must be finite and nonnegative")
+        alpha_grid = _alpha_grid(alpha_grid, "--alpha")
     return replace(config, network=net, alpha_grid=alpha_grid)
 
 

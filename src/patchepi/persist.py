@@ -17,18 +17,21 @@ solution is entrywise positive when the local reproduction number R < 1
 and has a negative component when R > 1. Chasing the recursion down the
 shortest EAT-to-DFAT path turns this into a purely combinatorial verdict:
 a boundary pattern vanishes exactly when some DFAT region with R > 1 is
-reachable from an endemic-at-travel (EAT) region.
+reachable from an endemic-at-travel (EAT) region. Where some patch's
+V - F is reducible, SystemFacts.derivative_chain runs the recursion
+itself, every order in one loop against the V - F it settles once per
+patch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import matalg
-from .equilibria import (EquilibriumPattern, PatchEquilibrium,
-                         enumerate_patterns, local_reproduction_number)
+from .equilibria import (EquilibriumPattern, enumerate_patterns,
+                         local_reproduction_number)
 from .model import PatchModel, new_infection_operator
 from .network import MobilityNetwork, classify_pattern
 
@@ -47,7 +50,7 @@ class DegenerateThresholdError(RuntimeError):
 
 
 class ChainPreconditionError(ValueError):
-    """Higher-order derivative requested without vanishing lower orders."""
+    """An in-neighbor of a DFAT region has no order N - 1 derivative."""
 
 
 @dataclass(frozen=True)
@@ -86,137 +89,6 @@ def _sign_class(value: np.ndarray) -> str:
     return "nonneg_mixed"
 
 
-def _x_hat(eqs: Sequence[PatchEquilibrium], choice: int, n: int) -> np.ndarray:
-    if choice == 0:
-        return np.zeros(n)
-    return eqs[choice].state.x
-
-
-def _v_minus_f(model: PatchModel,
-               eqs: Sequence[PatchEquilibrium]) -> np.ndarray:
-    """V - F at the patch's disease-free state, eqs[0]."""
-    return model.V - new_infection_operator(model, eqs[0].state)
-
-
-# ====================================================================
-# Branch derivatives at alpha = 0
-# ====================================================================
-
-def branch_first_derivative(i: int, pattern: EquilibriumPattern,
-                            models: Sequence[PatchModel],
-                            net: MobilityNetwork,
-                            equilibria) -> BranchDerivative:
-    """First derivative of a DFAT region's x-block at alpha = 0.
-
-    Solves (V - F) d = sum_{j != i} C_x^{ij} xhat^j with the disconnected
-    endemic states xhat^j on the right-hand side and F evaluated at region
-    i's own disease-free state. equilibria holds each patch's
-    patch_equilibria, disease-free state first.
-    """
-    if pattern.choices[i] != 0:
-        raise ValueError(f"region {i} is not DFAT in pattern {pattern.choices}")
-    n = models[i].n
-    rhs = np.zeros(n)
-    for j in range(net.r):
-        if j != i:
-            rhs += net.cx[i, j] * _x_hat(equilibria[j], pattern.choices[j], n)
-    return _solve_chain_step(i, 1, rhs, models[i], equilibria[i])
-
-
-def branch_higher_derivative(i: int, order: int,
-                             lower_order_values: Mapping[int, Mapping[int, np.ndarray]],
-                             pattern: EquilibriumPattern,
-                             models: Sequence[PatchModel],
-                             net: MobilityNetwork,
-                             equilibria) -> BranchDerivative:
-    """Order-N derivative of a DFAT region's x-block at alpha = 0.
-
-    Valid only when every lower-order derivative of region i vanishes
-    (checked here against the caller-supplied values); then
-
-        (V - F) d^N = N * sum_{j != i} C_x^{ij} d^{N-1}_j.
-
-    lower_order_values maps order -> {region: value} and must cover region
-    i at every order below N and every in-neighbor of i at order N - 1.
-    The order is capped at r - 1: beyond that the branch is only guaranteed
-    as many derivatives as the recruitment function has, and the theory
-    never needs more.
-    """
-    if order < 2:
-        raise ValueError("use branch_first_derivative for order 1")
-    if order > net.r - 1:
-        raise ValueError(f"derivative order {order} exceeds r - 1 = {net.r - 1}")
-    if pattern.choices[i] != 0:
-        raise ValueError(f"region {i} is not DFAT in pattern {pattern.choices}")
-    for ell in range(1, order):
-        if ell not in lower_order_values or i not in lower_order_values[ell]:
-            raise ChainPreconditionError(
-                f"missing order-{ell} value for region {i}")
-        if np.any(np.abs(lower_order_values[ell][i]) > SIGN_TOL):
-            raise ChainPreconditionError(
-                f"order-{ell} derivative of region {i} is nonzero; "
-                f"the order-{order} recursion does not apply")
-    n = models[i].n
-    rhs = np.zeros(n)
-    prev = lower_order_values[order - 1]
-    for j in range(net.r):
-        if j == i or not np.any(net.cx[i, j] > 0.0):
-            continue
-        if j not in prev:
-            # An EAT in-neighbor would have forced a nonzero first
-            # derivative of region i, contradicting the precondition.
-            raise ChainPreconditionError(
-                f"missing order-{order - 1} value for in-neighbor {j}")
-        rhs += net.cx[i, j] * prev[j]
-    rhs *= order
-    return _solve_chain_step(i, order, rhs, models[i], equilibria[i])
-
-
-def _solve_chain_step(i: int, order: int, rhs: np.ndarray,
-                      model: PatchModel, eqs_i) -> BranchDerivative:
-    VmF = _v_minus_f(model, eqs_i)
-    try:
-        value = matalg.solve_linear(VmF, rhs)
-    except matalg.SingularMatrixError as exc:
-        raise DegenerateThresholdError(
-            f"V - F numerically singular in region {i} (local R at 1)") from exc
-    return BranchDerivative(region=i, order=order, value=value,
-                            sign_class=_sign_class(value))
-
-
-def derivative_chain(pattern: EquilibriumPattern,
-                     models: Sequence[PatchModel],
-                     net: MobilityNetwork,
-                     equilibria) -> dict:
-    """Per-DFAT-region derivatives, raised order by order until signed.
-
-    Returns {region: BranchDerivative} holding each DFAT region's first
-    derivative with a nonzero sign class, or its highest computed one
-    (still "zero") when everything through order r - 1 vanishes.
-    """
-    dfat = [i for i in range(net.r) if pattern.choices[i] == 0]
-    values = {}      # order -> {region: vector}, zeros propagated
-    result = {}
-    n = models[0].n
-    values[0] = {j: _x_hat(equilibria[j], pattern.choices[j], n)
-                 for j in range(net.r)}
-    for order in range(1, net.r):
-        values[order] = {}
-        for i in dfat:
-            if i in result and result[i].sign_class != "zero":
-                continue
-            if order == 1:
-                der = branch_first_derivative(i, pattern, models, net,
-                                              equilibria)
-            else:
-                der = branch_higher_derivative(i, order, values, pattern,
-                                               models, net, equilibria)
-            values[order][i] = der.value
-            result[i] = der
-        # EAT regions only ever feed the recursion at order 0
-    return result
-
-
 # ====================================================================
 # Verdicts
 # ====================================================================
@@ -251,19 +123,73 @@ def predict(pattern: EquilibriumPattern,
 class SystemFacts:
     """A system's network-independent verdict facts and the verdict rule.
 
-    The local R values (each patch's local_reproduction_number) and the
-    V - F irreducibility of every patch are settled once. verdicts and
-    persisting_count then apply the rule on any network, settling only
-    its adjacency and the classification of each EAT set. equilibria
-    holds each patch's patch_equilibria.
+    The local R values (each patch's local_reproduction_number), each
+    patch's V - F at its disease-free state eqs[0] and the irreducibility
+    of those matrices are settled once. verdicts and persisting_count then
+    apply the rule on any network, settling only its adjacency and the
+    classification of each EAT set; derivative_chain solves against the
+    same V - F. equilibria holds each patch's patch_equilibria.
     """
 
     def __init__(self, models: Sequence[PatchModel], equilibria):
         self.models, self.equilibria = models, equilibria
         self.R_values = tuple(local_reproduction_number(mod)
                               for mod in models)
-        self.irreducible = all(matalg.is_irreducible(_v_minus_f(mod, eqs))
-                               for mod, eqs in zip(models, equilibria))
+        self.v_minus_f = [mod.V - new_infection_operator(mod, eqs[0].state)
+                          for mod, eqs in zip(models, equilibria)]
+        self.irreducible = all(matalg.is_irreducible(VmF)
+                               for VmF in self.v_minus_f)
+
+    def derivative_chain(self, pattern: EquilibriumPattern,
+                         net: MobilityNetwork) -> dict:
+        """Each DFAT region's x-block derivatives at alpha = 0, by order.
+
+        The one recursion of the module docstring: order N solves
+
+            (V - F) d^N_i = N * sum_{j != i, C_x^{ij} > 0} C_x^{ij} d^{N-1}_j
+
+        against region i's settled V - F, with d^0_j = xhat^j. A region
+        takes order N only while all its lower orders are "zero", so
+        {region: [BranchDerivative for order 1, 2, ...]} ends each list at
+        the region's first signed order or at order r - 1; beyond that
+        the branch is only guaranteed as many derivatives as the
+        recruitment function has, and the theory never needs more. EAT
+        regions are absent. Raises DegenerateThresholdError when V - F is
+        singular, and ChainPreconditionError when an in-neighbor has no
+        order N - 1 value.
+        """
+        prev = {j: (self.equilibria[j][c].state.x if c
+                    else np.zeros(self.models[j].n))
+                for j, c in enumerate(pattern.choices)}
+        chains = {}
+        for order in range(1, net.r):
+            values = {}
+            for i, c in enumerate(pattern.choices):
+                if c != 0 or (i in chains
+                              and chains[i][-1].sign_class != "zero"):
+                    continue
+                rhs = np.zeros(self.models[i].n)
+                for j in range(net.r):
+                    if j == i or not np.any(net.cx[i, j] > 0.0):
+                        continue
+                    if j not in prev:
+                        raise ChainPreconditionError(
+                            f"missing order-{order - 1} value for "
+                            f"in-neighbor {j} of region {i}")
+                    rhs += net.cx[i, j] * prev[j]
+                rhs *= order
+                try:
+                    value = matalg.solve_linear(self.v_minus_f[i], rhs)
+                except matalg.SingularMatrixError as exc:
+                    raise DegenerateThresholdError(
+                        f"V - F numerically singular in region {i} "
+                        "(local R at 1)") from exc
+                values[i] = value
+                chains.setdefault(i, []).append(BranchDerivative(
+                    region=i, order=order, value=value,
+                    sign_class=_sign_class(value)))
+            prev = values
+        return chains
 
     def verdicts(self, net: MobilityNetwork, patterns=None) -> list:
         """predict's verdict for each pattern on net, in the given order.
@@ -317,8 +243,7 @@ class SystemFacts:
 
         cls = classify(pattern)
         if not self.irreducible:
-            return _predict_by_derivatives(pattern, self.models, net,
-                                           self.equilibria, R_values, cls)
+            return _predict_by_derivatives(pattern, self, net, cls)
 
         dfat = [i for i in range(net.r) if not cls.is_eat[i]]
         rule = _corollary_rule(adj, cls, dfat)
@@ -355,9 +280,9 @@ def _corollary_rule(adj: np.ndarray, cls, dfat) -> str:
     return "corollary_general"
 
 
-def _predict_by_derivatives(pattern, models, net, equilibria, R, cls):
-    """Fallback for reducible V - F: read the verdict off the derivative
-    chain directly, up to order r - 1.
+def _predict_by_derivatives(pattern, facts, net, cls):
+    """Fallback for reducible V - F: read the verdict off the last entry
+    of each region's facts.derivative_chain, up to order r - 1.
 
     The derivative recursion itself is plain implicit differentiation and
     needs no irreducibility; only the sign theorems do. A negative
@@ -367,12 +292,14 @@ def _predict_by_derivatives(pattern, models, net, equilibria, R, cls):
     theorem applies and the verdict is indeterminate.
     """
     try:
-        chain = derivative_chain(pattern, models, net, equilibria)
+        chains = facts.derivative_chain(pattern, net)
     except (DegenerateThresholdError, ChainPreconditionError):
         return PersistenceVerdict(pattern=pattern, verdict="indeterminate",
                                   rule="derivative_direct")
+    R = facts.R_values
     unresolved = None
-    for i, der in chain.items():
+    for i, ders in chains.items():
+        der = ders[-1]
         if der.sign_class == "has_negative":
             witness = PersistenceWitness(region=i, local_R=R[i])
             return PersistenceVerdict(pattern=pattern, verdict="vanishes",

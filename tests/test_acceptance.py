@@ -133,14 +133,14 @@ def test_05_predictions_match_continuation():
 def test_06_branch_derivatives_match_finite_differences():
     t0 = time.perf_counter()
     models, eqs, _ = hiv_system(MIXED_TRIPLE)
+    facts = persist.SystemFacts(models, eqs)
     counts = [len(e) - 1 for e in eqs]
     checked = 0
     for name in sorted(network.PRESET_EDGES):
         net = hiv_net(name)
         for pat in equilibria.enumerate_patterns(counts):
-            ders = [persist.branch_first_derivative(i, pat, models, net,
-                                                    equilibria=eqs)
-                    for i in range(3) if pat.choices[i] == 0]
+            ders = [chain[0] for chain in
+                    facts.derivative_chain(pat, net).values()]
             ders = [d for d in ders if d.sign_class != "zero"]
             if not ders:
                 continue
@@ -157,8 +157,7 @@ def test_06_branch_derivatives_match_finite_differences():
     # two-step chain: first derivative vanishes, second carries the sign
     net = hiv_net("fig3b")
     pat = equilibria.EquilibriumPattern((0, 1, 0))
-    chain = persist.derivative_chain(pat, models, net, equilibria=eqs)
-    d2 = chain[2]
+    d2 = facts.derivative_chain(pat, net)[2][-1]
     assert d2.order == 2 and d2.sign_class == "has_negative"
     rec = continuation.continue_branch(pat, models, net, [1e-6, 2e-6],
                                        equilibria=eqs, stop_at_exit=False)

@@ -94,6 +94,8 @@ REJECTIONS = [
     # JSON NaN and Infinity are numbers to the parser, not to the config
     (lambda d: d.update(alpha_grid=[0.0, float("nan")]), "alpha_grid"),
     (lambda d: d.update(alpha_grid=[float("inf")]), "alpha_grid"),
+    # a repeated alpha would be continued and recorded twice
+    (lambda d: d.update(alpha_grid=[0.001, 0.001]), "listed twice"),
     (lambda d: d.update(t_end=float("inf")), "t_end"),
     (lambda d: d.update(rtol=float("nan")), "rtol"),
     (lambda d: d.update(atol=float("inf")), "atol"),
@@ -464,6 +466,8 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["analyze", "--config", fixture, "--alpha", "0,x"]) == 2
     assert cli.main(["analyze", "--config", fixture, "--alpha", "-0.1"]) == 2
     assert cli.main(["continue", "--config", fixture, "--alpha", "nan"]) == 2
+    assert cli.main(["continue", "--config", fixture,
+                     "--alpha", "0.001,1e-3"]) == 2
     # alpha = 0 alone leaves continue nothing to continue
     assert cli.main(["continue", "--config", fixture, "--alpha", "0"]) == 2
     # a negative initial component stops simulate before any integration

@@ -160,6 +160,32 @@ def test_package_keeps_no_uncalled_public_functions():
     assert uncalled == set(LIBRARY_API)
 
 
+def test_package_imports_only_names_it_uses():
+    # an import left behind by a deletion is dead surface; __init__'s
+    # imports are its re-exports
+    import ast
+    import pathlib
+
+    import patchepi
+    unused = set()
+    for path in pathlib.Path(patchepi.__file__).parent.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0]
+                                for a in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused.update(f"{path.stem}.{name}" for name in imported - used)
+    assert unused == set()
+
+
 @pytest.mark.parametrize("case", sorted(_kernel_cases()))
 def test_kernel_jacobian_matches_stacked_patch_jacobians(case):
     from patchepi.model import split_state
@@ -310,15 +336,13 @@ def test_derivative_cross_checks(mixed):
                                        equilibria=eqs, stop_at_exit=False)
     assert rec.exit_alpha is not None  # still recorded while continuing
 
-    d1_0 = persist.branch_first_derivative(0, pat, models, net, equilibria=eqs)
+    chain = persist.SystemFacts(models, eqs).derivative_chain(pat, net)
+    d1_0, = chain[0]
     err1 = branch_derivative_check(rec, d1_0)
     assert err1 == pytest.approx(RICHARDSON_ORDER1, rel=0.05)
     assert err1 < 1e-3
 
-    d1_2 = persist.branch_first_derivative(2, pat, models, net, equilibria=eqs)
-    d2_2 = persist.branch_higher_derivative(
-        2, 2, {1: {0: d1_0.value, 2: d1_2.value}}, pat, models, net,
-        equilibria=eqs)
+    d1_2, d2_2 = chain[2]
     err2 = branch_derivative_check(rec, d2_2)
     assert err2 == pytest.approx(CENTRAL_ORDER2, rel=0.05)
     assert err2 < 1e-2

@@ -23,10 +23,14 @@ def mixed():
     return models, eqs, R, hiv_net("fig3b")
 
 
+def _chain(models, eqs, net, choices=(0, 1, 0)):
+    return persist.SystemFacts(models, eqs).derivative_chain(
+        EquilibriumPattern(choices), net)
+
+
 def test_first_derivative_oracle(mixed):
     models, eqs, R, net = mixed
-    pat = EquilibriumPattern((0, 1, 0))
-    d1 = persist.branch_first_derivative(0, pat, models, net, equilibria=eqs)
+    d1 = _chain(models, eqs, net)[0][0]
     assert d1.order == 1 and d1.region == 0
     assert d1.sign_class == "positive"
     assert np.allclose(d1.value, D1_REGION0, rtol=1e-7)
@@ -34,61 +38,44 @@ def test_first_derivative_oracle(mixed):
 
 def test_first_derivative_zero_without_direct_inflow(mixed):
     models, eqs, R, net = mixed
-    pat = EquilibriumPattern((0, 1, 0))
     # region 3 receives only from the disease-free region 1
-    d1 = persist.branch_first_derivative(2, pat, models, net, equilibria=eqs)
+    d1 = _chain(models, eqs, net)[2][0]
     assert d1.sign_class == "zero"
     assert np.all(d1.value == 0.0)
 
 
 def test_second_derivative_oracle(mixed):
     models, eqs, R, net = mixed
-    pat = EquilibriumPattern((0, 1, 0))
-    d1_0 = persist.branch_first_derivative(0, pat, models, net, equilibria=eqs)
-    d1_2 = persist.branch_first_derivative(2, pat, models, net, equilibria=eqs)
-    lower = {1: {0: d1_0.value, 2: d1_2.value}}
-    d2 = persist.branch_higher_derivative(2, 2, lower, pat, models, net,
-                                          equilibria=eqs)
+    d2 = _chain(models, eqs, net)[2][1]
     assert d2.sign_class == "has_negative"
     assert np.allclose(d2.value, D2_REGION2, rtol=1e-7)
 
 
 def test_higher_derivative_preconditions(mixed):
     models, eqs, R, net = mixed
-    pat = EquilibriumPattern((0, 1, 0))
-    d1_0 = persist.branch_first_derivative(0, pat, models, net, equilibria=eqs)
-    d1_2 = persist.branch_first_derivative(2, pat, models, net, equilibria=eqs)
-    lower = {1: {0: d1_0.value, 2: d1_2.value}}
-    # region 0 has a nonzero first derivative: order 2 does not apply to it
-    with pytest.raises(persist.ChainPreconditionError):
-        persist.branch_higher_derivative(0, 2, lower, pat, models, net,
-                                         equilibria=eqs)
-    # order beyond r - 1 is never needed and rejected
-    with pytest.raises(ValueError, match="exceeds r - 1"):
-        persist.branch_higher_derivative(2, 3, lower, pat, models, net,
-                                         equilibria=eqs)
-    # an endemic region has no branch derivative to take
-    with pytest.raises(ValueError, match="not DFAT"):
-        persist.branch_first_derivative(1, pat, models, net, equilibria=eqs)
+    chain = _chain(models, eqs, net)
+    # region 0 is signed at order 1, so order 2 is never taken for it; the
+    # endemic region 1 has no branch derivative; region 2 stops at r - 1
+    assert {i: [d.order for d in ders] for i, ders in chain.items()} == {
+        0: [1], 2: [1, 2]}
 
 
 def test_derivative_chain_orders(mixed):
     models, eqs, R, net = mixed
-    chain = persist.derivative_chain(EquilibriumPattern((0, 1, 0)), models,
-                                     net, equilibria=eqs)
+    chain = _chain(models, eqs, net)
     assert set(chain) == {0, 2}
-    assert chain[0].order == 1 and chain[0].sign_class == "positive"
-    assert chain[2].order == 2 and chain[2].sign_class == "has_negative"
+    assert chain[0][-1].order == 1 and chain[0][-1].sign_class == "positive"
+    assert (chain[2][-1].order == 2
+            and chain[2][-1].sign_class == "has_negative")
 
 
 def test_first_derivative_scales_linearly_with_weights(mixed):
     models, eqs, R, _ = mixed
-    pat = EquilibriumPattern((0, 1, 0))
     base = network.from_edges(network.PRESET_EDGES["fig3b"], r=3, n=4, m=2, k=1)
     double = network.from_edges(network.PRESET_EDGES["fig3b"], r=3, n=4, m=2,
                                 k=1, weight=2.0)
-    d1 = persist.branch_first_derivative(0, pat, models, base, equilibria=eqs)
-    d2 = persist.branch_first_derivative(0, pat, models, double, equilibria=eqs)
+    d1 = _chain(models, eqs, base)[0][0]
+    d2 = _chain(models, eqs, double)[0][0]
     assert np.allclose(d2.value, 2.0 * d1.value, rtol=1e-12)
 
 
@@ -234,9 +221,25 @@ def test_is_irreducible_runs_once_per_patch_per_count(mixed, monkeypatch):
         calls.append(1)
         return real(A)
 
+    operators = []
+    real_operator = persist.new_infection_operator
+
+    def counting_operator(mod, s):
+        operators.append(1)
+        return real_operator(mod, s)
+
     monkeypatch.setattr(matalg, "is_irreducible", counting)
+    monkeypatch.setattr(persist, "new_infection_operator", counting_operator)
     assert persist.count_persisting(models, net, equilibria=eqs) == 4
     assert 0 < len(calls) <= net.r
+    # V - F is settled once per patch, as is the reducible systems' chain
+    assert 0 < len(operators) <= net.r
+    ms_models, ms_eqs, _ = multistrain_system()
+    operators.clear()
+    facts = persist.SystemFacts(ms_models, ms_eqs)
+    for ms_net in network.enumerate_networks(3, n=2, m=1, k=1):
+        facts.verdicts(ms_net)
+    assert not facts.irreducible and len(operators) <= net.r
 
 
 def test_exhaustive_census_settles_patch_facts_once(monkeypatch):
@@ -362,6 +365,53 @@ def test_derivative_fallback_for_reducible_patches():
     net4c = network.preset("fig4c", n=2, m=1, k=1)
     v = persist.predict(pat, models, net4c, equilibria=eqs)
     assert v.verdict == "persists" and v.rule == "derivative_direct"
+
+
+def test_derivative_route_equals_network_rule():
+    # on irreducible V - F the chain reaches the network rule's verdicts:
+    # a DFAT region reachable from the EAT set is first signed at order
+    # M_i + 1, and an unreachable one stays exactly zero through r - 1
+    nets = network.enumerate_networks(3, n=4, m=2, k=1)
+    patterns = chains = 0
+    for triple in itertools.product(REGIME_BETA1.values(), repeat=3):
+        models, eqs, R = hiv_system(triple)
+        facts = persist.SystemFacts(models, eqs)
+        assert facts.irreducible
+        boundary = [pat for pat in equilibria.enumerate_patterns(
+            [len(e) - 1 for e in eqs]) if not pat.is_all_endemic]
+        for net in nets:
+            for pat, want in zip(boundary, facts.verdicts(net, boundary)):
+                cls = network.classify_pattern(net, pat)
+                got = persist._predict_by_derivatives(pat, facts, net, cls)
+                assert got.verdict == want.verdict, (triple, net.name,
+                                                     pat.choices)
+                patterns += 1
+                for i, ders in facts.derivative_chain(pat, net).items():
+                    if cls.reachable_from_eat[i]:
+                        assert [d.sign_class == "zero" for d in ders] == (
+                            [True] * cls.m_values[i] + [False])
+                    else:
+                        assert len(ders) == net.r - 1
+                        assert all(np.all(d.value == 0.0) for d in ders)
+                    chains += 1
+    assert (patterns, chains) == (12096, 20736)
+
+
+def test_reducible_patch_at_R_one_is_indeterminate():
+    # strain 1 sits exactly at R = 1, so V - F is singular and the chain
+    # raises DegenerateThresholdError on every pattern
+    ms = model.multistrain([0.5, 0.3], 0.5, 1.0, 0.5)
+    sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
+    models = [ms, sp, ms]
+    eqs = [equilibria.patch_equilibria(m) for m in models]
+    assert equilibria.local_reproduction_number(ms) == 1.0
+    net = network.preset("fig3b", n=2, m=1, k=1)
+    verdicts = persist.SystemFacts(models, eqs).verdicts(net)
+    assert [v.pattern.choices for v in verdicts] == [(0, 0, 0), (0, 1, 0)]
+    assert all(v.verdict == "indeterminate" and v.rule == "derivative_direct"
+               for v in verdicts)
+    with pytest.raises(RuntimeError, match="'fig3b'"):
+        persist.count_persisting(models, net, equilibria=eqs)
 
 
 def test_sign_class_boundaries():
