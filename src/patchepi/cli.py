@@ -393,6 +393,8 @@ def cmd_census(config: ExperimentConfig,
     """Persistence verdicts for every product pattern of the config."""
     models = build_models(config)
     net = build_network(config, models)
+    if exhaustive_networks and net.r != 3:
+        raise ConfigError("--exhaustive-networks needs exactly 3 patches")
     eqs = [equilibria.patch_equilibria(mod) for mod in models]
     counts = [len(e) - 1 for e in eqs]
     facts = persist.SystemFacts(models, eqs)
@@ -407,8 +409,6 @@ def cmd_census(config: ExperimentConfig,
         "persisting_count": sum(v.verdict == "persists" for v in verdicts),
     }
     if exhaustive_networks:
-        if net.r != 3:
-            raise ConfigError("--exhaustive-networks needs exactly 3 patches")
         scan = []
         attained = set()
         n, m, k = models[0].n, models[0].m, models[0].k
@@ -690,8 +690,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: each parse_args call returns a fresh namespace
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
     except ConfigError as exc:

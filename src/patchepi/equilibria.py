@@ -23,8 +23,9 @@ ROOT_RESIDUAL_TOL = 1e-9
 ROOT_MERGE_TOL = 1e-7
 
 # Seeds of the generic search that share one batched Newton; bounds the
-# stacked Jacobians at SEED_BATCH * size^2 doubles (3^12 seeds for four
-# groups would otherwise need gigabytes).
+# stacked Jacobians at SEED_BATCH * size^2 doubles. The seeds span the
+# infected and susceptible unknowns only, so four groups need 3^8 seeds
+# (two batches) and five 3^10.
 SEED_BATCH = 4096
 
 # Newton steps a seed of the generic search may take before it fails.
@@ -229,18 +230,30 @@ def _hiv_scalar_residual(params: HivParams, lam):
     return lam - foi
 
 
-def hiv_lambda_roots(params: HivParams) -> list:
-    """All positive roots of the scalar steady-state residual.
+def _lambda_brackets(params: HivParams) -> tuple:
+    """(grid, fa, brackets): the logarithmic scan of the scalar residual.
 
-    Logarithmic scan, evaluated as one array expression, followed by
-    bisection on each sign change; the residual has at most a few
-    isolated roots, so robustness beats speed here.
+    fa holds the residual at every grid point but the last; brackets are
+    the indices i whose interval [grid[i], grid[i + 1]] holds a root: the
+    residual is zero at its left end or changes sign across it. The scan
+    is one array expression.
     """
     grid = np.geomspace(LAMBDA_SCAN_LO, LAMBDA_SCAN_HI, LAMBDA_SCAN_POINTS)
     vals = _hiv_scalar_residual(params, grid)
     fa, fb = vals[:-1], vals[1:]
+    return grid, fa, np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
+
+
+def hiv_lambda_roots(params: HivParams) -> list:
+    """All positive roots of the scalar steady-state residual.
+
+    Logarithmic scan (_lambda_brackets) followed by bisection on each
+    sign change; the residual has at most a few isolated roots, so
+    robustness beats speed here.
+    """
+    grid, fa, brackets = _lambda_brackets(params)
     roots = []
-    for i in np.flatnonzero((fa == 0.0) | (fa * fb < 0.0)):
+    for i in brackets:
         a, b = grid[i], grid[i + 1]
         if fa[i] == 0.0:
             roots.append(float(a))
@@ -274,12 +287,14 @@ def estimate_Rc(params: HivParams, bifurcation_param: str,
 
     Bisects the named parameter on the 0-to-2 change in the number of
     positive roots (relative accuracy 1e-6 on the parameter) and returns
-    the local reproduction number at the fold.
+    the local reproduction number at the fold. A root count is the number
+    of scan brackets, so no root is bisected.
     """
     lo, hi = map(float, param_range)
 
     def count(p):
-        return len(hiv_lambda_roots(replace(params, **{bifurcation_param: p})))
+        params_p = replace(params, **{bifurcation_param: p})
+        return len(_lambda_brackets(params_p)[2])
 
     c_lo, c_hi = count(lo), count(hi)
     if {c_lo, c_hi} != {0, 2}:
@@ -346,22 +361,51 @@ def endemic_equilibria_generic(model: PatchModel) -> tuple:
 def _generic_roots(model: PatchModel, system, dfe: PatchState) -> tuple:
     """(states, discarded): endemic_equilibria_generic's unclassified roots.
 
+    The seeds span the n + m infected and susceptible unknowns only, 3^(n+m)
+    grid points, and each takes its removed classes slaved to its infected
+    ones, z = (Z x) / diag(D), which zeroes the z rows Z x - D z. Those rows
+    are the only place z appears: the incidence and the standard-incidence
+    N read x and y alone, and a full Newton step keeps z slaved. A grid
+    over z as well repeats every (x, y) seed 3^k times and finds the same
+    roots with 3^k times the discards (tests/reference.full_grid_roots).
+    """
+    free = model.n + model.m
+    d = np.diag(model.D)
+
+    def seeds(index):
+        XY = _seed_rows(dfe, free, index)
+        return np.hstack([XY, (XY[:, :model.n] @ model.Z.T) / d])
+
+    return _search_roots(model, system, dfe, 3 ** free, seeds)
+
+
+def _seed_rows(dfe: PatchState, width: int, index: np.ndarray) -> np.ndarray:
+    """The seeds numbered index of a 3^width grid, one row each.
+
+    Seed i takes 0.1, 1 or 10 times the DFE's total susceptible level in
+    coordinate j by the base-3 digits of i, the last coordinate fastest:
+    the order of itertools.product.
+    """
+    scale = float(np.sum(dfe.y))
+    grid = np.array([0.1 * scale, 1.0 * scale, 10.0 * scale])
+    place = 3 ** np.arange(width - 1, -1, -1)
+    return grid[index[:, None] // place % 3]
+
+
+def _search_roots(model: PatchModel, system, dfe: PatchState, nseeds: int,
+                  seeds) -> tuple:
+    """(states, discarded) of damped Newton from seeds(index), index < nseeds.
+
     Newton runs on up to SEED_BATCH seeds at once (_newton_seeds) on the
     patch's system; the acceptance tests then go through the seeds in grid
     order, so the first seed to reach a root is the one kept.
     """
-    scale = float(np.sum(dfe.y))
-    grid = np.array([0.1 * scale, 1.0 * scale, 10.0 * scale])
     u_dfe = dfe.concat()
-    # seed i takes grid[d_j] in coordinate j, d its base-3 digits with the
-    # last coordinate fastest: the order of itertools.product
-    place = 3 ** np.arange(model.size - 1, -1, -1)
-    nseeds = 3 ** model.size
     roots = []
     discarded = 0
     for start in range(0, nseeds, SEED_BATCH):
         index = np.arange(start, min(start + SEED_BATCH, nseeds))
-        U, converged = _newton_seeds(system, grid[index[:, None] // place % 3])
+        U, converged = _newton_seeds(system, seeds(index))
         # the open positive cone only; a seed that slid back to the DFE
         # (x numerically zero) is the disease-free root, and a root pinned
         # to any face of the cone (a component at Newton roundoff scale)
@@ -372,6 +416,16 @@ def _generic_roots(model: PatchModel, system, dfe: PatchState) -> tuple:
                   / (1.0 + np.maximum(size, np.max(np.abs(u_dfe)))))
         endemic = (converged & ~np.any(U <= floor[:, None], axis=1)
                    & ~(to_dfe <= ROOT_MERGE_TOL))
+        # a small residual is not yet a root where the Jacobian is nearly
+        # singular (at R = 1 Newton crawls toward the DFE through states
+        # with x of order 1e-6): a root's own Newton step must be within
+        # the merge distance
+        cand = np.flatnonzero(endemic)
+        if cand.size:
+            dU, solved = _newton_steps(system, U[cand],
+                                       _residuals(system, U[cand]))
+            endemic[cand] = solved & (np.max(np.abs(dU), axis=1)
+                                      <= floor[cand])
         discarded += index.size - int(np.count_nonzero(endemic))
         for u in U[endemic]:
             if not any(_state_distance(u, v) <= ROOT_MERGE_TOL

@@ -20,6 +20,34 @@ BASE = dict(Lam=1.0, mu=0.05, gam=0.05, delta=1.0, p=0.999, q=0.5,
 REGIME_BETA1 = {"below_Rc": 0.5, "backward_window": 0.85, "above_one": 1.0}
 
 
+# Generic patches of the benchmark catalog: (family, parameters, endemic
+# roots, discarded seeds) as the one-seed-at-a-time damped Newton found them
+# on the full 3^size seed grid. The search now seeds x and y only and
+# discards 3^k times fewer.
+GENERIC_CATALOG = [
+    ("multigroup", {"beta": [[0.02, 0.01], [0.005, 0.03]], "Lam": [1.0, 0.8],
+                    "mu": [0.05, 0.05], "gamma": [0.05, 0.05]}, 1, 405),
+    ("multigroup", {"beta": [[0.03, 0.004], [0.01, 0.025]], "Lam": [1.0, 1.2],
+                    "mu": [0.05, 0.06], "gamma": [0.04, 0.05]}, 1, 495),
+    ("multigroup", {"beta": [[0.002, 0.001], [0.0005, 0.003]],
+                    "Lam": [1.0, 0.8], "mu": [0.05, 0.05],
+                    "gamma": [0.05, 0.05]}, 0, 729),
+    ("multistrain", {"beta": [0.05, 0.07, 0.04], "gamma": [0.3, 0.4, 0.2],
+                     "Lam": 1.0, "mu": 0.1}, 0, 243),
+    ("multistrain", {"beta": [0.08, 0.03, 0.06], "gamma": [0.35, 0.25, 0.3],
+                     "Lam": 1.0, "mu": 0.1}, 0, 243),
+    ("multistrain", {"beta": [0.01, 0.015, 0.012], "gamma": [0.3, 0.4, 0.2],
+                     "Lam": 1.0, "mu": 0.1}, 0, 243),
+    ("stage_progression", {"beta": [0.04, 0.01, 0.02], "nu": [0.2, 0.1, 0.15],
+                           "Lam": 1.0, "mu": 0.05}, 1, 129),
+    ("stage_progression", {"beta": [0.03, 0.02, 0.01], "nu": [0.25, 0.2, 0.1],
+                           "Lam": 1.0, "mu": 0.05}, 1, 126),
+    ("stage_progression", {"beta": [0.004, 0.001, 0.002],
+                           "nu": [0.2, 0.1, 0.15], "Lam": 1.0, "mu": 0.05},
+     0, 243),
+]
+
+
 @lru_cache(maxsize=None)
 def hiv_patch(beta1=0.85):
     return model.hiv_vaccination(model.HivParams(**{**BASE, "beta1": beta1}))

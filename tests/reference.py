@@ -4,14 +4,16 @@ patchepi evaluates the model equations through one path,
 continuation.CoupledSystem. These functions write the same equations out
 directly, patch by patch and region by region, so the tests can check the
 kernel (and the classifications built on it) against an independent
-evaluation. The branch cross-checks at the end read continued branches
-against the analytic derivatives of persist and tally their stability.
-Nothing in the package imports them.
+evaluation. full_grid_roots is the seed grid the generic equilibrium
+search used to run, kept as its oracle. The branch cross-checks at the
+end read continued branches against the analytic derivatives of persist
+and tally their stability. Nothing in the package imports them.
 """
 from typing import Sequence
 
 import numpy as np
 
+from patchepi import equilibria
 from patchepi.continuation import (BranchRecord, HypothesisViolationError,
                                    _check_families, continue_every_pattern,
                                    travel_matrix)
@@ -79,6 +81,19 @@ def patch_jacobian(model: PatchModel, s: PatchState) -> np.ndarray:
     J[sl_z, sl_x] = model.Z
     J[sl_z, sl_z] = -model.D
     return J
+
+
+def full_grid_roots(model: PatchModel) -> tuple:
+    """(states, discarded) of the generic search seeded over all unknowns.
+
+    The 3^size grid seeds z as well as x and y; the package seeds x and y
+    only and slaves z, which should find the same roots with 3^k times
+    fewer discards. Newton, acceptance, merge and sort are the package's.
+    """
+    dfe = equilibria._dfe_state(model)
+    return equilibria._search_roots(
+        model, equilibria._patch_system(model), dfe, 3 ** model.size,
+        lambda index: equilibria._seed_rows(dfe, model.size, index))
 
 
 def _block_slices(r: int, n: int, m: int, k: int):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import BASE, marginal_beta1
+from conftest import BASE, GENERIC_CATALOG, marginal_beta1
 from patchepi import cli, sim
 
 FIXTURES = ("hiv_backward.json", "hiv_mixed.json", "hiv_above_one.json",
@@ -314,10 +314,23 @@ def test_census_exhaustive_networks():
     assert by_edges[((1, 2), (1, 3))] == 6
     assert by_edges[((1, 3), (2, 3))] == 7
 
+
+def test_census_exhaustive_networks_refuses_r2_before_any_work(
+        monkeypatch, tmp_path, capsys):
+    def no_work(model):
+        raise AssertionError("patch equilibria computed")
+
+    monkeypatch.setattr(cli.equilibria, "patch_equilibria", no_work)
     data = base_dict()
     data["network"] = {"edges": [[1, 2]], "r": 2}
     with pytest.raises(cli.ConfigError, match="exactly 3"):
         cli.cmd_census(cli.config_from_dict(data), exhaustive_networks=True)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(data))
+    assert cli.main(["census", "--config", str(cfgp),
+                     "--exhaustive-networks"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --exhaustive-networks needs exactly 3 patches\n")
 
 
 # ====================================================================
@@ -648,6 +661,61 @@ def test_every_subcommand_exits_cleanly_on_shipped_fixtures(name, tmp_path,
     for branch in branches:
         if branch["failure"] is not None:
             assert branch["observed"] is None and branch["agree"] is None
+
+
+# The same digests for configs of three catalog patches of each generic
+# family (the search's multi-start Newton), recorded before the seed grid
+# left out the removed classes.
+GENERIC_RUNS = ("analyze", "census", "census --exhaustive-networks")
+GENERIC_DIGESTS = {
+    ("multigroup", "analyze"):
+        "2979fd0bd8fee56af3264cff6c9d949723c3685ef27fa024d693688d6e1cccf2",
+    ("multigroup", "census"):
+        "a5331427f31b2e626e50c55eb7a2a8ea15e39d2c22136d807136acc122356717",
+    ("multigroup", "census --exhaustive-networks"):
+        "ec06e1aacbbe5c66f9a60aaf916af7b23e3e0426acdb7d39d0191cb4507b2413",
+    ("multistrain", "analyze"):
+        "78f229bd0a6abbcdc8302043684d5b66c67bbfdec6e9f972fa0d2dcc851f506c",
+    ("multistrain", "census"):
+        "faac4f631ae9420c8dd10590ee2d0630fafdc7ed03ee09e353d170559d763add",
+    ("multistrain", "census --exhaustive-networks"):
+        "9b1b9bae4d4ea530d837218d16f3cc045dee48d521e61a7ef3d81cce98dd9408",
+    ("stage_progression", "analyze"):
+        "a4665815f5e4523fee8a1f5975fb8e837ae0ff6a001b99f0582ef0227e5e2d9d",
+    ("stage_progression", "census"):
+        "d5bc27ba6563de228d557f6da4fa018f37098cdabaacbf83da9b157382483347",
+    ("stage_progression", "census --exhaustive-networks"):
+        "e9d4abdb388ccd433c80681fc1fece0e2ce1532449f0fb54d4cbe2ea0d780a91",
+}
+
+
+@pytest.mark.parametrize("family", ["multigroup", "multistrain",
+                                    "stage_progression"])
+def test_generic_family_reports_unchanged(family, tmp_path, capsys):
+    data = {"schema_version": 1,
+            "patches": [{"family": f, "params": p}
+                        for f, p, _, _ in GENERIC_CATALOG if f == family],
+            "network": {"preset": "fig3b"}, "alpha_grid": [0.0]}
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(data))
+    for run in GENERIC_RUNS:
+        command, *flags = run.split()
+        outdir = tmp_path / run.replace(" ", "_")
+        code = cli.main([command, "--config", str(cfgp),
+                         "--out", str(outdir)] + flags)
+        err = capsys.readouterr().err
+        assert run_digest(code, err, outdir) == GENERIC_DIGESTS[family, run], \
+            f"{family}: {run} output changed"
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    def rebuilt():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    assert cli.main(["analyze", "--config",
+                     cli.fixture_path("hiv_backward.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "analyze"
 
 
 def test_artifacts_byte_deterministic(tmp_path):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BASE, hiv_patch, hiv_eqs, hiv_R
+from conftest import BASE, GENERIC_CATALOG, hiv_patch, hiv_eqs, hiv_R
 from patchepi import equilibria, model
 from patchepi.model import HivParams, PatchState
-from reference import patch_residual
+from reference import full_grid_roots, patch_residual
 
 
 def scalar_force_residual(params: HivParams, lam: float) -> float:
@@ -156,6 +156,17 @@ def test_estimate_Rc_backward_window():
         equilibria.estimate_Rc(params, "beta1", (1.0, 1.2))
 
 
+def test_lambda_brackets_count_the_roots():
+    # estimate_Rc counts roots by their scan brackets, without bisecting
+    for beta1 in np.linspace(0.5, 1.2, 29):
+        params = HivParams(**{**BASE, "beta1": beta1})
+        _, _, brackets = equilibria._lambda_brackets(params)
+        assert len(brackets) == len(equilibria.hiv_lambda_roots(params))
+    # the fold bisection visits the same counts as before, bit for bit
+    assert equilibria.estimate_Rc(HivParams(**BASE), "beta1",
+                                  (0.5, 0.85)) == 0.9199111145817892
+
+
 def test_bifurcation_report_regimes():
     rep = equilibria.bifurcation_report(hiv_patch(0.85), hiv_eqs(0.85))
     assert rep.regime == "backward_window"
@@ -178,7 +189,7 @@ def test_generic_single_group_closed_form():
     beta, Lam, mu, gam = 0.06, 1.0, 0.05, 0.05
     mg = model.multigroup([[beta]], Lam, mu, gam)
     roots, discarded = equilibria.endemic_equilibria_generic(mg)
-    assert len(roots) == 1 and discarded == 12
+    assert len(roots) == 1 and discarded * 3 ** mg.k == 12
     S = (gam + mu) / beta
     I = Lam / (gam + mu) - mu / beta
     assert roots[0].state.y[0] == pytest.approx(S, rel=1e-9)
@@ -200,7 +211,7 @@ def test_generic_discards_boundary_roots():
     b = np.array([1.2, 0.8]) * (gam + mu) / (Lam / mu)
     ms = model.multistrain(b, gam, Lam, mu)
     roots, discarded = equilibria.endemic_equilibria_generic(ms)
-    assert roots == [] and discarded == 81
+    assert roots == [] and discarded * 3 ** ms.k == 81
 
 
 @pytest.mark.parametrize("family", ["hiv_vaccination", "multigroup"])
@@ -218,37 +229,11 @@ def test_one_coupled_system_per_patch_equilibria(family,
     assert coupled_systems_built == [1]
 
 
-# Generic patches of the benchmark catalog: (family, parameters, endemic
-# roots, discarded seeds) as the one-seed-at-a-time damped Newton found them.
-GENERIC_CATALOG = [
-    ("multigroup", {"beta": [[0.02, 0.01], [0.005, 0.03]], "Lam": [1.0, 0.8],
-                    "mu": [0.05, 0.05], "gamma": [0.05, 0.05]}, 1, 405),
-    ("multigroup", {"beta": [[0.03, 0.004], [0.01, 0.025]], "Lam": [1.0, 1.2],
-                    "mu": [0.05, 0.06], "gamma": [0.04, 0.05]}, 1, 495),
-    ("multigroup", {"beta": [[0.002, 0.001], [0.0005, 0.003]],
-                    "Lam": [1.0, 0.8], "mu": [0.05, 0.05],
-                    "gamma": [0.05, 0.05]}, 0, 729),
-    ("multistrain", {"beta": [0.05, 0.07, 0.04], "gamma": [0.3, 0.4, 0.2],
-                     "Lam": 1.0, "mu": 0.1}, 0, 243),
-    ("multistrain", {"beta": [0.08, 0.03, 0.06], "gamma": [0.35, 0.25, 0.3],
-                     "Lam": 1.0, "mu": 0.1}, 0, 243),
-    ("multistrain", {"beta": [0.01, 0.015, 0.012], "gamma": [0.3, 0.4, 0.2],
-                     "Lam": 1.0, "mu": 0.1}, 0, 243),
-    ("stage_progression", {"beta": [0.04, 0.01, 0.02], "nu": [0.2, 0.1, 0.15],
-                           "Lam": 1.0, "mu": 0.05}, 1, 129),
-    ("stage_progression", {"beta": [0.03, 0.02, 0.01], "nu": [0.25, 0.2, 0.1],
-                           "Lam": 1.0, "mu": 0.05}, 1, 126),
-    ("stage_progression", {"beta": [0.004, 0.001, 0.002],
-                           "nu": [0.2, 0.1, 0.15], "Lam": 1.0, "mu": 0.05},
-     0, 243),
-]
-
-
 @pytest.mark.parametrize("family, params, nroots, discarded", GENERIC_CATALOG)
 def test_generic_search_roots_and_discards(family, params, nroots, discarded):
     mod = getattr(model, family)(**params)
     roots, got = equilibria.endemic_equilibria_generic(mod)
-    assert (len(roots), got) == (nroots, discarded)
+    assert (len(roots), got * 3 ** mod.k) == (nroots, discarded)
     for eq in roots:
         assert np.max(np.abs(patch_residual(mod, eq.state))) <= 1e-9
         assert np.all(eq.state.concat() > 0)
@@ -260,7 +245,8 @@ def test_generic_search_in_small_batches(monkeypatch):
     want, want_discarded = equilibria.endemic_equilibria_generic(mod)
     monkeypatch.setattr(equilibria, "SEED_BATCH", 100)
     got, got_discarded = equilibria.endemic_equilibria_generic(mod)
-    assert got_discarded == want_discarded == 15
+    assert got_discarded == want_discarded
+    assert want_discarded * 3 ** mod.k == 15
     assert len(got) == len(want) == 2
     for g, w in zip(got, want):
         assert np.allclose(g.state.concat(), w.state.concat(),
@@ -314,10 +300,98 @@ def test_generic_path_reproduces_hiv_scalar_roots():
     mod = hiv_patch(0.85)
     roots, discarded = equilibria.endemic_equilibria_generic(mod)
     scalar = hiv_eqs(0.85)[1:]
-    assert len(roots) == len(scalar) == 2 and discarded == 15
+    assert len(roots) == len(scalar) == 2 and discarded * 3 ** mod.k == 15
     for got, want in zip(roots, scalar):
         dist = np.max(np.abs(got.state.concat() - want.state.concat()))
         assert dist < 1e-7
+
+
+def random_generic_patches(seed=2026):
+    """Four seeded random patches of each generic family, 2-3 infected."""
+    rng = np.random.default_rng(seed)
+    patches = []
+    for _ in range(4):
+        patches.append(model.multigroup(
+            rng.uniform(0.0, 0.04, (2, 2)), rng.uniform(0.5, 1.5, 2),
+            rng.uniform(0.03, 0.08, 2), rng.uniform(0.03, 0.08, 2)))
+        n = int(rng.integers(2, 4))
+        patches.append(model.multistrain(
+            rng.uniform(0.01, 0.1, n), rng.uniform(0.2, 0.4, n), 1.0, 0.1))
+        patches.append(model.stage_progression(
+            rng.uniform(0.0, 0.05, n), rng.uniform(0.1, 0.3, n), 1.0, 0.05))
+    return patches
+
+
+def test_generic_roots_match_full_grid():
+    # seeding z adds no root: the full 3^size grid finds the same roots,
+    # bit for bit, and discards 3^k times as many seeds
+    mu, gam = 0.1, 0.4
+    boundary = model.multistrain(np.array([1.2, 0.8]) * (gam + mu) / (1 / mu),
+                                 gam, 1.0, mu)   # as in the boundary test
+    cases = ([getattr(model, f)(**p) for f, p, _, _ in GENERIC_CATALOG]
+             + [model.multigroup([[0.06]], 1.0, 0.05, 0.05), boundary]
+             + random_generic_patches())
+    found = 0
+    for mod in cases:
+        got, discarded = equilibria.endemic_equilibria_generic(mod)
+        want, want_discarded = full_grid_roots(mod)
+        assert want_discarded == discarded * 3 ** mod.k
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.state.concat(), w.concat())
+        found += len(got)
+    assert found >= 10
+
+
+@pytest.mark.parametrize("beta1", [0.835, 0.85, 0.875, 1.0, 1.15])
+def test_generic_hiv_roots_match_full_grid(beta1):
+    mod = hiv_patch(beta1)
+    got, discarded = equilibria.endemic_equilibria_generic(mod)
+    want, want_discarded = full_grid_roots(mod)
+    assert want_discarded == discarded * 3 ** mod.k
+    assert len(got) == len(want) == len(hiv_eqs(beta1)) - 1
+    for g, w in zip(got, want):
+        assert np.allclose(g.state.concat(), w.concat(), rtol=1e-12, atol=0)
+
+
+def test_generic_search_seeds_infected_and_susceptible_only(monkeypatch):
+    rows = []
+    newton_seeds = equilibria._newton_seeds
+
+    def recording(system, U0):
+        rows.append(U0)
+        return newton_seeds(system, U0)
+
+    monkeypatch.setattr(equilibria, "_newton_seeds", recording)
+    for mod in (hiv_patch(0.85), model.multistrain([0.05, 0.07, 0.04],
+                                                   [0.3, 0.4, 0.2], 1.0, 0.1)):
+        rows.clear()
+        equilibria.endemic_equilibria_generic(mod)
+        U0 = np.vstack(rows)
+        assert len(U0) == 3 ** (mod.n + mod.m)
+        # every seed starts with its removed classes slaved: Z x = D z
+        x, z = U0[:, :mod.n], U0[:, mod.n + mod.m:]
+        assert np.allclose(x @ mod.Z.T, z @ mod.D.T, rtol=1e-15, atol=0)
+        assert len(np.unique(U0[:, :mod.n + mod.m], axis=0)) == len(U0)
+
+
+def test_transcritical_point_has_no_endemic_root():
+    # at R = 1 the endemic branch meets the DFE, and Newton crawls toward it
+    # through states with x of order 1e-6 whose residual is already below
+    # ROOT_RESIDUAL_TOL; a hair above R = 1 the single endemic root stays
+    at_one = model.multistrain([0.05], [0.4], 1.0, 0.1)
+    assert equilibria.local_reproduction_number(at_one) == 1.0
+    assert equilibria.endemic_equilibria_generic(at_one)[0] == []
+    eqs = equilibria.patch_equilibria(at_one)
+    assert equilibria.bifurcation_report(at_one, eqs).regime == "below_Rc"
+
+    beta, gam, Lam, mu = 0.05 * 1.002, 0.4, 1.0, 0.1
+    above = model.multistrain([beta], [gam], Lam, mu)
+    assert equilibria.local_reproduction_number(above) > 1.0
+    roots, _ = equilibria.endemic_equilibria_generic(above)
+    assert len(roots) == 1
+    assert roots[0].state.x[0] == pytest.approx(Lam / (gam + mu) - mu / beta,
+                                                rel=1e-9)
 
 
 def test_enumerate_patterns_known_counts():
