@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matalg
 from .model import (HivParams, PatchModel, PatchState, hiv_vaccination,
-                    new_infection_operator, split_state)
+                    split_state)
 
 # Newton acceptance for a root, and merge distance for duplicates.
 ROOT_RESIDUAL_TOL = 1e-9
@@ -41,6 +41,7 @@ LAMBDA_SCAN_LO = 1e-8
 LAMBDA_SCAN_HI = 50.0
 LAMBDA_SCAN_POINTS = 4000
 LAMBDA_BISECT_TOL = 1e-12
+LAMBDA_GRID = np.geomspace(LAMBDA_SCAN_LO, LAMBDA_SCAN_HI, LAMBDA_SCAN_POINTS)
 
 
 class DegenerateModelError(RuntimeError):
@@ -48,7 +49,7 @@ class DegenerateModelError(RuntimeError):
 
 
 class NoFoldError(RuntimeError):
-    """Root-count fold absent from the requested parameter sweep."""
+    """No fold on the force-of-infection scan: the bifurcation is forward."""
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,19 @@ def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
 
 def local_reproduction_number(model: PatchModel) -> float:
     """Spectral radius of F V^{-1} with F evaluated at the patch DFE."""
-    F = new_infection_operator(model, _dfe_state(model))
+    F = model.V - v_minus_f(model, _dfe_state(model))
     FVinv = np.linalg.solve(model.V.T, F.T).T
     return matalg.spectral_radius(FVinv)
+
+
+def v_minus_f(model: PatchModel, dfe: PatchState) -> np.ndarray:
+    """V - F at the disease-free state dfe, F the new-infection operator.
+
+    It is minus the x-x block of the patch's Jacobian there: with x = 0
+    the incidence contributes F and nothing through N.
+    """
+    J = _patch_system(model).jacobian(0.0, dfe.concat())
+    return -J[:model.n, :model.n]
 
 
 def stability_of(J: np.ndarray) -> tuple:
@@ -221,27 +232,34 @@ def hiv_state_from_lambda(params: HivParams, lam: float) -> PatchState:
                       np.array([A]))
 
 
+def _hiv_incidence(params: HivParams, lam) -> tuple:
+    """(N, I1, I2) at force of infection lam, scalar or array.
+
+    The force of infection the state implies is (beta1 I1 + beta2 I2) / N,
+    and no term of N, I1 or I2 reads beta1 or beta2.
+    """
+    S, SV, Y1, Y2, W1, W2, _ = _hiv_compartments(params, lam)
+    return ((S + SV) + (((Y1 + Y2) + W1) + W2), Y1 + params.s1 * W1,
+            Y2 + params.s2 * W2)
+
+
 def _hiv_scalar_residual(params: HivParams, lam):
     """lam minus the force of infection it implies; scalar or array lam."""
-    pr = params
-    S, SV, Y1, Y2, W1, W2, _ = _hiv_compartments(params, lam)
-    N = (S + SV) + (((Y1 + Y2) + W1) + W2)
-    foi = (pr.beta1 * (Y1 + pr.s1 * W1) + pr.beta2 * (Y2 + pr.s2 * W2)) / N
-    return lam - foi
+    N, I1, I2 = _hiv_incidence(params, lam)
+    return lam - (params.beta1 * I1 + params.beta2 * I2) / N
 
 
 def _lambda_brackets(params: HivParams) -> tuple:
-    """(grid, fa, brackets): the logarithmic scan of the scalar residual.
+    """(grid, fa, brackets): the scan of the scalar residual over LAMBDA_GRID.
 
     fa holds the residual at every grid point but the last; brackets are
     the indices i whose interval [grid[i], grid[i + 1]] holds a root: the
     residual is zero at its left end or changes sign across it. The scan
     is one array expression.
     """
-    grid = np.geomspace(LAMBDA_SCAN_LO, LAMBDA_SCAN_HI, LAMBDA_SCAN_POINTS)
-    vals = _hiv_scalar_residual(params, grid)
+    vals = _hiv_scalar_residual(params, LAMBDA_GRID)
     fa, fb = vals[:-1], vals[1:]
-    return grid, fa, np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
+    return LAMBDA_GRID, fa, np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
 
 
 def hiv_lambda_roots(params: HivParams) -> list:
@@ -281,38 +299,32 @@ def _regime_from(R: float, nroots: int) -> str:
         f"unclassifiable root census: R={R}, {nroots} positive roots")
 
 
-def estimate_Rc(params: HivParams, bifurcation_param: str,
-                param_range: tuple) -> float:
-    """Locate the fold of the backward bifurcation.
+def estimate_Rc(params: HivParams) -> float:
+    """The local R at the fold of the backward bifurcation (_fold_beta1)."""
+    return local_reproduction_number(
+        hiv_vaccination(replace(params, beta1=_fold_beta1(params))))
 
-    Bisects the named parameter on the 0-to-2 change in the number of
-    positive roots (relative accuracy 1e-6 on the parameter) and returns
-    the local reproduction number at the fold. A root count is the number
-    of scan brackets, so no root is bisected.
+
+def _fold_beta1(params: HivParams) -> float:
+    """The beta1 at which the scan's root count goes from 0 to 2.
+
+    Each grid lambda of the scan is a steady state for exactly one beta1,
+
+        beta1(lam) = (lam N - beta2 I2) / I1        (_hiv_incidence),
+
+    since beta1 enters the scalar residual linearly and nothing else in
+    it. The scan finds no root below the least of those beta1 and two
+    just above it, so that minimum is the fold, whatever the configured
+    beta1. Raises NoFoldError when the minimum is the grid's first point:
+    beta1(lam) then only grows, and the bifurcation is forward.
     """
-    lo, hi = map(float, param_range)
-
-    def count(p):
-        params_p = replace(params, **{bifurcation_param: p})
-        return len(_lambda_brackets(params_p)[2])
-
-    c_lo, c_hi = count(lo), count(hi)
-    if {c_lo, c_hi} != {0, 2}:
-        raise NoFoldError(
-            f"sweep of {bifurcation_param} over {param_range} does not bracket "
-            f"the fold (root counts {c_lo} and {c_hi})")
-    # orient so that lo has no roots
-    if c_lo == 2:
-        lo, hi = hi, lo
-    while abs(hi - lo) > 1e-6 * max(abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if count(mid) == 0:
-            lo = mid
-        else:
-            hi = mid
-    fold_param = 0.5 * (lo + hi)
-    model = hiv_vaccination(replace(params, **{bifurcation_param: fold_param}))
-    return local_reproduction_number(model)
+    N, I1, I2 = _hiv_incidence(params, LAMBDA_GRID)
+    beta1 = (LAMBDA_GRID * N - params.beta2 * I2) / I1
+    i = int(np.argmin(beta1))
+    if i == 0:
+        raise NoFoldError("the force-of-infection scan has no fold: "
+                          "the bifurcation is forward")
+    return float(beta1[i])
 
 
 def bifurcation_report(model: PatchModel, equilibria) -> BifurcationReport:
@@ -320,22 +332,15 @@ def bifurcation_report(model: PatchModel, equilibria) -> BifurcationReport:
 
     equilibria, the patch_equilibria of this model, give the endemic root
     count that classifies the regime. The HIV family adds the forces of
-    infection of its endemic states and, inside the backward window, a
-    fold estimate from a parameter sweep below the configured transmission
-    rate.
+    infection of its endemic states and, inside the backward window, the
+    local R at the fold (estimate_Rc).
     """
     R = local_reproduction_number(model)
     regime = _regime_from(R, len(equilibria) - 1)
     if model.family != "hiv_vaccination":
         return BifurcationReport(R_local=R, regime=regime, endemic_lambdas=())
     params = HivParams(**model.params)
-    rc = None
-    if regime == "backward_window":
-        try:
-            rc = estimate_Rc(params, "beta1",
-                             (0.5 * params.beta1, params.beta1))
-        except NoFoldError:
-            pass
+    rc = estimate_Rc(params) if regime == "backward_window" else None
     return BifurcationReport(
         R_local=R, regime=regime,
         endemic_lambdas=tuple(eq.lam for eq in equilibria[1:]),

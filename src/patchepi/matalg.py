@@ -7,8 +7,6 @@ dense decompositions; robustness beats speed at these sizes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Absolute threshold below which a matrix entry counts as structurally zero.
@@ -29,19 +27,6 @@ class SingularMatrixError(ValueError):
     def __init__(self, cond: float):
         super().__init__(f"matrix numerically singular (condition number {cond:.3e})")
         self.cond = cond
-
-
-@dataclass(frozen=True)
-class SignPatternReport:
-    """Sign-pattern and M-matrix summary of a square matrix.
-
-    is_nonsingular_M implies is_Z_pattern and min_real_eig > 0; when the
-    Z pattern holds, is_nonsingular_M is equivalent to inverse_nonneg.
-    """
-    is_Z_pattern: bool
-    is_nonsingular_M: bool
-    inverse_nonneg: bool
-    min_real_eig: float
 
 
 def _require_square(A: np.ndarray, batch: bool = False) -> np.ndarray:
@@ -76,26 +61,16 @@ def z_pattern_check(A: np.ndarray) -> bool:
     return bool(np.all(off <= ZERO_TOL))
 
 
-def m_matrix_report(A: np.ndarray) -> SignPatternReport:
-    """Z-pattern flag, spectral abscissa from below, inverse nonnegativity.
+def is_nonsingular_M(A: np.ndarray) -> bool:
+    """True iff A is a nonsingular M-matrix.
 
-    A nonsingular M-matrix is a Z-pattern matrix whose eigenvalues all have
-    positive real part; equivalently its inverse is entrywise nonnegative.
-    Both characterizations are computed so callers can cross-check them.
+    That is a Z-pattern matrix whose eigenvalues all have positive real
+    part (beyond ZERO_TOL); equivalently, a Z-pattern matrix whose inverse
+    is entrywise nonnegative.
     """
     A = _require_square(A)
-    is_z = z_pattern_check(A)
-    eigs = np.linalg.eigvals(A)
-    min_re = float(np.min(eigs.real)) if A.size else 0.0
-    inverse_nonneg = False
-    try:
-        inv = np.linalg.inv(A)
-        inverse_nonneg = bool(np.all(inv >= -1e-10 * (1.0 + np.max(np.abs(inv)))))
-    except np.linalg.LinAlgError:
-        pass
-    is_m = is_z and min_re > ZERO_TOL
-    return SignPatternReport(is_Z_pattern=is_z, is_nonsingular_M=is_m,
-                             inverse_nonneg=inverse_nonneg, min_real_eig=min_re)
+    return (A.size > 0 and z_pattern_check(A)
+            and float(np.min(np.linalg.eigvals(A).real)) > ZERO_TOL)
 
 
 def _inverse_condition(A: np.ndarray):

@@ -34,8 +34,9 @@ Incidence is either mass_action (B constant) or standard (B = beta / N with
 N = sum(y) + sum(x), the population outside the removed classes).
 
 The right-hand side and its Jacobian, of one patch as of a coupled
-system, come from continuation.CoupledSystem alone; this module describes
-patches, and evaluates only F (new_infection_operator).
+system, come from continuation.CoupledSystem alone, and so does F:
+equilibria.v_minus_f reads V - F off that Jacobian at the disease-free
+state. This module describes patches and evaluates none of the equations.
 """
 from __future__ import annotations
 
@@ -118,10 +119,9 @@ class PatchModel:
             raise ValueError("V/D/Z dimensions inconsistent with (n, m, k)")
         if self.eta.shape != (m, n, n) or self.beta.shape != (m, n):
             raise ValueError("eta/beta dimensions inconsistent with (n, m, k)")
-        v_report = matalg.m_matrix_report(self.V)
-        if not v_report.is_Z_pattern:
+        if not matalg.z_pattern_check(self.V):
             raise ValueError("V must have the Z sign pattern")
-        if not v_report.is_nonsingular_M:
+        if not matalg.is_nonsingular_M(self.V):
             raise ValueError("V must be a nonsingular M-matrix")
         if np.any(self.V.sum(axis=0) < -matalg.ZERO_TOL):
             raise ValueError("V must have nonnegative column sums")
@@ -298,36 +298,6 @@ def multistrain(beta: np.ndarray, gamma: np.ndarray, Lam: float,
 # ====================================================================
 # Operations
 # ====================================================================
-
-def _population(s: PatchState) -> float:
-    # population outside the removed classes; divisor of standard incidence
-    return float(np.sum(s.y) + np.sum(s.x))
-
-
-def transmission_matrix(model: PatchModel, s: PatchState) -> np.ndarray:
-    """B(x, y, z): the m-by-n transmission matrix at a state."""
-    if model.incidence == "mass_action":
-        return model.beta.copy()
-    N = _population(s)
-    if N <= 0.0:
-        raise InadmissibleStateError("standard incidence undefined at N = 0")
-    return model.beta / N
-
-
-def new_infection_operator(model: PatchModel, s: PatchState) -> np.ndarray:
-    """F(x, y, z): inflow of new infections is F x.
-
-    F[j, q] = sum_p eta[p, q][j] y[p] B[p, q]. Entrywise nonnegative for
-    admissible states.
-    """
-    B = transmission_matrix(model, s)
-    return _assemble_F(model.eta, s.y, B)
-
-
-def _assemble_F(eta: np.ndarray, y: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # eta[p, q] is the n-vector over j; F[j, q] = sum_p eta[p, q, j] y[p] B[p, q]
-    return np.einsum("pqj,p,pq->jq", eta, y, B)
-
 
 def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray],
                 u0: np.ndarray) -> np.ndarray:

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import matalg
 from .equilibria import (EquilibriumPattern, enumerate_patterns,
-                         local_reproduction_number)
-from .model import PatchModel, new_infection_operator
+                         local_reproduction_number, v_minus_f)
+from .model import PatchModel
 from .network import MobilityNetwork, classify_pattern
 
 # Tolerance for classifying derivative components as zero.
@@ -135,7 +135,7 @@ class SystemFacts:
         self.models, self.equilibria = models, equilibria
         self.R_values = tuple(local_reproduction_number(mod)
                               for mod in models)
-        self.v_minus_f = [mod.V - new_infection_operator(mod, eqs[0].state)
+        self.v_minus_f = [v_minus_f(mod, eqs[0].state)
                           for mod, eqs in zip(models, equilibria)]
         self.irreducible = all(matalg.is_irreducible(VmF)
                                for VmF in self.v_minus_f)

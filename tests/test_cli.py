@@ -256,7 +256,7 @@ def test_analyze_backward_patch_report():
     assert p["regime"] == "backward_window"
     assert p["endemic_lambdas"] == pytest.approx(
         [0.019459097629, 0.149197030082], abs=1e-9)
-    assert p["R_c_estimate"] == pytest.approx(0.919911141229, abs=1e-7)
+    assert p["R_c_estimate"] == pytest.approx(0.919910879118, abs=1e-7)
     assert p["dfe"]["stability"] == "stable"
     assert p["dfe"]["state"]["x"] == [0.0] * 4
     assert p["dfe"]["state"]["y"] == pytest.approx([10.01, 9.99], abs=1e-9)
@@ -578,7 +578,7 @@ FIXTURE_RUNS = ("analyze", "census", "census --exhaustive-networks",
                 "continue", "simulate")
 FIXTURE_DIGESTS = {
     ("hiv_backward.json", "analyze"):
-        "bc13808d35b500ab5fbafb2d315128daee5bb54247293e6d04c9d1c6e1a57487",
+        "3b710061deb64a8ffb4ed88be73eac332e83749ab0d82a4cfa1f4aaa389165a5",
     ("hiv_backward.json", "census"):
         "d779a00317346bcd71997939df65d524437c7c9a368edac28ddda0cafe8f4c78",
     ("hiv_backward.json", "census --exhaustive-networks"):
@@ -588,7 +588,7 @@ FIXTURE_DIGESTS = {
     ("hiv_backward.json", "simulate"):
         "cca92f7b32b4661a187db06c2186f4222cc25776f03af8609f9bce40464ebce0",
     ("hiv_mixed.json", "analyze"):
-        "98ab60f315f4b1cc7a4c79b9956f32861ec5776f090892f6b47014be942c2e75",
+        "34a7e0b766ceab2ddd565f2e63f4e171538e3bbcab6263467f32a656aca2976c",
     ("hiv_mixed.json", "census"):
         "8abc1691ff5c303435f3fcb6b5018f087b731b6bfce86f7823ea57e60c7fd0ce",
     ("hiv_mixed.json", "census --exhaustive-networks"):

@@ -149,22 +149,60 @@ def test_dfe_of_nonlinear_recruitment_callback():
 
 def test_estimate_Rc_backward_window():
     params = HivParams(**BASE)
-    rc = equilibria.estimate_Rc(params, "beta1", (0.5, 0.85))
+    rc = equilibria.estimate_Rc(params)
     assert rc == pytest.approx(0.9199111145817892, rel=1e-6)
     assert rc < hiv_R(0.85) < 1.0
     with pytest.raises(equilibria.NoFoldError):
-        equilibria.estimate_Rc(params, "beta1", (1.0, 1.2))
+        # nearly no one vaccinated: no backward bifurcation
+        equilibria.estimate_Rc(HivParams(**{**BASE, "p": 0.001}))
+
+
+def test_estimate_Rc_does_not_depend_on_the_configured_beta1():
+    folds = {equilibria.estimate_Rc(HivParams(**{**BASE, "beta1": beta1}))
+             for beta1 in (0.835, 0.85, 0.855, 0.875)}
+    assert len(folds) == 1
+    assert folds.pop() == pytest.approx(0.919910879118, abs=1e-12)
+
+
+def backward_sample(count, seed=19):
+    """Seeded HIV parameter sets around BASE that have a fold."""
+    rng = np.random.default_rng(seed)
+    sample = []
+    while len(sample) < count:
+        draw = {name: value * rng.uniform(0.8, 1.25)
+                for name, value in BASE.items()}
+        rho1, pi1 = rng.uniform(0.2, 0.4), rng.uniform(0.8, 0.95)
+        draw.update(p=rng.uniform(0.9, 0.999), rho1=rho1, rho2=1.0 - rho1,
+                    pi1=pi1, pi2=1.0 - pi1)
+        params = HivParams(**draw)
+        try:
+            equilibria._fold_beta1(params)
+        except equilibria.NoFoldError:
+            continue
+        sample.append(params)
+    return sample
+
+
+def test_fold_is_where_the_root_count_switches():
+    # just below the fold beta1 the scan finds no root, just above it two
+    import dataclasses
+    for params in [HivParams(**BASE)] + backward_sample(24):
+        fold = equilibria._fold_beta1(params)
+        counts = [len(equilibria.hiv_lambda_roots(
+            dataclasses.replace(params, beta1=fold * factor)))
+            for factor in (1.0 - 1e-9, 1.0 + 1e-9)]
+        assert counts == [0, 2], params
+        assert equilibria.estimate_Rc(params) \
+            == equilibria.local_reproduction_number(model.hiv_vaccination(
+                dataclasses.replace(params, beta1=fold)))
 
 
 def test_lambda_brackets_count_the_roots():
-    # estimate_Rc counts roots by their scan brackets, without bisecting
+    # the scan's brackets are the roots hiv_lambda_roots bisects
     for beta1 in np.linspace(0.5, 1.2, 29):
         params = HivParams(**{**BASE, "beta1": beta1})
         _, _, brackets = equilibria._lambda_brackets(params)
         assert len(brackets) == len(equilibria.hiv_lambda_roots(params))
-    # the fold bisection visits the same counts as before, bit for bit
-    assert equilibria.estimate_Rc(HivParams(**BASE), "beta1",
-                                  (0.5, 0.85)) == 0.9199111145817892
 
 
 def test_bifurcation_report_regimes():

