@@ -355,8 +355,9 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
     net = build_network(config, models)
     patches = []
     for idx, mod in enumerate(models):
-        eqs = equilibria.patch_equilibria(mod)
-        report = equilibria.bifurcation_report(mod, eqs)
+        system = equilibria.patch_system(mod)
+        eqs = equilibria.patch_equilibria(mod, system)
+        report = equilibria.bifurcation_report(mod, eqs, system)
         dfe = eqs[0]
         entry = {
             "region": idx + 1,
@@ -388,6 +389,13 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
     })
 
 
+def _patch_systems_and_equilibria(models: Sequence[PatchModel]):
+    """(systems, eqs): each patch's one system and its patch_equilibria."""
+    systems = [equilibria.patch_system(mod) for mod in models]
+    return systems, [equilibria.patch_equilibria(mod, system)
+                     for mod, system in zip(models, systems)]
+
+
 def cmd_census(config: ExperimentConfig,
                exhaustive_networks: bool = False) -> dict:
     """Persistence verdicts for every product pattern of the config."""
@@ -395,9 +403,9 @@ def cmd_census(config: ExperimentConfig,
     net = build_network(config, models)
     if exhaustive_networks and net.r != 3:
         raise ConfigError("--exhaustive-networks needs exactly 3 patches")
-    eqs = [equilibria.patch_equilibria(mod) for mod in models]
+    systems, eqs = _patch_systems_and_equilibria(models)
     counts = [len(e) - 1 for e in eqs]
-    facts = persist.SystemFacts(models, eqs)
+    facts = persist.SystemFacts(models, eqs, systems)
     verdicts = facts.verdicts(net)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -446,8 +454,8 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
         raise ConfigError("alpha_grid: continue needs a positive alpha")
     models = build_models(config)
     net = build_network(config, models)
-    eqs = [equilibria.patch_equilibria(mod) for mod in models]
-    facts = persist.SystemFacts(models, eqs)
+    systems, eqs = _patch_systems_and_equilibria(models)
+    facts = persist.SystemFacts(models, eqs, systems)
     counts = [len(e) - 1 for e in eqs]
     if config.patterns is not None:
         pats = []

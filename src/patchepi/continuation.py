@@ -114,16 +114,26 @@ class CoupledSystem:
     travel matrix, c the constant recruitment, and Q maps the products to
     new infections, Q[x_j, P_pq] = eta[p, q, j] beta[p, q], and to
     susceptible losses, Q[y_p, P_pq] = -beta[p, q]. All four are built
-    once, and M0 + alpha L once per alpha; an evaluation is then a few
-    array operations over every patch at once. N and the dP/dN terms
-    enter only for standard-incidence patches. A recruitment callback
-    puts nothing into c or M0: G adds its g(y) to the patch's y rows and
-    dG/dX its recruitment_jacobian(y) to the y-y block, state by state.
+    once, and M0 + alpha L once per alpha. So are flat index arrays over
+    the products, in (region, p, q) order: the state index of each y_p
+    and x_q factor, the region of each product, and the flat positions of
+    the nonzero entries of dP/dX (at x_q, at y_p and, in a
+    standard-incidence patch, at every x and y of the patch). An
+    evaluation is then a few gathers and array operations over every
+    patch at once:
+
+        P = y[yi] * (x[xi] * (1/N)[region]),
+
+    with 1/N = 1 for a mass-action patch and no N at all when every patch
+    is mass-action. A recruitment callback puts nothing into c or M0: G
+    adds its g(y) to the patch's y rows and dG/dX its
+    recruitment_jacobian(y) to the y-y block, state by state.
 
     X may carry leading batch axes, X[..., r * s]: residual and jacobian
     then evaluate every state of the batch at once, as the multi-start
     equilibrium search and the stability classification of one patch's
-    equilibria do (one region, alpha = 0).
+    equilibria do (one region, alpha = 0). single_state gives the
+    integrator a pair of evaluators for one state at a fixed alpha.
     """
 
     def __init__(self, models: Sequence[PatchModel], net: MobilityNetwork):
@@ -132,10 +142,6 @@ class CoupledSystem:
         self.n, self.m, self.s = n, m, n + m + k
         self.L = travel_matrix(net)
         r, s = net.r, self.s
-        self._standard_patch = np.array([mod.incidence == "standard"
-                                         for mod in models])
-        self._std = np.flatnonzero(self._standard_patch)
-        self._mixed = 0 < self._std.size < r
         self._callbacks = [(mod, slice(i * s + n, i * s + n + m))
                            for i, mod in enumerate(models)
                            if mod.g_func is not None]
@@ -155,8 +161,30 @@ class CoupledSystem:
             self.Q[base + n:base + n + m, cols] = (
                 -np.eye(m)[:, :, None] * mod.beta).reshape(m, m * n)
         self._alpha = self._A = None
-        # the patches whose dP/dN block is filled: all of them, or a subset
-        self._std_sel = self._std if self._mixed else slice(None)
+        # product j = (region, p, q) in row-major order, Q's column order
+        region, p, q = np.indices((r, m, n)).reshape(3, -1)
+        self._region = region
+        self._yi, self._xi = region * s + n + p, region * s + q
+        standard = np.array([mod.incidence == "standard" for mod in models])
+        self._std = np.flatnonzero(standard)
+        self._N_of = self._std[:, None] * s + np.arange(n + m)
+        self._mixed = 0 < self._std.size < r
+        self._std_product = standard[region]
+        # d/dN reaches every x and y column of a standard patch's products
+        self._N_rows = np.flatnonzero(self._std_product)
+        self._N_cols = region[self._N_rows, None] * s + np.arange(n + m)
+        self._dP_at = self._dP_positions(np.arange(r * s))
+
+    def _dP_positions(self, at):
+        """Flat positions in dP/dX of its d/dN, d/dx and d/dy entries.
+
+        dP/dX has a row per product and a column per state entry, the
+        column of state index i at at[i]: the identity for residual and
+        jacobian, the solve order for single_state.
+        """
+        row = np.arange(self._region.size) * at.size
+        return (row[self._N_rows, None] + at[self._N_cols],
+                row + at[self._xi], row + at[self._yi])
 
     def _linear(self, alpha: float) -> np.ndarray:
         """M0 + alpha L, formed again only when alpha changes."""
@@ -171,83 +199,117 @@ class CoupledSystem:
         any other, they raise InadmissibleStateError.
         """
         X = np.asarray(X, dtype=float)
-        X3 = X.reshape(X.shape[:-1] + (self.net.r, self.s))
-        Ns = X3[..., :self.n + self.m].sum(axis=-1)
-        return np.all((Ns > 0.0) | ~self._standard_patch, axis=-1)
+        return np.all(_take(X, self._N_of).sum(axis=-1) > 0.0, axis=-1)
 
     def _products(self, X: np.ndarray):
-        """(P, y, x_eff, 1/N) per patch; 1/N is None if no patch is standard."""
-        X3 = X.reshape(X.shape[:-1] + (self.net.r, self.s))
-        xs = X3[..., :self.n]
-        ys = X3[..., self.n:self.n + self.m]
-        inv_N = None
-        if self._std.size:
-            Ns = X3[..., :self.n + self.m].sum(axis=-1)
-            if self._mixed:   # a mass-action patch divides by N = 1
-                Ns = np.where(self._standard_patch, Ns, 1.0)
-            if not Ns.min() > 0.0:
-                raise InadmissibleStateError(INADMISSIBLE)
-            inv_N = 1.0 / Ns
-            xs = xs * inv_N[..., None]
-        return ys[..., :, None] * xs[..., None, :], ys, xs, inv_N
+        """(P, y, x / N, 1/N), each per product; 1/N is None if no patch
+        divides by N."""
+        ys, xs = _take(X, self._yi), _take(X, self._xi)
+        if not self._std.size:
+            return ys * xs, ys, xs, None
+        Ns = _take(X, self._N_of).sum(axis=-1)
+        if not Ns.min() > 0.0:
+            raise InadmissibleStateError(INADMISSIBLE)
+        inv_N = 1.0 / Ns
+        if self._mixed:       # a mass-action patch divides by N = 1
+            every = np.ones(X.shape[:-1] + (self.net.r,))
+            every[..., self._std] = inv_N
+            inv_N = every
+        inv_N = _take(inv_N, self._region)
+        xs = xs * inv_N
+        return ys * xs, ys, xs, inv_N
+
+    def _fill_dP(self, buf, products, at):
+        """Write the nonzero entries of dP/dX into buf at positions at.
+
+        The sums are those of writing -P/N over each standard patch's x
+        and y columns of a zero buffer and adding y/N at x_q and x/N at
+        y_p: a mass-action patch of a mixed system gets 0.0 + y and
+        0.0 + x there (N = 1), and with no N at all x_q gets y and y_p
+        0.0 + x. Every position at names is written, so buf may be reused.
+        """
+        P, ys, xeff, inv_N = products
+        at_N, at_x, at_y = at
+        if inv_N is None:
+            buf[..., at_x] = ys
+            buf[..., at_y] = 0.0 + xeff
+            return
+        PN = -(P * inv_N)
+        if self._mixed:
+            PN = np.where(self._std_product, PN, 0.0)
+        buf[..., at_N] = _take(PN, self._N_rows)[..., None]
+        buf[..., at_x] = PN + ys * inv_N
+        buf[..., at_y] = PN + xeff
 
     def residual(self, alpha: float, X: np.ndarray) -> np.ndarray:
         """T(alpha, X), the right-hand side of the coupled ODE."""
-        return self._residual(alpha, X, self._products(X))
-
-    def jacobian(self, alpha: float, X: np.ndarray) -> np.ndarray:
-        """dT/dX at (alpha, X)."""
-        return self._jacobian(alpha, X, self._products(X))
-
-    def residual_and_jacobian(self, alpha: float, X: np.ndarray):
-        """(residual, jacobian) at (alpha, X) from one set of products."""
-        products = self._products(X)
-        return (self._residual(alpha, X, products),
-                self._jacobian(alpha, X, products))
-
-    def _residual(self, alpha, X, products):
-        P = products[0]
         res = (X @ self._linear(alpha).T + self.c
-               + P.reshape(X.shape[:-1] + (-1,)) @ self.Q.T)
+               + self._products(X)[0] @ self.Q.T)
         for mod, rows in self._callbacks:
             for i in np.ndindex(X.shape[:-1]):
                 res[i][rows] += mod.recruitment(X[i][rows])
         return res
 
-    def _jacobian(self, alpha, X, products):
-        # dP/dX is block diagonal: row P_i[p, q] meets only the columns of
-        # patch i, at x_q (d/dx_q = y_p / N), at y_p (d/dy_p = x_q / N) and,
-        # in a standard-incidence patch, at every x and y (d/dN = -P / N).
-        # dP is the head of a buffer with s spare entries after each
-        # patch's rows, so patch i's block starts i * stride entries in,
-        # and reshapes and slices of the buffer reach every block at once.
-        P, ys, xeff, inv_N = products
-        r, m, n = self.net.r, self.m, self.n
-        cols = self.Q.shape[0]                        # r s
-        stride = m * n * cols + self.s
+    def jacobian(self, alpha: float, X: np.ndarray) -> np.ndarray:
+        """dT/dX at (alpha, X)."""
         batch = X.shape[:-1]
-        buf = np.zeros(batch + (r * stride,))
-        blocks = buf.reshape(batch + (r, stride))
-        # heads[..., i, p, q * cols + c] is dP[..., i m n + p n + q, i s + c]
-        heads = blocks[..., :m * n * cols].reshape(batch + (r, m, n * cols))
-        dx = heads[..., ::cols + 1]                   # c = q
-        dy = blocks[..., n:n + m * (n * cols + 1)].reshape(
-            batch + (r, m, n * cols + 1))[..., :n * cols:cols]   # c = n + p
-        if inv_N is None:
-            dx[...] = ys[..., :, :, None]
-        else:
-            sel = self._std_sel
-            PN = P * inv_N[..., None, None]
-            heads.reshape(batch + (r, m, n, cols))[..., sel, :, :, :n + m] = (
-                -PN[..., sel, :, :, None])
-            dx += ys[..., :, :, None] * inv_N[..., None, None]
-        dy += xeff[..., None, :]
-        dP = buf[..., :r * m * n * cols].reshape(batch + self.Q.shape[::-1])
+        products = self._products(X)
+        dP = np.zeros(batch + self.Q.shape[::-1])
+        self._fill_dP(dP.reshape(batch + (-1,)), products, self._dP_at)
         J = self._linear(alpha) + self.Q @ dP
         for mod, rows in self._callbacks:
             for i in np.ndindex(X.shape[:-1]):
                 J[i][rows, rows] += mod.recruitment_jacobian(X[i][rows])
         return J
+
+    def single_state(self, alpha: float, order: np.ndarray):
+        """(rhs, point): evaluators of one state X[r s] at a fixed alpha.
+
+        rhs(X) is residual(alpha, X), and point(X) gives (rhs(X), J) with
+        J = jacobian(alpha, X)[np.ix_(order, order)], the Jacobian with
+        rows and columns in the solve order `order`: point writes dP/dX
+        with its columns already in that order, into one buffer it
+        reuses, and J = A_o + Q[order] @ dP_o, where A_o is M0 + alpha L
+        in that order. M0 + alpha L, its transpose and its ordered copy
+        are formed once here. Every value has the bits of residual and
+        jacobian.
+        """
+        A = self._linear(alpha)
+        AT, QT, c = A.T, self.Q.T, self.c
+        A_o, Q_o = A[np.ix_(order, order)], self.Q[order]
+        at = np.empty_like(order)
+        at[order] = np.arange(order.size)
+        dP_at = self._dP_positions(at)
+        dP = np.zeros(Q_o.shape[::-1])
+        callbacks = [(mod, rows, np.ix_(at[rows], at[rows]))
+                     for mod, rows in self._callbacks]
+        products = self._products
+
+        def residual(X, P):
+            # ndarray.dot runs the same matrix-vector product as @, with
+            # less dispatch
+            res = X.dot(AT) + c + P.dot(QT)
+            for mod, rows, _ in callbacks:
+                res[rows] += mod.recruitment(X[rows])
+            return res
+
+        def rhs(X):
+            return residual(X, products(X)[0])
+
+        def point(X):
+            prods = products(X)
+            self._fill_dP(dP.reshape(-1), prods, dP_at)
+            J = A_o + Q_o @ dP
+            for mod, rows, block in callbacks:
+                J[block] += mod.recruitment_jacobian(X[rows])
+            return residual(X, prods[0]), J
+
+        return rhs, point
+
+
+def _take(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """X[..., idx]; the plain gather X[idx] of one state costs a fifth."""
+    return X[idx] if X.ndim == 1 else X.take(idx, axis=-1)
 
 
 # ====================================================================

@@ -108,7 +108,7 @@ def disease_free_equilibrium(model: PatchModel) -> PatchEquilibrium:
     custom g_func is solved by the damped Newton of continuation, as a
     batch of one row, from the affine seed.
     """
-    return _classified(_patch_system(model), [_dfe_state(model)], 0)[0]
+    return _classified(patch_system(model), [_dfe_state(model)], 0)[0]
 
 
 def _dfe_state(model: PatchModel) -> PatchState:
@@ -139,21 +139,27 @@ def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
     return y0
 
 
-def local_reproduction_number(model: PatchModel) -> float:
-    """Spectral radius of F V^{-1} with F evaluated at the patch DFE."""
-    F = model.V - v_minus_f(model, _dfe_state(model))
+def local_reproduction_number(model: PatchModel, system=None) -> float:
+    """Spectral radius of F V^{-1} with F evaluated at the patch DFE.
+
+    system is the patch's patch_system, built here if not given.
+    """
+    if system is None:
+        system = patch_system(model)
+    F = model.V - v_minus_f(system, _dfe_state(model))
     FVinv = np.linalg.solve(model.V.T, F.T).T
     return matalg.spectral_radius(FVinv)
 
 
-def v_minus_f(model: PatchModel, dfe: PatchState) -> np.ndarray:
+def v_minus_f(system, dfe: PatchState) -> np.ndarray:
     """V - F at the disease-free state dfe, F the new-infection operator.
 
-    It is minus the x-x block of the patch's Jacobian there: with x = 0
-    the incidence contributes F and nothing through N.
+    It is minus the x-x block of the Jacobian of system, the patch's
+    patch_system, there: with x = 0 the incidence contributes F and
+    nothing through N.
     """
-    J = _patch_system(model).jacobian(0.0, dfe.concat())
-    return -J[:model.n, :model.n]
+    J = system.jacobian(0.0, dfe.concat())
+    return -J[:system.n, :system.n]
 
 
 def stability_of(J: np.ndarray) -> tuple:
@@ -172,8 +178,13 @@ def stability_of(J: np.ndarray) -> tuple:
     return label.tolist(), top
 
 
-def _patch_system(model: PatchModel):
-    """The patch's own equations: a one-region CoupledSystem, no travel."""
+def patch_system(model: PatchModel):
+    """The patch's own equations: a one-region CoupledSystem, no travel.
+
+    A caller that needs several of a patch's results builds it once and
+    passes it to patch_equilibria, local_reproduction_number,
+    bifurcation_report and persist.SystemFacts.
+    """
     from .continuation import CoupledSystem
     from .network import from_edges
 
@@ -327,15 +338,17 @@ def _fold_beta1(params: HivParams) -> float:
     return float(beta1[i])
 
 
-def bifurcation_report(model: PatchModel, equilibria) -> BifurcationReport:
+def bifurcation_report(model: PatchModel, equilibria,
+                       system=None) -> BifurcationReport:
     """Root census and regime of one patch, any family.
 
     equilibria, the patch_equilibria of this model, give the endemic root
     count that classifies the regime. The HIV family adds the forces of
     infection of its endemic states and, inside the backward window, the
-    local R at the fold (estimate_Rc).
+    local R at the fold (estimate_Rc). system is the patch's
+    patch_system, built here if not given.
     """
-    R = local_reproduction_number(model)
+    R = local_reproduction_number(model, system)
     regime = _regime_from(R, len(equilibria) - 1)
     if model.family != "hiv_vaccination":
         return BifurcationReport(R_local=R, regime=regime, endemic_lambdas=())
@@ -358,7 +371,7 @@ def endemic_equilibria_generic(model: PatchModel) -> tuple:
     Newton iteration failed to converge or converged outside the open
     positive cone; those are dropped silently by design.
     """
-    system = _patch_system(model)
+    system = patch_system(model)
     states, discarded = _generic_roots(model, system, _dfe_state(model))
     return _classified(system, states, 1), discarded
 
@@ -546,14 +559,16 @@ def _newton_steps(system, U: np.ndarray, R: np.ndarray) -> tuple:
 # Product-system census
 # ====================================================================
 
-def patch_equilibria(model: PatchModel) -> list:
+def patch_equilibria(model: PatchModel, system=None) -> list:
     """DFE plus endemic states of one patch, as classified equilibria.
 
     The HIV family goes through the scalar force-of-infection reduction;
     other families use the generic multi-start Newton. One system of the
-    patch serves the search and the classification of every state.
+    patch, its patch_system (built here if not given), serves the search
+    and the classification of every state.
     """
-    system = _patch_system(model)
+    if system is None:
+        system = patch_system(model)
     dfe = _dfe_state(model)
     if model.family == "hiv_vaccination":
         params = HivParams(**model.params)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import matalg
 from .equilibria import (EquilibriumPattern, enumerate_patterns,
-                         local_reproduction_number, v_minus_f)
+                         local_reproduction_number, patch_system, v_minus_f)
 from .model import PatchModel
 from .network import MobilityNetwork, classify_pattern
 
@@ -128,15 +128,20 @@ class SystemFacts:
     of those matrices are settled once. verdicts and persisting_count then
     apply the rule on any network, settling only its adjacency and the
     classification of each EAT set; derivative_chain solves against the
-    same V - F. equilibria holds each patch's patch_equilibria.
+    same V - F. equilibria holds each patch's patch_equilibria, and
+    systems, if given, each patch's patch_system (one is built per patch
+    otherwise).
     """
 
-    def __init__(self, models: Sequence[PatchModel], equilibria):
+    def __init__(self, models: Sequence[PatchModel], equilibria,
+                 systems=None):
         self.models, self.equilibria = models, equilibria
-        self.R_values = tuple(local_reproduction_number(mod)
-                              for mod in models)
-        self.v_minus_f = [v_minus_f(mod, eqs[0].state)
-                          for mod, eqs in zip(models, equilibria)]
+        if systems is None:
+            systems = [patch_system(mod) for mod in models]
+        self.R_values = tuple(local_reproduction_number(mod, system)
+                              for mod, system in zip(models, systems))
+        self.v_minus_f = [v_minus_f(system, eqs[0].state)
+                          for system, eqs in zip(systems, equilibria)]
         self.irreducible = all(matalg.is_irreducible(VmF)
                                for VmF in self.v_minus_f)
 

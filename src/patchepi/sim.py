@@ -8,11 +8,14 @@ so the integrator is the linearly implicit Rosenbrock method Rodas4
 order-3 solution, stiffly accurate, driven by the analytic Jacobian of the
 coupled system at the start of each step, with one inverse of
 I/(h gamma) - J per trial step. A trajectory builds one
-continuation.CoupledSystem and takes everything from it: a trial step
-evaluates its residual at the five later stages (the first stage reuses
-the right-hand side at the step's start), and an accepted point evaluates
-the residual and the Jacobian together, from one set of incidence
-products.
+continuation.CoupledSystem and takes from it the single-state pair
+(rhs, point) at its alpha, with M0 + alpha L formed once. A trial step
+evaluates rhs at the five later stages (the first stage reuses the
+right-hand side at the step's start), and an accepted point evaluates
+point: the right-hand side and the Jacobian from one set of incidence
+products, the Jacobian built directly in the susceptible-first solve
+order, with no gather. Both carry the bits of CoupledSystem.residual and
+jacobian.
 
 Step control has one model-specific twist: an accepted step may not take
 any component below -1e-9. Undershoots trigger step rejection rather
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -183,16 +185,8 @@ def integrate(models: Sequence[PatchModel], net: MobilityNetwork,
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
 
-    system = CoupledSystem(models, net)
     order = _susceptible_first(models, net.r)
-    in_order = np.ix_(order, order)
-
-    rhs = partial(system.residual, alpha)
-
-    def point(Y):
-        f, J = system.residual_and_jacobian(alpha, Y)
-        return f, J[in_order]
-
+    rhs, point = CoupledSystem(models, net).single_state(alpha, order)
     t = 0.0
     f_cur, J = point(X)
     h = _initial_step(f_cur, X, t_end, rtol, atol)

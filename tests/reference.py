@@ -125,7 +125,7 @@ def full_grid_roots(model: PatchModel) -> tuple:
     """
     dfe = equilibria._dfe_state(model)
     return equilibria._search_roots(
-        model, equilibria._patch_system(model), dfe, 3 ** model.size,
+        model, equilibria.patch_system(model), dfe, 3 ** model.size,
         lambda index: equilibria._seed_rows(dfe, model.size, index))
 
 

@@ -298,6 +298,22 @@ def test_census_counts_and_rows():
     assert full["rule"] == "positive_theorem_4_2"
 
 
+def test_one_system_per_patch(coupled_systems_built):
+    # each patch's one-region system serves its equilibria, local R and
+    # V - F; analyze adds one for each backward-window patch's fold model,
+    # continue the coupled system of its branches
+    config = cli.load_config(cli.fixture_path("hiv_backward.json"))
+    cli.cmd_census(config)
+    assert coupled_systems_built == [1, 1, 1]
+    coupled_systems_built.clear()
+    cli.cmd_continue(config)
+    assert coupled_systems_built == [1, 1, 1, 3]
+    coupled_systems_built.clear()
+    rep = cli.cmd_analyze(config)
+    assert [p["regime"] for p in rep["patches"]] == ["backward_window"] * 3
+    assert coupled_systems_built == [1] * 6
+
+
 def test_census_exhaustive_networks():
     rep = cli.cmd_census(cli.load_config(cli.fixture_path(
         "hiv_mixed.json")), exhaustive_networks=True)

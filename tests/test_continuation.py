@@ -238,7 +238,8 @@ def test_patch_classification_matches_reference_jacobian(case):
 
 @pytest.mark.parametrize("case", sorted(_kernel_cases()))
 def test_kernel_results_own_their_memory(case):
-    # a later evaluation must not write into an earlier result
+    # a later evaluation must not write into an earlier result, and the
+    # dP/dX buffer the single-state point reuses must not reach its J
     models, net = _kernel_cases()[case]
     system = continuation.CoupledSystem(models, net)
     rng = np.random.default_rng(5)
@@ -246,16 +247,51 @@ def test_kernel_results_own_their_memory(case):
     for shape in ((size,), (3, size)):
         X1 = np.abs(rng.normal(3.0, 1.0, size=shape)) + 0.1
         X2 = np.abs(rng.normal(3.0, 1.0, size=shape)) + 0.1
-        first = [system.residual(0.2, X1), system.jacobian(0.2, X1),
-                 *system.residual_and_jacobian(0.2, X1)]
+        first = [system.residual(0.2, X1), system.jacobian(0.2, X1)]
         kept = [a.copy() for a in first]
         system.residual(0.2, X2)
         system.jacobian(0.2, X2)
-        system.residual_and_jacobian(0.2, X2)
         for a, b in zip(first, kept):
             assert np.array_equal(a, b)
-        R, J = system.residual_and_jacobian(0.2, X1)
-        assert np.array_equal(R, kept[0]) and np.array_equal(J, kept[1])
+        assert np.array_equal(system.residual(0.2, X1), kept[0])
+        assert np.array_equal(system.jacobian(0.2, X1), kept[1])
+    rhs, point = system.single_state(0.2, np.arange(size)[::-1])
+    X1, X2 = np.abs(rng.normal(3.0, 1.0, size=(2, size))) + 0.1
+    first = [rhs(X1), *point(X1)]
+    kept = [a.copy() for a in first]
+    rhs(X2)
+    point(X2)
+    for a, b in zip(first, kept):
+        assert np.array_equal(a, b)
+    f, J = point(X1)
+    assert np.array_equal(f, kept[1]) and np.array_equal(J, kept[2])
+
+
+@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+def test_single_state_evaluator_has_the_kernel_bits(case):
+    # rhs is residual and point is (residual, jacobian in the solve
+    # order), bit for bit; so is every row of a (B, 1, size) stack
+    from patchepi import sim
+    models, net = _kernel_cases()[case]
+    system = continuation.CoupledSystem(models, net)
+    size = net.r * models[0].size
+    order = sim._susceptible_first(models, net.r)
+    in_order = np.ix_(order, order)
+    rng = np.random.default_rng(17)
+    X = np.abs(rng.normal(3.0, 1.0, size=(4, size))) + 0.1
+    X[1, ::3] = 0.0                     # exact zeros, as on a boundary
+    X[2] = X[2] * 1e-9
+    X[3, 1::4] = -0.0
+    for alpha in (0.0, 3e-3, 0.5):
+        rhs, point = system.single_state(alpha, order)
+        rows = system.residual(alpha, X[:, None])[:, 0]
+        for Xi, row, Jb in zip(X, rows, system.jacobian(alpha, X)):
+            R, J = system.residual(alpha, Xi), system.jacobian(alpha, Xi)
+            f, J_o = point(Xi)
+            assert np.array_equal(rhs(Xi), R), alpha
+            assert np.array_equal(f, R), alpha
+            assert np.array_equal(J_o, J[in_order]), alpha
+            assert np.array_equal(row, R) and np.array_equal(Jb, J), alpha
 
 
 def test_fast_rhs_agrees_with_reference(mixed):

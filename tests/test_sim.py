@@ -59,6 +59,35 @@ def test_one_coupled_system_per_trajectory(backward, coupled_systems_built):
         assert coupled_systems_built == [3] * k
 
 
+def test_work_per_step(backward, monkeypatch):
+    # a trial step evaluates five stage right-hand sides, and the start
+    # and each accepted step one point (right-hand side and Jacobian)
+    models, eqs, net = backward
+    calls = {"rhs": 0, "point": 0, "trial": 0}
+    single_state = continuation.CoupledSystem.single_state
+    rodas_step = sim._rodas_step
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def counting_single_state(self, alpha, order):
+        rhs, point = single_state(self, alpha, order)
+        return counted("rhs", rhs), counted("point", point)
+
+    monkeypatch.setattr(continuation.CoupledSystem, "single_state",
+                        counting_single_state)
+    monkeypatch.setattr(sim, "_rodas_step", counted("trial", rodas_step))
+    # loose tolerances, so that some trial steps are rejected
+    traj = sim.integrate(models, net, 1e-3, np.array(RL1_SETS["blue"]),
+                         t_end=300.0, rtol=1e-3, atol=1e-5)
+    assert calls["trial"] > len(traj.times) - 1 > 10
+    assert calls["point"] == len(traj.times)
+    assert calls["rhs"] == 5 * calls["trial"]
+
+
 def test_rl1_terminal_census_alpha_zero(backward, product_labels):
     """Four seeded runs of the decoupled backward regime reach three
     distinct product states; nonnegativity holds along every trajectory."""
