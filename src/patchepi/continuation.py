@@ -243,8 +243,11 @@ class CoupledSystem:
 
     def residual(self, alpha: float, X: np.ndarray) -> np.ndarray:
         """T(alpha, X), the right-hand side of the coupled ODE."""
-        res = (X @ self._linear(alpha).T + self.c
-               + self._products(X)[0] @ self.Q.T)
+        return self._residual(self._linear(alpha), X, self._products(X)[0])
+
+    def _residual(self, A, X, P):
+        """A X + c + Q P + G(X), with A = M0 + alpha L and P the products."""
+        res = X @ A.T + self.c + P @ self.Q.T
         for mod, rows in self._callbacks:
             for i in np.ndindex(X.shape[:-1]):
                 res[i][rows] += mod.recruitment(X[i][rows])
@@ -270,39 +273,28 @@ class CoupledSystem:
         rows and columns in the solve order `order`: point writes dP/dX
         with its columns already in that order, into one buffer it
         reuses, and J = A_o + Q[order] @ dP_o, where A_o is M0 + alpha L
-        in that order. M0 + alpha L, its transpose and its ordered copy
-        are formed once here. Every value has the bits of residual and
-        jacobian.
+        in that order. M0 + alpha L and its ordered copy are formed once
+        here. Both evaluate the right-hand side through the same _residual
+        as residual, so every value has the bits of residual and jacobian.
         """
         A = self._linear(alpha)
-        AT, QT, c = A.T, self.Q.T, self.c
         A_o, Q_o = A[np.ix_(order, order)], self.Q[order]
         at = np.empty_like(order)
         at[order] = np.arange(order.size)
         dP_at = self._dP_positions(at)
         dP = np.zeros(Q_o.shape[::-1])
-        callbacks = [(mod, rows, np.ix_(at[rows], at[rows]))
-                     for mod, rows in self._callbacks]
-        products = self._products
-
-        def residual(X, P):
-            # ndarray.dot runs the same matrix-vector product as @, with
-            # less dispatch
-            res = X.dot(AT) + c + P.dot(QT)
-            for mod, rows, _ in callbacks:
-                res[rows] += mod.recruitment(X[rows])
-            return res
+        blocks = [np.ix_(at[rows], at[rows]) for _, rows in self._callbacks]
 
         def rhs(X):
-            return residual(X, products(X)[0])
+            return self._residual(A, X, self._products(X)[0])
 
         def point(X):
-            prods = products(X)
-            self._fill_dP(dP.reshape(-1), prods, dP_at)
+            products = self._products(X)
+            self._fill_dP(dP.reshape(-1), products, dP_at)
             J = A_o + Q_o @ dP
-            for mod, rows, block in callbacks:
+            for (mod, rows), block in zip(self._callbacks, blocks):
                 J[block] += mod.recruitment_jacobian(X[rows])
-            return residual(X, prods[0]), J
+            return self._residual(A, X, products[0]), J
 
         return rhs, point
 
