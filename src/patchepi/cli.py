@@ -355,10 +355,9 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
     net = build_network(config, models)
     patches = []
     for idx, mod in enumerate(models):
-        system = equilibria.patch_system(mod)
-        eqs = equilibria.patch_equilibria(mod, system)
-        report = equilibria.bifurcation_report(mod, eqs, system)
-        dfe = eqs[0]
+        patch = equilibria.patch_facts(mod)
+        report = equilibria.bifurcation_report(patch)
+        dfe, *endemic = patch.equilibria
         entry = {
             "region": idx + 1,
             "family": mod.family,
@@ -373,7 +372,7 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
                 {"choice": eq.index, "stability": eq.stability,
                  "jac_invertible": eq.jac_invertible,
                  "state": {"x": eq.state.x, "y": eq.state.y, "z": eq.state.z}}
-                for eq in eqs[1:]
+                for eq in endemic
             ],
         }
         if mod.family == "hiv_vaccination":
@@ -389,13 +388,6 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
     })
 
 
-def _patch_systems_and_equilibria(models: Sequence[PatchModel]):
-    """(systems, eqs): each patch's one system and its patch_equilibria."""
-    systems = [equilibria.patch_system(mod) for mod in models]
-    return systems, [equilibria.patch_equilibria(mod, system)
-                     for mod, system in zip(models, systems)]
-
-
 def cmd_census(config: ExperimentConfig,
                exhaustive_networks: bool = False) -> dict:
     """Persistence verdicts for every product pattern of the config."""
@@ -403,9 +395,9 @@ def cmd_census(config: ExperimentConfig,
     net = build_network(config, models)
     if exhaustive_networks and net.r != 3:
         raise ConfigError("--exhaustive-networks needs exactly 3 patches")
-    systems, eqs = _patch_systems_and_equilibria(models)
-    counts = [len(e) - 1 for e in eqs]
-    facts = persist.SystemFacts(models, eqs, systems)
+    facts = persist.SystemFacts([equilibria.patch_facts(mod)
+                                 for mod in models])
+    counts = [len(p.equilibria) - 1 for p in facts.patches]
     verdicts = facts.verdicts(net)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -454,8 +446,9 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
         raise ConfigError("alpha_grid: continue needs a positive alpha")
     models = build_models(config)
     net = build_network(config, models)
-    systems, eqs = _patch_systems_and_equilibria(models)
-    facts = persist.SystemFacts(models, eqs, systems)
+    facts = persist.SystemFacts([equilibria.patch_facts(mod)
+                                 for mod in models])
+    eqs = [p.equilibria for p in facts.patches]
     counts = [len(e) - 1 for e in eqs]
     if config.patterns is not None:
         pats = []
@@ -550,7 +543,7 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
                               "so their trajectory files would collide")
     models = build_models(config)
     net = build_network(config, models)
-    eqs = [equilibria.patch_equilibria(mod) for mod in models]
+    eqs = [equilibria.patch_facts(mod).equilibria for mod in models]
     size = sum((mod.n + mod.m + mod.k) for mod in models)
     comp_names = _component_names(models)
     system = continuation.CoupledSystem(models, net)

@@ -411,7 +411,7 @@ def _accepted(alpha, X, rnorm, J) -> list:
 
 def product_state(pattern: EquilibriumPattern, equilibria) -> np.ndarray:
     """Concatenated disconnected equilibrium: pattern.choices picks one
-    of each patch's patch_equilibria."""
+    of each patch's equilibria (its PatchFacts.equilibria)."""
     parts = []
     for choice, eqs in zip(pattern.choices, equilibria):
         if not 0 <= choice < len(eqs):
@@ -443,7 +443,7 @@ def continue_branches(patterns: Sequence[EquilibriumPattern],
     the cone); exit_alpha still marks the first violation. Derivative
     cross-checks need this to reach their full difference stencil when a
     pattern vanishes immediately. equilibria holds each patch's
-    patch_equilibria.
+    PatchFacts.equilibria.
 
     All patterns but the DFE move along the grid together: one stacked
     predictor, one corrector over the rows still on the grid and one
@@ -546,7 +546,7 @@ def continue_every_pattern(models: Sequence[PatchModel],
     Each branch climbs the ladder [alpha / 100, alpha / 10, alpha]; at
     alpha = 0 its record holds just the alpha-0 point. A record is what
     continue_branches returns for the pattern. equilibria holds each
-    patch's patch_equilibria.
+    patch's PatchFacts.equilibria.
     """
     patterns = enumerate_patterns([len(eq) - 1 for eq in equilibria])
     return list(zip(patterns, continue_branches(

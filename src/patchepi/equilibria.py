@@ -1,10 +1,10 @@
 """One-patch steady states and the disconnected-system census.
 
-Finds the disease-free equilibrium in closed form, locates endemic
-equilibria (scalar force-of-infection reduction for the HIV family,
-multi-start Newton for everything else), classifies local stability,
-detects the backward-bifurcation window, and enumerates the product
-equilibria of r disconnected patches.
+Settles each patch's facts once (patch_facts): the disease-free state,
+V - F there and the local R, the endemic equilibria (scalar force-of-
+infection reduction for HIV, multi-start Newton for everything else) and
+their stability. It also detects the backward-bifurcation window and
+enumerates the product equilibria of r disconnected patches.
 """
 from __future__ import annotations
 
@@ -97,26 +97,30 @@ class BifurcationReport:
     R_c_estimate: Optional[float] = None
 
 
+@dataclass(frozen=True, eq=False)
+class PatchFacts:
+    """One disconnected patch's facts, each found once (patch_facts).
+
+    system is the patch's one-region CoupledSystem, v_minus_f its V - F
+    at the disease-free state and R its local reproduction number.
+    equilibria holds its classified steady states: the DFE first, then
+    the endemic states (by force of infection for the HIV family, which
+    keeps each state's lam, by infected total otherwise).
+    """
+    model: PatchModel
+    system: object
+    v_minus_f: np.ndarray
+    R: float
+    equilibria: tuple
+
+
 # ====================================================================
 # Reproduction number and DFE
 # ====================================================================
 
-def disease_free_equilibrium(model: PatchModel) -> PatchEquilibrium:
-    """The unique steady state with all infected and removed classes zero.
-
-    For affine recruitment y0 solves g_const + g_lin y = 0 directly; a
-    custom g_func is solved by the damped Newton of continuation, as a
-    batch of one row, from the affine seed.
-    """
-    return _classified(patch_system(model), [_dfe_state(model)], 0)[0]
-
-
-def _dfe_state(model: PatchModel) -> PatchState:
-    return PatchState(np.zeros(model.n), _susceptible_equilibrium(model),
-                      np.zeros(model.k))
-
-
 def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
+    """The disease-free susceptible level: g_const + g_lin y = 0, or for a
+    g_func the damped Newton of continuation from that affine seed."""
     from .continuation import _newton_correct
 
     try:
@@ -139,27 +143,30 @@ def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
     return y0
 
 
-def local_reproduction_number(model: PatchModel, system=None) -> float:
-    """Spectral radius of F V^{-1} with F evaluated at the patch DFE.
+def _threshold(model: PatchModel) -> tuple:
+    """(system, dfe, V - F, R): the facts of patch_facts before any search.
 
-    system is the patch's patch_system, built here if not given.
+    system is the patch's one-region CoupledSystem (no travel), dfe its
+    disease-free state. V - F is minus the x-x block of system's Jacobian
+    at dfe: with x = 0 the incidence contributes F and nothing through N.
+    R is the spectral radius of F V^{-1}, with F = V - (V - F).
     """
-    if system is None:
-        system = patch_system(model)
-    F = model.V - v_minus_f(system, _dfe_state(model))
-    FVinv = np.linalg.solve(model.V.T, F.T).T
-    return matalg.spectral_radius(FVinv)
+    from .continuation import CoupledSystem
+    from .network import from_edges
+
+    system = CoupledSystem([model], from_edges([], 1, model.n, model.m,
+                                               model.k))
+    dfe = PatchState(np.zeros(model.n), _susceptible_equilibrium(model),
+                     np.zeros(model.k))
+    v_minus_f = -system.jacobian(0.0, dfe.concat())[:model.n, :model.n]
+    F = model.V - v_minus_f
+    R = matalg.spectral_radius(np.linalg.solve(model.V.T, F.T).T)
+    return system, dfe, v_minus_f, R
 
 
-def v_minus_f(system, dfe: PatchState) -> np.ndarray:
-    """V - F at the disease-free state dfe, F the new-infection operator.
-
-    It is minus the x-x block of the Jacobian of system, the patch's
-    patch_system, there: with x = 0 the incidence contributes F and
-    nothing through N.
-    """
-    J = system.jacobian(0.0, dfe.concat())
-    return -J[:system.n, :system.n]
+def local_reproduction_number(model: PatchModel) -> float:
+    """patch_facts(model).R, without the endemic search."""
+    return _threshold(model)[3]
 
 
 def stability_of(J: np.ndarray) -> tuple:
@@ -176,20 +183,6 @@ def stability_of(J: np.ndarray) -> tuple:
     if np.ndim(J) == 2:
         return str(label), float(top)
     return label.tolist(), top
-
-
-def patch_system(model: PatchModel):
-    """The patch's own equations: a one-region CoupledSystem, no travel.
-
-    A caller that needs several of a patch's results builds it once and
-    passes it to patch_equilibria, local_reproduction_number,
-    bifurcation_report and persist.SystemFacts.
-    """
-    from .continuation import CoupledSystem
-    from .network import from_edges
-
-    return CoupledSystem([model], from_edges([], 1, model.n, model.m,
-                                             model.k))
 
 
 def _classified(system, states: Sequence[PatchState],
@@ -338,25 +331,22 @@ def _fold_beta1(params: HivParams) -> float:
     return float(beta1[i])
 
 
-def bifurcation_report(model: PatchModel, equilibria,
-                       system=None) -> BifurcationReport:
-    """Root census and regime of one patch, any family.
+def bifurcation_report(patch: PatchFacts) -> BifurcationReport:
+    """Root census and regime of one patch, any family, from its PatchFacts.
 
-    equilibria, the patch_equilibria of this model, give the endemic root
-    count that classifies the regime. The HIV family adds the forces of
-    infection of its endemic states and, inside the backward window, the
-    local R at the fold (estimate_Rc). system is the patch's
-    patch_system, built here if not given.
+    The endemic root count of its equilibria classifies the regime. The
+    HIV family adds the forces of infection of its endemic states and,
+    inside the backward window, the local R at the fold (estimate_Rc).
     """
-    R = local_reproduction_number(model, system)
-    regime = _regime_from(R, len(equilibria) - 1)
-    if model.family != "hiv_vaccination":
+    R = patch.R
+    regime = _regime_from(R, len(patch.equilibria) - 1)
+    if patch.model.family != "hiv_vaccination":
         return BifurcationReport(R_local=R, regime=regime, endemic_lambdas=())
-    params = HivParams(**model.params)
+    params = HivParams(**patch.model.params)
     rc = estimate_Rc(params) if regime == "backward_window" else None
     return BifurcationReport(
         R_local=R, regime=regime,
-        endemic_lambdas=tuple(eq.lam for eq in equilibria[1:]),
+        endemic_lambdas=tuple(eq.lam for eq in patch.equilibria[1:]),
         R_c_estimate=rc)
 
 
@@ -371,8 +361,8 @@ def endemic_equilibria_generic(model: PatchModel) -> tuple:
     Newton iteration failed to converge or converged outside the open
     positive cone; those are dropped silently by design.
     """
-    system = patch_system(model)
-    states, discarded = _generic_roots(model, system, _dfe_state(model))
+    system, dfe, _, _ = _threshold(model)
+    states, discarded = _generic_roots(model, system, dfe)
     return _classified(system, states, 1), discarded
 
 
@@ -559,24 +549,30 @@ def _newton_steps(system, U: np.ndarray, R: np.ndarray) -> tuple:
 # Product-system census
 # ====================================================================
 
-def patch_equilibria(model: PatchModel, system=None) -> list:
-    """DFE plus endemic states of one patch, as classified equilibria.
+def patch_facts(model: PatchModel) -> PatchFacts:
+    """The patch's PatchFacts: one system and one DFE serve them all.
 
-    The HIV family goes through the scalar force-of-infection reduction;
-    other families use the generic multi-start Newton. One system of the
-    patch, its patch_system (built here if not given), serves the search
-    and the classification of every state.
+    V - F and R come from _threshold. The HIV family finds its endemic
+    states through the scalar force-of-infection reduction, other
+    families through the generic multi-start Newton on the patch's
+    system, and that system classifies every state.
     """
-    if system is None:
-        system = patch_system(model)
-    dfe = _dfe_state(model)
+    system, dfe, v_minus_f, R = _threshold(model)
+    lams = None
     if model.family == "hiv_vaccination":
         params = HivParams(**model.params)
-        lams = sorted(hiv_lambda_roots(params))
-        endemic = [hiv_state_from_lambda(params, lam) for lam in lams]
-        return _classified(system, [dfe] + endemic, 0, [None] + lams)
-    endemic, _ = _generic_roots(model, system, dfe)
-    return _classified(system, [dfe] + endemic, 0)
+        roots = sorted(hiv_lambda_roots(params))
+        endemic = [hiv_state_from_lambda(params, lam) for lam in roots]
+        lams = [None] + roots
+    else:
+        endemic, _ = _generic_roots(model, system, dfe)
+    return PatchFacts(model, system, v_minus_f, R,
+                      tuple(_classified(system, [dfe] + endemic, 0, lams)))
+
+
+def patch_equilibria(model: PatchModel) -> tuple:
+    """patch_facts(model).equilibria: the DFE, then the endemic states."""
+    return patch_facts(model).equilibria
 
 
 def enumerate_patterns(counts: Sequence[int]) -> list:

@@ -35,7 +35,7 @@ N = sum(y) + sum(x), the population outside the removed classes).
 
 The right-hand side and its Jacobian, of one patch as of a coupled
 system, come from continuation.CoupledSystem alone, and so does F:
-equilibria.v_minus_f reads V - F off that Jacobian at the disease-free
+equilibria.patch_facts reads V - F off that Jacobian at the disease-free
 state. This module describes patches and evaluates none of the equations.
 """
 from __future__ import annotations

@@ -19,8 +19,8 @@ shortest EAT-to-DFAT path turns this into a purely combinatorial verdict:
 a boundary pattern vanishes exactly when some DFAT region with R > 1 is
 reachable from an endemic-at-travel (EAT) region. Where some patch's
 V - F is reducible, SystemFacts.derivative_chain runs the recursion
-itself, every order in one loop against the V - F it settles once per
-patch.
+itself, every order in one loop against each patch's V - F, found once
+in its equilibria.PatchFacts.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import matalg
-from .equilibria import (EquilibriumPattern, enumerate_patterns,
-                         local_reproduction_number, patch_system, v_minus_f)
+from .equilibria import (EquilibriumPattern, PatchFacts, _threshold,
+                         enumerate_patterns)
 from .model import PatchModel
 from .network import MobilityNetwork, classify_pattern
 
@@ -107,43 +107,51 @@ def predict(pattern: EquilibriumPattern,
     was reached: via the complete-network or direct-inflow corollaries,
     via general reachability, or via the direct derivative fallback used
     when some patch violates the V - F irreducibility assumption.
-    equilibria holds each patch's patch_equilibria; SystemFacts derives
-    each patch's local R from its model. R_values is accepted only from
-    callers that still pass those numbers in, and must equal them.
+    equilibria holds each patch's patch_equilibria, which predict uses as
+    given; each patch's local R and V - F come from its model by the step
+    of patch_facts that runs no endemic search. R_values is accepted only
+    from callers that still pass those numbers in, and must equal them.
     """
     if len(pattern.choices) != net.r:
         raise ValueError(f"pattern has {len(pattern.choices)} regions, "
                          f"the network {net.r}")
-    facts = SystemFacts(models, equilibria)
+    facts = _given_facts(models, net, equilibria)
     if R_values is not None and tuple(R_values) != facts.R_values:
         raise ValueError("R_values differ from the patches' own local R")
     return facts.verdicts(net, [pattern])[0]
 
 
+def _given_facts(models, net, equilibria) -> "SystemFacts":
+    """SystemFacts of models whose equilibria the caller has found.
+
+    Each patch's system, V - F and R come from equilibria._threshold.
+    """
+    for what, seq in (("models", models), ("equilibria", equilibria)):
+        if len(seq) != net.r:
+            raise ValueError(f"{what} has {len(seq)} entries, "
+                             f"the network {net.r} regions")
+    patches = []
+    for mod, eqs in zip(models, equilibria):
+        system, _, v_minus_f, R = _threshold(mod)
+        patches.append(PatchFacts(mod, system, v_minus_f, R, tuple(eqs)))
+    return SystemFacts(patches)
+
+
 class SystemFacts:
     """A system's network-independent verdict facts and the verdict rule.
 
-    The local R values (each patch's local_reproduction_number), each
-    patch's V - F at its disease-free state eqs[0] and the irreducibility
-    of those matrices are settled once. verdicts and persisting_count then
-    apply the rule on any network, settling only its adjacency and the
-    classification of each EAT set; derivative_chain solves against the
-    same V - F. equilibria holds each patch's patch_equilibria, and
-    systems, if given, each patch's patch_system (one is built per patch
-    otherwise).
+    patches holds each patch's equilibria.PatchFacts; its local R values
+    (R_values) and the irreducibility of its V - F matrices are settled
+    once. verdicts and persisting_count then apply the rule on any
+    network, settling only its adjacency and the classification of each
+    EAT set; derivative_chain solves against the same V - F.
     """
 
-    def __init__(self, models: Sequence[PatchModel], equilibria,
-                 systems=None):
-        self.models, self.equilibria = models, equilibria
-        if systems is None:
-            systems = [patch_system(mod) for mod in models]
-        self.R_values = tuple(local_reproduction_number(mod, system)
-                              for mod, system in zip(models, systems))
-        self.v_minus_f = [v_minus_f(system, eqs[0].state)
-                          for system, eqs in zip(systems, equilibria)]
-        self.irreducible = all(matalg.is_irreducible(VmF)
-                               for VmF in self.v_minus_f)
+    def __init__(self, patches: Sequence[PatchFacts]):
+        self.patches = tuple(patches)
+        self.R_values = tuple(p.R for p in self.patches)
+        self.irreducible = all(matalg.is_irreducible(p.v_minus_f)
+                               for p in self.patches)
 
     def derivative_chain(self, pattern: EquilibriumPattern,
                          net: MobilityNetwork) -> dict:
@@ -163,8 +171,9 @@ class SystemFacts:
         singular, and ChainPreconditionError when an in-neighbor has no
         order N - 1 value.
         """
-        prev = {j: (self.equilibria[j][c].state.x if c
-                    else np.zeros(self.models[j].n))
+        patches = self.patches
+        prev = {j: (patches[j].equilibria[c].state.x if c
+                    else np.zeros(patches[j].model.n))
                 for j, c in enumerate(pattern.choices)}
         chains = {}
         for order in range(1, net.r):
@@ -173,7 +182,7 @@ class SystemFacts:
                 if c != 0 or (i in chains
                               and chains[i][-1].sign_class != "zero"):
                     continue
-                rhs = np.zeros(self.models[i].n)
+                rhs = np.zeros(patches[i].model.n)
                 for j in range(net.r):
                     if j == i or not np.any(net.cx[i, j] > 0.0):
                         continue
@@ -184,7 +193,7 @@ class SystemFacts:
                     rhs += net.cx[i, j] * prev[j]
                 rhs *= order
                 try:
-                    value = matalg.solve_linear(self.v_minus_f[i], rhs)
+                    value = matalg.solve_linear(patches[i].v_minus_f, rhs)
                 except matalg.SingularMatrixError as exc:
                     raise DegenerateThresholdError(
                         f"V - F numerically singular in region {i} "
@@ -203,14 +212,12 @@ class SystemFacts:
         order. classify_pattern runs once per EAT set, as it reads nothing
         else of the pattern.
         """
-        for what, seq in (("models", self.models),
-                          ("equilibria", self.equilibria)):
-            if len(seq) != net.r:
-                raise ValueError(f"{what} has {len(seq)} entries, "
-                                 f"the network {net.r} regions")
+        if len(self.patches) != net.r:
+            raise ValueError(f"the system has {len(self.patches)} patches, "
+                             f"the network {net.r} regions")
         if patterns is None:
-            patterns = enumerate_patterns([len(eq) - 1
-                                           for eq in self.equilibria])
+            patterns = enumerate_patterns([len(p.equilibria) - 1
+                                           for p in self.patches])
         adj = net.adjacency()
         classes = {}              # EAT set -> classify_pattern's answer
 
@@ -227,7 +234,7 @@ class SystemFacts:
         """count_persisting on net."""
         if net.r != 3:
             raise ValueError("count_persisting covers the three-region theory")
-        counts = [len(eq) - 1 for eq in self.equilibria]
+        counts = [len(p.equilibria) - 1 for p in self.patches]
         if any(c not in (0, 1, 2) for c in counts):
             raise ValueError(f"per-patch endemic counts {counts} outside 0..2")
         total = 0
@@ -328,9 +335,10 @@ def count_persisting(models: Sequence[PatchModel], net: MobilityNetwork,
                      equilibria) -> int:
     """Number of product patterns (DFE included) that persist.
 
-    equilibria holds each patch's patch_equilibria. Raises if any pattern
-    comes back indeterminate; callers scanning regimes should stay clear
-    of R = 1. A scan over many networks of one system settles the patch
-    facts once through SystemFacts(models, equilibria).persisting_count(net).
+    equilibria holds each patch's patch_equilibria, as in predict. Raises
+    if any pattern comes back indeterminate; callers scanning regimes
+    should stay clear of R = 1. A scan over many networks of one system
+    settles the patch facts once through SystemFacts(patches), with each
+    patch's patch_facts, and its persisting_count(net).
     """
-    return SystemFacts(models, equilibria).persisting_count(net)
+    return _given_facts(models, net, equilibria).persisting_count(net)

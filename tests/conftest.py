@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from patchepi import equilibria, model, network
+from patchepi import equilibria, model, network, persist
 
 # HIV parameter set used throughout; beta1 is the regime knob
 BASE = dict(Lam=1.0, mu=0.05, gam=0.05, delta=1.0, p=0.999, q=0.5,
@@ -54,8 +54,12 @@ def hiv_patch(beta1=0.85):
 
 
 @lru_cache(maxsize=None)
+def hiv_facts(beta1=0.85):
+    return equilibria.patch_facts(hiv_patch(beta1))
+
+
 def hiv_eqs(beta1=0.85):
-    return tuple(equilibria.patch_equilibria(hiv_patch(beta1)))
+    return hiv_facts(beta1).equilibria
 
 
 @lru_cache(maxsize=None)
@@ -69,6 +73,11 @@ def hiv_system(beta1_triple):
     eqs = [list(hiv_eqs(b)) for b in beta1_triple]
     R = [hiv_R(b) for b in beta1_triple]
     return models, eqs, R
+
+
+def hiv_system_facts(beta1_triple):
+    """persist.SystemFacts of three HIV patches with the given beta1 values."""
+    return persist.SystemFacts([hiv_facts(b) for b in beta1_triple])
 
 
 BACKWARD_TRIPLE = (0.85, 0.85, 0.85)

@@ -121,11 +121,13 @@ def full_grid_roots(model: PatchModel) -> tuple:
 
     The 3^size grid seeds z as well as x and y; the package seeds x and y
     only and slaves z, which should find the same roots with 3^k times
-    fewer discards. Newton, acceptance, merge and sort are the package's.
+    fewer discards. Newton, acceptance, merge and sort are the package's,
+    on the system and the DFE of the patch's PatchFacts.
     """
-    dfe = equilibria._dfe_state(model)
+    patch = equilibria.patch_facts(model)
+    dfe = patch.equilibria[0].state
     return equilibria._search_roots(
-        model, equilibria.patch_system(model), dfe, 3 ** model.size,
+        model, patch.system, dfe, 3 ** model.size,
         lambda index: equilibria._seed_rows(dfe, model.size, index))
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import (BACKWARD_TRIPLE, BASE, MIXED_TRIPLE, REGIME_BETA1,
-                      hiv_eqs, hiv_net, hiv_patch, hiv_system,
-                      random_admissible_state)
+                      hiv_eqs, hiv_facts, hiv_net, hiv_patch, hiv_system,
+                      hiv_system_facts, random_admissible_state)
 from patchepi import (cli, continuation, equilibria, matalg, model, network,
                       persist, sim)
 from patchepi.model import split_state
@@ -28,7 +28,7 @@ def test_01_patch_reproduction_numbers():
     R_above = equilibria.local_reproduction_number(above)
     R_window = equilibria.local_reproduction_number(window)
     R_c = equilibria.bifurcation_report(
-        window, equilibria.patch_equilibria(window)).R_c_estimate
+        equilibria.patch_facts(window)).R_c_estimate
     assert R_above == pytest.approx(1.12, abs=5e-3)
     assert R_c is not None and R_c < R_window < 1.0
     assert time.perf_counter() - t0 < 1.0
@@ -37,8 +37,7 @@ def test_01_patch_reproduction_numbers():
 def test_02_backward_window_endemic_roots():
     t0 = time.perf_counter()
     mod = model.hiv_vaccination(model.HivParams(**BASE))
-    report = equilibria.bifurcation_report(mod,
-                                           equilibria.patch_equilibria(mod))
+    report = equilibria.bifurcation_report(equilibria.patch_facts(mod))
     lams = sorted(report.endemic_lambdas)
     assert len(lams) == 2
     assert lams[0] == pytest.approx(0.0195, abs=1e-3)
@@ -95,7 +94,8 @@ def test_03_exhaustive_digraph_regime_census():
 def test_04_seed_and_spread_network_counts():
     t0 = time.perf_counter()
     models, eqs, R = hiv_system(MIXED_TRIPLE)
-    R_c = equilibria.bifurcation_report(models[0], eqs[0]).R_c_estimate
+    R_c = equilibria.bifurcation_report(
+        hiv_facts(MIXED_TRIPLE[0])).R_c_estimate
     assert R_c < R[0] < 1.0 and R[1] > 1.0 and R[2] > 1.0
     for name, want in (("fig4a", 4), ("fig4b", 5), ("fig4c", 6),
                        ("fig4d", 7)):
@@ -134,7 +134,7 @@ def test_05_predictions_match_continuation():
 def test_06_branch_derivatives_match_finite_differences():
     t0 = time.perf_counter()
     models, eqs, _ = hiv_system(MIXED_TRIPLE)
-    facts = persist.SystemFacts(models, eqs)
+    facts = hiv_system_facts(MIXED_TRIPLE)
     counts = [len(e) - 1 for e in eqs]
     checked = 0
     for name in sorted(network.PRESET_EDGES):
@@ -243,10 +243,11 @@ def test_09_property_battery():
     while kept < 500:
         params = random_hiv_params(rng)
         mod = model.hiv_vaccination(params)
-        R = equilibria.local_reproduction_number(mod)
+        patch = equilibria.patch_facts(mod)
+        R = patch.R
         if abs(R - 1.0) < 1e-3:
             continue   # the dichotomy splits exactly at R = 1
-        dfe = equilibria.disease_free_equilibrium(mod).state
+        dfe = patch.equilibria[0].state
         VmF = mod.V - new_infection_operator(mod, dfe)
         v = matalg.solve_linear(VmF, rng.uniform(0.1, 1.0, mod.n))
         if R < 1.0:

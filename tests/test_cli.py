@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import BASE, GENERIC_CATALOG, marginal_beta1
-from patchepi import cli, sim
+from patchepi import cli, equilibria, sim
 
 FIXTURES = ("hiv_backward.json", "hiv_mixed.json", "hiv_above_one.json",
             "hiv_below_rc.json", "zero_transmission.json")
@@ -298,20 +298,39 @@ def test_census_counts_and_rows():
     assert full["rule"] == "positive_theorem_4_2"
 
 
-def test_one_system_per_patch(coupled_systems_built):
-    # each patch's one-region system serves its equilibria, local R and
-    # V - F; analyze adds one for each backward-window patch's fold model,
-    # continue the coupled system of its branches
+def test_one_system_per_patch(coupled_systems_built, monkeypatch):
+    # each patch's one-region system and one DFE serve its equilibria,
+    # local R and V - F; analyze adds one of each for each backward-window
+    # patch's fold model, continue the coupled system of its branches
+    counts = {"dfe": 0, "v_minus_f": 0}
+
+    def counting(key, real):
+        def wrapper(model):
+            counts[key] += 1
+            return real(model)
+        return wrapper
+
+    # V - F is read off the patch system in one place, _threshold
+    monkeypatch.setattr(equilibria, "_susceptible_equilibrium",
+                        counting("dfe", equilibria._susceptible_equilibrium))
+    monkeypatch.setattr(equilibria, "_threshold",
+                        counting("v_minus_f", equilibria._threshold))
+
+    def built_and_counted():
+        seen = (list(coupled_systems_built), counts["dfe"],
+                counts["v_minus_f"])
+        coupled_systems_built.clear()
+        counts.update(dfe=0, v_minus_f=0)
+        return seen
+
     config = cli.load_config(cli.fixture_path("hiv_backward.json"))
     cli.cmd_census(config)
-    assert coupled_systems_built == [1, 1, 1]
-    coupled_systems_built.clear()
+    assert built_and_counted() == ([1, 1, 1], 3, 3)
     cli.cmd_continue(config)
-    assert coupled_systems_built == [1, 1, 1, 3]
-    coupled_systems_built.clear()
+    assert built_and_counted() == ([1, 1, 1, 3], 3, 3)
     rep = cli.cmd_analyze(config)
     assert [p["regime"] for p in rep["patches"]] == ["backward_window"] * 3
-    assert coupled_systems_built == [1] * 6
+    assert built_and_counted() == ([1] * 6, 6, 6)
 
 
 def test_census_exhaustive_networks():
@@ -334,9 +353,9 @@ def test_census_exhaustive_networks():
 def test_census_exhaustive_networks_refuses_r2_before_any_work(
         monkeypatch, tmp_path, capsys):
     def no_work(model):
-        raise AssertionError("patch equilibria computed")
+        raise AssertionError("patch facts computed")
 
-    monkeypatch.setattr(cli.equilibria, "patch_equilibria", no_work)
+    monkeypatch.setattr(cli.equilibria, "patch_facts", no_work)
     data = base_dict()
     data["network"] = {"edges": [[1, 2]], "r": 2}
     with pytest.raises(cli.ConfigError, match="exactly 3"):

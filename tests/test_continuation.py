@@ -120,8 +120,7 @@ LIBRARY_API = {
     "cli.fixture_path": "locates a shipped config for tests and perfbench",
     "continuation.continue_branch":
         "the single-run reference of test_batch_equals_single_runs",
-    "equilibria.disease_free_equilibrium":
-        "a patch's DFE without the endemic search",
+    "equilibria.patch_equilibria": "perfbench calls it",
     "equilibria.endemic_equilibria_generic":
         "the generic search with its discard count, which tests read",
     "persist.predict": "one pattern's verdict; perfbench passes R_values",
@@ -375,7 +374,8 @@ def test_derivative_cross_checks(mixed):
                                        equilibria=eqs, stop_at_exit=False)
     assert rec.exit_alpha is not None  # still recorded while continuing
 
-    chain = persist.SystemFacts(models, eqs).derivative_chain(pat, net)
+    chain = persist.SystemFacts([equilibria.patch_facts(m) for m in models]
+                                ).derivative_chain(pat, net)
     d1_0, = chain[0]
     err1 = branch_derivative_check(rec, d1_0)
     assert err1 == pytest.approx(RICHARDSON_ORDER1, rel=0.05)
@@ -418,7 +418,7 @@ def test_dfe_branch_with_recruitment_callback():
     grid = [1e-4, 1e-2, 0.5]
     recs = [continuation.continue_branch(
         EquilibriumPattern((0, 0, 0)), mods, net, grid,
-        equilibria=[[equilibria.disease_free_equilibrium(m)] for m in mods])
+        equilibria=[equilibria.patch_facts(m).equilibria[:1] for m in mods])
         for mods in (models, twins)]
     for rec in recs:
         assert rec.verdict_observed == "persists" and rec.failure is None
@@ -491,12 +491,12 @@ def test_predict_matches_continuation_fig3b(mixed):
 
 @pytest.mark.parametrize("fixture", ["hiv_backward.json", "hiv_mixed.json"])
 def test_verdicts_match_continuation_on_every_digraph(fixture):
-    # the verdict rule, with each local R derived by SystemFacts, against
+    # the verdict rule, with each local R from the patch's PatchFacts, against
     # the continued branch at alpha = 1e-6 on all 64 three-region digraphs
     models = cli.build_models(cli.load_config(cli.fixture_path(fixture)))
-    eqs = [equilibria.patch_equilibria(m) for m in models]
+    facts = persist.SystemFacts([equilibria.patch_facts(m) for m in models])
+    eqs = [p.equilibria for p in facts.patches]
     patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
-    facts = persist.SystemFacts(models, eqs)
     mod = models[0]
     nets = network.enumerate_networks(3, n=mod.n, m=mod.m, k=mod.k)
     assert len(nets) == 64

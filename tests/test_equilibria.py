@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BASE, GENERIC_CATALOG, hiv_patch, hiv_eqs, hiv_R
+from conftest import (BASE, GENERIC_CATALOG, hiv_eqs, hiv_facts, hiv_patch,
+                      hiv_R)
 from patchepi import equilibria, model
 from patchepi.model import HivParams, PatchState
 from reference import full_grid_roots, patch_residual
@@ -105,12 +106,16 @@ def test_upper_endemic_state_regression():
     assert np.allclose(e2.state.z, [0.537969405551], rtol=1e-9)
 
 
+def dfe_of(mod):
+    return equilibria.patch_facts(mod).equilibria[0]
+
+
 def test_dfe_values_and_stability():
-    dfe = equilibria.disease_free_equilibrium(hiv_patch(0.85))
+    dfe = hiv_eqs(0.85)[0]
     assert np.allclose(dfe.state.y, [10.01, 9.99], atol=1e-12)
     assert np.all(dfe.state.x == 0) and np.all(dfe.state.z == 0)
     assert dfe.stability == "stable"
-    assert equilibria.disease_free_equilibrium(hiv_patch(1.0)).stability == "unstable"
+    assert hiv_eqs(1.0)[0].stability == "unstable"
 
 
 def test_degenerate_susceptible_levels():
@@ -119,20 +124,20 @@ def test_degenerate_susceptible_levels():
                 incidence="mass_action")
     flat = model.PatchModel(**base, g_const=[1.0], g_lin=[[0.0]])
     with pytest.raises(equilibria.DegenerateModelError, match="not unique"):
-        equilibria.disease_free_equilibrium(flat)
+        dfe_of(flat)
     negative = model.PatchModel(**base, g_const=[1.0], g_lin=[[0.1]])
     with pytest.raises(equilibria.DegenerateModelError, match="not positive"):
-        equilibria.disease_free_equilibrium(negative)
+        dfe_of(negative)
     # recruitment callbacks: no root at all, and only a negative one
     rootless = model.PatchModel(**base, g_const=[1.0], g_lin=[[-0.05]],
                                 g_func=lambda y: 1.0 + y ** 2)
     with pytest.raises(equilibria.DegenerateModelError,
                        match="did not converge"):
-        equilibria.disease_free_equilibrium(rootless)
+        dfe_of(rootless)
     negative_root = model.PatchModel(**base, g_const=[1.0], g_lin=[[-0.05]],
                                      g_func=lambda y: -1.0 - 0.05 * y)
     with pytest.raises(equilibria.DegenerateModelError, match="not positive"):
-        equilibria.disease_free_equilibrium(negative_root)
+        dfe_of(negative_root)
 
 
 def test_dfe_of_nonlinear_recruitment_callback():
@@ -141,10 +146,32 @@ def test_dfe_of_nonlinear_recruitment_callback():
     sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
     mod = dataclasses.replace(
         sp, g_func=lambda y: 1.0 - 0.05 * y - 0.01 * y ** 2)
-    dfe = equilibria.disease_free_equilibrium(mod)
+    dfe = dfe_of(mod)
     closed = (-0.05 + np.sqrt(0.0425)) / 0.02
     assert dfe.state.y == pytest.approx([closed], rel=1e-12)
     assert np.all(dfe.state.x == 0.0) and np.all(dfe.state.z == 0.0)
+
+
+def test_patch_facts_solves_a_recruitment_callback_once(monkeypatch):
+    # V - F, R, the seed search and the classification share one DFE, so
+    # the susceptible-equilibrium Newton runs once per patch
+    import dataclasses
+    from patchepi import continuation
+    sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
+    mod = dataclasses.replace(
+        sp, g_func=lambda y: 1.0 - 0.05 * y - 0.01 * y ** 2)
+    calls = []
+    real = continuation._newton_correct
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "_newton_correct", counting)
+    patch = equilibria.patch_facts(mod)
+    assert len(calls) == 1
+    assert patch.equilibria[0].kind == "disease_free"
+    assert patch.R == equilibria.local_reproduction_number(mod)
 
 
 def test_estimate_Rc_backward_window():
@@ -206,19 +233,19 @@ def test_lambda_brackets_count_the_roots():
 
 
 def test_bifurcation_report_regimes():
-    rep = equilibria.bifurcation_report(hiv_patch(0.85), hiv_eqs(0.85))
+    rep = equilibria.bifurcation_report(hiv_facts(0.85))
     assert rep.regime == "backward_window"
     assert len(rep.endemic_lambdas) == 2 and rep.R_local < 1.0
     assert rep.R_c_estimate is not None and rep.R_c_estimate < rep.R_local
-    rep1 = equilibria.bifurcation_report(hiv_patch(1.0), hiv_eqs(1.0))
+    rep1 = equilibria.bifurcation_report(hiv_facts(1.0))
     assert rep1.regime == "above_one" and len(rep1.endemic_lambdas) == 1
     assert rep1.R_c_estimate is None
-    rep0 = equilibria.bifurcation_report(hiv_patch(0.5), hiv_eqs(0.5))
+    rep0 = equilibria.bifurcation_report(hiv_facts(0.5))
     assert rep0.regime == "below_Rc" and rep0.endemic_lambdas == ()
 
     # generic families report through root counting, no fold estimate
     mg = model.multigroup([[0.06]], 1.0, 0.05, 0.05)
-    repg = equilibria.bifurcation_report(mg, equilibria.patch_equilibria(mg))
+    repg = equilibria.bifurcation_report(equilibria.patch_facts(mg))
     assert repg.regime == "above_one" and repg.R_local == pytest.approx(12.0, rel=1e-9)
 
 
@@ -420,8 +447,8 @@ def test_transcritical_point_has_no_endemic_root():
     at_one = model.multistrain([0.05], [0.4], 1.0, 0.1)
     assert equilibria.local_reproduction_number(at_one) == 1.0
     assert equilibria.endemic_equilibria_generic(at_one)[0] == []
-    eqs = equilibria.patch_equilibria(at_one)
-    assert equilibria.bifurcation_report(at_one, eqs).regime == "below_Rc"
+    patch = equilibria.patch_facts(at_one)
+    assert equilibria.bifurcation_report(patch).regime == "below_Rc"
 
     beta, gam, Lam, mu = 0.05 * 1.002, 0.4, 1.0, 0.1
     above = model.multistrain([beta], [gam], Lam, mu)

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (hiv_net, hiv_system, marginal_beta1, BACKWARD_TRIPLE,
-                      MIXED_TRIPLE, REGIME_BETA1)
+from conftest import (hiv_net, hiv_system, hiv_system_facts, marginal_beta1,
+                      BACKWARD_TRIPLE, MIXED_TRIPLE, REGIME_BETA1)
 from patchepi import cli, equilibria, matalg, model, network, persist
 from patchepi.equilibria import EquilibriumPattern
 
@@ -23,14 +23,14 @@ def mixed():
     return models, eqs, R, hiv_net("fig3b")
 
 
-def _chain(models, eqs, net, choices=(0, 1, 0)):
-    return persist.SystemFacts(models, eqs).derivative_chain(
+def _chain(net, choices=(0, 1, 0)):
+    return hiv_system_facts(MIXED_TRIPLE).derivative_chain(
         EquilibriumPattern(choices), net)
 
 
 def test_first_derivative_oracle(mixed):
     models, eqs, R, net = mixed
-    d1 = _chain(models, eqs, net)[0][0]
+    d1 = _chain(net)[0][0]
     assert d1.order == 1 and d1.region == 0
     assert d1.sign_class == "positive"
     assert np.allclose(d1.value, D1_REGION0, rtol=1e-7)
@@ -39,21 +39,21 @@ def test_first_derivative_oracle(mixed):
 def test_first_derivative_zero_without_direct_inflow(mixed):
     models, eqs, R, net = mixed
     # region 3 receives only from the disease-free region 1
-    d1 = _chain(models, eqs, net)[2][0]
+    d1 = _chain(net)[2][0]
     assert d1.sign_class == "zero"
     assert np.all(d1.value == 0.0)
 
 
 def test_second_derivative_oracle(mixed):
     models, eqs, R, net = mixed
-    d2 = _chain(models, eqs, net)[2][1]
+    d2 = _chain(net)[2][1]
     assert d2.sign_class == "has_negative"
     assert np.allclose(d2.value, D2_REGION2, rtol=1e-7)
 
 
 def test_higher_derivative_preconditions(mixed):
     models, eqs, R, net = mixed
-    chain = _chain(models, eqs, net)
+    chain = _chain(net)
     # region 0 is signed at order 1, so order 2 is never taken for it; the
     # endemic region 1 has no branch derivative; region 2 stops at r - 1
     assert {i: [d.order for d in ders] for i, ders in chain.items()} == {
@@ -62,7 +62,7 @@ def test_higher_derivative_preconditions(mixed):
 
 def test_derivative_chain_orders(mixed):
     models, eqs, R, net = mixed
-    chain = _chain(models, eqs, net)
+    chain = _chain(net)
     assert set(chain) == {0, 2}
     assert chain[0][-1].order == 1 and chain[0][-1].sign_class == "positive"
     assert (chain[2][-1].order == 2
@@ -74,8 +74,8 @@ def test_first_derivative_scales_linearly_with_weights(mixed):
     base = network.from_edges(network.PRESET_EDGES["fig3b"], r=3, n=4, m=2, k=1)
     double = network.from_edges(network.PRESET_EDGES["fig3b"], r=3, n=4, m=2,
                                 k=1, weight=2.0)
-    d1 = _chain(models, eqs, base)[0][0]
-    d2 = _chain(models, eqs, double)[0][0]
+    d1 = _chain(base)[0][0]
+    d2 = _chain(double)[0][0]
     assert np.allclose(d2.value, 2.0 * d1.value, rtol=1e-12)
 
 
@@ -172,7 +172,7 @@ def test_persisting_count_is_a_product_over_components():
     cases = 0
     for triple in itertools.product(REGIME_BETA1.values(), repeat=3):
         models, eqs, R = hiv_system(triple)
-        facts = persist.SystemFacts(models, eqs)
+        facts = hiv_system_facts(triple)
         for net in nets:
             adj = net.adjacency()
             components = _weak_components(adj)
@@ -188,8 +188,7 @@ def test_persisting_count_is_a_product_over_components():
                 sub = network.from_edges(edges, r=len(comp), n=4, m=2, k=1,
                                          blocks=("x",))
                 verdicts = persist.SystemFacts(
-                    [models[i] for i in comp],
-                    [eqs[i] for i in comp]).verdicts(sub)
+                    [facts.patches[i] for i in comp]).verdicts(sub)
                 want *= sum(v.verdict == "persists" for v in verdicts)
             assert facts.persisting_count(net) == want, (triple, net.name)
             cases += 1
@@ -221,22 +220,25 @@ def test_is_irreducible_runs_once_per_patch_per_count(mixed, monkeypatch):
         calls.append(1)
         return real(A)
 
+    # V - F is read off the patch system in one place, _threshold
     operators = []
-    real_operator = persist.v_minus_f
+    real_threshold = equilibria._threshold
 
-    def counting_operator(mod, dfe):
+    def counting_threshold(mod):
         operators.append(1)
-        return real_operator(mod, dfe)
+        return real_threshold(mod)
 
     monkeypatch.setattr(matalg, "is_irreducible", counting)
-    monkeypatch.setattr(persist, "v_minus_f", counting_operator)
+    monkeypatch.setattr(equilibria, "_threshold", counting_threshold)
+    monkeypatch.setattr(persist, "_threshold", counting_threshold)
     assert persist.count_persisting(models, net, equilibria=eqs) == 4
     assert 0 < len(calls) <= net.r
     # V - F is settled once per patch, as is the reducible systems' chain
     assert 0 < len(operators) <= net.r
-    ms_models, ms_eqs, _ = multistrain_system()
+    ms_models, _, _ = multistrain_system()
     operators.clear()
-    facts = persist.SystemFacts(ms_models, ms_eqs)
+    facts = persist.SystemFacts([equilibria.patch_facts(m)
+                                 for m in ms_models])
     for ms_net in network.enumerate_networks(3, n=2, m=1, k=1):
         facts.verdicts(ms_net)
     assert not facts.irreducible and len(operators) <= net.r
@@ -259,26 +261,31 @@ def test_exhaustive_census_settles_patch_facts_once(monkeypatch):
 
 
 def _fixture_system(name):
+    """(models, eqs, facts) of a shipped fixture config."""
     models = cli.build_models(cli.load_config(cli.fixture_path(name)))
-    return (models, [equilibria.patch_equilibria(m) for m in models],
-            [equilibria.local_reproduction_number(m) for m in models])
+    return _system(models)
+
+
+def _system(models):
+    """(models, eqs, facts): each patch's equilibria and the SystemFacts."""
+    facts = persist.SystemFacts([equilibria.patch_facts(m) for m in models])
+    return models, [p.equilibria for p in facts.patches], facts
 
 
 @pytest.mark.parametrize("system", ["hiv_backward.json", "hiv_mixed.json",
                                     "multistrain"])
 def test_all_pattern_verdicts_match_per_pattern_predict(system):
     if system == "multistrain":
-        models, eqs, R = multistrain_system()
+        models, eqs, facts = multistrain_system()
     else:
-        models, eqs, R = _fixture_system(system)
+        models, eqs, facts = _fixture_system(system)
     mod = models[0]
     counts = [len(e) - 1 for e in eqs]
     rules = set()
     for net in network.enumerate_networks(3, n=mod.n, m=mod.m, k=mod.k):
         want = [persist.predict(pat, models, net, equilibria=eqs)
                 for pat in equilibria.enumerate_patterns(counts)]
-        assert (persist.SystemFacts(models, eqs).verdicts(net)
-                == want), net.name
+        assert facts.verdicts(net) == want, net.name
         rules.update(v.rule for v in want)
         if any(v.verdict == "indeterminate" for v in want):
             with pytest.raises(RuntimeError, match=repr(net.name)):
@@ -295,7 +302,7 @@ def test_all_pattern_verdicts_match_per_pattern_predict(system):
 
 def test_classify_pattern_runs_once_per_eat_set(monkeypatch):
     cfg = cli.load_config(cli.fixture_path("hiv_backward.json"))
-    models, eqs, R = _fixture_system("hiv_backward.json")
+    models, eqs, facts = _fixture_system("hiv_backward.json")
     net = cli.build_network(cfg, models)
     patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
     want = [persist.predict(pat, models, net, equilibria=eqs)
@@ -308,7 +315,7 @@ def test_classify_pattern_runs_once_per_eat_set(monkeypatch):
         return real(net, pattern)
 
     monkeypatch.setattr(persist, "classify_pattern", counting)
-    assert persist.SystemFacts(models, eqs).verdicts(net) == want
+    assert facts.verdicts(net) == want
     # 27 patterns, 8 EAT sets; the all-EAT set needs no classification
     assert len(patterns) == 27
     assert sorted(calls) == sorted(set(calls)) and len(calls) == 7
@@ -345,14 +352,11 @@ def multistrain_system():
     b = np.array([1.2, 0.8]) * (gam + mu) / (Lam / mu)
     ms = model.multistrain(b, gam, Lam, mu)
     sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
-    models = [ms, sp, ms]
-    eqs = [equilibria.patch_equilibria(m) for m in models]
-    R = [equilibria.local_reproduction_number(m) for m in models]
-    return models, eqs, R
+    return _system([ms, sp, ms])
 
 
 def test_derivative_fallback_for_reducible_patches():
-    models, eqs, R = multistrain_system()
+    models, eqs, _ = multistrain_system()
     assert [len(e) - 1 for e in eqs] == [0, 1, 0]
     pat = EquilibriumPattern((0, 1, 0))
     net = network.preset("fig3b", n=2, m=1, k=1)
@@ -374,8 +378,8 @@ def test_derivative_route_equals_network_rule():
     nets = network.enumerate_networks(3, n=4, m=2, k=1)
     patterns = chains = 0
     for triple in itertools.product(REGIME_BETA1.values(), repeat=3):
-        models, eqs, R = hiv_system(triple)
-        facts = persist.SystemFacts(models, eqs)
+        eqs = hiv_system(triple)[1]
+        facts = hiv_system_facts(triple)
         assert facts.irreducible
         boundary = [pat for pat in equilibria.enumerate_patterns(
             [len(e) - 1 for e in eqs]) if not pat.is_all_endemic]
@@ -402,11 +406,10 @@ def test_reducible_patch_at_R_one_is_indeterminate():
     # raises DegenerateThresholdError on every pattern
     ms = model.multistrain([0.5, 0.3], 0.5, 1.0, 0.5)
     sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
-    models = [ms, sp, ms]
-    eqs = [equilibria.patch_equilibria(m) for m in models]
+    models, eqs, facts = _system([ms, sp, ms])
     assert equilibria.local_reproduction_number(ms) == 1.0
     net = network.preset("fig3b", n=2, m=1, k=1)
-    verdicts = persist.SystemFacts(models, eqs).verdicts(net)
+    verdicts = facts.verdicts(net)
     assert [v.pattern.choices for v in verdicts] == [(0, 0, 0), (0, 1, 0)]
     assert all(v.verdict == "indeterminate" and v.rule == "derivative_direct"
                for v in verdicts)
