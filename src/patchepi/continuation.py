@@ -107,8 +107,8 @@ class CoupledSystem:
     Within patch i every incidence term is linear in the products
     P_i[p, q] = y_p x_q / N_i (x_q alone under mass action):
 
-        T(alpha, X) = (M0 + alpha L) X + c + Q P(X) + G(X),
-        dT/dX       =  M0 + alpha L        + Q dP/dX + dG/dX,
+        T(alpha, X) = (M0 + alpha L) X + c + Q P(X),
+        dT/dX       =  M0 + alpha L        + Q dP/dX,
 
     where M0 holds each patch's linear terms (-V, g_lin, Z, -D), L is the
     travel matrix, c the constant recruitment, and Q maps the products to
@@ -125,9 +125,7 @@ class CoupledSystem:
         P = y[yi] * (x[xi] * (1/N)[region]),
 
     with 1/N = 1 for a mass-action patch and no N at all when every patch
-    is mass-action. A recruitment callback puts nothing into c or M0: G
-    adds its g(y) to the patch's y rows and dG/dX its
-    recruitment_jacobian(y) to the y-y block, state by state.
+    is mass-action.
 
     X may carry leading batch axes, X[..., r * s]: residual and jacobian
     then evaluate every state of the batch at once, as the multi-start
@@ -142,18 +140,14 @@ class CoupledSystem:
         self.n, self.m, self.s = n, m, n + m + k
         self.L = travel_matrix(net)
         r, s = net.r, self.s
-        self._callbacks = [(mod, slice(i * s + n, i * s + n + m))
-                           for i, mod in enumerate(models)
-                           if mod.g_func is not None]
         self.M0 = np.zeros((r * s, r * s))
         self.c = np.zeros(r * s)
         self.Q = np.zeros((r * s, r * m * n))
         for i, mod in enumerate(models):
             base, cols = i * s, slice(i * m * n, (i + 1) * m * n)
             self.M0[base:base + n, base:base + n] = -mod.V
-            if mod.g_func is None:
-                self.M0[base + n:base + n + m, base + n:base + n + m] = mod.g_lin
-                self.c[base + n:base + n + m] = mod.g_const
+            self.M0[base + n:base + n + m, base + n:base + n + m] = mod.g_lin
+            self.c[base + n:base + n + m] = mod.g_const
             self.M0[base + n + m:base + s, base:base + n] = mod.Z
             self.M0[base + n + m:base + s, base + n + m:base + s] = -mod.D
             self.Q[base:base + n, cols] = np.einsum(
@@ -246,12 +240,8 @@ class CoupledSystem:
         return self._residual(self._linear(alpha), X, self._products(X)[0])
 
     def _residual(self, A, X, P):
-        """A X + c + Q P + G(X), with A = M0 + alpha L and P the products."""
-        res = X @ A.T + self.c + P @ self.Q.T
-        for mod, rows in self._callbacks:
-            for i in np.ndindex(X.shape[:-1]):
-                res[i][rows] += mod.recruitment(X[i][rows])
-        return res
+        """A X + c + Q P, with A = M0 + alpha L and P the products."""
+        return X @ A.T + self.c + P @ self.Q.T
 
     def jacobian(self, alpha: float, X: np.ndarray) -> np.ndarray:
         """dT/dX at (alpha, X)."""
@@ -259,11 +249,7 @@ class CoupledSystem:
         products = self._products(X)
         dP = np.zeros(batch + self.Q.shape[::-1])
         self._fill_dP(dP.reshape(batch + (-1,)), products, self._dP_at)
-        J = self._linear(alpha) + self.Q @ dP
-        for mod, rows in self._callbacks:
-            for i in np.ndindex(X.shape[:-1]):
-                J[i][rows, rows] += mod.recruitment_jacobian(X[i][rows])
-        return J
+        return self._linear(alpha) + self.Q @ dP
 
     def single_state(self, alpha: float, order: np.ndarray):
         """(rhs, point): evaluators of one state X[r s] at a fixed alpha.
@@ -283,7 +269,6 @@ class CoupledSystem:
         at[order] = np.arange(order.size)
         dP_at = self._dP_positions(at)
         dP = np.zeros(Q_o.shape[::-1])
-        blocks = [np.ix_(at[rows], at[rows]) for _, rows in self._callbacks]
 
         def rhs(X):
             return self._residual(A, X, self._products(X)[0])
@@ -291,10 +276,7 @@ class CoupledSystem:
         def point(X):
             products = self._products(X)
             self._fill_dP(dP.reshape(-1), products, dP_at)
-            J = A_o + Q_o @ dP
-            for (mod, rows), block in zip(self._callbacks, blocks):
-                J[block] += mod.recruitment_jacobian(X[rows])
-            return self._residual(A, X, products[0]), J
+            return self._residual(A, X, products[0]), A_o + Q_o @ dP
 
         return rhs, point
 
@@ -308,16 +290,15 @@ def _take(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
 # Corrector
 # ====================================================================
 
-def _newton_correct(residual, jacobian, X0, alpha, admissible=None):
+def _newton_correct(residual, jacobian, X0, alpha, admissible):
     """Damped Newton for residual(X) = 0 from every row of X0.
 
     Returns (X, rnorm, failures): per row the corrected state, its
     residual sup norm, and None or the message of its failure. residual
     and jacobian take a stack of rows and return one residual or Jacobian
-    per row; residual sees only rows that admissible (all rows if None)
-    accepts. The package's one damped Newton for a few unknowns: the
-    branch corrector, the DFE branch (on the susceptible unknowns) and the
-    disease-free level of a recruitment callback all solve with it.
+    per row; residual sees only rows that admissible accepts. The
+    package's one damped Newton for a few unknowns: the branch corrector
+    and the DFE branch (on the susceptible unknowns) both solve with it.
 
     Every row follows the single-start rules on its own, and the rows
     share only the array operations: merit is the squared residual sup
@@ -327,9 +308,6 @@ def _newton_correct(residual, jacobian, X0, alpha, admissible=None):
     inadmissible start, a singular Jacobian, a stall or MAX_NEWTON_ITERS
     iterations; the message names alpha, the point being solved.
     """
-    if admissible is None:
-        def admissible(X):
-            return np.ones(len(X), dtype=bool)
     X = np.array(X0, dtype=float)
     failures = [None] * len(X)
     res = np.zeros_like(X)
@@ -559,10 +537,9 @@ def _continue_dfe(pattern, system, X0, targets) -> BranchRecord:
 
     With the infected and removed classes pinned at zero their equations
     hold exactly, so Newton solves only the susceptible rows and columns
-    of the coupled residual and Jacobian (an affine system for affine
-    recruitment) at the state that embeds the susceptibles with exact
-    zeros elsewhere. This keeps the continued DFE free of spurious
-    infected-block drift.
+    of the coupled residual and Jacobian (an affine system) at the state
+    that embeds the susceptibles with exact zeros elsewhere. This keeps
+    the continued DFE free of spurious infected-block drift.
     """
     n, m, s = system.n, system.m, system.s
     sus = (np.arange(system.net.r)[:, None] * s + n + np.arange(m)).ravel()

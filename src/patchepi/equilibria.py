@@ -45,7 +45,8 @@ LAMBDA_GRID = np.geomspace(LAMBDA_SCAN_LO, LAMBDA_SCAN_HI, LAMBDA_SCAN_POINTS)
 
 
 class DegenerateModelError(RuntimeError):
-    """Disease-free susceptible level missing, non-unique, or not positive."""
+    """Disease-free susceptible level non-unique, not finite or not
+    positive, or V - F there not finite."""
 
 
 class NoFoldError(RuntimeError):
@@ -119,24 +120,15 @@ class PatchFacts:
 # ====================================================================
 
 def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
-    """The disease-free susceptible level: g_const + g_lin y = 0, or for a
-    g_func the damped Newton of continuation from that affine seed."""
-    from .continuation import _newton_correct
-
+    """The disease-free susceptible level, the root of g_const + g_lin y."""
     try:
         y0 = matalg.solve_linear(-model.g_lin, model.g_const)
     except matalg.SingularMatrixError as exc:
         raise DegenerateModelError(
             "disease-free susceptible level is not unique") from exc
-    if model.g_func is not None:
-        Y, _, failures = _newton_correct(
-            lambda Y: np.array([model.recruitment(y) for y in Y]),
-            lambda Y: np.array([model.recruitment_jacobian(y) for y in Y]),
-            y0[None], 0.0)
-        if failures[0] is not None:
-            raise DegenerateModelError(
-                "susceptible-equilibrium Newton did not converge")
-        y0 = Y[0]
+    if not np.all(np.isfinite(y0)):
+        raise DegenerateModelError(
+            f"disease-free susceptible level not finite: {y0}")
     if np.any(y0 <= 0):
         raise DegenerateModelError(
             f"disease-free susceptible level not positive: {y0}")
@@ -149,7 +141,8 @@ def _threshold(model: PatchModel) -> tuple:
     system is the patch's one-region CoupledSystem (no travel), dfe its
     disease-free state. V - F is minus the x-x block of system's Jacobian
     at dfe: with x = 0 the incidence contributes F and nothing through N.
-    R is the spectral radius of F V^{-1}, with F = V - (V - F).
+    R is the spectral radius of F V^{-1}, with F = V - (V - F). Raises
+    DegenerateModelError when the DFE or V - F is not finite.
     """
     from .continuation import CoupledSystem
     from .network import from_edges
@@ -159,6 +152,9 @@ def _threshold(model: PatchModel) -> tuple:
     dfe = PatchState(np.zeros(model.n), _susceptible_equilibrium(model),
                      np.zeros(model.k))
     v_minus_f = -system.jacobian(0.0, dfe.concat())[:model.n, :model.n]
+    if not np.all(np.isfinite(v_minus_f)):
+        raise DegenerateModelError(
+            "V - F at the disease-free state not finite")
     F = model.V - v_minus_f
     R = matalg.spectral_radius(np.linalg.solve(model.V.T, F.T).T)
     return system, dfe, v_minus_f, R

@@ -13,14 +13,8 @@ the n infected classes, and F is the resulting new-infection operator
 
     F[j, q] = sum_p eta[p, q][j] * y[p] * B[p, q].
 
-Recruitment g is affine (g = g_const + g_lin y) for every built-in family;
-a callable extension point is provided for anything else, in which case
-only dg/dy is taken by central finite differences, in
-PatchModel.recruitment_jacobian, the one caller of fd_jacobian; every other
-Jacobian term stays analytic. Note that the guarantees on higher-order
-branch derivatives elsewhere in this package need g smooth enough (r-1
-continuous derivatives for r patches); affine recruitment has all orders,
-user extensions are on their own.
+Recruitment is affine, g = g_const + g_lin y, in every family, so the
+branches have derivatives of every order.
 
 Built-in families:
     multigroup        n groups, one susceptible class per group
@@ -41,7 +35,7 @@ state. This module describes patches and evaluates none of the equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -50,7 +44,6 @@ from . import matalg
 FAMILIES = ("multigroup", "stage_progression", "multistrain", "hiv_vaccination")
 
 ETA_SUM_TOL = 1e-12
-FD_STEP = 1e-6
 
 
 class InadmissibleStateError(ValueError):
@@ -102,7 +95,6 @@ class PatchModel:
     g_const: np.ndarray          # shape (m,)
     g_lin: np.ndarray            # shape (m, m)
     params: Mapping[str, float] = field(default_factory=dict)
-    g_func: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         for name in ("V", "D", "Z", "eta", "beta", "g_const", "g_lin"):
@@ -142,17 +134,6 @@ class PatchModel:
     @property
     def size(self) -> int:
         return self.n + self.m + self.k
-
-    def recruitment(self, y: np.ndarray) -> np.ndarray:
-        if self.g_func is not None:
-            return np.asarray(self.g_func(y), dtype=float)
-        return self.g_const + self.g_lin @ y
-
-    def recruitment_jacobian(self, y: np.ndarray) -> np.ndarray:
-        """dg/dy: g_lin, or central differences of a recruitment callback."""
-        if self.g_func is not None:
-            return fd_jacobian(self.recruitment, y)
-        return self.g_lin
 
 
 @dataclass(frozen=True)
@@ -262,6 +243,8 @@ def stage_progression(beta: np.ndarray, nu: np.ndarray, Lam: float,
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     n = beta.size
+    if n == 0:
+        raise ValueError("need at least one stage")
     if nu.size != n:
         raise ValueError("need one progression rate per stage")
     V = np.diag(nu + mu)
@@ -293,24 +276,3 @@ def multistrain(beta: np.ndarray, gamma: np.ndarray, Lam: float,
                       eta=eta, beta=beta.reshape(1, n), incidence="mass_action",
                       g_const=np.array([Lam]), g_lin=np.array([[-mu]]),
                       params={"n": n, "Lam": Lam, "mu": mu})
-
-
-# ====================================================================
-# Operations
-# ====================================================================
-
-def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray],
-                u0: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian of fun: R^d -> R^d at u0.
-
-    Column j steps u0[j] by FD_STEP * (1 + |u0[j]|) both ways.
-    """
-    u0 = np.asarray(u0, dtype=float)
-    J = np.zeros((u0.size, u0.size))
-    for j in range(u0.size):
-        h = FD_STEP * (1.0 + abs(u0[j]))
-        up, um = u0.copy(), u0.copy()
-        up[j] += h
-        um[j] -= h
-        J[:, j] = (fun(up) - fun(um)) / (2.0 * h)
-    return J

@@ -164,12 +164,11 @@ class SystemFacts:
         against region i's settled V - F, with d^0_j = xhat^j. A region
         takes order N only while all its lower orders are "zero", so
         {region: [BranchDerivative for order 1, 2, ...]} ends each list at
-        the region's first signed order or at order r - 1; beyond that
-        the branch is only guaranteed as many derivatives as the
-        recruitment function has, and the theory never needs more. EAT
-        regions are absent. Raises DegenerateThresholdError when V - F is
-        singular, and ChainPreconditionError when an in-neighbor has no
-        order N - 1 value.
+        the region's first signed order or at order r - 1, the highest
+        order the theory needs. EAT regions are absent. Raises
+        DegenerateThresholdError when V - F is singular, and
+        ChainPreconditionError when an in-neighbor has no order N - 1
+        value.
         """
         patches = self.patches
         prev = {j: (patches[j].equilibria[c].state.x if c

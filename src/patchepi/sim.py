@@ -100,9 +100,12 @@ def _classify_terminal(X: np.ndarray, classified) -> str:
 def _initial_step(f0: np.ndarray, X0: np.ndarray, t_end: float,
                   rtol: float, atol: float) -> float:
     scale = atol + rtol * np.abs(X0)
-    d0 = float(np.sqrt(np.mean((X0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    if d0 < 1e-5 or d1 < 1e-5:
+    with np.errstate(over="ignore"):
+        d0 = float(np.sqrt(np.mean((X0 / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    # a tolerance near the underflow limit or a huge slope overflows d0 or d1
+    finite = math.isfinite(d0) and math.isfinite(d1)
+    if not finite or d0 < 1e-5 or d1 < 1e-5:
         h = 1e-6
     else:
         h = 0.01 * d0 / d1
@@ -213,9 +216,10 @@ def integrate(models: Sequence[PatchModel], net: MobilityNetwork,
                 h *= max(0.2, 0.9 * err ** -0.25)
             else:
                 h *= 0.5        # nonnegativity, admissibility or singularity
-        # accepted steps shrink h too on the approach to a finite-time
-        # blow-up, until t + h no longer advances t
-        if t < t_end and h < h_min:
+        # rejected steps drive h to the floor when no step can meet the
+        # tolerances, as do accepted ones when h shrinks until t + h no
+        # longer advances t; a NaN h fails the test as well
+        if t < t_end and not h >= h_min:
             raise StepSizeUnderflowError(
                 f"step size underflow at t = {t:g} (h = {h:.3e})")
     else:

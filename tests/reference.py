@@ -61,18 +61,16 @@ def patch_residual(model: PatchModel, s: PatchState) -> np.ndarray:
     B = transmission_matrix(model, s)
     F = _assemble_F(model.eta, s.y, B)
     rx = F @ s.x - model.V @ s.x
-    ry = model.recruitment(s.y) - s.y * (B @ s.x)
+    ry = model.g_const + model.g_lin @ s.y - s.y * (B @ s.x)
     rz = -model.D @ s.z + model.Z @ s.x
     return np.concatenate([rx, ry, rz])
 
 
 def patch_jacobian(model: PatchModel, s: PatchState) -> np.ndarray:
-    """Jacobian of patch_residual at a state.
+    """Analytic Jacobian of patch_residual at a state.
 
-    Analytic apart from dg/dy, which the y-y block takes from
-    recruitment_jacobian. At a disease-free state the upper-left block
-    reduces to F - V and the x-row has no y/z coupling through the
-    incidence terms.
+    At a disease-free state the upper-left block reduces to F - V and the
+    x-row has no y/z coupling through the incidence terms.
     """
     n, m, k = model.n, model.m, model.k
     B = transmission_matrix(model, s)
@@ -103,7 +101,7 @@ def patch_jacobian(model: PatchModel, s: PatchState) -> np.ndarray:
         J[sl_x, n + ell] = col
 
     # y-rows: d(g - diag(y) B x)
-    J[sl_y, sl_y] = model.recruitment_jacobian(s.y) - np.diag(Bx)
+    J[sl_y, sl_y] = model.g_lin - np.diag(Bx)
     J[sl_y, sl_x] = -s.y[:, None] * B
     if dB_scale:
         # d(Bx)_p/dw picks up dB_scale (Bx)_p for every x- or y-component w

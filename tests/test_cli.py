@@ -698,6 +698,50 @@ def test_every_subcommand_exits_cleanly_on_shipped_fixtures(name, tmp_path,
             assert branch["observed"] is None and branch["agree"] is None
 
 
+_MG = {"beta": [[0.06]], "Lam": 1.0, "mu": 0.05, "gamma": 0.05}
+# configs the validator accepts that fail later: (family, params, top-level
+# fields, the runs that reach the fault, the message that names it)
+BAD_CONFIGS = {
+    "tolerance_1e-300": ("multigroup", _MG, {"rtol": 1e-300, "atol": 1e-300},
+                         ("simulate",), "step size underflow at t = 0 "),
+    "beta_1e200": ("multigroup", dict(_MG, beta=[[1e200]]), {},
+                   ("simulate",), "step size underflow at t = 0 "),
+    "beta_1e308": ("multigroup", dict(_MG, beta=[[1e308]]), {}, FIXTURE_RUNS,
+                   "V - F at the disease-free state not finite"),
+    "Lam_1e308": ("multigroup", dict(_MG, Lam=1e308), {}, FIXTURE_RUNS,
+                  "disease-free susceptible level not finite"),
+    "no_stages": ("stage_progression",
+                  {"beta": [], "nu": [], "Lam": 1.0, "mu": 0.05}, {},
+                  FIXTURE_RUNS, "need at least one stage"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_configs_exit_2_or_3_without_traceback(name, tmp_path, capsys):
+    family, params, fields, runs, message = BAD_CONFIGS[name]
+    data = {"schema_version": 1,
+            "patches": [{"family": family, "params": params}] * 3,
+            "network": {"preset": "fig3b"}, "alpha_grid": [0.0, 0.1],
+            "t_end": 10.0,
+            "initial_sets": [{"label": "a",
+                              "regions": [[0.1, 10.0, 0.0]] * 3}],
+            **fields}
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(data))
+    for run in runs:
+        command, *flags = run.split()
+        outdir = tmp_path / run.replace(" ", "_")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main([command, "--config", str(cfgp),
+                             "--out", str(outdir)] + flags)
+        err = capsys.readouterr().err
+        assert code in (2, 3), (run, code)
+        assert "Traceback" not in err
+        report = outdir / f"{command}.json"
+        assert message in err + (report.read_text() if report.exists()
+                                 else ""), run
+
+
 # The same digests for configs of three catalog patches of each generic
 # family (the search's multi-start Newton), recorded before the seed grid
 # left out the removed classes.

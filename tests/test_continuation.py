@@ -81,12 +81,6 @@ def _kernel_cases():
     def mass(mod):
         return dataclasses.replace(mod, incidence="mass_action")
 
-    def g_func(y):
-        return 1.0 - 0.05 * y - 0.01 * y ** 2
-
-    def callback(mod):
-        return dataclasses.replace(mod, g_func=g_func)
-
     small = network.preset("fig3c", n=2, m=1, k=1)
     return {
         "hiv_standard": (hiv, hiv_net("fig3b")),
@@ -97,9 +91,6 @@ def _kernel_cases():
         "stage_progression_multistrain": ([sp, ms, sp], small),
         "multistrain_standard": ([std(ms)] * 3, small),
         "mixed_incidence": ([sp, std(sp), sp], small),
-        "recruitment_callback": ([callback(sp)] * 3, small),
-        "mixed_incidence_callback": (
-            [callback(sp), std(sp), std(callback(sp))], small),
     }
 
 
@@ -403,33 +394,6 @@ def test_dfe_branch_stays_disease_free(backward):
             assert np.max(np.abs(blk[:4])) <= 1e-12   # infected
             assert abs(blk[6]) <= 1e-12               # AIDS
             assert np.min(blk[4:6]) > 0.0             # susceptibles
-
-
-def test_dfe_branch_with_recruitment_callback():
-    # an affine recruitment given as a callback: the kernel adds g(y) and
-    # its finite-difference dg/dy state by state, everything else as usual
-    import dataclasses
-    from patchepi import model
-    models = [model.multigroup([[0.06, 0.01], [0.02, 0.05]], lam, 0.05, 0.05)
-              for lam in (1.0, 2.0, 0.5)]
-    twins = [dataclasses.replace(mod, g_func=lambda y, m=mod: m.g_const
-                                 + m.g_lin @ y) for mod in models]
-    net = network.preset("fig3b", n=2, m=2, k=2)
-    grid = [1e-4, 1e-2, 0.5]
-    recs = [continuation.continue_branch(
-        EquilibriumPattern((0, 0, 0)), mods, net, grid,
-        equilibria=[equilibria.patch_facts(m).equilibria[:1] for m in mods])
-        for mods in (models, twins)]
-    for rec in recs:
-        assert rec.verdict_observed == "persists" and rec.failure is None
-        assert [p.alpha for p in rec.points] == [0.0] + grid
-    susceptible = np.tile([False, False, True, True, False, False], 3)
-    for want, got in zip(*(rec.points for rec in recs)):
-        assert np.all(got.X[~susceptible] == 0.0)
-        assert np.max(np.abs(got.X - want.X)) <= 1e-9 * np.max(np.abs(want.X))
-        assert got.stability == want.stability
-    # travel moves the susceptible levels away from the disconnected DFE
-    assert np.max(np.abs(recs[0].points[-1].X - recs[0].points[0].X)) > 0.1
 
 
 def test_mixed_fixture_branch_persists_on_shipped_grid():

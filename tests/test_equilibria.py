@@ -128,50 +128,17 @@ def test_degenerate_susceptible_levels():
     negative = model.PatchModel(**base, g_const=[1.0], g_lin=[[0.1]])
     with pytest.raises(equilibria.DegenerateModelError, match="not positive"):
         dfe_of(negative)
-    # recruitment callbacks: no root at all, and only a negative one
-    rootless = model.PatchModel(**base, g_const=[1.0], g_lin=[[-0.05]],
-                                g_func=lambda y: 1.0 + y ** 2)
-    with pytest.raises(equilibria.DegenerateModelError,
-                       match="did not converge"):
-        dfe_of(rootless)
-    negative_root = model.PatchModel(**base, g_const=[1.0], g_lin=[[-0.05]],
-                                     g_func=lambda y: -1.0 - 0.05 * y)
-    with pytest.raises(equilibria.DegenerateModelError, match="not positive"):
-        dfe_of(negative_root)
-
-
-def test_dfe_of_nonlinear_recruitment_callback():
-    # g(y) = 1 - 0.05 y - 0.01 y^2 has the positive root below
-    import dataclasses
-    sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
-    mod = dataclasses.replace(
-        sp, g_func=lambda y: 1.0 - 0.05 * y - 0.01 * y ** 2)
-    dfe = dfe_of(mod)
-    closed = (-0.05 + np.sqrt(0.0425)) / 0.02
-    assert dfe.state.y == pytest.approx([closed], rel=1e-12)
-    assert np.all(dfe.state.x == 0.0) and np.all(dfe.state.z == 0.0)
-
-
-def test_patch_facts_solves_a_recruitment_callback_once(monkeypatch):
-    # V - F, R, the seed search and the classification share one DFE, so
-    # the susceptible-equilibrium Newton runs once per patch
-    import dataclasses
-    from patchepi import continuation
-    sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
-    mod = dataclasses.replace(
-        sp, g_func=lambda y: 1.0 - 0.05 * y - 0.01 * y ** 2)
-    calls = []
-    real = continuation._newton_correct
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(continuation, "_newton_correct", counting)
-    patch = equilibria.patch_facts(mod)
-    assert len(calls) == 1
-    assert patch.equilibria[0].kind == "disease_free"
-    assert patch.R == equilibria.local_reproduction_number(mod)
+    # a susceptible level or a V - F past the largest float
+    huge = model.PatchModel(**base, g_const=[1e308], g_lin=[[-1e-3]])
+    base["beta"] = [[1e308]]
+    dense = model.PatchModel(**base, g_const=[1.0], g_lin=[[-0.05]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(equilibria.DegenerateModelError,
+                           match="susceptible level not finite"):
+            dfe_of(huge)
+        with pytest.raises(equilibria.DegenerateModelError,
+                           match="V - F at the disease-free state not finite"):
+            dfe_of(dense)
 
 
 def test_estimate_Rc_backward_window():
@@ -340,25 +307,6 @@ def test_singular_jacobian_fails_its_own_seed_only():
     dU, solved = equilibria._newton_steps(Stack(), np.zeros((3, 2)), R)
     assert solved.tolist() == [True, False, True]
     assert np.array_equal(dU[[0, 2]], [[-1.0, -2.0], [-2.0, -3.0]])
-
-
-def test_generic_search_recruitment_callback_twin():
-    # the same affine recruitment as a callback: per-state g(y) and
-    # finite-difference dg/dy in the same batched Newton
-    import dataclasses
-    for mod in (model.stage_progression([0.04, 0.01, 0.02], [0.2, 0.1, 0.15],
-                                        1.0, 0.05),
-                model.multigroup([[0.06]], 1.0, 0.05, 0.05)):
-        twin = dataclasses.replace(
-            mod, g_func=lambda y, m=mod: m.g_const + m.g_lin @ y)
-        want, want_discarded = equilibria.endemic_equilibria_generic(mod)
-        got, got_discarded = equilibria.endemic_equilibria_generic(twin)
-        assert len(got) == len(want) == 1
-        assert got_discarded == want_discarded
-        for g, w in zip(got, want):
-            assert np.allclose(g.state.concat(), w.state.concat(),
-                               rtol=1e-9, atol=0.0)
-            assert g.stability == w.stability
 
 
 def test_generic_path_reproduces_hiv_scalar_roots():

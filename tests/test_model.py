@@ -102,23 +102,6 @@ def test_patch_jacobian_matches_finite_differences(name, mod):
         assert np.max(np.abs(J - Jfd)) / scale < 1e-5, name
 
 
-def test_custom_g_func_jacobian_route():
-    # affine g attached as a callable must reproduce the analytic Jacobian:
-    # only dg/dy is differenced, every other entry is the analytic one
-    import dataclasses
-    rng = np.random.default_rng(3)
-    for name, mod in all_families():
-        custom = dataclasses.replace(mod, family="custom",
-                                     g_func=lambda y, m=mod: m.recruitment(y))
-        s = split_state(mod, random_admissible_state(mod, rng))
-        J_analytic = patch_jacobian(mod, s)
-        J_fd_route = patch_jacobian(custom, s)
-        yy = np.zeros_like(J_analytic, dtype=bool)
-        yy[mod.n:mod.n + mod.m, mod.n:mod.n + mod.m] = True
-        assert np.array_equal(J_fd_route[~yy], J_analytic[~yy]), name
-        assert np.max(np.abs(J_fd_route[yy] - J_analytic[yy])) <= 1e-9, name
-
-
 def test_stage_progression_structure():
     sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
     assert (sp.n, sp.m, sp.k) == (2, 1, 1)

@@ -150,19 +150,31 @@ def test_inadmissible_initial_state_raises(backward):
         sim.integrate(models, net, 0.0, np.zeros(21), t_end=1.0)
 
 
-def test_step_size_underflow_on_finite_time_blowup():
-    # superlinear recruitment g(y) = 1 + y^2 blows up at finite time; the
-    # controller must shrink h to the floor and report it, not loop forever
-    blow = model.PatchModel(
-        family="custom", n=1, m=1, k=1, V=[[1.0]], D=[[1.0]], Z=[[1.0]],
-        eta=[[[1.0]]], beta=[[0.0]], incidence="mass_action",
-        g_const=[1.0], g_lin=[[0.0]],
-        g_func=lambda y: 1.0 + y ** 2)
+@pytest.mark.parametrize("tol, beta", [(1e-300, 0.06), (None, 1e200)],
+                         ids=["tolerance_1e-300", "beta_1e200"])
+def test_step_size_underflow_on_non_finite_first_step(tol, beta):
+    # the first-step estimate overflows on a tolerance near the underflow
+    # limit (h would be NaN) and on a slope past the largest float (h would
+    # be 0): the step falls back to 1e-6 and rejected steps take it to the
+    # floor at t = 0, instead of MAX_STEPS steps that never advance t or a
+    # division by h = 0
+    mg = model.multigroup([[beta]], 1.0, 0.05, 0.05)
     net = network.from_edges([], r=1, n=1, m=1, k=1)
+    tols = {} if tol is None else {"rtol": tol, "atol": tol}
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(sim.StepSizeUnderflowError):
-            sim.integrate([blow], net, 0.0, np.array([0.0, 1.0, 0.0]),
-                          t_end=5.0)
+        with pytest.raises(sim.StepSizeUnderflowError,
+                           match="step size underflow at t = 0 "):
+            sim.integrate([mg], net, 0.0, np.array([0.1, 10.0, 0.0]),
+                          t_end=10.0, **tols)
+
+
+def test_step_size_underflow_on_unmeetable_tolerance(backward):
+    # a finite first step that no step can meet: rejections reach the floor
+    models, eqs, net = backward
+    X0 = np.array(RL1_SETS["green"], dtype=float)
+    with pytest.raises(sim.StepSizeUnderflowError,
+                       match="step size underflow at t = 0 "):
+        sim.integrate(models, net, 0.0, X0, rtol=1e-30, atol=1e-30)
 
 
 def test_basin_probe_multigroup():
