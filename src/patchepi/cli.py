@@ -441,8 +441,7 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
 
     Returns (report, artifacts): artifacts maps CSV file names to lines.
     """
-    targets = sorted(a for a in config.alpha_grid if a > 0)
-    if not targets:
+    if not any(alpha > 0 for alpha in config.alpha_grid):
         raise ConfigError("alpha_grid: continue needs a positive alpha")
     models = build_models(config)
     net = build_network(config, models)
@@ -462,7 +461,8 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
     else:
         pats = list(equilibria.enumerate_patterns(counts))
     verdicts = facts.verdicts(net, pats)
-    records = continuation.continue_branches(pats, models, net, targets,
+    system = continuation.CoupledSystem(models, net)
+    records = continuation.continue_branches(pats, system, config.alpha_grid,
                                              equilibria=eqs)
     branches = []
     artifacts = {}
@@ -470,17 +470,6 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
     failures = 0
     comp_names = _component_names(models)
     for pat, predicted, record in zip(pats, verdicts, records):
-        entry = {"choices": list(pat.choices),
-                 "predicted": predicted.verdict,
-                 "rule": predicted.rule}
-        if isinstance(record, continuation.HypothesisViolationError):
-            failures += 1
-            entry.update({"observed": None, "exit_alpha": None,
-                          "agree": None, "failure": str(record), "points": []})
-            branches.append(entry)
-            continue
-        name = f"branch_{pattern_label(pat.choices)}.csv"
-        artifacts[name] = _branch_csv(record, comp_names)
         agree = (predicted.verdict == record.verdict_observed
                  if predicted.verdict != "indeterminate"
                  and record.verdict_observed is not None else None)
@@ -488,18 +477,23 @@ def cmd_continue(config: ExperimentConfig) -> Tuple[dict, dict]:
             mismatches += 1
         if record.failure is not None:
             failures += 1
-        entry.update({
-            "observed": record.verdict_observed,
-            "exit_alpha": record.exit_alpha,
-            "agree": agree,
-            "failure": record.failure,
-            "csv": name,
-            "points": [{"alpha": p.alpha,
-                        "residual_norm": p.residual_norm,
-                        "min_component": p.min_component,
-                        "max_real_eig": p.max_real_eig,
-                        "stability": p.stability} for p in record.points],
-        })
+        entry = {"choices": list(pat.choices),
+                 "predicted": predicted.verdict,
+                 "rule": predicted.rule,
+                 "observed": record.verdict_observed,
+                 "exit_alpha": record.exit_alpha,
+                 "agree": agree,
+                 "failure": record.failure}
+        # a pattern that violates the hypotheses has no point to write
+        if record.points:
+            name = f"branch_{pattern_label(pat.choices)}.csv"
+            artifacts[name] = _branch_csv(record, comp_names)
+            entry["csv"] = name
+        entry["points"] = [{"alpha": p.alpha,
+                            "residual_norm": p.residual_norm,
+                            "min_component": p.min_component,
+                            "max_real_eig": p.max_real_eig,
+                            "stability": p.stability} for p in record.points]
         branches.append(entry)
     report = round_floats({
         "schema_version": SCHEMA_VERSION,
@@ -562,7 +556,7 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
         starts.append((label, X0))
     jobs = []
     for alpha in config.alpha_grid:
-        classified = _classified_equilibria(models, net, eqs, alpha)
+        classified = _classified_equilibria(system, eqs, alpha)
         for label, X0 in starts:
             jobs.append((label, alpha, X0, classified))
 
@@ -572,7 +566,7 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
     for label, alpha, X0, classified in jobs:
         entry = {"label": label, "alpha": alpha}
         try:
-            traj = sim.integrate(models, net, alpha, X0, t_end=config.t_end,
+            traj = sim.integrate(system, alpha, X0, t_end=config.t_end,
                                  rtol=config.rtol, atol=config.atol,
                                  classified=classified)
         except sim.StepSizeUnderflowError as exc:
@@ -615,13 +609,12 @@ def _empty_regions(system: continuation.CoupledSystem,
     return np.flatnonzero(~system.admissible(probes.reshape(r, -1))).tolist()
 
 
-def _classified_equilibria(models, net, eqs, alpha):
+def _classified_equilibria(system, eqs, alpha):
     """Labeled equilibria at the given alpha for terminal classification."""
     return [(f"pattern_{pattern_label(pat.choices)}", rec.points[-1].X)
             for pat, rec in continuation.continue_every_pattern(
-                models, net, alpha, eqs)
-            if isinstance(rec, continuation.BranchRecord)
-            and rec.failure is None and rec.verdict_observed == "persists"]
+                system, alpha, eqs)
+            if rec.verdict_observed == "persists"]
 
 
 def _trajectory_csv(traj: sim.Trajectory,

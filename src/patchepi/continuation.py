@@ -12,14 +12,16 @@ stability along the way. A branch is abandoned (never projected back)
 once a component drops below the sign-noise band: outside the cone the
 state has no epidemiological meaning.
 
-continue_branches moves all patterns of a system along the grid as the
-rows of one stack: one stacked predictor, one Newton corrector over the
-rows still on the grid and one stacked stability test per grid point. A
-row leaves the stack when it exits the cone, fails or finishes, and
-takes no decision from another row. Rows reach the kernel as
-X[:, None, :], so each residual is its own matrix-vector product with
-the bits of a single-state call; a plain (B, r s) stack would go through
-one matrix-matrix product and differ in the last bits. The stacked
+Continuation and the integrator of sim take a CoupledSystem, compiled
+once per set of patches and network by the caller. continue_branches
+moves all patterns of a system along the grid as the rows of one stack:
+one stacked predictor, one Newton corrector over the rows still on the
+grid and one stacked stability test per grid point. A row leaves the
+stack when it exits the cone, fails or finishes, and takes no decision
+from another row. Rows reach the kernel as X[:, None, :], so each
+residual is its own matrix-vector product with the bits of a
+single-state call; a plain (B, r s) stack would go through one
+matrix-matrix product and differ in the last bits. The stacked
 Jacobians, inverses, spectra and norms already give each row the bits it
 gets alone, so a branch's record does not depend on its batch.
 """
@@ -44,10 +46,6 @@ ARMIJO_SLOPE = 1e-4
 
 # what a state outside CoupledSystem.admissible is refused with
 INADMISSIBLE = "standard incidence undefined at N = 0"
-
-
-class HypothesisViolationError(RuntimeError):
-    """Coupled Jacobian singular where the theory requires otherwise."""
 
 
 @dataclass(frozen=True)
@@ -132,12 +130,22 @@ class CoupledSystem:
     equilibrium search and the stability classification of one patch's
     equilibria do (one region, alpha = 0). single_state gives the
     integrator a pair of evaluators for one state at a fixed alpha.
+
+    solve_order puts every region's susceptibles first, then the infected
+    and removed classes. Where no region holds infection, the Jacobian
+    has no entry from a susceptible column into an infected or removed
+    row. Eliminating the susceptible columns first then never pivots on
+    those rows, so the inverse of I/(h gamma) - J has exact zeros in its
+    infected/removed x susceptible block, the integrator's stages get
+    exact zeros there, and the disease-free subspace stays invariant to
+    the last bit, as the right-hand side keeps it. Its first r m entries
+    are the susceptible unknowns of the DFE branch.
     """
 
     def __init__(self, models: Sequence[PatchModel], net: MobilityNetwork):
         n, m, k = _check_families(models, net)
         self.net = net
-        self.n, self.m, self.s = n, m, n + m + k
+        self.m, self.s = m, n + m + k
         self.L = travel_matrix(net)
         r, s = net.r, self.s
         self.M0 = np.zeros((r * s, r * s))
@@ -168,13 +176,16 @@ class CoupledSystem:
         self._N_rows = np.flatnonzero(self._std_product)
         self._N_cols = region[self._N_rows, None] * s + np.arange(n + m)
         self._dP_at = self._dP_positions(np.arange(r * s))
+        state = np.arange(r * s).reshape(r, s)
+        self.solve_order = np.concatenate(
+            (state[:, n:n + m], state[:, :n], state[:, n + m:]), axis=None)
 
     def _dP_positions(self, at):
         """Flat positions in dP/dX of its d/dN, d/dx and d/dy entries.
 
         dP/dX has a row per product and a column per state entry, the
         column of state index i at at[i]: the identity for residual and
-        jacobian, the solve order for single_state.
+        jacobian, the position in solve_order for single_state.
         """
         row = np.arange(self._region.size) * at.size
         return (row[self._N_rows, None] + at[self._N_cols],
@@ -251,18 +262,19 @@ class CoupledSystem:
         self._fill_dP(dP.reshape(batch + (-1,)), products, self._dP_at)
         return self._linear(alpha) + self.Q @ dP
 
-    def single_state(self, alpha: float, order: np.ndarray):
+    def single_state(self, alpha: float):
         """(rhs, point): evaluators of one state X[r s] at a fixed alpha.
 
         rhs(X) is residual(alpha, X), and point(X) gives (rhs(X), J) with
-        J = jacobian(alpha, X)[np.ix_(order, order)], the Jacobian with
-        rows and columns in the solve order `order`: point writes dP/dX
-        with its columns already in that order, into one buffer it
-        reuses, and J = A_o + Q[order] @ dP_o, where A_o is M0 + alpha L
-        in that order. M0 + alpha L and its ordered copy are formed once
-        here. Both evaluate the right-hand side through the same _residual
-        as residual, so every value has the bits of residual and jacobian.
+        J = jacobian(alpha, X)[np.ix_(order, order)], order = solve_order:
+        point writes dP/dX with its columns already in that order, into
+        one buffer it reuses, and J = A_o + Q[order] @ dP_o, where A_o is
+        M0 + alpha L in that order. M0 + alpha L and its ordered copy are
+        formed once here. Both evaluate the right-hand side through the
+        same _residual as residual, so every value has the bits of
+        residual and jacobian.
         """
+        order = self.solve_order
         A = self._linear(alpha)
         A_o, Q_o = A[np.ix_(order, order)], self.Q[order]
         at = np.empty_like(order)
@@ -399,16 +411,15 @@ def product_state(pattern: EquilibriumPattern, equilibria) -> np.ndarray:
 
 
 def continue_branches(patterns: Sequence[EquilibriumPattern],
-                      models: Sequence[PatchModel],
-                      net: MobilityNetwork,
-                      alpha_targets: Sequence[float],
-                      equilibria,
-                      stop_at_exit: bool = True) -> list:
-    """Natural continuation of every given pattern over one alpha grid.
+                      system: CoupledSystem, alpha_targets: Sequence[float],
+                      equilibria, stop_at_exit: bool = True) -> list:
+    """Natural continuation of every given pattern of system over one grid.
 
-    Returns one entry per pattern, in order: its BranchRecord, or the
-    HypothesisViolationError it raises when its coupled Jacobian at
-    alpha = 0 is singular (1-norm condition above COND_LIMIT).
+    Returns one BranchRecord per pattern, in order. A pattern whose
+    coupled Jacobian at alpha = 0 is singular (1-norm condition above
+    COND_LIMIT) violates the theorem's hypotheses: its record has no
+    points and says so in its failure. The grid is sorted and its zeros
+    dropped; a negative alpha is refused.
 
     The predictor is the previous point plus an Euler step using the
     exact branch slope -J^{-1} L(X), with J the Jacobian of that point
@@ -435,7 +446,6 @@ def continue_branches(patterns: Sequence[EquilibriumPattern],
         raise ValueError("alpha targets must be nonnegative")
     targets = [a for a in targets if a > 0.0]
 
-    system = CoupledSystem(models, net)
     patterns = list(patterns)
     if not patterns:
         return []
@@ -446,9 +456,10 @@ def continue_branches(patterns: Sequence[EquilibriumPattern],
     rows = []
     for b, pattern in enumerate(patterns):
         if cond[b] > matalg.COND_LIMIT:
-            out[b] = HypothesisViolationError(
-                "theorem hypothesis violated: coupled Jacobian singular at "
-                f"alpha = 0 for pattern {pattern.choices}")
+            out[b] = BranchRecord(
+                pattern, points=[], exit_alpha=None, verdict_observed=None,
+                failure="theorem hypothesis violated: coupled Jacobian "
+                f"singular at alpha = 0 for pattern {pattern.choices}")
         elif pattern.is_dfe:
             out[b] = _continue_dfe(pattern, system, X0[b], targets)
         else:
@@ -502,22 +513,15 @@ def _continue_rows(patterns, system, X0, J0, targets, stop_at_exit) -> list:
                                               failure)]
 
 
-def continue_branch(pattern: EquilibriumPattern,
-                    models: Sequence[PatchModel],
-                    net: MobilityNetwork,
-                    alpha_targets: Sequence[float],
-                    equilibria,
+def continue_branch(pattern: EquilibriumPattern, system: CoupledSystem,
+                    alpha_targets: Sequence[float], equilibria,
                     stop_at_exit: bool = True) -> BranchRecord:
-    """continue_branches for one pattern; raises HypothesisViolationError."""
-    (record,) = continue_branches([pattern], models, net, alpha_targets,
-                                  equilibria, stop_at_exit)
-    if isinstance(record, HypothesisViolationError):
-        raise record
-    return record
+    """continue_branches for one pattern."""
+    return continue_branches([pattern], system, alpha_targets, equilibria,
+                             stop_at_exit)[0]
 
 
-def continue_every_pattern(models: Sequence[PatchModel],
-                           net: MobilityNetwork, alpha: float,
+def continue_every_pattern(system: CoupledSystem, alpha: float,
                            equilibria) -> list:
     """(pattern, record) for every product pattern, continued to alpha.
 
@@ -528,8 +532,7 @@ def continue_every_pattern(models: Sequence[PatchModel],
     """
     patterns = enumerate_patterns([len(eq) - 1 for eq in equilibria])
     return list(zip(patterns, continue_branches(
-        patterns, models, net, [alpha / 100.0, alpha / 10.0, alpha],
-        equilibria)))
+        patterns, system, [alpha / 100.0, alpha / 10.0, alpha], equilibria)))
 
 
 def _continue_dfe(pattern, system, X0, targets) -> BranchRecord:
@@ -539,10 +542,10 @@ def _continue_dfe(pattern, system, X0, targets) -> BranchRecord:
     hold exactly, so Newton solves only the susceptible rows and columns
     of the coupled residual and Jacobian (an affine system) at the state
     that embeds the susceptibles with exact zeros elsewhere. This keeps
-    the continued DFE free of spurious infected-block drift.
+    the continued DFE free of spurious infected-block drift. The
+    susceptible unknowns are the first r m entries of system.solve_order.
     """
-    n, m, s = system.n, system.m, system.s
-    sus = (np.arange(system.net.r)[:, None] * s + n + np.arange(m)).ravel()
+    sus = system.solve_order[:system.net.r * system.m]
 
     def embed(Y):
         X = np.zeros(Y.shape[:-1] + (X0.size,))

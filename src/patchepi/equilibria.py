@@ -142,16 +142,18 @@ def _threshold(model: PatchModel) -> tuple:
     disease-free state. V - F is minus the x-x block of system's Jacobian
     at dfe: with x = 0 the incidence contributes F and nothing through N.
     R is the spectral radius of F V^{-1}, with F = V - (V - F). Raises
-    DegenerateModelError when the DFE or V - F is not finite.
+    DegenerateModelError when the DFE or V - F is not finite, so numpy's
+    overflow and invalid warnings on the way are silenced.
     """
     from .continuation import CoupledSystem
     from .network import from_edges
 
     system = CoupledSystem([model], from_edges([], 1, model.n, model.m,
                                                model.k))
-    dfe = PatchState(np.zeros(model.n), _susceptible_equilibrium(model),
-                     np.zeros(model.k))
-    v_minus_f = -system.jacobian(0.0, dfe.concat())[:model.n, :model.n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dfe = PatchState(np.zeros(model.n), _susceptible_equilibrium(model),
+                         np.zeros(model.k))
+        v_minus_f = -system.jacobian(0.0, dfe.concat())[:model.n, :model.n]
     if not np.all(np.isfinite(v_minus_f)):
         raise DegenerateModelError(
             "V - F at the disease-free state not finite")

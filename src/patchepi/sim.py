@@ -7,15 +7,15 @@ so the integrator is the linearly implicit Rosenbrock method Rodas4
 (Hairer & Wanner, Solving ODEs II, sec. VI.4): order 4 with an embedded
 order-3 solution, stiffly accurate, driven by the analytic Jacobian of the
 coupled system at the start of each step, with one inverse of
-I/(h gamma) - J per trial step. A trajectory builds one
-continuation.CoupledSystem and takes from it the single-state pair
-(rhs, point) at its alpha, with M0 + alpha L formed once. A trial step
-evaluates rhs at the five later stages (the first stage reuses the
-right-hand side at the step's start), and an accepted point evaluates
-point: the right-hand side and the Jacobian from one set of incidence
-products, the Jacobian built directly in the susceptible-first solve
-order, with no gather. Both carry the bits of CoupledSystem.residual and
-jacobian.
+I/(h gamma) - J per trial step. A trajectory takes the caller's
+continuation.CoupledSystem, compiled once per set of patches and
+network, and from it the single-state pair (rhs, point) at its alpha,
+with M0 + alpha L formed once. A trial step evaluates rhs at the five
+later stages (the first stage reuses the right-hand side at the step's
+start), and an accepted point evaluates point: the right-hand side and
+the Jacobian from one set of incidence products, the Jacobian built
+directly in the system's susceptible-first solve_order, with no gather.
+Both carry the bits of CoupledSystem.residual and jacobian.
 
 Step control has one model-specific twist: an accepted step may not take
 any component below -1e-9. Undershoots trigger step rejection rather
@@ -24,6 +24,9 @@ of the nonnegative cone instead of enforcing it silently. A trial step
 is also rejected, and h halved, when a stage or the end state is
 inadmissible, when the error estimate, the end state's right-hand side
 or its Jacobian is not finite, or when I/(h gamma) - J is singular.
+Such a step may overflow on the way; its result is refused as
+non-finite, so the stepping runs with numpy's overflow and invalid
+warnings off.
 """
 from __future__ import annotations
 
@@ -33,9 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .continuation import CoupledSystem
-from .model import InadmissibleStateError, PatchModel
-from .network import MobilityNetwork
+from .model import InadmissibleStateError
 
 DEFAULT_T_END = 5e3           # trajectories settle well before (1/mu = 20)
 DEFAULT_RTOL = 1e-8
@@ -100,9 +101,8 @@ def _classify_terminal(X: np.ndarray, classified) -> str:
 def _initial_step(f0: np.ndarray, X0: np.ndarray, t_end: float,
                   rtol: float, atol: float) -> float:
     scale = atol + rtol * np.abs(X0)
-    with np.errstate(over="ignore"):
-        d0 = float(np.sqrt(np.mean((X0 / scale) ** 2)))
-        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    d0 = float(np.sqrt(np.mean((X0 / scale) ** 2)))
+    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     # a tolerance near the underflow limit or a huge slope overflows d0 or d1
     finite = math.isfinite(d0) and math.isfinite(d1)
     if not finite or d0 < 1e-5 or d1 < 1e-5:
@@ -110,23 +110,6 @@ def _initial_step(f0: np.ndarray, X0: np.ndarray, t_end: float,
     else:
         h = 0.01 * d0 / d1
     return min(h, t_end * 0.1)
-
-
-def _susceptible_first(models: Sequence[PatchModel], r: int) -> np.ndarray:
-    """Permutation of the coupled state putting every susceptible first.
-
-    Where no region holds infection, the Jacobian has no entry from a
-    susceptible column into an infected or removed row. Eliminating the
-    susceptible columns first then never pivots on those rows, so the
-    inverse of I/(h gamma) - J has exact zeros in its infected/removed x
-    susceptible block, the stages get exact zeros there, and the
-    disease-free subspace stays invariant to the last bit, as the
-    right-hand side keeps it.
-    """
-    n, m, k = models[0].n, models[0].m, models[0].k
-    idx = np.arange(r * (n + m + k)).reshape(r, n + m + k)
-    return np.concatenate([idx[:, n:n + m].ravel(), idx[:, :n].ravel(),
-                           idx[:, n + m:].ravel()])
 
 
 def _rodas_step(rhs, point, order: np.ndarray, X: np.ndarray,
@@ -169,14 +152,14 @@ def _rodas_step(rhs, point, order: np.ndarray, X: np.ndarray,
     return err, X_new, f_new, J_new
 
 
-def integrate(models: Sequence[PatchModel], net: MobilityNetwork,
-              alpha: float, X0: np.ndarray, t_end: float = DEFAULT_T_END,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+def integrate(system, alpha: float, X0: np.ndarray,
+              t_end: float = DEFAULT_T_END, rtol: float = DEFAULT_RTOL,
+              atol: float = DEFAULT_ATOL,
               classified: Optional[Sequence[Tuple[str, np.ndarray]]] = None
               ) -> Trajectory:
-    """Integrate the coupled system from X0 over [0, t_end].
+    """Integrate system, a continuation.CoupledSystem, from X0 at alpha.
 
-    classified is an optional list of (label, equilibrium state) pairs;
+    The trajectory covers [0, t_end]. classified is an optional list of (label, equilibrium state) pairs;
     the trajectory is labeled by the nearest one within relative
     sup-norm distance 1e-4 of the final state, else "unresolved".
     """
@@ -188,56 +171,57 @@ def integrate(models: Sequence[PatchModel], net: MobilityNetwork,
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
 
-    order = _susceptible_first(models, net.r)
-    rhs, point = CoupledSystem(models, net).single_state(alpha, order)
+    order = system.solve_order
+    rhs, point = system.single_state(alpha)
     t = 0.0
-    f_cur, J = point(X)
-    h = _initial_step(f_cur, X, t_end, rtol, atol)
     h_min = max(1e-14 * t_end, 1e-13)
     times = [0.0]
     states = [X]
-    for _ in range(MAX_STEPS):
-        if t >= t_end:
-            break
-        last = h >= t_end - t
-        if last:
-            h = t_end - t
-        err, X_new, f_new, J_new = _rodas_step(rhs, point, order, X, f_cur,
-                                               J, h, rtol, atol)
-        if err <= 1.0:
-            t = t_end if last else t + h
-            X, f_cur, J = X_new, f_new, J_new
-            times.append(t)
-            states.append(X)
-            factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.25)
-            h *= max(factor, 0.2)
-        else:
-            if np.isfinite(err):
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_cur, J = point(X)
+        h = _initial_step(f_cur, X, t_end, rtol, atol)
+        for _ in range(MAX_STEPS):
+            if t >= t_end:
+                break
+            last = h >= t_end - t
+            if last:
+                h = t_end - t
+            err, X_new, f_new, J_new = _rodas_step(rhs, point, order, X,
+                                                   f_cur, J, h, rtol, atol)
+            if err <= 1.0:
+                t = t_end if last else t + h
+                X, f_cur, J = X_new, f_new, J_new
+                times.append(t)
+                states.append(X)
+                factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.25)
+                h *= max(factor, 0.2)
+            elif np.isfinite(err):
                 h *= max(0.2, 0.9 * err ** -0.25)
             else:
-                h *= 0.5        # nonnegativity, admissibility or singularity
-        # rejected steps drive h to the floor when no step can meet the
-        # tolerances, as do accepted ones when h shrinks until t + h no
-        # longer advances t; a NaN h fails the test as well
-        if t < t_end and not h >= h_min:
+                h *= 0.5    # nonnegativity, admissibility or singularity
+            # rejected steps drive h to the floor when no step can meet the
+            # tolerances, as do accepted ones when h shrinks until t + h no
+            # longer advances t; a NaN h fails the test as well
+            if t < t_end and not h >= h_min:
+                raise StepSizeUnderflowError(
+                    f"step size underflow at t = {t:g} (h = {h:.3e})")
+        else:
             raise StepSizeUnderflowError(
-                f"step size underflow at t = {t:g} (h = {h:.3e})")
-    else:
-        raise StepSizeUnderflowError(
-            f"integration exceeded {MAX_STEPS} steps at t = {t:g}")
+                f"integration exceeded {MAX_STEPS} steps at t = {t:g}")
     return Trajectory(times=np.asarray(times), states=np.asarray(states),
                       terminal_classification=_classify_terminal(X, classified))
 
 
-def basin_probe(models: Sequence[PatchModel], net: MobilityNetwork,
-                alpha: float, initial_set: Sequence[Tuple[str, np.ndarray]],
+def basin_probe(system, alpha: float,
+                initial_set: Sequence[Tuple[str, np.ndarray]],
                 t_end: float = DEFAULT_T_END,
                 classified: Optional[Sequence[Tuple[str, np.ndarray]]] = None
                 ) -> List[Tuple[str, str]]:
-    """Terminal classification for each labeled initial state, in order."""
+    """Terminal classification for each labeled initial state, in order,
+    each integrated on the same continuation.CoupledSystem system."""
     table = []
     for label, X0 in initial_set:
-        traj = integrate(models, net, alpha, X0, t_end=t_end,
+        traj = integrate(system, alpha, X0, t_end=t_end,
                          classified=classified)
         table.append((label, traj.terminal_classification))
     return table

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from patchepi import equilibria
-from patchepi.continuation import (BranchRecord, HypothesisViolationError,
+from patchepi.continuation import (BranchRecord, CoupledSystem,
                                    _check_families, continue_every_pattern,
                                    travel_matrix)
 from patchepi.model import (InadmissibleStateError, PatchModel, PatchState,
@@ -252,10 +252,8 @@ def count_stable(models: Sequence[PatchModel], net: MobilityNetwork,
     violates the hypotheses raises.
     """
     stable = unstable = 0
-    for pattern, record in continue_every_pattern(models, net, alpha,
-                                                  equilibria):
-        if isinstance(record, HypothesisViolationError):
-            raise record
+    for pattern, record in continue_every_pattern(
+            CoupledSystem(models, net), alpha, equilibria):
         if record.failure is not None:
             raise RuntimeError(f"pattern {pattern.choices}: {record.failure}")
         if record.verdict_observed == "persists":

@@ -113,10 +113,11 @@ def test_05_predictions_match_continuation():
         counts = [len(e) - 1 for e in eqs]
         for name in sorted(network.PRESET_EDGES):
             net = hiv_net(name)
+            system = continuation.CoupledSystem(models, net)
             for pat in equilibria.enumerate_patterns(counts):
                 predicted = persist.predict(pat, models, net,
                                             equilibria=eqs)
-                rec = continuation.continue_branch(pat, models, net, [1e-6],
+                rec = continuation.continue_branch(pat, system, [1e-6],
                                                    equilibria=eqs)
                 assert rec.failure is None, (triple, name, pat.choices)
                 last = rec.points[-1]
@@ -145,9 +146,9 @@ def test_06_branch_derivatives_match_finite_differences():
             ders = [d for d in ders if d.sign_class != "zero"]
             if not ders:
                 continue
-            rec = continuation.continue_branch(pat, models, net,
-                                               [5e-7, 1e-6], equilibria=eqs,
-                                               stop_at_exit=False)
+            rec = continuation.continue_branch(
+                pat, continuation.CoupledSystem(models, net), [5e-7, 1e-6],
+                equilibria=eqs, stop_at_exit=False)
             assert rec.failure is None, (name, pat.choices)
             for der in ders:
                 rel = branch_derivative_check(rec, der)
@@ -160,8 +161,9 @@ def test_06_branch_derivatives_match_finite_differences():
     pat = equilibria.EquilibriumPattern((0, 1, 0))
     d2 = facts.derivative_chain(pat, net)[2][-1]
     assert d2.order == 2 and d2.sign_class == "has_negative"
-    rec = continuation.continue_branch(pat, models, net, [1e-6, 2e-6],
-                                       equilibria=eqs, stop_at_exit=False)
+    rec = continuation.continue_branch(
+        pat, continuation.CoupledSystem(models, net), [1e-6, 2e-6],
+        equilibria=eqs, stop_at_exit=False)
     assert branch_derivative_check(rec, d2) < 1e-2
     assert time.perf_counter() - t0 < 60.0
 
@@ -179,8 +181,9 @@ def test_08_dfe_branch_stays_disease_free():
     t0 = time.perf_counter()
     models, eqs, _ = hiv_system(BACKWARD_TRIPLE)
     pat = equilibria.EquilibriumPattern((0, 0, 0))
-    rec = continuation.continue_branch(pat, models, hiv_net("fig3b"),
-                                       [1e-5, 1e-3, 1e-1], equilibria=eqs)
+    rec = continuation.continue_branch(
+        pat, continuation.CoupledSystem(models, hiv_net("fig3b")),
+        [1e-5, 1e-3, 1e-1], equilibria=eqs)
     assert rec.failure is None and rec.verdict_observed == "persists"
     assert [p.alpha for p in rec.points] == [0.0, 1e-5, 1e-3, 1e-1]
     for pt in rec.points[1:]:
@@ -300,12 +303,13 @@ def test_09_property_battery():
                  "hiv_below_rc.json", "zero_transmission.json"):
         cfg = cli.load_config(cli.fixture_path(name))
         models = cli.build_models(cfg)
-        net = cli.build_network(cfg, models)
+        system = continuation.CoupledSystem(
+            models, cli.build_network(cfg, models))
         for alpha in cfg.alpha_grid:
             for label, regions in cfg.initial_sets:
                 X0 = np.concatenate([np.asarray(st, dtype=float)
                                      for st in regions])
-                traj = sim.integrate(models, net, alpha, X0,
+                traj = sim.integrate(system, alpha, X0,
                                      t_end=cfg.t_end, rtol=cfg.rtol,
                                      atol=cfg.atol)
                 assert float(traj.states.min()) >= -1e-9, \

@@ -301,7 +301,8 @@ def test_census_counts_and_rows():
 def test_one_system_per_patch(coupled_systems_built, monkeypatch):
     # each patch's one-region system and one DFE serve its equilibria,
     # local R and V - F; analyze adds one of each for each backward-window
-    # patch's fold model, continue the coupled system of its branches
+    # patch's fold model; continue and simulate add the one coupled system
+    # that every branch, label and trajectory of the run uses
     counts = {"dfe": 0, "v_minus_f": 0}
 
     def counting(key, real):
@@ -327,6 +328,8 @@ def test_one_system_per_patch(coupled_systems_built, monkeypatch):
     cli.cmd_census(config)
     assert built_and_counted() == ([1, 1, 1], 3, 3)
     cli.cmd_continue(config)
+    assert built_and_counted() == ([1, 1, 1, 3], 3, 3)
+    cli.cmd_simulate(config)
     assert built_and_counted() == ([1, 1, 1, 3], 3, 3)
     rep = cli.cmd_analyze(config)
     assert [p["regime"] for p in rep["patches"]] == ["backward_window"] * 3
@@ -605,6 +608,42 @@ def test_main_numerical_failure_exit_3(tmp_path, capsys):
     assert verdicts == {"persists", "indeterminate"}
 
 
+# sha256 of the marginal continue run below, recorded with numpy 2.4 and
+# OpenBLAS 0.3.31 on x86-64 Linux
+MARGINAL_CONTINUE_DIGEST = \
+    "bd9d121050dd625d219e22df4edf82e728e19540dfee033416e74433c4de8e34"
+
+
+def test_continue_reports_hypothesis_violations_as_failed_branches(
+        tmp_path, capsys):
+    # with patch 1 at R = 1, every pattern through its DFE has a singular
+    # coupled Jacobian at alpha = 0: each is a failed branch with no
+    # point and no CSV, and the other branches are written as usual
+    data = fixture_dict("hiv_backward.json")
+    data["patches"][0]["params"]["beta1"] = marginal_beta1()
+    cfgp = tmp_path / "marginal.json"
+    cfgp.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code = cli.main(["continue", "--config", str(cfgp), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and err == ""
+    rep = json.loads((out / "continue.json").read_text())
+    violated = [b for b in rep["branches"] if b["failure"] is not None
+                and b["failure"].startswith("theorem hypothesis violated")]
+    assert len(violated) == 9
+    for branch in violated:
+        assert branch["choices"][0] == 0
+        assert branch["points"] == [] and "csv" not in branch
+        assert branch["observed"] is None and branch["agree"] is None
+    assert rep["failures"] == sum(b["failure"] is not None
+                                  for b in rep["branches"])
+    files = sorted(path.name for path in out.iterdir())
+    assert files == sorted(["continue.json"] +
+                           [b["csv"] for b in rep["branches"] if "csv" in b])
+    assert len(files) == 10
+    assert run_digest(code, err, out) == MARGINAL_CONTINUE_DIGEST
+
+
 # sha256 of (exit code, stderr, output directory) for every run on every
 # shipped fixture, recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64
 # Linux. A refactor must leave them unchanged; a change that means to alter
@@ -731,9 +770,8 @@ def test_bad_configs_exit_2_or_3_without_traceback(name, tmp_path, capsys):
     for run in runs:
         command, *flags = run.split()
         outdir = tmp_path / run.replace(" ", "_")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main([command, "--config", str(cfgp),
-                             "--out", str(outdir)] + flags)
+        code = cli.main([command, "--config", str(cfgp),
+                         "--out", str(outdir)] + flags)
         err = capsys.readouterr().err
         assert code in (2, 3), (run, code)
         assert "Traceback" not in err

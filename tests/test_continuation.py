@@ -153,6 +153,28 @@ def test_package_keeps_no_uncalled_public_functions():
     assert uncalled == set(LIBRARY_API)
 
 
+def test_package_compiles_coupled_systems_in_three_places():
+    # a patch's own system, and the one coupled system of each run of
+    # continue and simulate; continuation and sim take the caller's
+    import ast
+    import pathlib
+
+    import patchepi
+    callers = set()
+    for path in pathlib.Path(patchepi.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and "CoupledSystem" in {
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)}):
+                    callers.add(f"{path.stem}.{func.name}")
+    assert callers == {"equilibria._threshold", "cli.cmd_continue",
+                       "cli.cmd_simulate"}
+
+
 def test_package_imports_only_names_it_uses():
     # an import left behind by a deletion is dead surface; __init__'s
     # imports are its re-exports
@@ -245,7 +267,7 @@ def test_kernel_results_own_their_memory(case):
             assert np.array_equal(a, b)
         assert np.array_equal(system.residual(0.2, X1), kept[0])
         assert np.array_equal(system.jacobian(0.2, X1), kept[1])
-    rhs, point = system.single_state(0.2, np.arange(size)[::-1])
+    rhs, point = system.single_state(0.2)
     X1, X2 = np.abs(rng.normal(3.0, 1.0, size=(2, size))) + 0.1
     first = [rhs(X1), *point(X1)]
     kept = [a.copy() for a in first]
@@ -261,19 +283,24 @@ def test_kernel_results_own_their_memory(case):
 def test_single_state_evaluator_has_the_kernel_bits(case):
     # rhs is residual and point is (residual, jacobian in the solve
     # order), bit for bit; so is every row of a (B, 1, size) stack
-    from patchepi import sim
     models, net = _kernel_cases()[case]
     system = continuation.CoupledSystem(models, net)
     size = net.r * models[0].size
-    order = sim._susceptible_first(models, net.r)
+    order = system.solve_order
     in_order = np.ix_(order, order)
+    # a permutation with every region's susceptibles first
+    block = np.arange(size) % models[0].size
+    n, m = models[0].n, models[0].m
+    assert np.array_equal(np.sort(order), np.arange(size))
+    assert np.all((n <= block[order[:net.r * m]])
+                  & (block[order[:net.r * m]] < n + m))
     rng = np.random.default_rng(17)
     X = np.abs(rng.normal(3.0, 1.0, size=(4, size))) + 0.1
     X[1, ::3] = 0.0                     # exact zeros, as on a boundary
     X[2] = X[2] * 1e-9
     X[3, 1::4] = -0.0
     for alpha in (0.0, 3e-3, 0.5):
-        rhs, point = system.single_state(alpha, order)
+        rhs, point = system.single_state(alpha)
         rows = system.residual(alpha, X[:, None])[:, 0]
         for Xi, row, Jb in zip(X, rows, system.jacobian(alpha, X)):
             R, J = system.residual(alpha, Xi), system.jacobian(alpha, Xi)
@@ -315,8 +342,8 @@ def test_fast_rhs_heterogeneous_families():
 def test_sole_witness_branch_exits_at_cone(mixed):
     models, eqs, R, net = mixed
     pat = EquilibriumPattern((0, 1, 0))
-    rec = continuation.continue_branch(pat, models, net,
-                                       [1e-8, 1e-7, 1e-6, 1e-5],
+    system = continuation.CoupledSystem(models, net)
+    rec = continuation.continue_branch(pat, system, [1e-8, 1e-7, 1e-6, 1e-5],
                                        equilibria=eqs)
     assert rec.verdict_observed == "vanishes"
     assert rec.exit_alpha == pytest.approx(1e-6)
@@ -329,8 +356,9 @@ def test_sole_witness_branch_exits_at_cone(mixed):
 
 def test_branch_point_invariants(mixed):
     models, eqs, R, net = mixed
-    rec = continuation.continue_branch(EquilibriumPattern((1, 1, 1)), models,
-                                       net, [1e-7, 1e-6, 1e-5], equilibria=eqs)
+    system = continuation.CoupledSystem(models, net)
+    rec = continuation.continue_branch(EquilibriumPattern((1, 1, 1)), system,
+                                       [1e-7, 1e-6, 1e-5], equilibria=eqs)
     assert rec.verdict_observed == "persists"
     assert rec.exit_alpha is None and rec.failure is None
     alphas = [p.alpha for p in rec.points]
@@ -344,8 +372,9 @@ def test_branch_point_invariants(mixed):
 def test_exit_refinement_brackets_the_crossing(mixed):
     models, eqs, R, net = mixed
     pat = EquilibriumPattern((0, 1, 0))
+    system = continuation.CoupledSystem(models, net)
     # grid steps under 5%: the exit is located to that resolution
-    rec = continuation.continue_branch(pat, models, net,
+    rec = continuation.continue_branch(pat, system,
                                        np.geomspace(1e-7, 1e-6, 49),
                                        equilibria=eqs)
     assert rec.exit_alpha is not None
@@ -353,7 +382,7 @@ def test_exit_refinement_brackets_the_crossing(mixed):
     # so the crossing sits where alpha^2 overtakes the tiny linear inflow
     assert 1e-7 < rec.exit_alpha < 1e-6
     # the exit is the violating end of a bracket under 5% wide
-    probe = continuation.continue_branch(pat, models, net, [rec.exit_alpha],
+    probe = continuation.continue_branch(pat, system, [rec.exit_alpha],
                                          equilibria=eqs)
     assert -5e-9 < probe.points[-1].min_component < continuation.SIGN_EXIT_TOL
 
@@ -361,8 +390,9 @@ def test_exit_refinement_brackets_the_crossing(mixed):
 def test_derivative_cross_checks(mixed):
     models, eqs, R, net = mixed
     pat = EquilibriumPattern((0, 1, 0))
-    rec = continuation.continue_branch(pat, models, net, [1e-6, 2e-6],
-                                       equilibria=eqs, stop_at_exit=False)
+    rec = continuation.continue_branch(
+        pat, continuation.CoupledSystem(models, net), [1e-6, 2e-6],
+        equilibria=eqs, stop_at_exit=False)
     assert rec.exit_alpha is not None  # still recorded while continuing
 
     chain = persist.SystemFacts([equilibria.patch_facts(m) for m in models]
@@ -385,8 +415,9 @@ def test_derivative_cross_checks(mixed):
 
 def test_dfe_branch_stays_disease_free(backward):
     models, eqs, R, net = backward
-    rec = continuation.continue_branch(EquilibriumPattern((0, 0, 0)), models,
-                                       net, [1e-5, 1e-3, 1e-1], equilibria=eqs)
+    system = continuation.CoupledSystem(models, net)
+    rec = continuation.continue_branch(EquilibriumPattern((0, 0, 0)), system,
+                                       [1e-5, 1e-3, 1e-1], equilibria=eqs)
     assert rec.verdict_observed == "persists" and rec.failure is None
     for pt in rec.points:
         for i in range(3):
@@ -403,8 +434,9 @@ def test_mixed_fixture_branch_persists_on_shipped_grid():
     cfg = cli.load_config(cli.fixture_path("hiv_mixed.json"))
     models = cli.build_models(cfg)
     eqs = [equilibria.patch_equilibria(m) for m in models]
-    rec = continuation.continue_branch(EquilibriumPattern((2, 1, 1)), models,
-                                       cli.build_network(cfg, models),
+    system = continuation.CoupledSystem(models,
+                                        cli.build_network(cfg, models))
+    rec = continuation.continue_branch(EquilibriumPattern((2, 1, 1)), system,
                                        cfg.alpha_grid, equilibria=eqs)
     assert rec.failure is None and rec.verdict_observed == "persists"
     assert [p.alpha for p in rec.points] == [0.0, 1e-5, 1e-3, 0.1]
@@ -413,8 +445,9 @@ def test_mixed_fixture_branch_persists_on_shipped_grid():
 def test_inadmissible_corrector_start_is_a_branch_failure(backward):
     models, eqs, R, net = backward
     # one Euler step from alpha = 0 to 1e-2 leaves a patch with N <= 0
-    rec = continuation.continue_branch(EquilibriumPattern((2, 0, 2)), models,
-                                       net, [1e-2], equilibria=eqs)
+    system = continuation.CoupledSystem(models, net)
+    rec = continuation.continue_branch(EquilibriumPattern((2, 0, 2)), system,
+                                       [1e-2], equilibria=eqs)
     assert rec.failure is not None
     assert "inadmissible at alpha = 0.01" in rec.failure
     assert [p.alpha for p in rec.points] == [0.0]
@@ -431,23 +464,23 @@ def test_stable_unstable_census(backward):
 
 def test_stability_matches_disconnected_classification(backward):
     models, eqs, R, _ = backward
-    rec = continuation.continue_branch(EquilibriumPattern((2, 2, 2)), models,
-                                       hiv_net("fig3c"), [1e-6, 1e-5],
-                                       equilibria=eqs)
+    system = continuation.CoupledSystem(models, hiv_net("fig3c"))
+    rec = continuation.continue_branch(EquilibriumPattern((2, 2, 2)), system,
+                                       [1e-6, 1e-5], equilibria=eqs)
     assert rec.verdict_observed == "persists"
     assert all(p.stability == "stable" for p in rec.points)
     rec_mixed = continuation.continue_branch(EquilibriumPattern((1, 2, 2)),
-                                             models, hiv_net("fig3c"),
-                                             [1e-6], equilibria=eqs)
+                                             system, [1e-6], equilibria=eqs)
     # the lower endemic root is unstable and stays so under weak coupling
     assert all(p.stability == "unstable" for p in rec_mixed.points)
 
 
 def test_predict_matches_continuation_fig3b(mixed):
     models, eqs, R, net = mixed
+    system = continuation.CoupledSystem(models, net)
     for pat in equilibria.enumerate_patterns([len(e) - 1 for e in eqs]):
         v = persist.predict(pat, models, net, equilibria=eqs)
-        rec = continuation.continue_branch(pat, models, net, [1e-6],
+        rec = continuation.continue_branch(pat, system, [1e-6],
                                            equilibria=eqs)
         assert rec.failure is None
         assert v.verdict == rec.verdict_observed, pat.choices
@@ -465,30 +498,32 @@ def test_verdicts_match_continuation_on_every_digraph(fixture):
     nets = network.enumerate_networks(3, n=mod.n, m=mod.m, k=mod.k)
     assert len(nets) == 64
     for net in nets:
-        records = continuation.continue_branches(patterns, models, net,
-                                                 [1e-6], eqs)
+        records = continuation.continue_branches(
+            patterns, continuation.CoupledSystem(models, net), [1e-6], eqs)
         for verdict, rec in zip(facts.verdicts(net), records, strict=True):
             where = (net.name, verdict.pattern.choices)
-            assert isinstance(rec, continuation.BranchRecord), where
             assert rec.failure is None, where
             assert verdict.verdict == rec.verdict_observed, where
 
 
 def test_marginal_threshold_violates_hypotheses():
+    # the record of a pattern whose alpha-0 Jacobian is singular says so
+    # and holds no point
     models, eqs, R = hiv_system((marginal_beta1(), 1.0, 1.0))
-    net = hiv_net("fig3b")
-    with pytest.raises(continuation.HypothesisViolationError,
-                       match="hypothesis"):
-        continuation.continue_branch(EquilibriumPattern((0, 1, 1)), models,
-                                     net, [1e-6], equilibria=eqs)
+    system = continuation.CoupledSystem(models, hiv_net("fig3b"))
+    rec = continuation.continue_branch(EquilibriumPattern((0, 1, 1)), system,
+                                       [1e-6], equilibria=eqs)
+    assert rec.failure.startswith("theorem hypothesis violated: coupled "
+                                  "Jacobian singular at alpha = 0")
+    assert rec.points == [] and rec.verdict_observed is None
+    assert rec.exit_alpha is None
 
 
 def test_block_size_mismatch_rejected(mixed):
     models, eqs, R, _ = mixed
     small = network.preset("fig3b", n=2, m=1, k=1)
     with pytest.raises(ValueError, match="block"):
-        continuation.continue_branch(EquilibriumPattern((0, 0, 0)), models,
-                                     small, [1e-6], equilibria=eqs)
+        continuation.CoupledSystem(models, small)
 
 
 def test_count_stable_skips_vanished_branches(mixed):
@@ -532,14 +567,14 @@ def _assert_same_record(got, want):
 def test_batch_equals_single_runs(name, grid):
     models, net, eqs = _fixture(name)
     patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
-    batch = continuation.continue_branches(patterns, models, net, grid, eqs)
+    system = continuation.CoupledSystem(models, net)
+    batch = continuation.continue_branches(patterns, system, grid, eqs)
     assert len(batch) == len(patterns)
     for pattern, got in zip(patterns, batch):
-        want = continuation.continue_branch(pattern, models, net, grid, eqs)
+        want = continuation.continue_branch(pattern, system, grid, eqs)
         _assert_same_record(got, want)
     # the same holds in any order and with a row's neighbours changed
-    half = continuation.continue_branches(patterns[::-2], models, net, grid,
-                                          eqs)
+    half = continuation.continue_branches(patterns[::-2], system, grid, eqs)
     for got, want in zip(half, batch[::-2]):
         _assert_same_record(got, want)
 
@@ -549,7 +584,8 @@ def test_failed_row_leaves_the_others_unchanged(backward):
     grid = [1e-2]
     patterns = [EquilibriumPattern(c)
                 for c in ((2, 2, 2), (2, 0, 2), (1, 1, 1), (0, 0, 0))]
-    batch = continuation.continue_branches(patterns, models, net, grid, eqs)
+    system = continuation.CoupledSystem(models, net)
+    batch = continuation.continue_branches(patterns, system, grid, eqs)
     failed = batch[1]
     assert "corrector start inadmissible at alpha = 0.01" in failed.failure
     assert [p.alpha for p in failed.points] == [0.0]
@@ -557,7 +593,7 @@ def test_failed_row_leaves_the_others_unchanged(backward):
     assert len(persisting) >= 2
     for pattern, got in zip(patterns, batch):
         _assert_same_record(got, continuation.continue_branch(
-            pattern, models, net, grid, eqs))
+            pattern, system, grid, eqs))
 
 
 def test_one_jacobian_per_accepted_point_and_newton_iteration(mixed,
@@ -579,8 +615,9 @@ def test_one_jacobian_per_accepted_point_and_newton_iteration(mixed,
 
     monkeypatch.setattr(continuation.CoupledSystem, "jacobian", jacobian)
     monkeypatch.setattr(continuation.matalg, "solve_linear", solve)
-    rec = continuation.continue_branch(EquilibriumPattern((1, 1, 1)), models,
-                                       net, grid, equilibria=eqs)
+    system = continuation.CoupledSystem(models, net)
+    rec = continuation.continue_branch(EquilibriumPattern((1, 1, 1)), system,
+                                       grid, equilibria=eqs)
     assert rec.verdict_observed == "persists" and len(rec.points) == 5
     # one predictor solve per grid step, the rest are Newton iterations
     newton_iterations = len(solves) - len(grid)

@@ -132,13 +132,12 @@ def test_degenerate_susceptible_levels():
     huge = model.PatchModel(**base, g_const=[1e308], g_lin=[[-1e-3]])
     base["beta"] = [[1e308]]
     dense = model.PatchModel(**base, g_const=[1.0], g_lin=[[-0.05]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(equilibria.DegenerateModelError,
-                           match="susceptible level not finite"):
-            dfe_of(huge)
-        with pytest.raises(equilibria.DegenerateModelError,
-                           match="V - F at the disease-free state not finite"):
-            dfe_of(dense)
+    with pytest.raises(equilibria.DegenerateModelError,
+                       match="susceptible level not finite"):
+        dfe_of(huge)
+    with pytest.raises(equilibria.DegenerateModelError,
+                       match="V - F at the disease-free state not finite"):
+        dfe_of(dense)
 
 
 def test_estimate_Rc_backward_window():
