@@ -554,23 +554,19 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
                 f"initial set {label!r}: region {empty[0] + 1} has zero "
                 "population, where standard incidence is undefined")
         starts.append((label, X0))
-    jobs = []
-    for alpha in config.alpha_grid:
-        classified = _classified_equilibria(system, eqs, alpha)
-        for label, X0 in starts:
-            jobs.append((label, alpha, X0, classified))
+    classified = _classified_equilibria(system, eqs, config.alpha_grid)
+    jobs = [(label, alpha, X0)
+            for alpha in config.alpha_grid for label, X0 in starts]
 
     artifacts = {}
     rows = []
-    failures = 0
-    for label, alpha, X0, classified in jobs:
+    for label, alpha, X0 in jobs:
         entry = {"label": label, "alpha": alpha}
         try:
             traj = sim.integrate(system, alpha, X0, t_end=config.t_end,
                                  rtol=config.rtol, atol=config.atol,
-                                 classified=classified)
+                                 classified=classified[alpha])
         except sim.StepSizeUnderflowError as exc:
-            failures += 1
             entry.update({"csv": None, "terminal_classification": None,
                           "failure": str(exc)})
         else:
@@ -591,7 +587,7 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
         "alpha_grid": list(config.alpha_grid),
         "t_end": config.t_end,
         "trajectories": rows,
-        "failures": failures,
+        "failures": sum(row["failure"] is not None for row in rows),
     })
     return report, artifacts
 
@@ -609,12 +605,28 @@ def _empty_regions(system: continuation.CoupledSystem,
     return np.flatnonzero(~system.admissible(probes.reshape(r, -1))).tolist()
 
 
-def _classified_equilibria(system, eqs, alpha):
-    """Labeled equilibria at the given alpha for terminal classification."""
-    return [(f"pattern_{pattern_label(pat.choices)}", rec.points[-1].X)
-            for pat, rec in continuation.continue_every_pattern(
-                system, alpha, eqs)
-            if rec.verdict_observed == "persists"]
+def _classified_equilibria(system, eqs, alpha_grid) -> dict:
+    """Labeled equilibria at each grid alpha for terminal classification.
+
+    One continuation climbs the union of the ladders alpha / 100,
+    alpha / 10, alpha of the grid's alphas. A pattern labels alpha when
+    its branch has a point at exactly alpha and has not left the cone by
+    then. A pattern whose point the classifier already gives to an
+    earlier label at alpha is skipped.
+    """
+    patterns = equilibria.enumerate_patterns([len(eq) - 1 for eq in eqs])
+    ladder = {a for alpha in alpha_grid
+              for a in (alpha / 100.0, alpha / 10.0, alpha)}
+    classified = {alpha: [] for alpha in alpha_grid}
+    for pat, rec in zip(patterns, continuation.continue_branches(
+            patterns, system, ladder, eqs)):
+        for point in rec.points:
+            kept = classified.get(point.alpha)
+            if (kept is not None and (rec.exit_alpha is None
+                                      or rec.exit_alpha > point.alpha)
+                    and sim._classify_terminal(point.X, kept) == "unresolved"):
+                kept.append((f"pattern_{pattern_label(pat.choices)}", point.X))
+    return classified
 
 
 def _trajectory_csv(traj: sim.Trajectory,

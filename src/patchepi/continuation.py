@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import matalg
-from .equilibria import EquilibriumPattern, enumerate_patterns, stability_of
+from .equilibria import EquilibriumPattern, stability_of
 from .model import InadmissibleStateError, PatchModel
 from .network import MobilityNetwork
 
@@ -519,20 +519,6 @@ def continue_branch(pattern: EquilibriumPattern, system: CoupledSystem,
     """continue_branches for one pattern."""
     return continue_branches([pattern], system, alpha_targets, equilibria,
                              stop_at_exit)[0]
-
-
-def continue_every_pattern(system: CoupledSystem, alpha: float,
-                           equilibria) -> list:
-    """(pattern, record) for every product pattern, continued to alpha.
-
-    Each branch climbs the ladder [alpha / 100, alpha / 10, alpha]; at
-    alpha = 0 its record holds just the alpha-0 point. A record is what
-    continue_branches returns for the pattern. equilibria holds each
-    patch's PatchFacts.equilibria.
-    """
-    patterns = enumerate_patterns([len(eq) - 1 for eq in equilibria])
-    return list(zip(patterns, continue_branches(
-        patterns, system, [alpha / 100.0, alpha / 10.0, alpha], equilibria)))
 
 
 def _continue_dfe(pattern, system, X0, targets) -> BranchRecord:

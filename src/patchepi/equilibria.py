@@ -128,7 +128,8 @@ def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
             "disease-free susceptible level is not unique") from exc
     if not np.all(np.isfinite(y0)):
         raise DegenerateModelError(
-            f"disease-free susceptible level not finite: {y0}")
+            f"disease-free susceptible level not finite: {y0} "
+            "(the solve overflowed)")
     if np.any(y0 <= 0):
         raise DegenerateModelError(
             f"disease-free susceptible level not positive: {y0}")

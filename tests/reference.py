@@ -18,8 +18,9 @@ import numpy as np
 
 from patchepi import equilibria
 from patchepi.continuation import (BranchRecord, CoupledSystem,
-                                   _check_families, continue_every_pattern,
+                                   _check_families, continue_branches,
                                    travel_matrix)
+from patchepi.equilibria import enumerate_patterns
 from patchepi.model import (InadmissibleStateError, PatchModel, PatchState,
                             split_state)
 from patchepi.network import MobilityNetwork
@@ -247,13 +248,15 @@ def count_stable(models: Sequence[PatchModel], net: MobilityNetwork,
                  alpha: float, equilibria) -> tuple:
     """(stable, unstable) tally over the branches that persist to alpha.
 
-    Every pattern climbs continue_every_pattern's ladder, the one the
-    simulate command labels trajectories with; a branch that fails or
+    Every pattern climbs the ladder alpha / 100, alpha / 10, alpha on its
+    own, one continue_branches call per alpha; a branch that fails or
     violates the hypotheses raises.
     """
+    patterns = enumerate_patterns([len(eq) - 1 for eq in equilibria])
     stable = unstable = 0
-    for pattern, record in continue_every_pattern(
-            CoupledSystem(models, net), alpha, equilibria):
+    for pattern, record in zip(patterns, continue_branches(
+            patterns, CoupledSystem(models, net),
+            [alpha / 100.0, alpha / 10.0, alpha], equilibria)):
         if record.failure is not None:
             raise RuntimeError(f"pattern {pattern.choices}: {record.failure}")
         if record.verdict_observed == "persists":

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import BASE, GENERIC_CATALOG, marginal_beta1
-from patchepi import cli, equilibria, sim
+from patchepi import cli, continuation, equilibria, sim
 
 FIXTURES = ("hiv_backward.json", "hiv_mixed.json", "hiv_above_one.json",
             "hiv_below_rc.json", "zero_transmission.json")
@@ -453,6 +453,33 @@ def test_simulate_zero_transmission_reaches_dfe():
     assert float(csv[-1][2]) == pytest.approx(20.0, abs=1e-3)  # S -> Lam/mu
 
 
+@pytest.mark.parametrize("name, counts, last", [
+    ("hiv_backward.json", [27, 27, 9, 2], ["0-0-0", "2-2-2"]),
+    ("hiv_mixed.json", [12, 5, 3, 2], ["0-0-0", "2-1-1"])])
+def test_simulate_labels_every_alpha_from_one_continuation(
+        name, counts, last, monkeypatch):
+    # one continue_branches call labels the whole grid; at alpha = 0.1 the
+    # eight hiv_backward patterns whose branches all reach the DFE state
+    # give one label, the first, as the classifier cannot tell them apart
+    calls, labels = [], {}
+    real = continuation.continue_branches
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def labels_only(system, alpha, X0, classified, **kwargs):
+        labels[alpha] = [label for label, _ in classified]
+        raise sim.StepSizeUnderflowError("not integrated")
+
+    monkeypatch.setattr(continuation, "continue_branches", counting)
+    monkeypatch.setattr(sim, "integrate", labels_only)
+    cli.cmd_simulate(cli.load_config(cli.fixture_path(name)))
+    assert len(calls) == 1
+    assert [len(labels[alpha]) for alpha in sorted(labels)] == counts
+    assert labels[0.1] == [f"pattern_{choices}" for choices in last]
+
+
 def test_simulate_rejects_zero_population_region(tmp_path, capsys):
     # standard incidence is undefined at N = 0: a config error, found
     # before anything is integrated, not a traceback
@@ -748,7 +775,8 @@ BAD_CONFIGS = {
     "beta_1e308": ("multigroup", dict(_MG, beta=[[1e308]]), {}, FIXTURE_RUNS,
                    "V - F at the disease-free state not finite"),
     "Lam_1e308": ("multigroup", dict(_MG, Lam=1e308), {}, FIXTURE_RUNS,
-                  "disease-free susceptible level not finite"),
+                  "disease-free susceptible level not finite: [nan] "
+                  "(the solve overflowed)"),
     "no_stages": ("stage_progression",
                   {"beta": [], "nu": [], "Lam": 1.0, "mu": 0.05}, {},
                   FIXTURE_RUNS, "need at least one stage"),
