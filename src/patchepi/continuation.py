@@ -251,7 +251,10 @@ class CoupledSystem:
         return self._residual(self._linear(alpha), X, self._products(X)[0])
 
     def _residual(self, A, X, P):
-        """A X + c + Q P, with A = M0 + alpha L and P the products."""
+        """A X + c + Q P, with A = M0 + alpha L and P the products; one
+        state takes np.dot, a stack @, each with the single-state bits."""
+        if X.ndim == 1:
+            return np.dot(A, X) + self.c + np.dot(self.Q, P)
         return X @ A.T + self.c + P @ self.Q.T
 
     def jacobian(self, alpha: float, X: np.ndarray) -> np.ndarray:
@@ -271,8 +274,8 @@ class CoupledSystem:
         one buffer it reuses, and J = A_o + Q[order] @ dP_o, where A_o is
         M0 + alpha L in that order. M0 + alpha L and its ordered copy are
         formed once here. Both evaluate the right-hand side through the
-        same _residual as residual, so every value has the bits of
-        residual and jacobian.
+        same _residual as residual (np.dot on one state), so every value
+        has the bits of residual and jacobian.
         """
         order = self.solve_order
         A = self._linear(alpha)

@@ -15,18 +15,21 @@ later stages (the first stage reuses the right-hand side at the step's
 start), and an accepted point evaluates point: the right-hand side and
 the Jacobian from one set of incidence products, the Jacobian built
 directly in the system's susceptible-first solve_order, with no gather.
-Both carry the bits of CoupledSystem.residual and jacobian.
+Both carry the bits of CoupledSystem.residual and jacobian. numpy's
+cost per call dominates on such small states, so the step inverts
+through LAPACK directly and forms its 1-D products with np.dot, keeping
+the bits of the plain step in tests/reference.py.
 
 Step control has one model-specific twist: an accepted step may not take
 any component below -1e-9. Undershoots trigger step rejection rather
 than clipping, which keeps trajectories honest about forward invariance
 of the nonnegative cone instead of enforcing it silently. A trial step
 is also rejected, and h halved, when a stage or the end state is
-inadmissible, when the error estimate, the end state's right-hand side
-or its Jacobian is not finite, or when I/(h gamma) - J is singular.
-Such a step may overflow on the way; its result is refused as
+inadmissible, or when the error estimate, the end state's right-hand
+side or its Jacobian is not finite. A singular I/(h gamma) - J has a NaN
+inverse, and a step may overflow on the way: both are refused as
 non-finite, so the stepping runs with numpy's overflow and invalid
-warnings off.
+warnings off. integrate refuses a non-finite start with ValueError.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import InadmissibleStateError
 
@@ -112,37 +116,42 @@ def _initial_step(f0: np.ndarray, X0: np.ndarray, t_end: float,
     return min(h, t_end * 0.1)
 
 
+def _inverse(M: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(M) of a float64 M, bit for bit, without its wrapper:
+    a singular M gives NaNs and the invalid-value flag, not LinAlgError."""
+    return _umath_linalg.inv(M)
+
+
 def _rodas_step(rhs, point, order: np.ndarray, X: np.ndarray,
                 f0: np.ndarray, J: np.ndarray, h: float, rtol: float,
-                atol: float):
+                atol: float, U: np.ndarray):
     """One trial Rodas4 step of size h from X, where (f0, J) = point(X).
 
     rhs evaluates the right-hand side at the stages; point returns the
     right-hand side and the Jacobian together, the Jacobian with rows and
     columns in the variable order `order`, in which the stage systems are
-    solved through one inverse of I/(h gamma) - J. Returns (err, X_new,
-    f_new, J_new): err is the RMS norm of the error estimate scaled by
-    atol + rtol * max(|X|, |X_new|). err is inf, and the rest None, when
-    the step cannot be accepted whatever its accuracy.
+    solved through one inverse of I/(h gamma) - J; U[6, X.size] holds
+    the stages. Returns (err, X_new, f_new, J_new): err is the RMS norm
+    of the error estimate scaled by atol + rtol * max(|X|, |X_new|). err
+    is inf, and the rest None, when the step cannot be accepted whatever
+    its accuracy.
     """
     M = -J
     M.ravel()[::X.size + 1] += 1.0 / (h * _RODAS_GAMMA)
-    try:
-        W = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return np.inf, None, None, None
-    U = np.empty((6, X.size))
-    U[0][order] = W @ f0[order]
+    W = _inverse(M)
+    U[0][order] = np.dot(W, f0[order])
     try:
         for i, (a, c) in enumerate(_STAGE_ROWS, 1):
-            b = rhs(X + a @ U[:i]) + (c @ U[:i]) / h
-            U[i][order] = W @ b[order]
-        X_new = X + _RODAS_A[5] @ U[:5] + U[5]
+            done = U[:i]
+            Xs = X + np.dot(a, done)
+            b = rhs(Xs) + np.dot(c, done) / h
+            U[i][order] = np.dot(W, b[order])
+        X_new = Xs + U[5]     # the last stage argument is X + A[5] U
         e = U[5] / (atol + rtol * np.maximum(np.abs(X), np.abs(X_new)))
-        err = math.sqrt((e * e).sum() / e.size)
+        err = math.sqrt(np.add.reduce(e * e) / e.size)
         if not (err <= 1.0):
             return (err if math.isfinite(err) else np.inf), None, None, None
-        if X_new.min() < UNDERSHOOT_TOL:
+        if np.minimum.reduce(X_new) < UNDERSHOOT_TOL:
             return np.inf, None, None, None
         f_new, J_new = point(X_new)
     except InadmissibleStateError:
@@ -159,13 +168,16 @@ def integrate(system, alpha: float, X0: np.ndarray,
               ) -> Trajectory:
     """Integrate system, a continuation.CoupledSystem, from X0 at alpha.
 
-    The trajectory covers [0, t_end]. classified is an optional list of (label, equilibrium state) pairs;
-    the trajectory is labeled by the nearest one within relative
-    sup-norm distance 1e-4 of the final state, else "unresolved".
+    The trajectory covers [0, t_end]. classified is an optional list of
+    (label, equilibrium state) pairs; the trajectory is labeled by the
+    nearest one within relative sup-norm distance 1e-4 of the final
+    state, else "unresolved".
     """
     X = np.asarray(X0, dtype=float).copy()
     if X.ndim != 1:
         raise ValueError("X0 must be a flat coupled state vector")
+    if not np.isfinite(X).all():
+        raise ValueError("X0 has non-finite components")
     if X.min() < UNDERSHOOT_TOL:
         raise InadmissibleStateError("initial state has negative components")
     if t_end <= 0.0:
@@ -177,6 +189,7 @@ def integrate(system, alpha: float, X0: np.ndarray,
     h_min = max(1e-14 * t_end, 1e-13)
     times = [0.0]
     states = [X]
+    U = np.empty((6, X.size))
     with np.errstate(over="ignore", invalid="ignore"):
         f_cur, J = point(X)
         h = _initial_step(f_cur, X, t_end, rtol, atol)
@@ -187,7 +200,7 @@ def integrate(system, alpha: float, X0: np.ndarray,
             if last:
                 h = t_end - t
             err, X_new, f_new, J_new = _rodas_step(rhs, point, order, X,
-                                                   f_cur, J, h, rtol, atol)
+                                                   f_cur, J, h, rtol, atol, U)
             if err <= 1.0:
                 t = t_end if last else t + h
                 X, f_cur, J = X_new, f_new, J_new

@@ -4,6 +4,7 @@ Everything expensive (patch equilibria, reproduction numbers) is cached at
 module level keyed by beta1, since most tests revolve around the same three
 transmission regimes of the HIV patch.
 """
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -106,6 +107,32 @@ RG1_SETS = {
 
 def hiv_net(name):
     return network.preset(name, n=4, m=2, k=1)
+
+
+def kernel_cases():
+    """(models, net) per model family and incidence mix the kernel serves."""
+    hiv = list(hiv_system(MIXED_TRIPLE)[0])
+    mg = model.multigroup([[0.02, 0.01], [0.005, 0.03]], 1.0, 0.05, 0.05)
+    sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
+    ms = model.multistrain([0.04, 0.03], 0.4, 1.0, 0.1)
+
+    def std(mod):
+        return dataclasses.replace(mod, incidence="standard")
+
+    def mass(mod):
+        return dataclasses.replace(mod, incidence="mass_action")
+
+    small = network.preset("fig3c", n=2, m=1, k=1)
+    return {
+        "hiv_standard": (hiv, hiv_net("fig3b")),
+        "hiv_mass_action": ([mass(m) for m in hiv], hiv_net("fig4b")),
+        "multigroup": ([mg] * 3, network.preset("fig3b", n=2, m=2, k=2)),
+        "multigroup_standard": ([std(mg)] * 3,
+                                network.preset("fig3a", n=2, m=2, k=2)),
+        "stage_progression_multistrain": ([sp, ms, sp], small),
+        "multistrain_standard": ([std(ms)] * 3, small),
+        "mixed_incidence": ([sp, std(sp), sp], small),
+    }
 
 
 @pytest.fixture(scope="session")

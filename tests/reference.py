@@ -10,13 +10,16 @@ seed grid the generic equilibrium search used to run, kept as its oracle.
 m_matrix_characterizations gives the two textbook tests the package's
 M-matrix predicate is checked against. The branch cross-checks at the end
 read continued branches against the analytic derivatives of persist and
-tally their stability. Nothing in the package imports them.
+tally their stability. rodas_trajectory is sim.integrate's Rodas4 run
+written plainly on the kernel's residual and jacobian, the oracle of the
+integrator's bits. Nothing in the package imports them.
 """
+import math
 from typing import Sequence
 
 import numpy as np
 
-from patchepi import equilibria
+from patchepi import equilibria, sim
 from patchepi.continuation import (BranchRecord, CoupledSystem,
                                    _check_families, continue_branches,
                                    travel_matrix)
@@ -263,3 +266,76 @@ def count_stable(models: Sequence[PatchModel], net: MobilityNetwork,
             stable += record.points[-1].stability == "stable"
             unstable += record.points[-1].stability == "unstable"
     return stable, unstable
+
+
+def _rodas_step(system: CoupledSystem, alpha: float, X, f0, J, h: float,
+                rtol: float, atol: float):
+    """One trial Rodas4 step as sim._rodas_step computes it, from the
+    kernel's residual and its Jacobian gathered into solve_order with
+    np.ix_, through np.linalg.inv and @. Returns (err, X_new, f_new,
+    J_new), err inf and the rest None for a step refused whatever its
+    accuracy."""
+    order = system.solve_order
+    refused = np.inf, None, None, None
+    M = -J
+    M.ravel()[::X.size + 1] += 1.0 / (h * sim._RODAS_GAMMA)
+    try:
+        W = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return refused
+    U = np.empty((6, X.size))
+    U[0][order] = W @ f0[order]
+    try:
+        for i in range(1, 6):
+            a, c = sim._RODAS_A[i, :i], sim._RODAS_C[i, :i]
+            b = system.residual(alpha, X + a @ U[:i]) + (c @ U[:i]) / h
+            U[i][order] = W @ b[order]
+        X_new = X + sim._RODAS_A[5] @ U[:5] + U[5]
+        e = U[5] / (atol + rtol * np.maximum(np.abs(X), np.abs(X_new)))
+        err = math.sqrt((e * e).sum() / e.size)
+        if not err <= 1.0:
+            return (err if math.isfinite(err) else np.inf), None, None, None
+        if X_new.min() < sim.UNDERSHOOT_TOL:
+            return refused
+        f_new = system.residual(alpha, X_new)
+        J_new = system.jacobian(alpha, X_new)[np.ix_(order, order)]
+    except InadmissibleStateError:
+        return refused
+    if not (np.isfinite(f_new).all() and np.isfinite(J_new).all()):
+        return refused
+    return err, X_new, f_new, J_new
+
+
+def rodas_trajectory(system: CoupledSystem, alpha: float, X0, t_end: float,
+                     rtol: float = sim.DEFAULT_RTOL,
+                     atol: float = sim.DEFAULT_ATOL):
+    """(times, states) of sim.integrate's run from X0, with its step
+    control, each trial step taken by _rodas_step above."""
+    order = system.solve_order
+    X = np.array(X0, dtype=float)
+    t, times, states = 0.0, [0.0], [X]
+    h_min = max(1e-14 * t_end, 1e-13)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, J = (system.residual(alpha, X),
+                system.jacobian(alpha, X)[np.ix_(order, order)])
+        h = sim._initial_step(f, X, t_end, rtol, atol)
+        while t < t_end:
+            last = h >= t_end - t
+            if last:
+                h = t_end - t
+            err, X_new, f_new, J_new = _rodas_step(system, alpha, X, f, J,
+                                                   h, rtol, atol)
+            if err <= 1.0:
+                t = t_end if last else t + h
+                X, f, J = X_new, f_new, J_new
+                times.append(t)
+                states.append(X)
+                factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.25)
+                h *= max(factor, 0.2)
+            elif np.isfinite(err):
+                h *= max(0.2, 0.9 * err ** -0.25)
+            else:
+                h *= 0.5
+            if t < t_end and not h >= h_min:
+                raise sim.StepSizeUnderflowError(f"underflow at t = {t:g}")
+    return np.asarray(times), np.asarray(states)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (BACKWARD_TRIPLE, MIXED_TRIPLE, hiv_net, hiv_system,
-                      marginal_beta1)
+                      kernel_cases, marginal_beta1)
 from patchepi import (cli, continuation, equilibria, matalg, network,
                       persist)
 from patchepi.equilibria import EquilibriumPattern
@@ -65,33 +65,6 @@ def test_coupled_jacobian_matches_finite_differences(mixed):
         Jfd[:, c] = (coupled_residual(models, net, alpha, Xp) -
                      coupled_residual(models, net, alpha, Xm)) / (2 * h)
     assert np.max(np.abs(J - Jfd)) < 1e-5
-
-
-def _kernel_cases():
-    import dataclasses
-    from patchepi import model
-    hiv = list(hiv_system(MIXED_TRIPLE)[0])
-    mg = model.multigroup([[0.02, 0.01], [0.005, 0.03]], 1.0, 0.05, 0.05)
-    sp = model.stage_progression([0.04, 0.01], [0.2, 0.1], 1.0, 0.05)
-    ms = model.multistrain([0.04, 0.03], 0.4, 1.0, 0.1)
-
-    def std(mod):
-        return dataclasses.replace(mod, incidence="standard")
-
-    def mass(mod):
-        return dataclasses.replace(mod, incidence="mass_action")
-
-    small = network.preset("fig3c", n=2, m=1, k=1)
-    return {
-        "hiv_standard": (hiv, hiv_net("fig3b")),
-        "hiv_mass_action": ([mass(m) for m in hiv], hiv_net("fig4b")),
-        "multigroup": ([mg] * 3, network.preset("fig3b", n=2, m=2, k=2)),
-        "multigroup_standard": ([std(mg)] * 3,
-                                network.preset("fig3a", n=2, m=2, k=2)),
-        "stage_progression_multistrain": ([sp, ms, sp], small),
-        "multistrain_standard": ([std(ms)] * 3, small),
-        "mixed_incidence": ([sp, std(sp), sp], small),
-    }
 
 
 def test_package_keeps_no_reference_equations():
@@ -201,10 +174,10 @@ def test_package_imports_only_names_it_uses():
     assert unused == set()
 
 
-@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
 def test_kernel_jacobian_matches_stacked_patch_jacobians(case):
     from patchepi.model import split_state
-    models, net = _kernel_cases()[case]
+    models, net = kernel_cases()[case]
     system = continuation.CoupledSystem(models, net)
     s = models[0].size
     rng = np.random.default_rng(21)
@@ -234,12 +207,12 @@ def test_kernel_jacobian_matches_stacked_patch_jacobians(case):
             assert np.max(np.abs(Rb - Ri)) <= 1e-13 * (1.0 + np.max(np.abs(Ri)))
 
 
-@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
 def test_patch_classification_matches_reference_jacobian(case):
     # patch_equilibria classifies through the one-region kernel; the
     # per-patch reference Jacobian gives every state the same label and
     # invertibility
-    models, _ = _kernel_cases()[case]
+    models, _ = kernel_cases()[case]
     for mod in {id(mod): mod for mod in models}.values():
         for eq in equilibria.patch_equilibria(mod):
             J = patch_jacobian(mod, eq.state)
@@ -248,11 +221,11 @@ def test_patch_classification_matches_reference_jacobian(case):
                 matalg.condition_estimate(J) < matalg.COND_LIMIT), eq.index
 
 
-@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
 def test_kernel_results_own_their_memory(case):
     # a later evaluation must not write into an earlier result, and the
     # dP/dX buffer the single-state point reuses must not reach its J
-    models, net = _kernel_cases()[case]
+    models, net = kernel_cases()[case]
     system = continuation.CoupledSystem(models, net)
     rng = np.random.default_rng(5)
     size = net.r * models[0].size
@@ -279,11 +252,11 @@ def test_kernel_results_own_their_memory(case):
     assert np.array_equal(f, kept[1]) and np.array_equal(J, kept[2])
 
 
-@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
 def test_single_state_evaluator_has_the_kernel_bits(case):
     # rhs is residual and point is (residual, jacobian in the solve
     # order), bit for bit; so is every row of a (B, 1, size) stack
-    models, net = _kernel_cases()[case]
+    models, net = kernel_cases()[case]
     system = continuation.CoupledSystem(models, net)
     size = net.r * models[0].size
     order = system.solve_order

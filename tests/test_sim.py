@@ -1,10 +1,14 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import (BACKWARD_TRIPLE, MIXED_TRIPLE, RG1_SETS, RL1_SETS,
-                      hiv_net, hiv_system)
-from patchepi import continuation, equilibria, model, network, sim
+                      hiv_net, hiv_system, kernel_cases)
+from patchepi import cli, continuation, equilibria, model, network, sim
 from patchepi.equilibria import EquilibriumPattern
+from reference import rodas_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +152,87 @@ def test_inadmissible_initial_state_raises(backward):
     # is a caller error rather than a step-control failure
     with pytest.raises(model.InadmissibleStateError):
         sim.integrate(system, 0.0, np.zeros(21), t_end=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_state_raises(backward, bad):
+    # refused up front, not as inadmissible (NaN) or by halving h into a
+    # step-size underflow at t = 0 (inf)
+    eqs, system = backward
+    X0 = np.array(RL1_SETS["blue"], dtype=float)
+    X0[5] = bad
+    with pytest.raises(ValueError, match="X0 has non-finite components"):
+        sim.integrate(system, 0.0, X0, t_end=1.0)
+
+
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
+def test_integrate_has_the_reference_step_bits(case):
+    # the integrator's step is the plain Rodas4 step of the reference,
+    # written on residual, jacobian[np.ix_], np.linalg.inv and @, bit
+    # for bit, for every model family and incidence mix
+    models, net = kernel_cases()[case]
+    system = continuation.CoupledSystem(models, net)
+    rng = np.random.default_rng(26)
+    for alpha in (0.0, 3e-3):
+        X0 = np.abs(rng.normal(3.0, 1.0, size=net.r * models[0].size)) + 0.1
+        traj = sim.integrate(system, alpha, X0, t_end=20.0)
+        times, states = rodas_trajectory(system, alpha, X0, t_end=20.0)
+        assert traj.times.size > 10, alpha
+        assert np.array_equal(traj.times, times), alpha
+        assert np.array_equal(traj.states, states), alpha
+
+
+@pytest.mark.parametrize("incidence", ["standard", "mass_action"])
+def test_singular_stage_matrix_refuses_the_step(incidence):
+    # J = I/(h gamma) makes I/(h gamma) - J exactly zero: its inverse is
+    # NaN, and the step is refused whole under integrate's errstate, with
+    # no other warning (a NaN stage is inadmissible under standard
+    # incidence and reaches the error estimate under mass action)
+    mg = model.multigroup([[0.06, 0.01], [0.02, 0.05]], 1.0, 0.05, 0.05)
+    mg = dataclasses.replace(mg, incidence=incidence)
+    net = network.preset("fig3c", n=2, m=2, k=2)
+    system = continuation.CoupledSystem([mg] * 3, net)
+    X = np.tile([0.3, 0.2, 10.0, 8.0, 0.1, 0.1], 3)
+    rhs, point = system.single_state(1e-3)
+    f0 = point(X)[0]
+    h = 0.01
+    J = np.eye(X.size) / (h * sim._RODAS_GAMMA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = sim._rodas_step(rhs, point, system.solve_order, X, f0, J,
+                                  h, 1e-8, 1e-10, np.empty((6, X.size)))
+    assert out == (np.inf, None, None, None)
+
+
+def test_inverse_is_numpy_inverse_bit_for_bit():
+    # on a seeded stack of 21 x 21 matrices over twelve decades, and on
+    # I/(h gamma) - J of the shipped fixtures' product states
+    rng = np.random.default_rng(26)
+    stack = rng.normal(size=(64, 21, 21)) * 10.0 ** rng.uniform(
+        -6.0, 6.0, size=(64, 1, 1))
+    assert np.array_equal(sim._inverse(stack), np.linalg.inv(stack))
+    for M in stack:
+        assert np.array_equal(sim._inverse(M), np.linalg.inv(M))
+    checked = 0
+    for name in ("hiv_above_one", "hiv_backward", "hiv_below_rc", "hiv_mixed",
+                 "zero_transmission"):
+        config = cli.load_config(cli.fixture_path(name + ".json"))
+        models = cli.build_models(config)
+        system = continuation.CoupledSystem(
+            models, cli.build_network(config, models))
+        eqs = [equilibria.patch_facts(mod).equilibria for mod in models]
+        patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
+        for alpha in config.alpha_grid:
+            rhs, point = system.single_state(alpha)
+            for pat in patterns:
+                J = point(continuation.product_state(pat, eqs))[1]
+                for h in (1e-3, 1.0, 1e3):
+                    M = np.eye(len(J)) / (h * sim._RODAS_GAMMA) - J
+                    assert np.array_equal(sim._inverse(M),
+                                          np.linalg.inv(M)), name
+                    checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("tol, beta", [(1e-300, 0.06), (None, 1e200)],
