@@ -10,7 +10,8 @@ Four subcommands tie the library together:
 Configs are JSON with a versioned schema; region indices in configs and
 reports are 1-based. All floats in reports are capped at 12 significant
 digits so repeated runs are byte-identical. Exit codes: 0 success, 2
-config error, 3 numerical failure (partial artifacts are still written).
+config error, 3 numerical failure (partial artifacts are still written),
+141 when stdout closes before the report is written.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_PIPE_CLOSED = 141     # 128 + SIGPIPE, as a shell reports a broken pipe
 
 _TOP_LEVEL_KEYS = {"schema_version", "patches", "network", "alpha_grid",
                    "t_end", "rtol", "atol", "initial_sets", "patterns"}
@@ -738,8 +740,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.out:
         _write_artifacts(args.out, report, artifacts, report_name)
-    else:
-        print(json.dumps(report, indent=2))
+        return code
+    try:
+        print(json.dumps(report, indent=2), flush=True)
+    except BrokenPipeError:
+        # reader gone: null stdout, or the exit flush raises again
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     return code
 
 

@@ -1,22 +1,22 @@
 """One-patch steady states and the disconnected-system census.
 
 Settles each patch's facts once (patch_facts): the disease-free state,
-V - F there and the local R, the endemic equilibria (scalar force-of-
-infection reduction for HIV, multi-start Newton for everything else) and
+V - F there and the local R, the endemic equilibria (for HIV the roots of
+a quadratic in the force of infection, multi-start Newton otherwise) and
 their stability. It also detects the backward-bifurcation window and
 enumerates the product equilibria of r disconnected patches.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import matalg
-from .model import (HivParams, PatchModel, PatchState, hiv_vaccination,
-                    split_state)
+from .model import HivParams, PatchModel, PatchState, split_state
 
 # Newton acceptance for a root, and merge distance for duplicates.
 ROOT_RESIDUAL_TOL = 1e-9
@@ -36,21 +36,13 @@ SEED_STEPS = 80
 # Jacobian).
 STABILITY_MARGIN = 1e-9
 
-# Scalar force-of-infection scan used for the HIV family.
-LAMBDA_SCAN_LO = 1e-8
-LAMBDA_SCAN_HI = 50.0
-LAMBDA_SCAN_POINTS = 4000
-LAMBDA_BISECT_TOL = 1e-12
-LAMBDA_GRID = np.geomspace(LAMBDA_SCAN_LO, LAMBDA_SCAN_HI, LAMBDA_SCAN_POINTS)
-
-
 class DegenerateModelError(RuntimeError):
     """Disease-free susceptible level non-unique, not finite or not
     positive, or V - F there not finite."""
 
 
 class NoFoldError(RuntimeError):
-    """No fold on the force-of-infection scan: the bifurcation is forward."""
+    """The HIV patch has no fold: the bifurcation is forward."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +82,8 @@ class BifurcationReport:
     """Endemic-root census of one patch.
 
     Regimes: below_Rc (no endemic states), backward_window (two positive
-    roots while R < 1), above_one (the unique root beyond the threshold).
+    roots while R < 1, or an HIV patch's double root at the fold),
+    above_one (the unique root beyond the threshold).
     """
     R_local: float
     regime: str
@@ -211,11 +204,8 @@ def _classified(system, states: Sequence[PatchState],
 # HIV endemic equilibria via the scalar force-of-infection reduction
 # ====================================================================
 
-def _hiv_compartments(params: HivParams, lam):
-    """(S, SV, Y1, Y2, W1, W2, A) at force of infection lam.
-
-    lam may be a scalar or an array; every compartment then has its shape.
-    """
+def hiv_state_from_lambda(params: HivParams, lam: float) -> PatchState:
+    """Back-substitute a force of infection into the full steady state."""
     pr = params
     SV = pr.p * pr.Lam / (pr.mu + pr.q * lam + pr.gam)
     S = ((1.0 - pr.p) * pr.Lam + pr.gam * SV) / (pr.mu + lam)
@@ -225,70 +215,68 @@ def _hiv_compartments(params: HivParams, lam):
     W2 = pr.pi2 * pr.q * lam * SV / (pr.mu + pr.th2 * pr.sig2)
     A = (pr.sig1 * Y1 + pr.sig2 * Y2 + pr.th1 * pr.sig1 * W1
          + pr.th2 * pr.sig2 * W2) / (pr.delta + pr.mu)
-    return S, SV, Y1, Y2, W1, W2, A
-
-
-def hiv_state_from_lambda(params: HivParams, lam: float) -> PatchState:
-    """Back-substitute a force of infection into the full steady state."""
-    S, SV, Y1, Y2, W1, W2, A = _hiv_compartments(params, lam)
     return PatchState(np.array([Y1, Y2, W1, W2]), np.array([S, SV]),
                       np.array([A]))
 
 
-def _hiv_incidence(params: HivParams, lam) -> tuple:
-    """(N, I1, I2) at force of infection lam, scalar or array.
+def _hiv_quadratic(params: HivParams) -> tuple:
+    """(nd, i1, i2): N D, I1 D / lam and I2 D / lam, polynomials in lam.
 
-    The force of infection the state implies is (beta1 I1 + beta2 I2) / N,
-    and no term of N, I1 or I2 reads beta1 or beta2.
+    Coefficients come constant term first. D = (mu + lam)(mu + q lam + gam)
+    clears every denominator of hiv_state_from_lambda, so the scalar
+    residual lam - (beta1 I1 + beta2 I2) / N times N D / lam is the
+    quadratic nd - beta1 i1 - beta2 i2; only that reads the betas. Its
+    leading coefficient is positive, as 0 < p <= 1 (HivParams).
     """
-    S, SV, Y1, Y2, W1, W2, _ = _hiv_compartments(params, lam)
-    return ((S + SV) + (((Y1 + Y2) + W1) + W2), Y1 + params.s1 * W1,
-            Y2 + params.s2 * W2)
+    pr = params
+    u = pr.Lam * np.array([pr.mu * (1.0 - pr.p) + pr.gam,
+                           (1.0 - pr.p) * pr.q, 0.0])           # S D
+    e = pr.p * pr.Lam * np.array([pr.mu, 1.0, 0.0])             # SV D
+    y1 = pr.rho1 / (pr.mu + pr.sig1) * u
+    y2 = pr.rho2 / (pr.mu + pr.sig2) * u
+    w1 = pr.pi1 * pr.q / (pr.mu + pr.th1 * pr.sig1) * e
+    w2 = pr.pi2 * pr.q / (pr.mu + pr.th2 * pr.sig2) * e
+    # the infected classes carry the factor lam: one degree up
+    nd = u + e + np.roll(y1 + y2 + w1 + w2, 1)
+    return nd, y1 + pr.s1 * w1, y2 + pr.s2 * w2
 
 
-def _hiv_scalar_residual(params: HivParams, lam):
-    """lam minus the force of infection it implies; scalar or array lam."""
-    N, I1, I2 = _hiv_incidence(params, lam)
-    return lam - (params.beta1 * I1 + params.beta2 * I2) / N
+def _quadratic_roots(c2: float, c1: float, c0: float) -> tuple:
+    """The real roots of c2 x^2 + c1 x + c0 (c2 >= 0), a double root once.
 
-
-def _lambda_brackets(params: HivParams) -> tuple:
-    """(grid, fa, brackets): the scan of the scalar residual over LAMBDA_GRID.
-
-    fa holds the residual at every grid point but the last; brackets are
-    the indices i whose interval [grid[i], grid[i + 1]] holds a root: the
-    residual is zero at its left end or changes sign across it. The scan
-    is one array expression.
+    t = -(c1 + sign(c1) sqrt(c1^2 - 4 c2 c0)) / 2 gives the roots t / c2
+    and c0 / t without cancellation (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 1.8). t = 0 gives none: then c1 = c2 c0 = 0.
     """
-    vals = _hiv_scalar_residual(params, LAMBDA_GRID)
-    fa, fb = vals[:-1], vals[1:]
-    return LAMBDA_GRID, fa, np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
+    disc = c1 * c1 - 4.0 * c2 * c0
+    t = -0.5 * (c1 + math.copysign(math.sqrt(max(disc, 0.0)), c1))
+    if disc < 0.0 or t == 0.0:
+        return ()
+    if disc == 0.0 or c2 == 0.0:
+        return (c0 / t,)
+    return (t / c2, c0 / t)
 
 
 def hiv_lambda_roots(params: HivParams) -> list:
-    """All positive roots of the scalar steady-state residual.
+    """The positive roots of the quadratic of _hiv_quadratic, ascending.
 
-    Logarithmic scan (_lambda_brackets) followed by bisection on each
-    sign change; the residual has at most a few isolated roots, so
-    robustness beats speed here.
+    Its constant term is (N D)(0) (1 - R), so with R > 1 there is exactly
+    one; below R = 1 there are none, two or, at the fold, a double root.
     """
-    grid, fa, brackets = _lambda_brackets(params)
-    roots = []
-    for i in brackets:
-        a, b = grid[i], grid[i + 1]
-        if fa[i] == 0.0:
-            roots.append(float(a))
-            continue
-        lo, hi, flo = a, b, fa[i]
-        while hi - lo > LAMBDA_BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            fmid = _hiv_scalar_residual(params, mid)
-            if flo * fmid <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        roots.append(0.5 * (lo + hi))
-    return roots
+    nd, i1, i2 = _hiv_quadratic(params)
+    a0, a1, a2 = nd - params.beta1 * i1 - params.beta2 * i2
+    # R = 1 to rounding (a0 / nd[0] and 1 - R differ by up to 4 eps near
+    # it): the root a0 puts near lam = 0 is the DFE, whatever a0's sign
+    if abs(a0) <= 16.0 * np.finfo(float).eps * nd[0]:
+        a0 = 0.0
+    return sorted(lam for lam in _quadratic_roots(a2, a1, a0) if lam > 0.0)
+
+
+def hiv_reproduction_number(params: HivParams) -> float:
+    """local_reproduction_number in closed form: (N D)(0) (1 - R) is the
+    quadratic's constant term, so R = (beta1 i1 + beta2 i2)(0) / (N D)(0)."""
+    nd, i1, i2 = _hiv_quadratic(params)
+    return float((params.beta1 * i1[0] + params.beta2 * i2[0]) / nd[0])
 
 
 def _regime_from(R: float, nroots: int) -> str:
@@ -304,30 +292,28 @@ def _regime_from(R: float, nroots: int) -> str:
 
 def estimate_Rc(params: HivParams) -> float:
     """The local R at the fold of the backward bifurcation (_fold_beta1)."""
-    return local_reproduction_number(
-        hiv_vaccination(replace(params, beta1=_fold_beta1(params))))
+    return hiv_reproduction_number(replace(params, beta1=_fold_beta1(params)))
 
 
 def _fold_beta1(params: HivParams) -> float:
-    """The beta1 at which the scan's root count goes from 0 to 2.
+    """The beta1 at which the endemic root count goes from 0 to 2.
 
-    Each grid lambda of the scan is a steady state for exactly one beta1,
-
-        beta1(lam) = (lam N - beta2 I2) / I1        (_hiv_incidence),
-
-    since beta1 enters the scalar residual linearly and nothing else in
-    it. The scan finds no root below the least of those beta1 and two
-    just above it, so that minimum is the fold, whatever the configured
-    beta1. Raises NoFoldError when the minimum is the grid's first point:
-    beta1(lam) then only grows, and the bifurcation is forward.
+    With a1 = A - beta1 B and a0 = C - beta1 E (_hiv_quadratic), the
+    discriminant a1^2 - 4 a2 a0 is a quadratic in beta1, and at its roots
+    the quadratic in lam has the double root -a1 / (2 a2). The fold is the
+    root where that is positive; at most one is, whatever the configured
+    beta1. Raises NoFoldError when none is: the bifurcation is forward.
     """
-    N, I1, I2 = _hiv_incidence(params, LAMBDA_GRID)
-    beta1 = (LAMBDA_GRID * N - params.beta2 * I2) / I1
-    i = int(np.argmin(beta1))
-    if i == 0:
-        raise NoFoldError("the force-of-infection scan has no fold: "
-                          "the bifurcation is forward")
-    return float(beta1[i])
+    nd, i1, i2 = _hiv_quadratic(params)
+    A, C = nd[1] - params.beta2 * i2[1], nd[0] - params.beta2 * i2[0]
+    B, E, a2 = i1[1], i1[0], nd[2]
+    folds = [beta1 for beta1 in _quadratic_roots(
+        B * B, 4.0 * a2 * E - 2.0 * A * B, A * A - 4.0 * a2 * C)
+        if A - beta1 * B < 0.0]
+    if not folds:
+        raise NoFoldError("the endemic quadratic has no positive double "
+                          "root: the bifurcation is forward")
+    return float(folds[0])
 
 
 def bifurcation_report(patch: PatchFacts) -> BifurcationReport:
@@ -336,17 +322,20 @@ def bifurcation_report(patch: PatchFacts) -> BifurcationReport:
     The endemic root count of its equilibria classifies the regime. The
     HIV family adds the forces of infection of its endemic states and,
     inside the backward window, the local R at the fold (estimate_Rc).
+    An HIV patch with one root below R = 1 is inside it too: at the fold
+    (a double root) or within rounding of R = 1 (hiv_lambda_roots).
     """
-    R = patch.R
-    regime = _regime_from(R, len(patch.equilibria) - 1)
+    R, nroots = patch.R, len(patch.equilibria) - 1
     if patch.model.family != "hiv_vaccination":
-        return BifurcationReport(R_local=R, regime=regime, endemic_lambdas=())
-    params = HivParams(**patch.model.params)
-    rc = estimate_Rc(params) if regime == "backward_window" else None
+        return BifurcationReport(R_local=R, regime=_regime_from(R, nroots),
+                                 endemic_lambdas=())
+    window = nroots > 0 and R < 1.0
     return BifurcationReport(
-        R_local=R, regime=regime,
+        R_local=R,
+        regime="backward_window" if window else _regime_from(R, nroots),
         endemic_lambdas=tuple(eq.lam for eq in patch.equilibria[1:]),
-        R_c_estimate=rc)
+        R_c_estimate=(estimate_Rc(HivParams(**patch.model.params))
+                      if window else None))
 
 
 # ====================================================================

@@ -176,6 +176,8 @@ class HivParams:
                     raise ValueError(f"HIV parameter {name} must be nonnegative")
             elif value <= 0:
                 raise ValueError(f"HIV parameter {name} must be positive")
+        if self.p > 1.0:
+            raise ValueError("HIV parameter p must be at most 1")
         if abs(self.rho1 + self.rho2 - 1.0) > ETA_SUM_TOL:
             raise ValueError("rho1 + rho2 must equal 1")
         if abs(self.pi1 + self.pi2 - 1.0) > ETA_SUM_TOL:

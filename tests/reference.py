@@ -6,7 +6,10 @@ Jacobian. These functions write the same equations out directly, from F
 and the transmission matrix B up, patch by patch and region by region, so
 the tests can check the kernel (and the classifications built on it)
 against an evaluation that shares no code with it. full_grid_roots is the
-seed grid the generic equilibrium search used to run, kept as its oracle.
+seed grid the generic equilibrium search used to run, kept as its oracle;
+scan_lambda_roots is the HIV force-of-infection scan with bisection that
+the closed-form quadratic replaced, kept as its oracle, and steady_beta1
+checks the closed-form fold.
 m_matrix_characterizations gives the two textbook tests the package's
 M-matrix predicate is checked against. The branch cross-checks at the end
 read continued branches against the analytic derivatives of persist and
@@ -15,6 +18,7 @@ written plainly on the kernel's residual and jacobian, the oracle of the
 integrator's bits. Nothing in the package imports them.
 """
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +28,8 @@ from patchepi.continuation import (BranchRecord, CoupledSystem,
                                    _check_families, continue_branches,
                                    travel_matrix)
 from patchepi.equilibria import enumerate_patterns
-from patchepi.model import (InadmissibleStateError, PatchModel, PatchState,
-                            split_state)
+from patchepi.model import (HivParams, InadmissibleStateError, PatchModel,
+                            PatchState, split_state)
 from patchepi.network import MobilityNetwork
 from patchepi.persist import BranchDerivative
 
@@ -131,6 +135,67 @@ def full_grid_roots(model: PatchModel) -> tuple:
     return equilibria._search_roots(
         model, patch.system, dfe, 3 ** model.size,
         lambda index: equilibria._seed_rows(dfe, model.size, index))
+
+
+def scalar_force_residual(params: HivParams, lam):
+    """lam minus the force of infection its HIV steady state generates.
+
+    Every compartment is written through the force of infection lam, a
+    scalar or an array, from the model equations alone, without reusing
+    library code.
+    """
+    p, Lam, mu, gam, q = params.p, params.Lam, params.mu, params.gam, params.q
+    S_V = p * Lam / (mu + q * lam + gam)
+    S = ((1.0 - p) * Lam + gam * S_V) / (mu + lam)
+    Y = [params.rho1 * lam * S / (mu + params.sig1),
+         params.rho2 * lam * S / (mu + params.sig2)]
+    W = [params.pi1 * q * lam * S_V / (mu + params.th1 * params.sig1),
+         params.pi2 * q * lam * S_V / (mu + params.th2 * params.sig2)]
+    N = S + S_V + sum(Y) + sum(W)
+    betas = [params.beta1, params.beta2]
+    ss = [params.s1, params.s2]
+    force = sum(b * (y + s * w) for b, y, s, w in zip(betas, Y, ss, W)) / N
+    return lam - force
+
+
+# The force-of-infection scan the HIV root search used to run: 4,000
+# geometric points on [1e-8, 50].
+SCAN_GRID = np.geomspace(1e-8, 50.0, 4000)
+
+
+def scan_lambda_roots(params: HivParams) -> list:
+    """The positive roots of scalar_force_residual on SCAN_GRID, ascending.
+
+    Each grid interval whose residual changes sign (or is zero at its left
+    end) is bisected until its midpoint is one of its ends. Two roots in
+    one interval give no sign change, so the scan can miss a pair within
+    about 1e-7 relative of the fold; it misses every root above lam = 50.
+    """
+    vals = scalar_force_residual(params, SCAN_GRID)
+    roots = []
+    for i in np.flatnonzero((vals[:-1] == 0.0)
+                            | (vals[:-1] * vals[1:] < 0.0)):
+        lo, hi, flo = SCAN_GRID[i], SCAN_GRID[i + 1], vals[i]
+        while flo != 0.0 and lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            fmid = scalar_force_residual(params, mid)
+            if flo * fmid <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        roots.append(float(lo if flo == 0.0 else 0.5 * (lo + hi)))
+    return roots
+
+
+def steady_beta1(params: HivParams, lam):
+    """The beta1 at which the force of infection lam is a steady state.
+
+    scalar_force_residual is affine in beta1, so this is its zero from its
+    values at beta1 = 0 and 1; the fold is the least of these over lam > 0.
+    """
+    r0 = scalar_force_residual(replace(params, beta1=0.0), lam)
+    r1 = scalar_force_residual(replace(params, beta1=1.0), lam)
+    return r0 / (r0 - r1)
 
 
 def m_matrix_characterizations(A: np.ndarray) -> tuple:

@@ -256,7 +256,7 @@ def test_analyze_backward_patch_report():
     assert p["regime"] == "backward_window"
     assert p["endemic_lambdas"] == pytest.approx(
         [0.019459097629, 0.149197030082], abs=1e-9)
-    assert p["R_c_estimate"] == pytest.approx(0.919910879118, abs=1e-7)
+    assert p["R_c_estimate"] == pytest.approx(0.919910877514, abs=1e-7)
     assert p["dfe"]["stability"] == "stable"
     assert p["dfe"]["state"]["x"] == [0.0] * 4
     assert p["dfe"]["state"]["y"] == pytest.approx([10.01, 9.99], abs=1e-9)
@@ -276,6 +276,23 @@ def test_analyze_above_one_patch_report():
     assert p["dfe"]["stability"] == "unstable"
     assert [(e["choice"], e["stability"]) for e in p["endemic"]] \
         == [(1, "stable")]
+
+
+def test_analyze_finds_a_root_far_above_the_threshold(tmp_path, capsys):
+    # the endemic force of infection is a root however large it is
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({
+        "schema_version": 1, "alpha_grid": [0.0, 0.1],
+        "patches": [{"family": "hiv_vaccination",
+                     "params": dict(BASE, beta1=200.0)}],
+        "network": {"edges": [], "r": 1}}))
+    assert cli.main(["analyze", "--config", str(cfgp)]) == 0
+    p, = json.loads(capsys.readouterr().out)["patches"]
+    assert p["regime"] == "above_one"
+    assert p["R"] == pytest.approx(223.535, abs=1e-3)
+    assert p["endemic_lambdas"] == pytest.approx([198.675387], abs=1e-6)
+    assert [e["stability"] for e in p["endemic"]] == ["stable"]
+    assert p["R_c_estimate"] is None
 
 
 def test_census_counts_and_rows():
@@ -300,9 +317,9 @@ def test_census_counts_and_rows():
 
 def test_one_system_per_patch(coupled_systems_built, monkeypatch):
     # each patch's one-region system and one DFE serve its equilibria,
-    # local R and V - F; analyze adds one of each for each backward-window
-    # patch's fold model; continue and simulate add the one coupled system
-    # that every branch, label and trajectory of the run uses
+    # local R and V - F, and analyze's R_c too (in closed form); continue
+    # and simulate add the one coupled system that every branch, label and
+    # trajectory of the run uses
     counts = {"dfe": 0, "v_minus_f": 0}
 
     def counting(key, real):
@@ -333,7 +350,7 @@ def test_one_system_per_patch(coupled_systems_built, monkeypatch):
     assert built_and_counted() == ([1, 1, 1, 3], 3, 3)
     rep = cli.cmd_analyze(config)
     assert [p["regime"] for p in rep["patches"]] == ["backward_window"] * 3
-    assert built_and_counted() == ([1] * 6, 6, 6)
+    assert built_and_counted() == ([1] * 3, 3, 3)
 
 
 def test_census_exhaustive_networks():
@@ -529,6 +546,22 @@ def test_main_success_prints_report(capsys):
     assert rep["command"] == "analyze" and len(rep["patches"]) == 3
 
 
+def test_main_exits_quietly_on_a_closed_pipe(tmp_path, monkeypatch, capsys):
+    # a reader that closes stdout early (census ... | head) costs the
+    # report, not a traceback
+    def closed(text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    with open(tmp_path / "stdout", "w") as out:
+        monkeypatch.setattr(out, "write", closed)
+        monkeypatch.setattr(sys, "stdout", out)
+        code = cli.main(["census", "--config",
+                         cli.fixture_path("hiv_backward.json")])
+        monkeypatch.undo()
+    assert code == cli.EXIT_PIPE_CLOSED == 141
+    assert capsys.readouterr() == ("", "")
+
+
 def test_main_config_errors_exit_2(tmp_path, capsys):
     fixture = cli.fixture_path("hiv_backward.json")
     assert cli.main(["analyze", "--config",
@@ -638,7 +671,7 @@ def test_main_numerical_failure_exit_3(tmp_path, capsys):
 # sha256 of the marginal continue run below, recorded with numpy 2.4 and
 # OpenBLAS 0.3.31 on x86-64 Linux
 MARGINAL_CONTINUE_DIGEST = \
-    "bd9d121050dd625d219e22df4edf82e728e19540dfee033416e74433c4de8e34"
+    "3e5b5e4a6d9c97b5468cc4634de5d196655ef131e13f79e3eaba6c593638dc18"
 
 
 def test_continue_reports_hypothesis_violations_as_failed_branches(
@@ -679,33 +712,33 @@ FIXTURE_RUNS = ("analyze", "census", "census --exhaustive-networks",
                 "continue", "simulate")
 FIXTURE_DIGESTS = {
     ("hiv_backward.json", "analyze"):
-        "3b710061deb64a8ffb4ed88be73eac332e83749ab0d82a4cfa1f4aaa389165a5",
+        "58c8361f55a156c8dc0074999a2c09a9d31620e59eda947fed0069ad69625590",
     ("hiv_backward.json", "census"):
         "d779a00317346bcd71997939df65d524437c7c9a368edac28ddda0cafe8f4c78",
     ("hiv_backward.json", "census --exhaustive-networks"):
         "ddddc293d7e341261817573636ee27225cfc3662e4d5e6604713c20abf4427f4",
     ("hiv_backward.json", "continue"):
-        "bf4209dd2641a113a381b3e791200a3a7db97d788047f7fa94d5afc3a80a9369",
+        "684fca68689a2290b46a20de2e149f9fa1582c059cfd729e45f7082eaf0c904c",
     ("hiv_backward.json", "simulate"):
         "cca92f7b32b4661a187db06c2186f4222cc25776f03af8609f9bce40464ebce0",
     ("hiv_mixed.json", "analyze"):
-        "34a7e0b766ceab2ddd565f2e63f4e171538e3bbcab6263467f32a656aca2976c",
+        "90c34f904b62b879dc3120ac33e9abfa66d68ea3bc806709aa04251f7931a47b",
     ("hiv_mixed.json", "census"):
         "8abc1691ff5c303435f3fcb6b5018f087b731b6bfce86f7823ea57e60c7fd0ce",
     ("hiv_mixed.json", "census --exhaustive-networks"):
         "5be829c76c41e4f3f490314b0fb07e904cd5cc47d914e10ac25a4bbe84c10789",
     ("hiv_mixed.json", "continue"):
-        "c26270077856a53055ff8730ebe8f84538abb5ebfdb6dafc3e035406b362dd32",
+        "5d8d9e4a98c9e2aabaa9586b1f824f2d95896ca0283a0b236086d963686075ce",
     ("hiv_mixed.json", "simulate"):
         "7e535152b9db430173ceb95d79e02a3a53ce7724f10f935047c066ad9635e780",
     ("hiv_above_one.json", "analyze"):
-        "1ed5ed59c25eb12b35171475866f2818b43f0ec7879e10428a5024747ff6f8a9",
+        "f27855b3e4dd327992901e5cab74b0865bf3796dcb8b4533041031ef20cb184a",
     ("hiv_above_one.json", "census"):
         "297597eb548595ba34f6d73878411d0d808441e160c7b824df3cbbb85e93c7de",
     ("hiv_above_one.json", "census --exhaustive-networks"):
         "4434fa4ffa47f66432c1cb75b95ffec51b144fcea2ca63779dd9c0329d68d23b",
     ("hiv_above_one.json", "continue"):
-        "7b9dcfd68c31060be5fc341492b6f89f06e1981efc1894fd9851009b7a619a89",
+        "74d3d1d9172164dc3b1eb51cd74107e20dbb1e6be102dd7b34567ad24f8b75a7",
     ("hiv_above_one.json", "simulate"):
         "ca4809da265eaacf44d87e4ed87df71834c027cab20d93a1e934f2a127f46973",
     ("hiv_below_rc.json", "analyze"):
@@ -777,6 +810,8 @@ BAD_CONFIGS = {
     "Lam_1e308": ("multigroup", dict(_MG, Lam=1e308), {}, FIXTURE_RUNS,
                   "disease-free susceptible level not finite: [nan] "
                   "(the solve overflowed)"),
+    "p_above_one": ("hiv_vaccination", dict(BASE, p=1.5), {}, FIXTURE_RUNS,
+                    "HIV parameter p must be at most 1"),
     "no_stages": ("stage_progression",
                   {"beta": [], "nu": [], "Lam": 1.0, "mu": 0.05}, {},
                   FIXTURE_RUNS, "need at least one stage"),

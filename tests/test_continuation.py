@@ -85,6 +85,8 @@ LIBRARY_API = {
     "continuation.continue_branch":
         "the single-run reference of test_batch_equals_single_runs",
     "equilibria.patch_equilibria": "perfbench calls it",
+    "equilibria.local_reproduction_number":
+        "a model's R without the endemic search; perfbench calls it",
     "equilibria.endemic_equilibria_generic":
         "the generic search with its discard count, which tests read",
     "persist.predict": "one pattern's verdict; perfbench passes R_values",

@@ -8,28 +8,8 @@ from conftest import (BASE, GENERIC_CATALOG, hiv_eqs, hiv_facts, hiv_patch,
                       hiv_R)
 from patchepi import equilibria, model
 from patchepi.model import HivParams, PatchState
-from reference import full_grid_roots, patch_residual
-
-
-def scalar_force_residual(params: HivParams, lam: float) -> float:
-    """Independent back-substitution of the endemic steady state.
-
-    All compartments are expressed through the force of infection and the
-    residual is lam minus the force the resulting state generates. Written
-    from the model equations alone, without reusing library code.
-    """
-    p, Lam, mu, gam, q = params.p, params.Lam, params.mu, params.gam, params.q
-    S_V = p * Lam / (mu + q * lam + gam)
-    S = ((1.0 - p) * Lam + gam * S_V) / (mu + lam)
-    Y = [params.rho1 * lam * S / (mu + params.sig1),
-         params.rho2 * lam * S / (mu + params.sig2)]
-    W = [params.pi1 * q * lam * S_V / (mu + params.th1 * params.sig1),
-         params.pi2 * q * lam * S_V / (mu + params.th2 * params.sig2)]
-    N = S + S_V + sum(Y) + sum(W)
-    betas = [params.beta1, params.beta2]
-    ss = [params.s1, params.s2]
-    force = sum(b * (y + s * w) for b, y, s, w in zip(betas, Y, ss, W)) / N
-    return lam - force
+from reference import (full_grid_roots, patch_residual, scalar_force_residual,
+                       scan_lambda_roots, steady_beta1)
 
 
 def test_local_R_regression_values():
@@ -68,10 +48,15 @@ def test_hiv_lambda_roots_per_regime():
     assert equilibria.hiv_lambda_roots(HivParams(**{**BASE, "beta1": 0.5})) == []
     no_trans = HivParams(**{**BASE, "beta1": 0.0, "beta2": 0.0})
     assert equilibria.hiv_lambda_roots(no_trans) == []
+    # one root with R > 1, however large its force of infection
+    for beta1, lam in ((60.0, 59.1753577970), (200.0, 198.675386887),
+                       (1000.0, 995.817193766)):
+        assert equilibria.hiv_lambda_roots(HivParams(**{
+            **BASE, "beta1": beta1})) == pytest.approx([lam], rel=1e-10)
 
 
 def test_hiv_roots_satisfy_independent_back_substitution():
-    for beta1 in (0.85, 1.0):
+    for beta1 in (0.85, 1.0, 200.0):
         params = HivParams(**{**BASE, "beta1": beta1})
         for lam in equilibria.hiv_lambda_roots(params):
             assert abs(scalar_force_residual(params, lam)) < 1e-10
@@ -154,7 +139,7 @@ def test_estimate_Rc_does_not_depend_on_the_configured_beta1():
     folds = {equilibria.estimate_Rc(HivParams(**{**BASE, "beta1": beta1}))
              for beta1 in (0.835, 0.85, 0.855, 0.875)}
     assert len(folds) == 1
-    assert folds.pop() == pytest.approx(0.919910879118, abs=1e-12)
+    assert folds.pop() == pytest.approx(0.919910877514, abs=1e-12)
 
 
 def backward_sample(count, seed=19):
@@ -177,25 +162,91 @@ def backward_sample(count, seed=19):
 
 
 def test_fold_is_where_the_root_count_switches():
-    # just below the fold beta1 the scan finds no root, just above it two
+    # just below the fold beta1 the quadratic has no positive root, just
+    # above it two; no lam of a dense grid is a steady state at a smaller
+    # beta1, and the least beta1 on the grid is within 1e-9 of the fold
     import dataclasses
+    grid = np.geomspace(1e-8, 50.0, 100_000)
+    assert equilibria._fold_beta1(HivParams(**BASE)) \
+        == pytest.approx(0.820966079318, abs=1e-12)
     for params in [HivParams(**BASE)] + backward_sample(24):
         fold = equilibria._fold_beta1(params)
         counts = [len(equilibria.hiv_lambda_roots(
             dataclasses.replace(params, beta1=fold * factor)))
             for factor in (1.0 - 1e-9, 1.0 + 1e-9)]
         assert counts == [0, 2], params
-        assert equilibria.estimate_Rc(params) \
-            == equilibria.local_reproduction_number(model.hiv_vaccination(
-                dataclasses.replace(params, beta1=fold)))
+        least = float(np.min(steady_beta1(params, grid)))
+        assert fold * (1.0 - 1e-14) <= least <= fold * (1.0 + 1e-9), params
+        assert equilibria.estimate_Rc(params) == pytest.approx(
+            equilibria.local_reproduction_number(model.hiv_vaccination(
+                dataclasses.replace(params, beta1=fold))), rel=1e-12)
 
 
-def test_lambda_brackets_count_the_roots():
-    # the scan's brackets are the roots hiv_lambda_roots bisects
-    for beta1 in np.linspace(0.5, 1.2, 29):
+def test_closed_form_R_is_the_spectral_radius():
+    import dataclasses
+    for params in [HivParams(**BASE)] + backward_sample(8):
+        for beta1 in (0.0, 0.3, 0.85, 1.0, 45.0, 200.0, 1000.0):
+            at = dataclasses.replace(params, beta1=beta1)
+            assert equilibria.hiv_reproduction_number(at) == pytest.approx(
+                equilibria.local_reproduction_number(
+                    model.hiv_vaccination(at)), rel=1e-12, abs=0.0)
+
+
+def test_hiv_roots_match_the_dense_scan():
+    # the scan is exact wherever its grid separates the roots: away from
+    # the fold and below lam = 50
+    fold = equilibria._fold_beta1(HivParams(**BASE))
+    betas = np.concatenate([np.geomspace(0.3, 45.0, 150),
+                            fold * np.array([1 - 1e-4, 1 - 1e-5, 1 + 1e-5,
+                                             1 + 1e-4])])
+    counts = set()
+    for beta1 in betas[np.abs(betas / fold - 1.0) >= 1e-5]:
         params = HivParams(**{**BASE, "beta1": beta1})
-        _, _, brackets = equilibria._lambda_brackets(params)
-        assert len(brackets) == len(equilibria.hiv_lambda_roots(params))
+        roots, scanned = equilibria.hiv_lambda_roots(params), \
+            scan_lambda_roots(params)
+        assert len(roots) == len(scanned), beta1
+        assert roots == pytest.approx(scanned, rel=1e-9, abs=0.0), beta1
+        counts.add(len(roots))
+    assert counts == {0, 1, 2}
+
+
+def test_a_double_root_is_the_backward_window():
+    # a zero discriminant is one root; an HIV patch with one root below
+    # R = 1 sits on the fold and reports the backward window and its R_c
+    import dataclasses
+    assert equilibria._quadratic_roots(1.0, -2.0, 1.0) == (1.0,)
+    assert equilibria._quadratic_roots(1.0, 2.0, 1.0) == (-1.0,)
+    assert equilibria._quadratic_roots(1.0, 0.0, 1.0) == ()
+    facts = hiv_facts(0.85)
+    at_fold = dataclasses.replace(facts, equilibria=facts.equilibria[:2])
+    rep = equilibria.bifurcation_report(at_fold)
+    assert rep.regime == "backward_window" and rep.R_local < 1.0
+    assert len(rep.endemic_lambdas) == 1
+    assert rep.R_c_estimate == equilibria.estimate_Rc(HivParams(**BASE))
+
+
+def test_no_endemic_root_at_the_dfe_within_rounding_of_R_one():
+    # a few ulps of beta1 around R = 1, where the quadratic's a0 rounds to
+    # either sign: a forward patch has no endemic state there and a
+    # backward one only its upper root, and every report is made
+    import dataclasses
+    for params, upper in ((HivParams(**{**BASE, "p": 0.001}), []),
+                          (HivParams(**BASE), [0.211127545129])):
+        lo, hi = 0.0, 10.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            below = equilibria.local_reproduction_number(
+                model.hiv_vaccination(dataclasses.replace(params, beta1=mid)))
+            lo, hi = (mid, hi) if below < 1.0 else (lo, mid)
+        for k in range(-3, 4):
+            at = dataclasses.replace(params, beta1=lo + k * np.spacing(lo))
+            assert equilibria.hiv_lambda_roots(at) == pytest.approx(
+                upper, rel=1e-9)
+            rep = equilibria.bifurcation_report(
+                equilibria.patch_facts(model.hiv_vaccination(at)))
+            expected = ("below_Rc" if not upper else "backward_window"
+                        if rep.R_local < 1.0 else "above_one")
+            assert rep.regime == expected, (k, rep)
 
 
 def test_bifurcation_report_regimes():
