@@ -8,17 +8,19 @@ where L moves each compartment class between regions at the connectivity
 rates. Every disconnected product equilibrium is a root at alpha = 0;
 each is followed along an increasing alpha grid by an Euler predictor
 and a damped Newton corrector, recording component signs and linear
-stability along the way. A branch is abandoned (never projected back)
-once a component drops below the sign-noise band: outside the cone the
-state has no epidemiological meaning.
+stability along the way. The disease-free branch needs neither: with no
+infection T is affine in the susceptibles, so its point at each alpha is
+one linear solve (CoupledSystem.disease_free). A branch is abandoned
+(never projected back) once a component drops below the sign-noise
+band: outside the cone the state has no epidemiological meaning.
 
 Continuation and the integrator of sim take a CoupledSystem, compiled
 once per set of patches and network by the caller. continue_branches
 moves all patterns of a system along the grid as the rows of one stack:
 one stacked predictor, one Newton corrector over the rows still on the
-grid and one stacked stability test per grid point. A row leaves the
-stack when it exits the cone, fails or finishes, and takes no decision
-from another row. Rows reach the kernel as X[:, None, :], so each
+grid (the disease-free row takes its solve instead) and one stacked
+stability test per grid point. A row leaves the stack when it exits the
+cone, fails or finishes, and takes no decision from another row. Rows reach the kernel as X[:, None, :], so each
 residual is its own matrix-vector product with the bits of a
 single-state call; a plain (B, r s) stack would go through one
 matrix-matrix product and differ in the last bits. The stacked
@@ -139,7 +141,7 @@ class CoupledSystem:
     infected/removed x susceptible block, the integrator's stages get
     exact zeros there, and the disease-free subspace stays invariant to
     the last bit, as the right-hand side keeps it. Its first r m entries
-    are the susceptible unknowns of the DFE branch.
+    are the susceptibles, the unknowns of disease_free.
     """
 
     def __init__(self, models: Sequence[PatchModel], net: MobilityNetwork):
@@ -196,6 +198,21 @@ class CoupledSystem:
         if alpha != self._alpha:
             self._alpha, self._A = alpha, self.M0 + alpha * self.L
         return self._A
+
+    def disease_free(self, alpha: float) -> np.ndarray:
+        """The disease-free state at alpha, the DFE branch's point there.
+
+        Its infected and removed entries are +0.0, so every incidence
+        product vanishes and T is affine in the susceptibles, the first
+        r m entries of solve_order: they solve the susceptible rows and
+        columns of M0 + alpha L against -c (matalg.solve_linear, which
+        raises SingularMatrixError on a singular system).
+        """
+        sus = self.solve_order[:self.net.r * self.m]
+        X = np.zeros(self.c.size)
+        X[sus] = matalg.solve_linear(self._linear(alpha)[np.ix_(sus, sus)],
+                                     -self.c[sus])
+        return X
 
     def admissible(self, X: np.ndarray) -> np.ndarray:
         """Per state of the batch: every standard-incidence patch has N > 0.
@@ -305,15 +322,14 @@ def _take(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
 # Corrector
 # ====================================================================
 
-def _newton_correct(residual, jacobian, X0, alpha, admissible):
-    """Damped Newton for residual(X) = 0 from every row of X0.
+def _newton_correct(system, alpha, X0):
+    """Damped Newton for system.residual(alpha, X) = 0 from every row of X0.
 
     Returns (X, rnorm, failures): per row the corrected state, its
-    residual sup norm, and None or the message of its failure. residual
-    and jacobian take a stack of rows and return one residual or Jacobian
-    per row; residual sees only rows that admissible accepts. The
-    package's one damped Newton for a few unknowns: the branch corrector
-    and the DFE branch (on the susceptible unknowns) both solve with it.
+    residual sup norm, and None or the message of its failure. The
+    residual sees only rows that system.admissible accepts, each as
+    X[:, None, :], so it is its own matrix-vector product with the bits of
+    a single-state evaluation. It corrects every branch but the DFE's.
 
     Every row follows the single-start rules on its own, and the rows
     share only the array operations: merit is the squared residual sup
@@ -323,11 +339,14 @@ def _newton_correct(residual, jacobian, X0, alpha, admissible):
     inadmissible start, a singular Jacobian, a stall or MAX_NEWTON_ITERS
     iterations; the message names alpha, the point being solved.
     """
+    def residual(X):
+        return system.residual(alpha, X[:, None])[:, 0]
+
     X = np.array(X0, dtype=float)
     failures = [None] * len(X)
     res = np.zeros_like(X)
     rnorm = np.full(len(X), np.inf)
-    active = admissible(X)
+    active = system.admissible(X)
     for i in np.flatnonzero(~active):
         failures[i] = (f"corrector start inadmissible at alpha = {alpha:g}: "
                        f"{INADMISSIBLE}")
@@ -339,7 +358,7 @@ def _newton_correct(residual, jacobian, X0, alpha, admissible):
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        step = matalg.solve_linear(jacobian(X[idx]), -res[idx])
+        step = matalg.solve_linear(system.jacobian(alpha, X[idx]), -res[idx])
         singular = np.isnan(step).any(axis=1)
         for i in idx[singular]:
             failures[i] = f"singular Jacobian at alpha = {alpha:g}"
@@ -353,7 +372,7 @@ def _newton_correct(residual, jacobian, X0, alpha, admissible):
             if not p.size:
                 break
             trial = X[idx[p]] + t[p, None] * step[p]
-            ok = admissible(trial)
+            ok = system.admissible(trial)
             res_t = np.zeros_like(trial)
             norm_t = np.full(p.size, np.inf)
             if ok.any():
@@ -376,17 +395,6 @@ def _newton_correct(residual, jacobian, X0, alpha, admissible):
         failures[i] = (f"Newton exceeded {MAX_NEWTON_ITERS} iterations at "
                        f"alpha = {alpha:g}")
     return X, rnorm, failures
-
-
-def _correct(system, alpha, X):
-    """_newton_correct on the coupled system at alpha, from every row of X.
-
-    Rows reach the kernel as X[:, None, :], so each residual is its own
-    matrix-vector product with the bits of a single-state evaluation.
-    """
-    return _newton_correct(lambda X: system.residual(alpha, X[:, None])[:, 0],
-                           lambda X: system.jacobian(alpha, X), X, alpha,
-                           system.admissible)
 
 
 def _accepted(alpha, X, rnorm, J) -> list:
@@ -424,25 +432,26 @@ def continue_branches(patterns: Sequence[EquilibriumPattern],
     points and says so in its failure. The grid is sorted and its zeros
     dropped; a negative alpha is refused.
 
-    The predictor is the previous point plus an Euler step using the
-    exact branch slope -J^{-1} L(X), with J the Jacobian of that point
-    (the previous point itself if the solve refuses); the corrector is
-    damped Newton. A branch stops at the first grid point with a component
-    below SIGN_EXIT_TOL, and exit_alpha records that grid alpha: the exit
-    is located to the grid's resolution. A branch also stops at corrector
-    failure (partial record with diagnostic). With stop_at_exit False the
-    grid is finished anyway (the branch is a smooth curve regardless of
-    the cone); exit_alpha still marks the first violation. Derivative
+    The disease-free pattern's point at each positive alpha is
+    system.disease_free(alpha), one linear solve. Every other branch takes
+    an Euler predictor step along the exact branch slope -J^{-1} L(X),
+    with J the Jacobian of the previous point (the previous point itself
+    if the solve refuses), and the damped Newton corrector. A branch stops
+    at the first grid point with a component below SIGN_EXIT_TOL, and
+    exit_alpha records that grid alpha: the exit is located to the grid's
+    resolution. A branch also stops when its corrector or its disease-free
+    solve fails (partial record with diagnostic). With stop_at_exit False
+    the grid is finished anyway (the branch is a smooth curve regardless
+    of the cone); exit_alpha still marks the first violation. Derivative
     cross-checks need this to reach their full difference stencil when a
     pattern vanishes immediately. equilibria holds each patch's
     PatchFacts.equilibria.
 
-    All patterns but the DFE move along the grid together: one stacked
-    predictor, one corrector over the rows still on the grid and one
-    stacked stability test per grid point. Every stacked operation gives
-    each row the bits it would get alone, so a record does not depend on
-    the other patterns of the call. The DFE pattern is continued on its
-    susceptible unknowns (_continue_dfe).
+    All patterns move along the grid together: one stacked predictor, one
+    corrector over the rows still on the grid and one stacked stability
+    test per grid point. Every stacked operation gives each row the bits
+    it would get alone, so a record does not depend on the other patterns
+    of the call.
     """
     targets = sorted(float(a) for a in alpha_targets)
     if targets and targets[0] < 0.0:
@@ -463,8 +472,6 @@ def continue_branches(patterns: Sequence[EquilibriumPattern],
                 pattern, points=[], exit_alpha=None, verdict_observed=None,
                 failure="theorem hypothesis violated: coupled Jacobian "
                 f"singular at alpha = 0 for pattern {pattern.choices}")
-        elif pattern.is_dfe:
-            out[b] = _continue_dfe(pattern, system, X0[b], targets)
         else:
             rows.append(b)
     if rows:
@@ -476,22 +483,19 @@ def continue_branches(patterns: Sequence[EquilibriumPattern],
 
 
 def _continue_rows(patterns, system, X0, J0, targets, stop_at_exit) -> list:
-    """continue_branches for non-DFE patterns from X0, J0 = J(0, X0)."""
+    """continue_branches for patterns from X0, J0 = J(0, X0)."""
     r0 = np.max(np.abs(system.residual(0.0, X0[:, None])[:, 0]), axis=1)
     points = [[point] for point in _accepted(0.0, X0, r0, J0)]
     exit_alpha = [None] * len(patterns)
     failure = [None] * len(patterns)
+    dfe = np.array([pattern.is_dfe for pattern in patterns])
     live = np.arange(len(patterns))       # the rows still on the grid
     prev_alpha, prev_X, prev_J = 0.0, X0, J0
     for alpha in targets:
         if not live.size:
             break
-        slope = matalg.solve_linear(
-            prev_J, -(system.L @ prev_X[:, :, None])[:, :, 0])
-        predictor = prev_X + (alpha - prev_alpha) * slope
-        refused = np.isnan(slope).any(axis=1)
-        predictor[refused] = prev_X[refused]
-        X, rnorm, failures = _correct(system, alpha, predictor)
+        X, rnorm, failures = _next_points(system, alpha, alpha - prev_alpha,
+                                          prev_X, prev_J, dfe[live])
         for b, f in zip(live, failures):
             failure[b] = f
         ok = np.array([f is None for f in failures])
@@ -516,47 +520,53 @@ def _continue_rows(patterns, system, X0, J0, targets, stop_at_exit) -> list:
                                               failure)]
 
 
+def _next_points(system, alpha, step, X, J, dfe):
+    """(X, rnorm, failures) at alpha from the points X at alpha - step.
+
+    J holds their Jacobians and dfe marks the disease-free row, which
+    becomes _disease_free(system, alpha). Every other row is corrected by
+    _newton_correct from the Euler predictor X + step * slope, slope =
+    -J^{-1} L X (X itself where the solve refuses). A failed row keeps
+    its X, and its rnorm is unset.
+    """
+    X_new, rnorm, failures = X.copy(), np.empty(len(X)), [None] * len(X)
+    moved = np.flatnonzero(~dfe)
+    slope = matalg.solve_linear(J[moved],
+                                -(system.L @ X[moved, :, None])[:, :, 0])
+    predictor = X[moved] + step * slope
+    refused = np.isnan(slope).any(axis=1)
+    predictor[refused] = X[moved[refused]]
+    X_new[moved], rnorm[moved], corrected = _newton_correct(system, alpha,
+                                                            predictor)
+    for j, f in zip(moved, corrected):
+        failures[j] = f
+    for j in np.flatnonzero(dfe):
+        x, failures[j] = _disease_free(system, alpha)
+        if x is not None:
+            X_new[j] = x
+            rnorm[j] = np.max(np.abs(system.residual(alpha, x[None, None])))
+    return X_new, rnorm, failures
+
+
+def _disease_free(system, alpha):
+    """(X, None) with X = system.disease_free(alpha), or (None, failure)
+    when that system is singular or X is not finite or not admissible."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = system.disease_free(alpha)
+    except matalg.SingularMatrixError:
+        return None, f"singular disease-free system at alpha = {alpha:g}"
+    if not np.isfinite(X).all():
+        return None, f"disease-free state not finite at alpha = {alpha:g}"
+    if not system.admissible(X):
+        return None, (f"disease-free state inadmissible at alpha = "
+                      f"{alpha:g}: {INADMISSIBLE}")
+    return X, None
+
+
 def continue_branch(pattern: EquilibriumPattern, system: CoupledSystem,
                     alpha_targets: Sequence[float], equilibria,
                     stop_at_exit: bool = True) -> BranchRecord:
     """continue_branches for one pattern."""
     return continue_branches([pattern], system, alpha_targets, equilibria,
                              stop_at_exit)[0]
-
-
-def _continue_dfe(pattern, system, X0, targets) -> BranchRecord:
-    """DFE branch via the susceptible unknowns of the coupled system.
-
-    With the infected and removed classes pinned at zero their equations
-    hold exactly, so Newton solves only the susceptible rows and columns
-    of the coupled residual and Jacobian (an affine system) at the state
-    that embeds the susceptibles with exact zeros elsewhere. This keeps
-    the continued DFE free of spurious infected-block drift. The
-    susceptible unknowns are the first r m entries of system.solve_order.
-    """
-    sus = system.solve_order[:system.net.r * system.m]
-
-    def embed(Y):
-        X = np.zeros(Y.shape[:-1] + (X0.size,))
-        X[..., sus] = Y
-        return X
-
-    Y = X0[sus]
-    points = []
-    failure = None
-    for alpha in [0.0] + targets:
-        Ys, _, failures = _newton_correct(
-            lambda Y: system.residual(alpha, embed(Y)[:, None])[:, 0, sus],
-            lambda Y: system.jacobian(alpha, embed(Y))[:, sus[:, None], sus],
-            Y[None], alpha, lambda Y: system.admissible(embed(Y)))
-        if failures[0] is not None:
-            failure = failures[0]
-            break
-        Y = Ys[0]
-        X = embed(Y)[None]
-        rnorm = np.max(np.abs(system.residual(alpha, X[:, None])[:, 0]),
-                       axis=1)
-        points.extend(_accepted(alpha, X, rnorm, system.jacobian(alpha, X)))
-    return BranchRecord(pattern=pattern, points=points, exit_alpha=None,
-                        verdict_observed=None if failure else "persists",
-                        failure=failure)

@@ -112,31 +112,16 @@ class PatchFacts:
 # Reproduction number and DFE
 # ====================================================================
 
-def _susceptible_equilibrium(model: PatchModel) -> np.ndarray:
-    """The disease-free susceptible level, the root of g_const + g_lin y."""
-    try:
-        y0 = matalg.solve_linear(-model.g_lin, model.g_const)
-    except matalg.SingularMatrixError as exc:
-        raise DegenerateModelError(
-            "disease-free susceptible level is not unique") from exc
-    if not np.all(np.isfinite(y0)):
-        raise DegenerateModelError(
-            f"disease-free susceptible level not finite: {y0} "
-            "(the solve overflowed)")
-    if np.any(y0 <= 0):
-        raise DegenerateModelError(
-            f"disease-free susceptible level not positive: {y0}")
-    return y0
-
-
 def _threshold(model: PatchModel) -> tuple:
     """(system, dfe, V - F, R): the facts of patch_facts before any search.
 
     system is the patch's one-region CoupledSystem (no travel), dfe its
-    disease-free state. V - F is minus the x-x block of system's Jacobian
-    at dfe: with x = 0 the incidence contributes F and nothing through N.
-    R is the spectral radius of F V^{-1}, with F = V - (V - F). Raises
-    DegenerateModelError when the DFE or V - F is not finite, so numpy's
+    disease-free state, system.disease_free(0.0): the susceptible level
+    solves g_const + g_lin y = 0. V - F is minus the x-x block of system's
+    Jacobian at dfe: with x = 0 the incidence contributes F and nothing
+    through N. R is the spectral radius of F V^{-1}, with F = V - (V - F).
+    Raises DegenerateModelError when the susceptible level is not unique,
+    not finite or not positive, or V - F is not finite, so numpy's
     overflow and invalid warnings on the way are silenced.
     """
     from .continuation import CoupledSystem
@@ -145,8 +130,18 @@ def _threshold(model: PatchModel) -> tuple:
     system = CoupledSystem([model], from_edges([], 1, model.n, model.m,
                                                model.k))
     with np.errstate(over="ignore", invalid="ignore"):
-        dfe = PatchState(np.zeros(model.n), _susceptible_equilibrium(model),
-                         np.zeros(model.k))
+        try:
+            dfe = split_state(model, system.disease_free(0.0))
+        except matalg.SingularMatrixError as exc:
+            raise DegenerateModelError(
+                "disease-free susceptible level is not unique") from exc
+        if not np.all(np.isfinite(dfe.y)):
+            raise DegenerateModelError(
+                f"disease-free susceptible level not finite: {dfe.y} "
+                "(the solve overflowed)")
+        if np.any(dfe.y <= 0):
+            raise DegenerateModelError(
+                f"disease-free susceptible level not positive: {dfe.y}")
         v_minus_f = -system.jacobian(0.0, dfe.concat())[:model.n, :model.n]
     if not np.all(np.isfinite(v_minus_f)):
         raise DegenerateModelError(
@@ -448,15 +443,16 @@ def _newton_seeds(system, U0: np.ndarray) -> tuple:
     rows only share the array operations, never a decision.
 
     This loop stays apart from continuation._newton_correct, the row-batched
-    corrector of the branches, because the two take different steps. Its
-    merit is the squared 2-norm, it drops rows whose residual is not
-    finite or above 1e12, and converged rows get polish steps; the branch
-    corrector's merit is the squared sup norm, with no polish. Run through
-    this loop, the branch corrector takes another path on the hiv_mixed
-    fixture and loses branch (2, 1, 1) at alpha = 0.1. This loop also keeps
-    the seeds as one (B, size) stack for the kernel's matrix-matrix
-    products, which are cheaper over thousands of seeds than the per-row
-    matrix-vector products the branch corrector needs for exact bits.
+    corrector of every branch but the linear disease-free one, because the
+    two take different steps. Its merit is the squared 2-norm, it drops
+    rows whose residual is not finite or above 1e12, and converged rows
+    get polish steps; the branch corrector's merit is the squared sup
+    norm, with no polish. Run through this loop, the branch corrector
+    takes another path on the hiv_mixed fixture and loses branch
+    (2, 1, 1) at alpha = 0.1. This loop also keeps the seeds as one
+    (B, size) stack for the kernel's matrix-matrix products, which are
+    cheaper over thousands of seeds than the per-row matrix-vector
+    products the branch corrector needs for exact bits.
     """
     U = np.array(U0, dtype=float)
     R = _residuals(system, U)
@@ -516,21 +512,13 @@ def _residuals(system, U: np.ndarray) -> np.ndarray:
 def _newton_steps(system, U: np.ndarray, R: np.ndarray) -> tuple:
     """(dU, solved): the Newton step J(u) du = -r of every row.
 
-    A singular Jacobian fails its own row only (solved False).
+    A row is solved when its step is finite: a singular Jacobian gives a
+    NaN step and fails its own row only.
     """
     J = system.jacobian(0.0, U)
-    try:
-        return (np.linalg.solve(J, -R[:, :, None])[:, :, 0],
-                np.ones(len(U), dtype=bool))
-    except np.linalg.LinAlgError:
-        dU = np.zeros_like(U)
-        solved = np.ones(len(U), dtype=bool)
-        for i in range(len(U)):
-            try:
-                dU[i] = np.linalg.solve(J[i], -R[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        return dU, solved
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        dU = matalg._solve(J, -R)
+    return dU, np.isfinite(dU).all(axis=1)
 
 
 # ====================================================================

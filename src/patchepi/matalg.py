@@ -8,6 +8,7 @@ dense decompositions; robustness beats speed at these sizes.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Absolute threshold below which a matrix entry counts as structurally zero.
 # Entries are model parameters, not noisy data, so this is generous.
@@ -73,25 +74,28 @@ def is_nonsingular_M(A: np.ndarray) -> bool:
             and float(np.min(np.linalg.eigvals(A).real)) > ZERO_TOL)
 
 
+def _inverse(A: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(A) of a float64 A[..., n, n], bit for bit, without its
+    wrapper: a singular matrix gives a NaN block and the invalid-value
+    flag, not LinAlgError, so it fails only itself."""
+    return _umath_linalg.inv(A)
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, b[..., None])[..., 0] of float64 A[..., n, n] and
+    b[..., n], bit for bit, with _inverse's NaN row for a singular A."""
+    return _umath_linalg.solve(A, b[..., None])[..., 0]
+
+
 def _inverse_condition(A: np.ndarray):
     """(inv, cond): the inverse of each matrix of A and its 1-norm condition.
 
     cond is ||A||_1 ||A^{-1}||_1, exact rather than estimated, and inf when
-    a matrix cannot be inverted; its inverse is then None for a single
-    matrix, a NaN block in a stack. Each matrix of a stack gets the bits
-    it would get alone.
+    a matrix cannot be inverted; its inverse is then NaN. Each matrix of a
+    stack gets the bits it would get alone.
     """
-    try:
-        inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError:
-        if A.ndim == 2:
-            return None, np.inf
-        inv = np.full_like(A, np.nan)
-        for i in np.ndindex(A.shape[:-2]):
-            try:
-                inv[i] = np.linalg.inv(A[i])
-            except np.linalg.LinAlgError:
-                pass
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        inv = _inverse(A)
     cond = (np.linalg.norm(A, 1, axis=(-2, -1))
             * np.linalg.norm(inv, 1, axis=(-2, -1)))
     cond = np.where(np.isfinite(cond), cond, np.inf)

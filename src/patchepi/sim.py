@@ -17,8 +17,8 @@ the Jacobian from one set of incidence products, the Jacobian built
 directly in the system's susceptible-first solve_order, with no gather.
 Both carry the bits of CoupledSystem.residual and jacobian. numpy's
 cost per call dominates on such small states, so the step inverts
-through LAPACK directly and forms its 1-D products with np.dot, keeping
-the bits of the plain step in tests/reference.py.
+through LAPACK directly (matalg._inverse) and forms its 1-D products
+with np.dot, keeping the bits of the plain step in tests/reference.py.
 
 Step control has one model-specific twist: an accepted step may not take
 any component below -1e-9. Undershoots trigger step rejection rather
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
+from . import matalg
 from .model import InadmissibleStateError
 
 DEFAULT_T_END = 5e3           # trajectories settle well before (1/mu = 20)
@@ -116,12 +116,6 @@ def _initial_step(f0: np.ndarray, X0: np.ndarray, t_end: float,
     return min(h, t_end * 0.1)
 
 
-def _inverse(M: np.ndarray) -> np.ndarray:
-    """np.linalg.inv(M) of a float64 M, bit for bit, without its wrapper:
-    a singular M gives NaNs and the invalid-value flag, not LinAlgError."""
-    return _umath_linalg.inv(M)
-
-
 def _rodas_step(rhs, point, order: np.ndarray, X: np.ndarray,
                 f0: np.ndarray, J: np.ndarray, h: float, rtol: float,
                 atol: float, U: np.ndarray):
@@ -138,7 +132,7 @@ def _rodas_step(rhs, point, order: np.ndarray, X: np.ndarray,
     """
     M = -J
     M.ravel()[::X.size + 1] += 1.0 / (h * _RODAS_GAMMA)
-    W = _inverse(M)
+    W = matalg._inverse(M)
     U[0][order] = np.dot(W, f0[order])
     try:
         for i, (a, c) in enumerate(_STAGE_ROWS, 1):

@@ -9,7 +9,9 @@ against an evaluation that shares no code with it. full_grid_roots is the
 seed grid the generic equilibrium search used to run, kept as its oracle;
 scan_lambda_roots is the HIV force-of-infection scan with bisection that
 the closed-form quadratic replaced, kept as its oracle, and steady_beta1
-checks the closed-form fold.
+checks the closed-form fold. patch_susceptible_level is the direct solve
+of a patch's disease-free susceptibles that the one-region
+CoupledSystem.disease_free replaced.
 m_matrix_characterizations gives the two textbook tests the package's
 M-matrix predicate is checked against. The branch cross-checks at the end
 read continued branches against the analytic derivatives of persist and
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from patchepi import equilibria, sim
+from patchepi import equilibria, matalg, sim
 from patchepi.continuation import (BranchRecord, CoupledSystem,
                                    _check_families, continue_branches,
                                    travel_matrix)
@@ -196,6 +198,11 @@ def steady_beta1(params: HivParams, lam):
     r0 = scalar_force_residual(replace(params, beta1=0.0), lam)
     r1 = scalar_force_residual(replace(params, beta1=1.0), lam)
     return r0 / (r0 - r1)
+
+
+def patch_susceptible_level(model: PatchModel) -> np.ndarray:
+    """The disease-free susceptible level, the root of g_const + g_lin y."""
+    return matalg.solve_linear(-model.g_lin, model.g_const)
 
 
 def m_matrix_characterizations(A: np.ndarray) -> tuple:

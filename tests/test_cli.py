@@ -328,9 +328,17 @@ def test_one_system_per_patch(coupled_systems_built, monkeypatch):
             return real(model)
         return wrapper
 
+    # a patch's DFE is its one-region system's disease_free(0.0); the
+    # coupled system's solves along the DFE branch are not counted
+    disease_free = continuation.CoupledSystem.disease_free
+
+    def one_region_disease_free(system, alpha):
+        counts["dfe"] += system.net.r == 1
+        return disease_free(system, alpha)
+
+    monkeypatch.setattr(continuation.CoupledSystem, "disease_free",
+                        one_region_disease_free)
     # V - F is read off the patch system in one place, _threshold
-    monkeypatch.setattr(equilibria, "_susceptible_equilibrium",
-                        counting("dfe", equilibria._susceptible_equilibrium))
     monkeypatch.setattr(equilibria, "_threshold",
                         counting("v_minus_f", equilibria._threshold))
 
@@ -718,7 +726,7 @@ FIXTURE_DIGESTS = {
     ("hiv_backward.json", "census --exhaustive-networks"):
         "ddddc293d7e341261817573636ee27225cfc3662e4d5e6604713c20abf4427f4",
     ("hiv_backward.json", "continue"):
-        "684fca68689a2290b46a20de2e149f9fa1582c059cfd729e45f7082eaf0c904c",
+        "fad764b52a9c4f654da176d6ddbd0791c3f3643b85df87baa1d5086e873a18d3",
     ("hiv_backward.json", "simulate"):
         "cca92f7b32b4661a187db06c2186f4222cc25776f03af8609f9bce40464ebce0",
     ("hiv_mixed.json", "analyze"):
@@ -728,7 +736,7 @@ FIXTURE_DIGESTS = {
     ("hiv_mixed.json", "census --exhaustive-networks"):
         "5be829c76c41e4f3f490314b0fb07e904cd5cc47d914e10ac25a4bbe84c10789",
     ("hiv_mixed.json", "continue"):
-        "5d8d9e4a98c9e2aabaa9586b1f824f2d95896ca0283a0b236086d963686075ce",
+        "1c0acd759a8cd9f334abe84758fcfae9c55c2b7a6c755a4318bddecca42976bc",
     ("hiv_mixed.json", "simulate"):
         "7e535152b9db430173ceb95d79e02a3a53ce7724f10f935047c066ad9635e780",
     ("hiv_above_one.json", "analyze"):
@@ -738,7 +746,7 @@ FIXTURE_DIGESTS = {
     ("hiv_above_one.json", "census --exhaustive-networks"):
         "4434fa4ffa47f66432c1cb75b95ffec51b144fcea2ca63779dd9c0329d68d23b",
     ("hiv_above_one.json", "continue"):
-        "74d3d1d9172164dc3b1eb51cd74107e20dbb1e6be102dd7b34567ad24f8b75a7",
+        "039048d7f9d12939c1e89993ba2c762fb76be0fa512cd303fd0d41a749ac340f",
     ("hiv_above_one.json", "simulate"):
         "ca4809da265eaacf44d87e4ed87df71834c027cab20d93a1e934f2a127f46973",
     ("hiv_below_rc.json", "analyze"):
@@ -748,7 +756,7 @@ FIXTURE_DIGESTS = {
     ("hiv_below_rc.json", "census --exhaustive-networks"):
         "dca479858d00a13327892a4522d7d31ef0b5a23715bf0b05006630971e246926",
     ("hiv_below_rc.json", "continue"):
-        "538e9c49175e761e5bb2e8259f400692a7ba6d22d5407caeee6bdf117f7fa6b9",
+        "de8daaf51df7a878f68b192cd2964c87b7408c4e856c58d2380ce95ad26abd8c",
     ("hiv_below_rc.json", "simulate"):
         "ca4809da265eaacf44d87e4ed87df71834c027cab20d93a1e934f2a127f46973",
     ("zero_transmission.json", "analyze"):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import (BACKWARD_TRIPLE, MIXED_TRIPLE, hiv_net, hiv_system,
                       kernel_cases, marginal_beta1)
-from patchepi import (cli, continuation, equilibria, matalg, network,
+from patchepi import (cli, continuation, equilibria, matalg, model, network,
                       persist)
 from patchepi.equilibria import EquilibriumPattern
 from reference import (branch_derivative_check, count_stable,
@@ -148,6 +148,29 @@ def test_package_compiles_coupled_systems_in_three_places():
                     callers.add(f"{path.stem}.{func.name}")
     assert callers == {"equilibria._threshold", "cli.cmd_continue",
                        "cli.cmd_simulate"}
+
+
+def test_only_matalg_imports_numpy_private_linalg():
+    # matalg's inverse and solve turn a singular matrix into a NaN block;
+    # every other module goes through them
+    import ast
+    import pathlib
+
+    import patchepi
+    importers = set()
+    for path in pathlib.Path(patchepi.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if any("_umath_linalg" in name for name in names):
+                importers.add(path.stem)
+    assert importers == {"matalg"}
 
 
 def test_package_imports_only_names_it_uses():
@@ -391,15 +414,92 @@ def test_derivative_cross_checks(mixed):
 def test_dfe_branch_stays_disease_free(backward):
     models, eqs, R, net = backward
     system = continuation.CoupledSystem(models, net)
-    rec = continuation.continue_branch(EquilibriumPattern((0, 0, 0)), system,
-                                       [1e-5, 1e-3, 1e-1], equilibria=eqs)
+    dfe = EquilibriumPattern((0, 0, 0))
+    rec = continuation.continue_branch(dfe, system, [1e-5, 1e-3, 1e-1],
+                                       equilibria=eqs)
     assert rec.verdict_observed == "persists" and rec.failure is None
+    assert [p.alpha for p in rec.points] == [0.0, 1e-5, 1e-3, 1e-1]
+    X0 = continuation.product_state(dfe, eqs)
     for pt in rec.points:
+        # one linear solve per alpha; at alpha = 0 the patches' own DFEs
+        want = system.disease_free(pt.alpha) if pt.alpha else X0
+        assert np.array_equal(pt.X, want)
         for i in range(3):
             blk = pt.X[i * 7:(i + 1) * 7]
-            assert np.max(np.abs(blk[:4])) <= 1e-12   # infected
-            assert abs(blk[6]) <= 1e-12               # AIDS
+            infected_removed = np.append(blk[:4], blk[6])
+            assert np.all(infected_removed == 0.0)   # exactly +0.0
+            assert not np.signbit(infected_removed).any()
             assert np.min(blk[4:6]) > 0.0             # susceptibles
+
+
+def custom_patch(g_const, g_lin, beta=0.1, incidence="mass_action"):
+    """A patch with one infected and one removed class."""
+    m = len(g_const)
+    return model.PatchModel(
+        "custom", 1, m, 1, V=[[1.0]], D=[[1.0]], Z=[[1.0]],
+        eta=[[[1.0]]] * m, beta=[[beta]] * m, incidence=incidence,
+        g_const=g_const, g_lin=g_lin)
+
+
+def dfe_branch(models, alphas, stop_at_exit=True, eqs=None):
+    m = models[0].m
+    net = network.from_edges([(0, 1), (1, 0)], r=2, n=1, m=m, k=1)
+    eqs = eqs or [equilibria.patch_equilibria(mod) for mod in models]
+    return continuation.continue_branch(
+        EquilibriumPattern((0, 0)), continuation.CoupledSystem(models, net),
+        alphas, equilibria=eqs, stop_at_exit=stop_at_exit)
+
+
+def test_dfe_branch_that_leaves_the_cone_vanishes():
+    # the DFE takes the exit rule of every branch: travel brings patch 2's
+    # larger second susceptible class into patch 1, where it drains the
+    # first class below zero by alpha = 10
+    models = [custom_patch([4.5, 1.0], [[-1.0, -2.0], [0.0, -1.0]]),
+              custom_patch([1.0, 5.0], -np.eye(2))]
+    rec = dfe_branch(models, [0.1, 1.0, 10.0, 100.0])
+    assert rec.failure is None
+    assert rec.verdict_observed == "vanishes" and rec.exit_alpha == 10.0
+    assert [p.alpha for p in rec.points] == [0.0, 0.1, 1.0, 10.0]
+    assert rec.points[-1].min_component == pytest.approx(-0.2098, abs=1e-4)
+    full = dfe_branch(models, [0.1, 1.0, 10.0, 100.0], stop_at_exit=False)
+    assert full.exit_alpha == 10.0 and full.verdict_observed == "vanishes"
+    assert [p.alpha for p in full.points] == [0.0, 0.1, 1.0, 10.0, 100.0]
+
+
+def test_singular_disease_free_system_is_a_branch_failure():
+    # patch 1's susceptibles grow (g_lin = 1) and patch 2's decay (-2): at
+    # alpha = 2 the coupled susceptible matrix is [[-1, 2], [2, -4]]
+    models = [custom_patch([-1.0], [[1.0]]), custom_patch([2.0], [[-2.0]])]
+    rec = dfe_branch(models, [1.0, 2.0, 3.0])
+    assert rec.failure == "singular disease-free system at alpha = 2"
+    assert rec.verdict_observed is None and rec.exit_alpha is None
+    assert [p.alpha for p in rec.points] == [0.0, 1.0]
+
+
+def test_inadmissible_disease_free_state_is_a_branch_failure():
+    # the exit test's drain, stronger and under standard incidence: at
+    # alpha = 100 patch 1's susceptibles sum to N < 0
+    models = [custom_patch([4.5, 1.0], [[-1.0, -4.0], [0.0, -1.0]],
+                           incidence="standard"),
+              custom_patch([1.0, 5.0], -np.eye(2), incidence="standard")]
+    rec = dfe_branch(models, [100.0])
+    assert rec.failure == ("disease-free state inadmissible at alpha = 100: "
+                           f"{continuation.INADMISSIBLE}")
+    assert rec.verdict_observed is None
+    assert [p.alpha for p in rec.points] == [0.0]
+
+
+def test_non_finite_disease_free_state_is_a_branch_failure():
+    # each patch's susceptible level is 1e308; the coupled solve at alpha = 1
+    # overflows on the way (its patches are given only their DFE, as the
+    # endemic search would overflow first)
+    mod = custom_patch([1e308], [[-1.0]], beta=0.0)
+    dfe = equilibria.PatchEquilibrium(equilibria._threshold(mod)[1],
+                                      "disease_free", 0, "stable", True)
+    rec = dfe_branch([mod, mod], [1.0, 2.0], eqs=[[dfe], [dfe]])
+    assert rec.failure == "disease-free state not finite at alpha = 1"
+    assert rec.verdict_observed is None
+    assert [p.alpha for p in rec.points] == [0.0]
 
 
 def test_mixed_fixture_branch_persists_on_shipped_grid():

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (BASE, GENERIC_CATALOG, hiv_eqs, hiv_facts, hiv_patch,
                       hiv_R)
-from patchepi import equilibria, model
+from patchepi import cli, equilibria, model
 from patchepi.model import HivParams, PatchState
-from reference import (full_grid_roots, patch_residual, scalar_force_residual,
+from reference import (full_grid_roots, patch_residual,
+                       patch_susceptible_level, scalar_force_residual,
                        scan_lambda_roots, steady_beta1)
 
 
@@ -101,6 +102,33 @@ def test_dfe_values_and_stability():
     assert np.all(dfe.state.x == 0) and np.all(dfe.state.z == 0)
     assert dfe.stability == "stable"
     assert hiv_eqs(1.0)[0].stability == "unstable"
+
+
+def test_patch_dfe_is_the_direct_susceptible_solve():
+    # the one-region system's disease_free(0.0) against the direct solve of
+    # g_const + g_lin y = 0, bit for bit, on every fixture and catalog
+    # patch and a seeded sample of multigroup and HIV patches
+    rng = np.random.default_rng(28)
+    models = [mod for name in ("hiv_above_one", "hiv_backward",
+                               "hiv_below_rc", "hiv_mixed",
+                               "zero_transmission")
+              for mod in cli.build_models(cli.load_config(
+                  cli.fixture_path(name + ".json")))]
+    models += [getattr(model, f)(**p) for f, p, _, _ in GENERIC_CATALOG]
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        models.append(model.multigroup(
+            rng.uniform(0.0, 0.1, (n, n)), rng.uniform(0.1, 10.0, n),
+            rng.uniform(0.01, 0.2, n), rng.uniform(0.01, 0.2, n)))
+        models.append(model.hiv_vaccination(HivParams(**dict(
+            BASE, Lam=rng.uniform(0.1, 10.0), mu=rng.uniform(0.01, 0.2),
+            gam=rng.uniform(0.01, 0.2), p=rng.uniform(0.1, 1.0),
+            q=rng.uniform(0.1, 0.9)))))
+    for mod in models:
+        dfe = equilibria._threshold(mod)[1]
+        assert np.array_equal(dfe.y, patch_susceptible_level(mod))
+        zeros = np.append(dfe.x, dfe.z)
+        assert np.all(zeros == 0.0) and not np.signbit(zeros).any()
 
 
 def test_degenerate_susceptible_levels():

@@ -120,6 +120,24 @@ def test_stacked_solves_match_single_solves_row_by_row():
         matalg.solve_linear(np.zeros((2, 3, 4)), np.zeros((2, 3)))
 
 
+def test_inverse_and_solve_give_a_singular_matrix_nan_alone():
+    # numpy's inverse and solve bit for bit, without LinAlgError: a singular
+    # matrix of the stack comes back as NaN and fails only itself
+    rng = np.random.default_rng(28)
+    A = rng.normal(size=(4, 5, 5)) * 10.0 ** rng.uniform(-6.0, 6.0, (4, 1, 1))
+    A[2] = np.outer(np.arange(1.0, 6.0), np.ones(5))
+    b = rng.normal(size=(4, 5))
+    with np.errstate(invalid="ignore"):
+        inv, x = matalg._inverse(A), matalg._solve(A, b)
+    assert np.isnan(inv[2]).all() and np.isnan(x[2]).all()
+    for i in (0, 1, 3):
+        assert np.array_equal(inv[i], np.linalg.inv(A[i]))
+        assert np.array_equal(x[i], np.linalg.solve(A[i], b[i]))
+    good = A[[0, 1, 3]]
+    assert np.array_equal(matalg._solve(good, b[[0, 1, 3]]),
+                          np.linalg.solve(good, b[[0, 1, 3], :, None])[..., 0])
+
+
 def test_condition_estimate_orders_of_magnitude():
     assert matalg.condition_estimate(np.eye(3)) == pytest.approx(1.0)
     A = np.diag([1.0, 1e-6])
