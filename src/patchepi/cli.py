@@ -10,8 +10,9 @@ Four subcommands tie the library together:
 Configs are JSON with a versioned schema; region indices in configs and
 reports are 1-based. All floats in reports are capped at 12 significant
 digits so repeated runs are byte-identical. Exit codes: 0 success, 2
-config error, 3 numerical failure (partial artifacts are still written),
-141 when stdout closes before the report is written.
+config error or an output file that cannot be written, 3 numerical
+failure (partial artifacts are still written), 141 when stdout closes
+before the report is written.
 """
 from __future__ import annotations
 
@@ -657,6 +658,19 @@ def _write_artifacts(outdir: str, report: dict, artifacts: dict,
         _write_atomic(os.path.join(outdir, name), "\n".join(lines) + "\n")
 
 
+def _wrote_artifacts(outdir: str, report: dict, artifacts: dict,
+                     report_name: str) -> bool:
+    """_write_artifacts; an OSError is one line on stderr naming the path."""
+    try:
+        _write_artifacts(outdir, report, artifacts, report_name)
+    except OSError as exc:
+        path = exc.filename if exc.filename is not None else outdir
+        print(f"output error: cannot write {path}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     net = dict(config.network)
     alpha_grid = config.alpha_grid
@@ -735,11 +749,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out:
             partial = {"schema_version": SCHEMA_VERSION,
                        "command": args.command, "error": str(exc)}
-            _write_artifacts(args.out, partial, artifacts, report_name)
+            if not _wrote_artifacts(args.out, partial, artifacts,
+                                    report_name):
+                return EXIT_CONFIG
         return EXIT_NUMERICAL
 
     if args.out:
-        _write_artifacts(args.out, report, artifacts, report_name)
+        if not _wrote_artifacts(args.out, report, artifacts, report_name):
+            return EXIT_CONFIG
         return code
     try:
         print(json.dumps(report, indent=2), flush=True)

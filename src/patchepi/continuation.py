@@ -241,17 +241,17 @@ class CoupledSystem:
         xs = xs * inv_N
         return ys * xs, ys, xs, inv_N
 
-    def _fill_dP(self, buf, products, at):
-        """Write the nonzero entries of dP/dX into buf at positions at.
+    def _fill_dP(self, buf, products):
+        """Write the nonzero entries of dP/dX into buf.
 
         The sums are those of writing -P/N over each standard patch's x
         and y columns of a zero buffer and adding y/N at x_q and x/N at
         y_p: a mass-action patch of a mixed system gets 0.0 + y and
         0.0 + x there (N = 1), and with no N at all x_q gets y and y_p
-        0.0 + x. Every position at names is written, so buf may be reused.
+        0.0 + x.
         """
         P, ys, xeff, inv_N = products
-        at_N, at_x, at_y = at
+        at_N, at_x, at_y = self._dP_at
         if inv_N is None:
             buf[..., at_x] = ys
             buf[..., at_y] = 0.0 + xeff
@@ -279,7 +279,7 @@ class CoupledSystem:
         batch = X.shape[:-1]
         products = self._products(X)
         dP = np.zeros(batch + self.Q.shape[::-1])
-        self._fill_dP(dP.reshape(batch + (-1,)), products, self._dP_at)
+        self._fill_dP(dP.reshape(batch + (-1,)), products)
         return self._linear(alpha) + self.Q @ dP
 
     def single_state(self, alpha: float):
@@ -288,27 +288,69 @@ class CoupledSystem:
         rhs(X) is residual(alpha, X), and point(X) gives (rhs(X), J) with
         J = jacobian(alpha, X)[np.ix_(order, order)], order = solve_order:
         point writes dP/dX with its columns already in that order, into
-        one buffer it reuses, and J = A_o + Q[order] @ dP_o, where A_o is
+        one buffer it reuses, and J = A_o + Q[order] dP_o, where A_o is
         M0 + alpha L in that order. M0 + alpha L and its ordered copy are
-        formed once here. Both evaluate the right-hand side through the
-        same _residual as residual (np.dot on one state), so every value
-        has the bits of residual and jacobian.
+        formed once here, and so is the choice between mass action alone
+        (no N) and a system with a standard patch. numpy's cost per call
+        dominates on one small state, so the closures do the work of
+        _products, _fill_dP and _residual inline, in the same operations
+        and order, and multiply through ndarray.dot, which skips np.dot's
+        dispatch: every value has the bits of residual and jacobian.
         """
         order = self.solve_order
-        A = self._linear(alpha)
-        A_o, Q_o = A[np.ix_(order, order)], self.Q[order]
+        A, c, Q = self._linear(alpha), self.c, self.Q
+        A_o, Q_o = A[np.ix_(order, order)], Q[order]
         at = np.empty_like(order)
         at[order] = np.arange(order.size)
-        dP_at = self._dP_positions(at)
+        at_N, at_x, at_y = self._dP_positions(at)
         dP = np.zeros(Q_o.shape[::-1])
+        buf = dP.reshape(-1)
+        yi, xi = self._yi, self._xi
+
+        if not self._std.size:
+            def rhs(X):
+                return A.dot(X) + c + Q.dot(X[yi] * X[xi])
+
+            def point(X):
+                ys, xs = X[yi], X[xi]
+                buf[at_x] = ys
+                buf[at_y] = 0.0 + xs
+                return A.dot(X) + c + Q.dot(ys * xs), A_o + Q_o.dot(dP)
+
+            return rhs, point
+
+        N_of, std, region, N_rows = (self._N_of, self._std, self._region,
+                                     self._N_rows)
+        mixed, mass = self._mixed, np.flatnonzero(~self._std_product)
+        every = np.ones(self.net.r)     # a mass-action patch divides by N = 1
+        add, minimum = np.add.reduce, np.minimum.reduce
+
+        def scaled(X):
+            """(y, x / N, 1/N) per product."""
+            Ns = add(X[N_of], axis=-1)
+            if not minimum(Ns) > 0.0:
+                raise InadmissibleStateError(INADMISSIBLE)
+            inv_N = 1.0 / Ns
+            if mixed:
+                every[std] = inv_N
+                inv_N = every
+            inv_N = inv_N[region]
+            return X[yi], X[xi] * inv_N, inv_N
 
         def rhs(X):
-            return self._residual(A, X, self._products(X)[0])
+            ys, xs, _ = scaled(X)
+            return A.dot(X) + c + Q.dot(ys * xs)
 
         def point(X):
-            products = self._products(X)
-            self._fill_dP(dP.reshape(-1), products, dP_at)
-            return self._residual(A, X, products[0]), A_o + Q_o @ dP
+            ys, xs, inv_N = scaled(X)
+            P = ys * xs
+            PN = -(P * inv_N)
+            if mixed:
+                PN[mass] = 0.0
+            buf[at_N] = PN[N_rows][:, None]
+            buf[at_x] = PN + ys * inv_N
+            buf[at_y] = PN + xs
+            return A.dot(X) + c + Q.dot(P), A_o + Q_o.dot(dP)
 
         return rhs, point
 

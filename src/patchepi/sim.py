@@ -18,7 +18,8 @@ directly in the system's susceptible-first solve_order, with no gather.
 Both carry the bits of CoupledSystem.residual and jacobian. numpy's
 cost per call dominates on such small states, so the step inverts
 through LAPACK directly (matalg._inverse) and forms its 1-D products
-with np.dot, keeping the bits of the plain step in tests/reference.py.
+with ndarray.dot, which skips np.dot's dispatch, keeping the bits of the
+plain step in tests/reference.py.
 
 Step control has one model-specific twist: an accepted step may not take
 any component below -1e-9. Undershoots trigger step rejection rather
@@ -29,7 +30,8 @@ inadmissible, or when the error estimate, the end state's right-hand
 side or its Jacobian is not finite. A singular I/(h gamma) - J has a NaN
 inverse, and a step may overflow on the way: both are refused as
 non-finite, so the stepping runs with numpy's overflow and invalid
-warnings off. integrate refuses a non-finite start with ValueError.
+warnings off. integrate refuses a non-finite start, and a horizon or
+tolerance that is not finite and positive, with ValueError.
 """
 from __future__ import annotations
 
@@ -133,13 +135,13 @@ def _rodas_step(rhs, point, order: np.ndarray, X: np.ndarray,
     M = -J
     M.ravel()[::X.size + 1] += 1.0 / (h * _RODAS_GAMMA)
     W = matalg._inverse(M)
-    U[0][order] = np.dot(W, f0[order])
+    U[0][order] = W.dot(f0[order])
     try:
         for i, (a, c) in enumerate(_STAGE_ROWS, 1):
             done = U[:i]
-            Xs = X + np.dot(a, done)
-            b = rhs(Xs) + np.dot(c, done) / h
-            U[i][order] = np.dot(W, b[order])
+            Xs = X + a.dot(done)
+            b = rhs(Xs) + c.dot(done) / h
+            U[i][order] = W.dot(b[order])
         X_new = Xs + U[5]     # the last stage argument is X + A[5] U
         e = U[5] / (atol + rtol * np.maximum(np.abs(X), np.abs(X_new)))
         err = math.sqrt(np.add.reduce(e * e) / e.size)
@@ -174,8 +176,9 @@ def integrate(system, alpha: float, X0: np.ndarray,
         raise ValueError("X0 has non-finite components")
     if X.min() < UNDERSHOOT_TOL:
         raise InadmissibleStateError("initial state has negative components")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    for name, value in (("t_end", t_end), ("rtol", rtol), ("atol", atol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive")
 
     order = system.solve_order
     rhs, point = system.single_state(alpha)

@@ -676,6 +676,46 @@ def test_main_numerical_failure_exit_3(tmp_path, capsys):
     assert verdicts == {"persists", "indeterminate"}
 
 
+def test_unwritable_out_directory_exits_2(tmp_path, capsys):
+    # --out under a regular file: one line naming the path, no traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    code = cli.main(["analyze", "--config",
+                     cli.fixture_path("hiv_backward.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert str(out) in err and "Traceback" not in err
+    # so does the partial report of a numerical failure
+    data = fixture_dict("hiv_backward.json")
+    data["patches"][0]["params"]["beta1"] = marginal_beta1()
+    cfgp = tmp_path / "marginal.json"
+    cfgp.write_text(json.dumps(data))
+    code = cli.main(["census", "--config", str(cfgp), "--out", str(out),
+                     "--exhaustive-networks"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(lines) == 2
+    assert lines[0].startswith("numerical failure: ")
+    assert lines[1].startswith("output error: ") and str(out) in lines[1]
+
+
+def test_unwritable_trajectory_file_exits_2(tmp_path, capsys):
+    # a label too long for a file name fails only when its CSV is written
+    data = base_dict()
+    data["alpha_grid"] = [0.0]
+    data["t_end"] = 1.0
+    data["initial_sets"][0]["label"] = "x" * 300
+    cfgp = tmp_path / "long.json"
+    cfgp.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", str(cfgp), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert "x" * 300 in err and "Traceback" not in err
+
+
 # sha256 of the marginal continue run below, recorded with numpy 2.4 and
 # OpenBLAS 0.3.31 on x86-64 Linux
 MARGINAL_CONTINUE_DIGEST = \

@@ -173,6 +173,36 @@ def test_only_matalg_imports_numpy_private_linalg():
     assert importers == {"matalg"}
 
 
+def test_single_trajectory_path_skips_numpy_dispatch():
+    # np.dot, np.matmul and @ each cost a dispatch per call that
+    # ndarray.dot, with the same bits, does not; a trial step makes about
+    # thirty such products on a state of a few dozen entries
+    import ast
+    import inspect
+    import textwrap
+
+    from patchepi import sim
+
+    def parsed(fn):
+        return ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+
+    closures = [node for node in ast.walk(
+        parsed(continuation.CoupledSystem.single_state))
+        if isinstance(node, ast.FunctionDef)][1:]
+    assert {"rhs", "point"} <= {fn.name for fn in closures}
+    offending = []
+    for fn in [parsed(sim._rodas_step)] + closures:
+        for node in ast.walk(fn):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in ("dot", "matmul")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                offending.append((fn.name, node.lineno))
+    assert offending == []
+
+
 def test_package_imports_only_names_it_uses():
     # an import left behind by a deletion is dead surface; __init__'s
     # imports are its re-exports
@@ -307,6 +337,38 @@ def test_single_state_evaluator_has_the_kernel_bits(case):
             assert np.array_equal(f, R), alpha
             assert np.array_equal(J_o, J[in_order]), alpha
             assert np.array_equal(row, R) and np.array_equal(Jb, J), alpha
+
+
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
+def test_single_state_evaluator_refuses_what_the_kernel_refuses(case):
+    # a standard patch with N = 0 or N = NaN is refused by rhs and point
+    # as by residual; without a standard patch the same states evaluate
+    models, net = kernel_cases()[case]
+    system = continuation.CoupledSystem(models, net)
+    n, m, s = models[0].n, models[0].m, models[0].size
+    std = [i for i, mod in enumerate(models) if mod.incidence == "standard"]
+    region = std[0] if std else 0
+    X = np.abs(np.random.default_rng(3).normal(3.0, 1.0, net.r * s)) + 0.1
+    empty, nan = X.copy(), X.copy()
+    empty[region * s:region * s + n + m] = 0.0
+    nan[region * s] = np.nan
+    rhs, point = system.single_state(0.2)
+    order = system.solve_order
+    for bad in (empty, nan):
+        if std:
+            for evaluate in (rhs, point,
+                             lambda X: system.residual(0.2, X)):
+                with pytest.raises(model.InadmissibleStateError,
+                                   match=continuation.INADMISSIBLE):
+                    evaluate(bad)
+        else:
+            f, J = point(bad)
+            R = system.residual(0.2, bad)
+            assert np.array_equal(rhs(bad), R, equal_nan=True)
+            assert np.array_equal(f, R, equal_nan=True)
+            assert np.array_equal(
+                J, system.jacobian(0.2, bad)[np.ix_(order, order)],
+                equal_nan=True)
 
 
 def test_fast_rhs_agrees_with_reference(mixed):

@@ -166,6 +166,21 @@ def test_non_finite_initial_state_raises(backward, bad):
         sim.integrate(system, 0.0, X0, t_end=1.0)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("t_end", np.nan), ("t_end", np.inf), ("t_end", 0.0),
+    ("rtol", -1e-8), ("rtol", np.nan), ("atol", np.nan), ("atol", 0.0)])
+def test_bad_horizon_or_tolerance_raises(backward, monkeypatch, name, bad):
+    # refused before the first step: a NaN horizon would otherwise run out
+    # its step budget, a negative rtol return a trajectory, and the rest
+    # end in a misleading step size underflow
+    eqs, system = backward
+    monkeypatch.setattr(sim, "MAX_STEPS", 3000)
+    kwargs = {"t_end": 10.0, "rtol": 1e-8, "atol": 1e-10, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite and "
+                                         "positive"):
+        sim.integrate(system, 0.0, np.array(RL1_SETS["blue"]), **kwargs)
+
+
 @pytest.mark.parametrize("case", sorted(kernel_cases()))
 def test_integrate_has_the_reference_step_bits(case):
     # the integrator's step is the plain Rodas4 step of the reference,
