@@ -17,6 +17,7 @@ before the report is written.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -573,7 +574,7 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
             entry.update({"csv": None, "terminal_classification": None,
                           "failure": str(exc)})
         else:
-            name = f"traj_{label}_a{alpha:g}.csv"
+            name = _trajectory_csv_name(label, alpha)
             artifacts[name] = _trajectory_csv(traj, comp_names)
             entry.update({
                 "csv": name,
@@ -632,6 +633,10 @@ def _classified_equilibria(system, eqs, alpha_grid) -> dict:
     return classified
 
 
+def _trajectory_csv_name(label: str, alpha: float) -> str:
+    return f"traj_{label}_a{alpha:g}.csv"
+
+
 def _trajectory_csv(traj: sim.Trajectory,
                     comp_names: List[str]) -> List[str]:
     return _csv_lines(["time"] + comp_names,
@@ -649,20 +654,30 @@ def _write_atomic(path: str, text: str):
     os.replace(tmp, path)
 
 
+def _prepare_out(outdir: str, names: List[str]):
+    """Create outdir, and refuse a file name too long for it (with
+    _write_atomic's suffix), as the write would."""
+    os.makedirs(outdir, exist_ok=True)
+    limit = os.pathconf(outdir, "PC_NAME_MAX")
+    for name in names:
+        if len(os.fsencode(name + ".tmp")) > limit:
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG),
+                          os.path.join(outdir, name))
+
+
 def _write_artifacts(outdir: str, report: dict, artifacts: dict,
                      report_name: str):
-    os.makedirs(outdir, exist_ok=True)
     _write_atomic(os.path.join(outdir, report_name),
                   json.dumps(report, indent=2) + "\n")
     for name, lines in artifacts.items():
         _write_atomic(os.path.join(outdir, name), "\n".join(lines) + "\n")
 
 
-def _wrote_artifacts(outdir: str, report: dict, artifacts: dict,
-                     report_name: str) -> bool:
-    """_write_artifacts; an OSError is one line on stderr naming the path."""
+def _wrote(outdir: str, write, *args) -> bool:
+    """write(outdir, *args); an OSError is one line on stderr naming the
+    path."""
     try:
-        _write_artifacts(outdir, report, artifacts, report_name)
+        write(outdir, *args)
     except OSError as exc:
         path = exc.filename if exc.filename is not None else outdir
         print(f"output error: cannot write {path}: "
@@ -725,6 +740,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
 
     report_name = f"{args.command}.json"
+    if args.out:
+        # an output that cannot be written fails before any work
+        names = [report_name]
+        if args.command == "simulate":
+            names += [_trajectory_csv_name(label, alpha)
+                      for alpha in config.alpha_grid
+                      for label, _ in config.initial_sets]
+        if not _wrote(args.out, _prepare_out, names):
+            return EXIT_CONFIG
     artifacts = {}
     code = EXIT_OK
     try:
@@ -749,13 +773,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out:
             partial = {"schema_version": SCHEMA_VERSION,
                        "command": args.command, "error": str(exc)}
-            if not _wrote_artifacts(args.out, partial, artifacts,
-                                    report_name):
+            if not _wrote(args.out, _write_artifacts, partial, artifacts,
+                          report_name):
                 return EXIT_CONFIG
         return EXIT_NUMERICAL
 
     if args.out:
-        if not _wrote_artifacts(args.out, report, artifacts, report_name):
+        if not _wrote(args.out, _write_artifacts, report, artifacts,
+                      report_name):
             return EXIT_CONFIG
         return code
     try:

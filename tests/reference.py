@@ -15,9 +15,10 @@ CoupledSystem.disease_free replaced.
 m_matrix_characterizations gives the two textbook tests the package's
 M-matrix predicate is checked against. The branch cross-checks at the end
 read continued branches against the analytic derivatives of persist and
-tally their stability. rodas_trajectory is sim.integrate's Rodas4 run
-written plainly on the kernel's residual and jacobian, the oracle of the
-integrator's bits. Nothing in the package imports them.
+tally their stability. rodas_trajectory is an adaptive Rodas4 run, a
+one-step Rosenbrock method that shares no step with sim.integrate's NDF,
+written plainly on the kernel's residual and jacobian: the accuracy
+oracle of the integrator. Nothing in the package imports them.
 """
 import math
 from dataclasses import replace
@@ -340,17 +341,48 @@ def count_stable(models: Sequence[PatchModel], net: MobilityNetwork,
     return stable, unstable
 
 
+# Rodas4 coefficients (Hairer & Wanner, Solving ODEs II, sec. VI.4, and
+# rodas.f). Stage i solves
+#   (I/(h gamma) - J) U_i = f(X + sum_j A[i, j] U_j) + sum_j C[i, j] U_j / h
+# over j < i. The method is stiffly accurate: the last stage argument is
+# the embedded order-3 solution and the step ends at it plus U_6, so U_6
+# is the local error estimate.
+RODAS_GAMMA = 0.25
+RODAS_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1.544, 0.0, 0.0, 0.0, 0.0],
+    [0.9466785280815826, 0.2557011698983284, 0.0, 0.0, 0.0],
+    [3.314825187068521, 2.896124015972201, 0.9986419139977817, 0.0, 0.0],
+    [1.221224509226641, 6.019134481288629, 12.53708332932087,
+     -0.687886036105895, 0.0],
+    [1.221224509226641, 6.019134481288629, 12.53708332932087,
+     -0.687886036105895, 1.0],
+])
+RODAS_C = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [-5.6688, 0.0, 0.0, 0.0, 0.0],
+    [-2.430093356833875, -0.2063599157091915, 0.0, 0.0, 0.0],
+    [-0.1073529058151375, -9.594562251023355, -20.47028614809616, 0.0, 0.0],
+    [7.496443313967647, -10.24680431464352, -33.99990352819905,
+     11.7089089320616, 0.0],
+    [8.083246795921522, -7.981132988064893, -31.52159432874371,
+     16.31930543123136, -6.058818238834054],
+])
+
+
 def _rodas_step(system: CoupledSystem, alpha: float, X, f0, J, h: float,
                 rtol: float, atol: float):
-    """One trial Rodas4 step as sim._rodas_step computes it, from the
-    kernel's residual and its Jacobian gathered into solve_order with
-    np.ix_, through np.linalg.inv and @. Returns (err, X_new, f_new,
-    J_new), err inf and the rest None for a step refused whatever its
-    accuracy."""
+    """One trial Rodas4 step from X, where f0 and J are the kernel's
+    residual and its Jacobian gathered into solve_order with np.ix_,
+    through np.linalg.inv and @. Returns (err, X_new, f_new, J_new), err
+    the RMS norm of the error estimate scaled by atol + rtol * max(|X|,
+    |X_new|), inf and the rest None for a step refused whatever its
+    accuracy: an inadmissible or non-finite stage or end state, a
+    singular stage matrix or an undershoot below sim.UNDERSHOOT_TOL."""
     order = system.solve_order
     refused = np.inf, None, None, None
     M = -J
-    M.ravel()[::X.size + 1] += 1.0 / (h * sim._RODAS_GAMMA)
+    M.ravel()[::X.size + 1] += 1.0 / (h * RODAS_GAMMA)
     try:
         W = np.linalg.inv(M)
     except np.linalg.LinAlgError:
@@ -359,10 +391,10 @@ def _rodas_step(system: CoupledSystem, alpha: float, X, f0, J, h: float,
     U[0][order] = W @ f0[order]
     try:
         for i in range(1, 6):
-            a, c = sim._RODAS_A[i, :i], sim._RODAS_C[i, :i]
+            a, c = RODAS_A[i, :i], RODAS_C[i, :i]
             b = system.residual(alpha, X + a @ U[:i]) + (c @ U[:i]) / h
             U[i][order] = W @ b[order]
-        X_new = X + sim._RODAS_A[5] @ U[:5] + U[5]
+        X_new = X + RODAS_A[5] @ U[:5] + U[5]
         e = U[5] / (atol + rtol * np.maximum(np.abs(X), np.abs(X_new)))
         err = math.sqrt((e * e).sum() / e.size)
         if not err <= 1.0:
@@ -381,8 +413,10 @@ def _rodas_step(system: CoupledSystem, alpha: float, X, f0, J, h: float,
 def rodas_trajectory(system: CoupledSystem, alpha: float, X0, t_end: float,
                      rtol: float = sim.DEFAULT_RTOL,
                      atol: float = sim.DEFAULT_ATOL):
-    """(times, states) of sim.integrate's run from X0, with its step
-    control, each trial step taken by _rodas_step above."""
+    """(times, states) of the Rodas4 run from X0 to t_end: each trial step
+    is _rodas_step above; an accepted step grows h by 0.9 err^(-1/4)
+    within [0.2, 5], a rejected one shrinks it by that factor, or halves
+    it when refused, down to sim.integrate's step floor."""
     order = system.solve_order
     X = np.array(X0, dtype=float)
     t, times, states = 0.0, [0.0], [X]

@@ -505,6 +505,33 @@ def test_simulate_labels_every_alpha_from_one_continuation(
     assert labels[0.1] == [f"pattern_{choices}" for choices in last]
 
 
+# terminal pattern of each initial set (blue, red, black, green) at each
+# grid alpha: the answer a change of integrator must keep, whatever the
+# digits of the trajectories
+SHIPPED_TERMINALS = {
+    "hiv_backward.json": {0.0: ["2-2-2", "2-2-0", "0-0-0", "0-0-0"],
+                          1e-5: ["2-2-2", "2-2-0", "0-0-0", "0-0-0"],
+                          1e-3: ["2-2-2", "2-2-2", "0-0-0", "0-0-0"],
+                          0.1: ["2-2-2", "2-2-2", "0-0-0", "0-0-0"]},
+    "hiv_mixed.json": {0.0: ["2-0-0", "2-0-1", "0-0-0", "0-1-0"],
+                       1e-5: ["2-1-1", "2-1-1", "0-1-1", "0-1-1"],
+                       1e-3: ["2-1-1", "2-1-1", "2-1-1", "2-1-1"],
+                       0.1: ["2-1-1", "2-1-1", "2-1-1", "2-1-1"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_TERMINALS))
+def test_simulate_keeps_the_shipped_terminal_labels(name):
+    rep, _ = cli.cmd_simulate(cli.load_config(cli.fixture_path(name)))
+    got = [(row["label"], row["alpha"], row["terminal_classification"])
+           for row in rep["trajectories"]]
+    want = [(label, alpha, f"pattern_{choices}")
+            for alpha, terminals in SHIPPED_TERMINALS[name].items()
+            for label, choices in zip(("blue", "red", "black", "green"),
+                                      terminals)]
+    assert got == want
+
+
 def test_simulate_rejects_zero_population_region(tmp_path, capsys):
     # standard incidence is undefined at N = 0: a config error, found
     # before anything is integrated, not a traceback
@@ -687,33 +714,71 @@ def test_unwritable_out_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("output error: ") and err.count("\n") == 1
     assert str(out) in err and "Traceback" not in err
-    # so does the partial report of a numerical failure
+    # found before any work, so a run that would fail numerically does not
     data = fixture_dict("hiv_backward.json")
     data["patches"][0]["params"]["beta1"] = marginal_beta1()
     cfgp = tmp_path / "marginal.json"
     cfgp.write_text(json.dumps(data))
     code = cli.main(["census", "--config", str(cfgp), "--out", str(out),
                      "--exhaustive-networks"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("output error: ")
+    assert err.count("\n") == 1 and str(out) in err
+
+
+def test_unwritable_partial_report_exits_2(tmp_path, monkeypatch, capsys):
+    # the partial report of a numerical failure, when --out has become
+    # unwritable during the run: both failures, one line each
+    out = tmp_path / "out"
+
+    def failing(config, exhaustive_networks):
+        out.rmdir()
+        out.write_text("")
+        raise RuntimeError("stub failure")
+
+    monkeypatch.setattr(cli, "cmd_census", failing)
+    code = cli.main(["census", "--config",
+                     cli.fixture_path("hiv_backward.json"), "--out", str(out)])
     lines = capsys.readouterr().err.splitlines()
     assert code == 2 and len(lines) == 2
-    assert lines[0].startswith("numerical failure: ")
+    assert lines[0] == "numerical failure: stub failure"
     assert lines[1].startswith("output error: ") and str(out) in lines[1]
 
 
-def test_unwritable_trajectory_file_exits_2(tmp_path, capsys):
-    # a label too long for a file name fails only when its CSV is written
-    data = base_dict()
-    data["alpha_grid"] = [0.0]
-    data["t_end"] = 1.0
-    data["initial_sets"][0]["label"] = "x" * 300
-    cfgp = tmp_path / "long.json"
+def run_simulate_without_integrating(data, out, tmp_path, monkeypatch):
+    """(exit code, integrate calls) of simulate on data, --out out."""
+    calls = []
+    monkeypatch.setattr(sim, "integrate", lambda *args, **kwargs:
+                        calls.append(args))
+    cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(data))
-    out = tmp_path / "out"
     code = cli.main(["simulate", "--config", str(cfgp), "--out", str(out)])
+    return code, calls
+
+
+def test_unwritable_trajectory_file_exits_2(tmp_path, monkeypatch, capsys):
+    # a label too long for a file name fails before the first trajectory
+    # is integrated
+    data = fixture_dict("hiv_backward.json")
+    data["initial_sets"][1]["label"] = "x" * 300
+    code, calls = run_simulate_without_integrating(
+        data, tmp_path / "out", tmp_path, monkeypatch)
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == 2 and calls == []
     assert err.startswith("output error: ") and err.count("\n") == 1
     assert "x" * 300 in err and "Traceback" not in err
+
+
+def test_simulate_out_under_a_file_exits_2_before_integrating(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    code, calls = run_simulate_without_integrating(
+        fixture_dict("hiv_backward.json"), out, tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 2 and calls == []
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert str(out) in err and "Traceback" not in err
 
 
 # sha256 of the marginal continue run below, recorded with numpy 2.4 and
@@ -768,7 +833,7 @@ FIXTURE_DIGESTS = {
     ("hiv_backward.json", "continue"):
         "fad764b52a9c4f654da176d6ddbd0791c3f3643b85df87baa1d5086e873a18d3",
     ("hiv_backward.json", "simulate"):
-        "cca92f7b32b4661a187db06c2186f4222cc25776f03af8609f9bce40464ebce0",
+        "ca8e431db707b98a716efe695292db76c7e139f182887cd282f9f1d4b7e8194d",
     ("hiv_mixed.json", "analyze"):
         "90c34f904b62b879dc3120ac33e9abfa66d68ea3bc806709aa04251f7931a47b",
     ("hiv_mixed.json", "census"):
@@ -778,7 +843,7 @@ FIXTURE_DIGESTS = {
     ("hiv_mixed.json", "continue"):
         "1c0acd759a8cd9f334abe84758fcfae9c55c2b7a6c755a4318bddecca42976bc",
     ("hiv_mixed.json", "simulate"):
-        "7e535152b9db430173ceb95d79e02a3a53ce7724f10f935047c066ad9635e780",
+        "602578098d3ece37bec682b19e33332060288021d5bb253c69b69f35d6493e06",
     ("hiv_above_one.json", "analyze"):
         "f27855b3e4dd327992901e5cab74b0865bf3796dcb8b4533041031ef20cb184a",
     ("hiv_above_one.json", "census"):

@@ -175,8 +175,9 @@ def test_only_matalg_imports_numpy_private_linalg():
 
 def test_single_trajectory_path_skips_numpy_dispatch():
     # np.dot, np.matmul and @ each cost a dispatch per call that
-    # ndarray.dot, with the same bits, does not; a trial step makes about
-    # thirty such products on a state of a few dozen entries
+    # ndarray.dot, with the same bits, does not; the NDF's prediction,
+    # Newton solves and step-size changes make such products on a state of
+    # a few dozen entries
     import ast
     import inspect
     import textwrap
@@ -191,7 +192,9 @@ def test_single_trajectory_path_skips_numpy_dispatch():
         if isinstance(node, ast.FunctionDef)][1:]
     assert {"rhs", "point"} <= {fn.name for fn in closures}
     offending = []
-    for fn in [parsed(sim._rodas_step)] + closures:
+    stepper = [parsed(fn) for fn in (sim.integrate, sim._newton,
+                                     sim._change_D)]
+    for fn in stepper + closures:
         for node in ast.walk(fn):
             if (isinstance(node, (ast.BinOp, ast.AugAssign))
                     and isinstance(node.op, ast.MatMult)

@@ -65,12 +65,14 @@ def test_integrate_builds_no_coupled_system(backward, coupled_systems_built):
 
 
 def test_work_per_step(backward, monkeypatch):
-    # a trial step evaluates five stage right-hand sides, and the start
-    # and each accepted step one point (right-hand side and Jacobian)
+    # the counts on the trajectory are the calls made: right-hand sides
+    # (point's included), Jacobians (point) and inverses of I - c J. The
+    # Jacobian is reused across many steps, a trial step evaluates at most
+    # four right-hand sides, and the start one point
     eqs, system = backward
-    calls = {"rhs": 0, "point": 0, "trial": 0}
+    calls = {"rhs": 0, "point": 0, "inverse": 0}
     single_state = continuation.CoupledSystem.single_state
-    rodas_step = sim._rodas_step
+    inverse = matalg._inverse
 
     def counted(name, fn):
         def wrapper(*args):
@@ -84,13 +86,38 @@ def test_work_per_step(backward, monkeypatch):
 
     monkeypatch.setattr(continuation.CoupledSystem, "single_state",
                         counting_single_state)
-    monkeypatch.setattr(sim, "_rodas_step", counted("trial", rodas_step))
-    # loose tolerances, so that some trial steps are rejected
-    traj = sim.integrate(system, 1e-3, np.array(RL1_SETS["blue"]),
-                         t_end=300.0, rtol=1e-3, atol=1e-5)
-    assert calls["trial"] > len(traj.times) - 1 > 10
-    assert calls["point"] == len(traj.times)
-    assert calls["rhs"] == 5 * calls["trial"]
+    monkeypatch.setattr(matalg, "_inverse", counted("inverse", inverse))
+    X0 = np.array(RL1_SETS["blue"])
+    runs = []
+    # default tolerances, then loose ones that reject some trial steps
+    for tols in ({}, {"rtol": 1e-3, "atol": 1e-5}):
+        calls.update(dict.fromkeys(calls, 0))
+        traj = sim.integrate(system, 1e-3, X0, t_end=300.0, **tols)
+        work, steps = traj.work, len(traj.times) - 1
+        assert set(work) == set(sim.WORK_COUNTS)
+        assert work["rhs"] == calls["rhs"] + calls["point"]
+        assert work["jacobians"] == calls["point"]
+        assert work["inverses"] == calls["inverse"]
+        rejected = sum(work[key] for key in sim.WORK_COUNTS
+                       if key.startswith("rejected_"))
+        assert work["rhs"] <= 4 * (steps + rejected) + 1
+        runs.append((steps, rejected, work["jacobians"]))
+    (steps, _, jacobians), (_, loose_rejected, _) = runs
+    assert steps > 10 and jacobians <= steps / 5
+    assert loose_rejected >= 1
+
+
+def test_undershoot_is_refused_not_clipped():
+    # a pure decay at loose tolerances: trial steps that would take the
+    # infected class below -1e-9 are refused and retried smaller, and the
+    # stored states keep their small negative values
+    mg = model.multigroup([[0.0]], 1.0, 0.05, 0.05)
+    net = network.from_edges([], r=1, n=1, m=1, k=1)
+    traj = sim.integrate(continuation.CoupledSystem([mg], net), 0.0,
+                         np.array([5.0, 10.0, 0.0]), t_end=2e3, rtol=1e-3,
+                         atol=1e-5)
+    assert traj.work["rejected_undershoot"] > 0
+    assert sim.UNDERSHOOT_TOL <= traj.states.min() < 0.0
 
 
 def test_rl1_terminal_census_alpha_zero(backward, product_labels):
@@ -181,49 +208,75 @@ def test_bad_horizon_or_tolerance_raises(backward, monkeypatch, name, bad):
         sim.integrate(system, 0.0, np.array(RL1_SETS["blue"]), **kwargs)
 
 
-@pytest.mark.parametrize("case", sorted(kernel_cases()))
-def test_integrate_has_the_reference_step_bits(case):
-    # the integrator's step is the plain Rodas4 step of the reference,
-    # written on residual, jacobian[np.ix_], np.linalg.inv and @, bit
-    # for bit, for every model family and incidence mix
+def kernel_starts(case):
+    """(system, alpha, X0) at alpha 0 and 3e-3 from a seeded start."""
     models, net = kernel_cases()[case]
     system = continuation.CoupledSystem(models, net)
     rng = np.random.default_rng(26)
     for alpha in (0.0, 3e-3):
         X0 = np.abs(rng.normal(3.0, 1.0, size=net.r * models[0].size)) + 0.1
+        yield system, alpha, X0
+
+
+def assert_same_end(X, X_ref):
+    # agreement at the final state, relative to its size; the tolerances
+    # of both runs are 1e-8 relative and 1e-10 absolute
+    assert np.max(np.abs(X - X_ref)) <= 1e-6 * (1.0 + np.max(np.abs(X)))
+
+
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
+def test_integrate_agrees_with_the_rodas4_oracle(case):
+    # the one-step Rosenbrock run of the reference shares no step with the
+    # multistep NDF, for every model family and incidence mix
+    for system, alpha, X0 in kernel_starts(case):
         traj = sim.integrate(system, alpha, X0, t_end=20.0)
         times, states = rodas_trajectory(system, alpha, X0, t_end=20.0)
-        assert traj.times.size > 10, alpha
-        assert np.array_equal(traj.times, times), alpha
-        assert np.array_equal(traj.states, states), alpha
+        assert traj.times.size > 10 and times[-1] == traj.times[-1] == 20.0
+        assert_same_end(traj.states[-1], states[-1])
+
+
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
+def test_integrate_agrees_with_scipy_bdf(case):
+    # scipy's NDF on the kernel's residual and jacobian; scipy is a
+    # test-time oracle, which the package does not import
+    from scipy.integrate import solve_ivp
+    for system, alpha, X0 in kernel_starts(case):
+        traj = sim.integrate(system, alpha, X0, t_end=20.0)
+        sol = solve_ivp(lambda t, X: system.residual(alpha, X), (0.0, 20.0),
+                        X0, method="BDF", rtol=sim.DEFAULT_RTOL,
+                        atol=sim.DEFAULT_ATOL,
+                        jac=lambda t, X: system.jacobian(alpha, X))
+        assert sol.success and sol.t[-1] == 20.0
+        assert_same_end(traj.states[-1], sol.y[:, -1])
 
 
 @pytest.mark.parametrize("incidence", ["standard", "mass_action"])
-def test_singular_stage_matrix_refuses_the_step(incidence):
-    # J = I/(h gamma) makes I/(h gamma) - J exactly zero: its inverse is
-    # NaN, and the step is refused whole under integrate's errstate, with
-    # no other warning (a NaN stage is inadmissible under standard
-    # incidence and reaches the error estimate under mass action)
+def test_singular_newton_matrix_refuses_the_step(incidence):
+    # J = I / c makes I - c J exactly zero: its inverse is NaN, and the
+    # Newton iteration refuses the step as not finite under integrate's
+    # errstate, with no other warning
     mg = model.multigroup([[0.06, 0.01], [0.02, 0.05]], 1.0, 0.05, 0.05)
     mg = dataclasses.replace(mg, incidence=incidence)
     net = network.preset("fig3c", n=2, m=2, k=2)
     system = continuation.CoupledSystem([mg] * 3, net)
     X = np.tile([0.3, 0.2, 10.0, 8.0, 0.1, 0.1], 3)
     rhs, point = system.single_state(1e-3)
-    f0 = point(X)[0]
-    h = 0.01
-    J = np.eye(X.size) / (h * sim._RODAS_GAMMA)
+    c = 0.01
+    M = np.eye(X.size) - c * (np.eye(X.size) / c)
+    assert not M.any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"):
-            out = sim._rodas_step(rhs, point, system.solve_order, X, f0, J,
-                                  h, 1e-8, 1e-10, np.empty((6, X.size)))
-    assert out == (np.inf, None, None, None)
+            W = matalg._inverse(M)
+            out = sim._newton(rhs, X, None, c, np.zeros(X.size), W,
+                              system.solve_order, 1e-10 + 1e-8 * X, 1e-4)
+    assert np.isnan(W).all()
+    assert out == ("inadmissible", 1, None)
 
 
 def test_inverse_is_numpy_inverse_bit_for_bit():
     # on a seeded stack of 21 x 21 matrices over twelve decades, and on
-    # I/(h gamma) - J of the shipped fixtures' product states
+    # the Newton matrices I - c J of the shipped fixtures' product states
     rng = np.random.default_rng(26)
     stack = rng.normal(size=(64, 21, 21)) * 10.0 ** rng.uniform(
         -6.0, 6.0, size=(64, 1, 1))
@@ -243,8 +296,8 @@ def test_inverse_is_numpy_inverse_bit_for_bit():
             rhs, point = system.single_state(alpha)
             for pat in patterns:
                 J = point(continuation.product_state(pat, eqs))[1]
-                for h in (1e-3, 1.0, 1e3):
-                    M = np.eye(len(J)) / (h * sim._RODAS_GAMMA) - J
+                for c in (1e-3, 1.0, 1e3):
+                    M = np.eye(len(J)) - c * J
                     assert np.array_equal(matalg._inverse(M),
                                           np.linalg.inv(M)), name
                     checked += 1
