@@ -221,15 +221,15 @@ class CoupledSystem:
         any other, they raise InadmissibleStateError.
         """
         X = np.asarray(X, dtype=float)
-        return np.all(_take(X, self._N_of).sum(axis=-1) > 0.0, axis=-1)
+        return np.all(X.take(self._N_of, axis=-1).sum(axis=-1) > 0.0, axis=-1)
 
     def _products(self, X: np.ndarray):
         """(P, y, x / N, 1/N), each per product; 1/N is None if no patch
         divides by N."""
-        ys, xs = _take(X, self._yi), _take(X, self._xi)
+        ys, xs = X.take(self._yi, axis=-1), X.take(self._xi, axis=-1)
         if not self._std.size:
             return ys * xs, ys, xs, None
-        Ns = _take(X, self._N_of).sum(axis=-1)
+        Ns = X.take(self._N_of, axis=-1).sum(axis=-1)
         if not Ns.min() > 0.0:
             raise InadmissibleStateError(INADMISSIBLE)
         inv_N = 1.0 / Ns
@@ -237,7 +237,7 @@ class CoupledSystem:
             every = np.ones(X.shape[:-1] + (self.net.r,))
             every[..., self._std] = inv_N
             inv_N = every
-        inv_N = _take(inv_N, self._region)
+        inv_N = inv_N.take(self._region, axis=-1)
         xs = xs * inv_N
         return ys * xs, ys, xs, inv_N
 
@@ -259,20 +259,15 @@ class CoupledSystem:
         PN = -(P * inv_N)
         if self._mixed:
             PN = np.where(self._std_product, PN, 0.0)
-        buf[..., at_N] = _take(PN, self._N_rows)[..., None]
+        buf[..., at_N] = PN.take(self._N_rows, axis=-1)[..., None]
         buf[..., at_x] = PN + ys * inv_N
         buf[..., at_y] = PN + xeff
 
     def residual(self, alpha: float, X: np.ndarray) -> np.ndarray:
-        """T(alpha, X), the right-hand side of the coupled ODE."""
-        return self._residual(self._linear(alpha), X, self._products(X)[0])
-
-    def _residual(self, A, X, P):
-        """A X + c + Q P, with A = M0 + alpha L and P the products; one
-        state takes np.dot, a stack @, each with the single-state bits."""
-        if X.ndim == 1:
-            return np.dot(A, X) + self.c + np.dot(self.Q, P)
-        return X @ A.T + self.c + P @ self.Q.T
+        """T(alpha, X), the right-hand side of the coupled ODE:
+        (M0 + alpha L) X + c + Q P with P the products."""
+        return (X @ self._linear(alpha).T + self.c
+                + self._products(X)[0] @ self.Q.T)
 
     def jacobian(self, alpha: float, X: np.ndarray) -> np.ndarray:
         """dT/dX at (alpha, X)."""
@@ -293,7 +288,7 @@ class CoupledSystem:
         formed once here, and so is the choice between mass action alone
         (no N) and a system with a standard patch. numpy's cost per call
         dominates on one small state, so the closures do the work of
-        _products, _fill_dP and _residual inline, in the same operations
+        _products, _fill_dP and residual inline, in the same operations
         and order, and multiply through ndarray.dot, which skips np.dot's
         dispatch: every value has the bits of residual and jacobian.
         """
@@ -353,11 +348,6 @@ class CoupledSystem:
             return A.dot(X) + c + Q.dot(P), A_o + Q_o.dot(dP)
 
         return rhs, point
-
-
-def _take(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """X[..., idx]; the plain gather X[idx] of one state costs a fifth."""
-    return X[idx] if X.ndim == 1 else X.take(idx, axis=-1)
 
 
 # ====================================================================
@@ -517,8 +507,11 @@ def continue_branches(patterns: Sequence[EquilibriumPattern],
         else:
             rows.append(b)
     if rows:
-        records = _continue_rows([patterns[b] for b in rows], system, X0[rows],
-                                 J0[rows], targets, stop_at_exit)
+        # a huge alpha overflows M0 + alpha L and the states: the rows then
+        # fail with a message, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = _continue_rows([patterns[b] for b in rows], system,
+                                     X0[rows], J0[rows], targets, stop_at_exit)
         for b, record in zip(rows, records):
             out[b] = record
     return out
@@ -604,11 +597,3 @@ def _disease_free(system, alpha):
         return None, (f"disease-free state inadmissible at alpha = "
                       f"{alpha:g}: {INADMISSIBLE}")
     return X, None
-
-
-def continue_branch(pattern: EquilibriumPattern, system: CoupledSystem,
-                    alpha_targets: Sequence[float], equilibria,
-                    stop_at_exit: bool = True) -> BranchRecord:
-    """continue_branches for one pattern."""
-    return continue_branches([pattern], system, alpha_targets, equilibria,
-                             stop_at_exit)[0]

@@ -173,15 +173,13 @@ def stability_of(J: np.ndarray) -> tuple:
 
 
 def _classified(system, states: Sequence[PatchState],
-                first_index: int, lams: Optional[Sequence] = None) -> list:
-    """The states as PatchEquilibrium, indexed from first_index (0: DFE).
+                lams: Optional[Sequence] = None) -> list:
+    """The states, the DFE first, as PatchEquilibrium indexed from 0.
 
     One stacked Jacobian of the patch's system at alpha = 0 gives every
     stability label and, by its condition number, jac_invertible. lams,
     if given, holds each state's force of infection (None for the DFE).
     """
-    if not states:
-        return []
     J = system.jacobian(0.0, np.array([st.concat() for st in states]))
     labels, _ = stability_of(J)
     invertible = (matalg.condition_estimate(J) < matalg.COND_LIMIT).tolist()
@@ -192,7 +190,7 @@ def _classified(system, states: Sequence[PatchState],
                              index=idx, stability=label,
                              jac_invertible=inv, lam=lam)
             for idx, (st, label, inv, lam) in enumerate(
-                zip(states, labels, invertible, lams), start=first_index)]
+                zip(states, labels, invertible, lams))]
 
 
 # ====================================================================
@@ -337,20 +335,10 @@ def bifurcation_report(patch: PatchFacts) -> BifurcationReport:
 # Generic endemic equilibria by multi-start Newton
 # ====================================================================
 
-def endemic_equilibria_generic(model: PatchModel) -> tuple:
-    """Strictly positive steady states from a deterministic seed grid.
-
-    Returns (equilibria, discarded) where discarded counts seeds whose
-    Newton iteration failed to converge or converged outside the open
-    positive cone; those are dropped silently by design.
-    """
-    system, dfe, _, _ = _threshold(model)
-    states, discarded = _generic_roots(model, system, dfe)
-    return _classified(system, states, 1), discarded
-
-
 def _generic_roots(model: PatchModel, system, dfe: PatchState) -> tuple:
-    """(states, discarded): endemic_equilibria_generic's unclassified roots.
+    """(states, discarded): the patch's endemic states, unclassified, and
+    the number of seeds whose Newton iteration failed to converge or
+    converged outside the open positive cone (dropped by design).
 
     The seeds span the n + m infected and susceptible unknowns only, 3^(n+m)
     grid points, and each takes its removed classes slaved to its infected
@@ -543,7 +531,7 @@ def patch_facts(model: PatchModel) -> PatchFacts:
     else:
         endemic, _ = _generic_roots(model, system, dfe)
     return PatchFacts(model, system, v_minus_f, R,
-                      tuple(_classified(system, [dfe] + endemic, 0, lams)))
+                      tuple(_classified(system, [dfe] + endemic, lams)))
 
 
 def patch_equilibria(model: PatchModel) -> tuple:

@@ -108,24 +108,15 @@ def predict(pattern: EquilibriumPattern,
     via general reachability, or via the direct derivative fallback used
     when some patch violates the V - F irreducibility assumption.
     equilibria holds each patch's patch_equilibria, which predict uses as
-    given; each patch's local R and V - F come from its model by the step
-    of patch_facts that runs no endemic search. R_values is accepted only
-    from callers that still pass those numbers in, and must equal them.
+    given; each patch's system, local R and V - F come from its model by
+    equilibria._threshold, the step of patch_facts that runs no endemic
+    search. R_values is accepted only from callers that still pass those
+    numbers in, and must equal them. SystemFacts.verdicts gives every
+    pattern's verdict on a network from one set of patch facts.
     """
     if len(pattern.choices) != net.r:
         raise ValueError(f"pattern has {len(pattern.choices)} regions, "
                          f"the network {net.r}")
-    facts = _given_facts(models, net, equilibria)
-    if R_values is not None and tuple(R_values) != facts.R_values:
-        raise ValueError("R_values differ from the patches' own local R")
-    return facts.verdicts(net, [pattern])[0]
-
-
-def _given_facts(models, net, equilibria) -> "SystemFacts":
-    """SystemFacts of models whose equilibria the caller has found.
-
-    Each patch's system, V - F and R come from equilibria._threshold.
-    """
     for what, seq in (("models", models), ("equilibria", equilibria)):
         if len(seq) != net.r:
             raise ValueError(f"{what} has {len(seq)} entries, "
@@ -134,7 +125,10 @@ def _given_facts(models, net, equilibria) -> "SystemFacts":
     for mod, eqs in zip(models, equilibria):
         system, _, v_minus_f, R = _threshold(mod)
         patches.append(PatchFacts(mod, system, v_minus_f, R, tuple(eqs)))
-    return SystemFacts(patches)
+    facts = SystemFacts(patches)
+    if R_values is not None and tuple(R_values) != facts.R_values:
+        raise ValueError("R_values differ from the patches' own local R")
+    return facts.verdicts(net, [pattern])[0]
 
 
 class SystemFacts:
@@ -230,9 +224,13 @@ class SystemFacts:
                 for pattern in patterns]
 
     def persisting_count(self, net: MobilityNetwork) -> int:
-        """count_persisting on net."""
+        """Number of product patterns (DFE included) that persist on net.
+
+        Raises if any pattern comes back indeterminate; callers scanning
+        regimes should stay clear of R = 1.
+        """
         if net.r != 3:
-            raise ValueError("count_persisting covers the three-region theory")
+            raise ValueError("persisting_count covers the three-region theory")
         counts = [len(p.equilibria) - 1 for p in self.patches]
         if any(c not in (0, 1, 2) for c in counts):
             raise ValueError(f"per-patch endemic counts {counts} outside 0..2")
@@ -328,16 +326,3 @@ def _predict_by_derivatives(pattern, facts, net, cls):
                                       local_R=R[unresolved]))
     return PersistenceVerdict(pattern=pattern, verdict="persists",
                               rule="derivative_direct")
-
-
-def count_persisting(models: Sequence[PatchModel], net: MobilityNetwork,
-                     equilibria) -> int:
-    """Number of product patterns (DFE included) that persist.
-
-    equilibria holds each patch's patch_equilibria, as in predict. Raises
-    if any pattern comes back indeterminate; callers scanning regimes
-    should stay clear of R = 1. A scan over many networks of one system
-    settles the patch facts once through SystemFacts(patches), with each
-    patch's patch_facts, and its persisting_count(net).
-    """
-    return _given_facts(models, net, equilibria).persisting_count(net)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,7 +187,6 @@ def integrate(system, alpha: float, X0: np.ndarray,
             raise ValueError(f"{name} must be finite and positive")
 
     order = system.solve_order
-    rhs, point = system.single_state(alpha)
     t, times, states = 0.0, [0.0], [X]
     h_min = max(1e-14 * t_end, 1e-13)
     work = dict.fromkeys(WORK_COUNTS, 0)
@@ -196,6 +195,7 @@ def integrate(system, alpha: float, X0: np.ndarray,
     k, equal, W = 1, 0, None        # order, steps taken at this h, inverse
     fresh = stale = False           # J taken at this step; J to refresh
     with np.errstate(over="ignore", invalid="ignore"):
+        rhs, point = system.single_state(alpha)
         f_cur, J = point(X)
         work["jacobians"] = 1
         h = _initial_step(f_cur, X, t_end, rtol, atol)
@@ -279,18 +279,3 @@ def integrate(system, alpha: float, X0: np.ndarray,
     return Trajectory(times=np.asarray(times), states=np.asarray(states),
                       terminal_classification=_classify_terminal(X, classified),
                       work=dict(work, rhs=work["rhs"] + work["jacobians"]))
-
-
-def basin_probe(system, alpha: float,
-                initial_set: Sequence[Tuple[str, np.ndarray]],
-                t_end: float = DEFAULT_T_END,
-                classified: Optional[Sequence[Tuple[str, np.ndarray]]] = None
-                ) -> List[Tuple[str, str]]:
-    """Terminal classification for each labeled initial state, in order,
-    each integrated on the same continuation.CoupledSystem system."""
-    table = []
-    for label, X0 in initial_set:
-        traj = integrate(system, alpha, X0, t_end=t_end,
-                         classified=classified)
-        table.append((label, traj.terminal_classification))
-    return table

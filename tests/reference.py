@@ -6,19 +6,22 @@ Jacobian. These functions write the same equations out directly, from F
 and the transmission matrix B up, patch by patch and region by region, so
 the tests can check the kernel (and the classifications built on it)
 against an evaluation that shares no code with it. full_grid_roots is the
-seed grid the generic equilibrium search used to run, kept as its oracle;
-scan_lambda_roots is the HIV force-of-infection scan with bisection that
-the closed-form quadratic replaced, kept as its oracle, and steady_beta1
-checks the closed-form fold. patch_susceptible_level is the direct solve
-of a patch's disease-free susceptibles that the one-region
-CoupledSystem.disease_free replaced.
-m_matrix_characterizations gives the two textbook tests the package's
-M-matrix predicate is checked against. The branch cross-checks at the end
-read continued branches against the analytic derivatives of persist and
-tally their stability. rodas_trajectory is an adaptive Rodas4 run, a
-one-step Rosenbrock method that shares no step with sim.integrate's NDF,
-written plainly on the kernel's residual and jacobian: the accuracy
-oracle of the integrator. Nothing in the package imports them.
+seed grid the generic equilibrium search used to run, kept as its oracle,
+and endemic_equilibria_generic gives that search's classified roots with
+the discard count patch_facts drops. scan_lambda_roots is the HIV
+force-of-infection scan with bisection that the closed-form quadratic
+replaced, kept as its oracle, and steady_beta1 checks the closed-form
+fold. patch_susceptible_level is the direct solve of a patch's
+disease-free susceptibles that the one-region CoupledSystem.disease_free
+replaced. m_matrix_characterizations gives the two textbook tests the
+package's M-matrix predicate is checked against. continue_branch is
+continue_branches on one pattern, the single run a batch is checked
+against. The branch cross-checks at the end read continued branches
+against the analytic derivatives of persist and tally their stability.
+rodas_trajectory is an adaptive Rodas4 run, a one-step Rosenbrock method
+that shares no step with sim.integrate's NDF, written plainly on the
+kernel's residual and jacobian: the accuracy oracle of the integrator.
+Nothing in the package imports them.
 """
 import math
 from dataclasses import replace
@@ -138,6 +141,19 @@ def full_grid_roots(model: PatchModel) -> tuple:
     return equilibria._search_roots(
         model, patch.system, dfe, 3 ** model.size,
         lambda index: equilibria._seed_rows(dfe, model.size, index))
+
+
+def endemic_equilibria_generic(model: PatchModel) -> tuple:
+    """(equilibria, discarded): the generic search's endemic states as
+    PatchEquilibrium records, with its count of discarded seeds.
+
+    The steps of patch_facts on a generic patch, with the discard count
+    it drops: _threshold, _generic_roots, and _classified over the DFE
+    and the roots, whose DFE record is left out.
+    """
+    system, dfe, _, _ = equilibria._threshold(model)
+    states, discarded = equilibria._generic_roots(model, system, dfe)
+    return equilibria._classified(system, [dfe] + states)[1:], discarded
 
 
 def scalar_force_residual(params: HivParams, lam):
@@ -275,6 +291,15 @@ def coupled_jacobian(models: Sequence[PatchModel], net: MobilityNetwork,
         J[i * s:(i + 1) * s, i * s:(i + 1) * s] += patch_jacobian(
             mod, split_state(mod, X[i * s:(i + 1) * s]))
     return J
+
+
+def continue_branch(pattern, system: CoupledSystem,
+                    alpha_targets: Sequence[float], equilibria,
+                    stop_at_exit: bool = True) -> BranchRecord:
+    """continue_branches for one pattern: the single run a batch of
+    patterns is checked against, record for record."""
+    return continue_branches([pattern], system, alpha_targets, equilibria,
+                             stop_at_exit)[0]
 
 
 def branch_derivative_check(record: BranchRecord,

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import (BACKWARD_TRIPLE, BASE, MIXED_TRIPLE, REGIME_BETA1,
-                      hiv_eqs, hiv_facts, hiv_net, hiv_patch, hiv_system,
+                      hiv_facts, hiv_net, hiv_patch, hiv_system,
                       hiv_system_facts, random_admissible_state)
 from patchepi import (cli, continuation, equilibria, matalg, model, network,
                       persist, sim)
 from patchepi.model import split_state
-from reference import (branch_derivative_check, count_stable,
-                       m_matrix_characterizations, new_infection_operator,
-                       patch_jacobian, patch_residual)
+from reference import (branch_derivative_check, continue_branch,
+                       count_stable, m_matrix_characterizations,
+                       new_infection_operator, patch_jacobian, patch_residual)
 
 
 def test_01_patch_reproduction_numbers():
@@ -62,10 +62,10 @@ def test_03_exhaustive_digraph_regime_census():
     disconnected_eights = 0
     regimes = list(REGIME_BETA1.values())
     for triple in itertools.product(regimes, repeat=3):
-        models = [hiv_patch(b) for b in triple]
-        eqs = [list(hiv_eqs(b)) for b in triple]
+        facts = persist.SystemFacts([equilibria.patch_facts(hiv_patch(b))
+                                     for b in triple])
         for net in nets:
-            cnt = persist.count_persisting(models, net, equilibria=eqs)
+            cnt = facts.persisting_count(net)
             adj = net.adjacency()
             attained.add(cnt)
             if matalg.is_irreducible((adj | adj.T).astype(float)):
@@ -97,10 +97,10 @@ def test_04_seed_and_spread_network_counts():
     R_c = equilibria.bifurcation_report(
         hiv_facts(MIXED_TRIPLE[0])).R_c_estimate
     assert R_c < R[0] < 1.0 and R[1] > 1.0 and R[2] > 1.0
+    facts = persist.SystemFacts([equilibria.patch_facts(m) for m in models])
     for name, want in (("fig4a", 4), ("fig4b", 5), ("fig4c", 6),
                        ("fig4d", 7)):
-        got = persist.count_persisting(models, hiv_net(name),
-                                       equilibria=eqs)
+        got = facts.persisting_count(hiv_net(name))
         assert got == want, name
     assert time.perf_counter() - t0 < 10.0
 
@@ -117,8 +117,8 @@ def test_05_predictions_match_continuation():
             for pat in equilibria.enumerate_patterns(counts):
                 predicted = persist.predict(pat, models, net,
                                             equilibria=eqs)
-                rec = continuation.continue_branch(pat, system, [1e-6],
-                                                   equilibria=eqs)
+                rec = continue_branch(pat, system, [1e-6],
+                                      equilibria=eqs)
                 assert rec.failure is None, (triple, name, pat.choices)
                 last = rec.points[-1]
                 assert last.alpha == 1e-6
@@ -146,7 +146,7 @@ def test_06_branch_derivatives_match_finite_differences():
             ders = [d for d in ders if d.sign_class != "zero"]
             if not ders:
                 continue
-            rec = continuation.continue_branch(
+            rec = continue_branch(
                 pat, continuation.CoupledSystem(models, net), [5e-7, 1e-6],
                 equilibria=eqs, stop_at_exit=False)
             assert rec.failure is None, (name, pat.choices)
@@ -161,7 +161,7 @@ def test_06_branch_derivatives_match_finite_differences():
     pat = equilibria.EquilibriumPattern((0, 1, 0))
     d2 = facts.derivative_chain(pat, net)[2][-1]
     assert d2.order == 2 and d2.sign_class == "has_negative"
-    rec = continuation.continue_branch(
+    rec = continue_branch(
         pat, continuation.CoupledSystem(models, net), [1e-6, 2e-6],
         equilibria=eqs, stop_at_exit=False)
     assert branch_derivative_check(rec, d2) < 1e-2
@@ -181,7 +181,7 @@ def test_08_dfe_branch_stays_disease_free():
     t0 = time.perf_counter()
     models, eqs, _ = hiv_system(BACKWARD_TRIPLE)
     pat = equilibria.EquilibriumPattern((0, 0, 0))
-    rec = continuation.continue_branch(
+    rec = continue_branch(
         pat, continuation.CoupledSystem(models, hiv_net("fig3b")),
         [1e-5, 1e-3, 1e-1], equilibria=eqs)
     assert rec.failure is None and rec.verdict_observed == "persists"

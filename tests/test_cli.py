@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -954,6 +955,23 @@ def test_bad_configs_exit_2_or_3_without_traceback(name, tmp_path, capsys):
         report = outdir / f"{command}.json"
         assert message in err + (report.read_text() if report.exists()
                                  else ""), run
+
+
+@pytest.mark.parametrize("alpha", ["1e200", "1e308"])
+@pytest.mark.parametrize("command", ["continue", "simulate"])
+def test_huge_alpha_exits_3_without_a_warning(command, alpha, tmp_path,
+                                              capsys):
+    # M0 + alpha L and the states overflow: each branch or trajectory fails
+    # with its message in the report, and no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--config",
+                         cli.fixture_path("hiv_backward.json"),
+                         "--alpha", alpha, "--out", str(tmp_path)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / f"{command}.json").read_text())
+    assert report["failures"]
 
 
 # The same digests for configs of three catalog patches of each generic

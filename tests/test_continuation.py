@@ -6,9 +6,9 @@ from conftest import (BACKWARD_TRIPLE, MIXED_TRIPLE, hiv_net, hiv_system,
 from patchepi import (cli, continuation, equilibria, matalg, model, network,
                       persist)
 from patchepi.equilibria import EquilibriumPattern
-from reference import (branch_derivative_check, count_stable,
-                       coupled_jacobian, coupled_residual, patch_jacobian,
-                       travel_operator)
+from reference import (branch_derivative_check, continue_branch,
+                       count_stable, coupled_jacobian, coupled_residual,
+                       patch_jacobian, travel_operator)
 
 # frozen cross-check values for the mixed regime on fig3b, pattern (0,1,0)
 EXIT_MIN_AT_1E6 = -3.0888950017712716e-09
@@ -78,20 +78,14 @@ def test_package_keeps_no_reference_equations():
             assert not hasattr(module, name), (module.__name__, name)
 
 
-# the public functions and methods no module of the package calls, each
-# kept for callers outside it
+# the public functions no module of the package calls, each kept for the
+# perfbench script named beside it (code that only tests call lives in
+# tests/reference.py)
 LIBRARY_API = {
-    "cli.fixture_path": "locates a shipped config for tests and perfbench",
-    "continuation.continue_branch":
-        "the single-run reference of test_batch_equals_single_runs",
-    "equilibria.patch_equilibria": "perfbench calls it",
-    "equilibria.local_reproduction_number":
-        "a model's R without the endemic search; perfbench calls it",
-    "equilibria.endemic_equilibria_generic":
-        "the generic search with its discard count, which tests read",
-    "persist.predict": "one pattern's verdict; perfbench passes R_values",
-    "persist.count_persisting": "one system's count on one network",
-    "sim.basin_probe": "terminal labels of an initial set, for basin scans",
+    "cli.fixture_path": "run.py",
+    "equilibria.patch_equilibria": "record_reference.py",
+    "equilibria.local_reproduction_number": "record_reference.py",
+    "persist.predict": "record_reference.py",
 }
 
 
@@ -126,6 +120,24 @@ def test_package_keeps_no_uncalled_public_functions():
                                     and name.endswith("__"))
                             and name not in used)
     assert uncalled == set(LIBRARY_API)
+
+
+def test_library_api_is_what_perfbench_calls():
+    # each kept name is an attribute access in the perfbench script that
+    # keeps it, so deleting one fails here and not in record_reference.py,
+    # which no test runs; an entry perfbench no longer calls fails too
+    import ast
+    import pathlib
+
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    for qualified, script in LIBRARY_API.items():
+        module, name = qualified.split(".")
+        tree = ast.parse((bench / script).read_text())
+        called = {(node.value.attr if isinstance(node.value, ast.Attribute)
+                   else getattr(node.value, "id", None))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == name}
+        assert module in called, (qualified, script)
 
 
 def test_package_compiles_coupled_systems_in_three_places():
@@ -406,8 +418,8 @@ def test_sole_witness_branch_exits_at_cone(mixed):
     models, eqs, R, net = mixed
     pat = EquilibriumPattern((0, 1, 0))
     system = continuation.CoupledSystem(models, net)
-    rec = continuation.continue_branch(pat, system, [1e-8, 1e-7, 1e-6, 1e-5],
-                                       equilibria=eqs)
+    rec = continue_branch(pat, system, [1e-8, 1e-7, 1e-6, 1e-5],
+                          equilibria=eqs)
     assert rec.verdict_observed == "vanishes"
     assert rec.exit_alpha == pytest.approx(1e-6)
     assert rec.points[-1].alpha == pytest.approx(1e-6)
@@ -420,8 +432,8 @@ def test_sole_witness_branch_exits_at_cone(mixed):
 def test_branch_point_invariants(mixed):
     models, eqs, R, net = mixed
     system = continuation.CoupledSystem(models, net)
-    rec = continuation.continue_branch(EquilibriumPattern((1, 1, 1)), system,
-                                       [1e-7, 1e-6, 1e-5], equilibria=eqs)
+    rec = continue_branch(EquilibriumPattern((1, 1, 1)), system,
+                          [1e-7, 1e-6, 1e-5], equilibria=eqs)
     assert rec.verdict_observed == "persists"
     assert rec.exit_alpha is None and rec.failure is None
     alphas = [p.alpha for p in rec.points]
@@ -437,23 +449,23 @@ def test_exit_refinement_brackets_the_crossing(mixed):
     pat = EquilibriumPattern((0, 1, 0))
     system = continuation.CoupledSystem(models, net)
     # grid steps under 5%: the exit is located to that resolution
-    rec = continuation.continue_branch(pat, system,
-                                       np.geomspace(1e-7, 1e-6, 49),
-                                       equilibria=eqs)
+    rec = continue_branch(pat, system,
+                          np.geomspace(1e-7, 1e-6, 49),
+                          equilibria=eqs)
     assert rec.exit_alpha is not None
     # the first derivative vanishes on region 3, the second is negative,
     # so the crossing sits where alpha^2 overtakes the tiny linear inflow
     assert 1e-7 < rec.exit_alpha < 1e-6
     # the exit is the violating end of a bracket under 5% wide
-    probe = continuation.continue_branch(pat, system, [rec.exit_alpha],
-                                         equilibria=eqs)
+    probe = continue_branch(pat, system, [rec.exit_alpha],
+                            equilibria=eqs)
     assert -5e-9 < probe.points[-1].min_component < continuation.SIGN_EXIT_TOL
 
 
 def test_derivative_cross_checks(mixed):
     models, eqs, R, net = mixed
     pat = EquilibriumPattern((0, 1, 0))
-    rec = continuation.continue_branch(
+    rec = continue_branch(
         pat, continuation.CoupledSystem(models, net), [1e-6, 2e-6],
         equilibria=eqs, stop_at_exit=False)
     assert rec.exit_alpha is not None  # still recorded while continuing
@@ -480,8 +492,8 @@ def test_dfe_branch_stays_disease_free(backward):
     models, eqs, R, net = backward
     system = continuation.CoupledSystem(models, net)
     dfe = EquilibriumPattern((0, 0, 0))
-    rec = continuation.continue_branch(dfe, system, [1e-5, 1e-3, 1e-1],
-                                       equilibria=eqs)
+    rec = continue_branch(dfe, system, [1e-5, 1e-3, 1e-1],
+                          equilibria=eqs)
     assert rec.verdict_observed == "persists" and rec.failure is None
     assert [p.alpha for p in rec.points] == [0.0, 1e-5, 1e-3, 1e-1]
     X0 = continuation.product_state(dfe, eqs)
@@ -510,7 +522,7 @@ def dfe_branch(models, alphas, stop_at_exit=True, eqs=None):
     m = models[0].m
     net = network.from_edges([(0, 1), (1, 0)], r=2, n=1, m=m, k=1)
     eqs = eqs or [equilibria.patch_equilibria(mod) for mod in models]
-    return continuation.continue_branch(
+    return continue_branch(
         EquilibriumPattern((0, 0)), continuation.CoupledSystem(models, net),
         alphas, equilibria=eqs, stop_at_exit=stop_at_exit)
 
@@ -576,8 +588,8 @@ def test_mixed_fixture_branch_persists_on_shipped_grid():
     eqs = [equilibria.patch_equilibria(m) for m in models]
     system = continuation.CoupledSystem(models,
                                         cli.build_network(cfg, models))
-    rec = continuation.continue_branch(EquilibriumPattern((2, 1, 1)), system,
-                                       cfg.alpha_grid, equilibria=eqs)
+    rec = continue_branch(EquilibriumPattern((2, 1, 1)), system,
+                          cfg.alpha_grid, equilibria=eqs)
     assert rec.failure is None and rec.verdict_observed == "persists"
     assert [p.alpha for p in rec.points] == [0.0, 1e-5, 1e-3, 0.1]
 
@@ -586,8 +598,8 @@ def test_inadmissible_corrector_start_is_a_branch_failure(backward):
     models, eqs, R, net = backward
     # one Euler step from alpha = 0 to 1e-2 leaves a patch with N <= 0
     system = continuation.CoupledSystem(models, net)
-    rec = continuation.continue_branch(EquilibriumPattern((2, 0, 2)), system,
-                                       [1e-2], equilibria=eqs)
+    rec = continue_branch(EquilibriumPattern((2, 0, 2)), system,
+                          [1e-2], equilibria=eqs)
     assert rec.failure is not None
     assert "inadmissible at alpha = 0.01" in rec.failure
     assert [p.alpha for p in rec.points] == [0.0]
@@ -605,12 +617,12 @@ def test_stable_unstable_census(backward):
 def test_stability_matches_disconnected_classification(backward):
     models, eqs, R, _ = backward
     system = continuation.CoupledSystem(models, hiv_net("fig3c"))
-    rec = continuation.continue_branch(EquilibriumPattern((2, 2, 2)), system,
-                                       [1e-6, 1e-5], equilibria=eqs)
+    rec = continue_branch(EquilibriumPattern((2, 2, 2)), system,
+                          [1e-6, 1e-5], equilibria=eqs)
     assert rec.verdict_observed == "persists"
     assert all(p.stability == "stable" for p in rec.points)
-    rec_mixed = continuation.continue_branch(EquilibriumPattern((1, 2, 2)),
-                                             system, [1e-6], equilibria=eqs)
+    rec_mixed = continue_branch(EquilibriumPattern((1, 2, 2)),
+                                system, [1e-6], equilibria=eqs)
     # the lower endemic root is unstable and stays so under weak coupling
     assert all(p.stability == "unstable" for p in rec_mixed.points)
 
@@ -620,8 +632,8 @@ def test_predict_matches_continuation_fig3b(mixed):
     system = continuation.CoupledSystem(models, net)
     for pat in equilibria.enumerate_patterns([len(e) - 1 for e in eqs]):
         v = persist.predict(pat, models, net, equilibria=eqs)
-        rec = continuation.continue_branch(pat, system, [1e-6],
-                                           equilibria=eqs)
+        rec = continue_branch(pat, system, [1e-6],
+                              equilibria=eqs)
         assert rec.failure is None
         assert v.verdict == rec.verdict_observed, pat.choices
 
@@ -651,8 +663,8 @@ def test_marginal_threshold_violates_hypotheses():
     # and holds no point
     models, eqs, R = hiv_system((marginal_beta1(), 1.0, 1.0))
     system = continuation.CoupledSystem(models, hiv_net("fig3b"))
-    rec = continuation.continue_branch(EquilibriumPattern((0, 1, 1)), system,
-                                       [1e-6], equilibria=eqs)
+    rec = continue_branch(EquilibriumPattern((0, 1, 1)), system,
+                          [1e-6], equilibria=eqs)
     assert rec.failure.startswith("theorem hypothesis violated: coupled "
                                   "Jacobian singular at alpha = 0")
     assert rec.points == [] and rec.verdict_observed is None
@@ -711,7 +723,7 @@ def test_batch_equals_single_runs(name, grid):
     batch = continuation.continue_branches(patterns, system, grid, eqs)
     assert len(batch) == len(patterns)
     for pattern, got in zip(patterns, batch):
-        want = continuation.continue_branch(pattern, system, grid, eqs)
+        want = continue_branch(pattern, system, grid, eqs)
         _assert_same_record(got, want)
     # the same holds in any order and with a row's neighbours changed
     half = continuation.continue_branches(patterns[::-2], system, grid, eqs)
@@ -732,7 +744,7 @@ def test_failed_row_leaves_the_others_unchanged(backward):
     persisting = [rec for rec in batch if rec.verdict_observed == "persists"]
     assert len(persisting) >= 2
     for pattern, got in zip(patterns, batch):
-        _assert_same_record(got, continuation.continue_branch(
+        _assert_same_record(got, continue_branch(
             pattern, system, grid, eqs))
 
 
@@ -756,8 +768,8 @@ def test_one_jacobian_per_accepted_point_and_newton_iteration(mixed,
     monkeypatch.setattr(continuation.CoupledSystem, "jacobian", jacobian)
     monkeypatch.setattr(continuation.matalg, "solve_linear", solve)
     system = continuation.CoupledSystem(models, net)
-    rec = continuation.continue_branch(EquilibriumPattern((1, 1, 1)), system,
-                                       grid, equilibria=eqs)
+    rec = continue_branch(EquilibriumPattern((1, 1, 1)), system,
+                          grid, equilibria=eqs)
     assert rec.verdict_observed == "persists" and len(rec.points) == 5
     # one predictor solve per grid step, the rest are Newton iterations
     newton_iterations = len(solves) - len(grid)

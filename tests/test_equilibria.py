@@ -8,9 +8,9 @@ from conftest import (BASE, GENERIC_CATALOG, hiv_eqs, hiv_facts, hiv_patch,
                       hiv_R)
 from patchepi import cli, equilibria, model
 from patchepi.model import HivParams, PatchState
-from reference import (full_grid_roots, patch_residual,
-                       patch_susceptible_level, scalar_force_residual,
-                       scan_lambda_roots, steady_beta1)
+from reference import (endemic_equilibria_generic, full_grid_roots,
+                       patch_residual, patch_susceptible_level,
+                       scalar_force_residual, scan_lambda_roots, steady_beta1)
 
 
 def test_local_R_regression_values():
@@ -298,7 +298,7 @@ def test_generic_single_group_closed_form():
     # S* = (gam+mu)/beta; I* = Lam/(gam+mu) - mu/beta; R_rem* = gam I*/mu
     beta, Lam, mu, gam = 0.06, 1.0, 0.05, 0.05
     mg = model.multigroup([[beta]], Lam, mu, gam)
-    roots, discarded = equilibria.endemic_equilibria_generic(mg)
+    roots, discarded = endemic_equilibria_generic(mg)
     assert len(roots) == 1 and discarded * 3 ** mg.k == 12
     S = (gam + mu) / beta
     I = Lam / (gam + mu) - mu / beta
@@ -310,7 +310,7 @@ def test_generic_single_group_closed_form():
 
 def test_generic_below_threshold_empty():
     mg = model.multigroup([[0.004]], 1.0, 0.05, 0.05)  # R = 0.8
-    roots, _ = equilibria.endemic_equilibria_generic(mg)
+    roots, _ = endemic_equilibria_generic(mg)
     assert roots == []
 
 
@@ -320,7 +320,7 @@ def test_generic_discards_boundary_roots():
     mu, gam, Lam = 0.1, 0.4, 1.0
     b = np.array([1.2, 0.8]) * (gam + mu) / (Lam / mu)
     ms = model.multistrain(b, gam, Lam, mu)
-    roots, discarded = equilibria.endemic_equilibria_generic(ms)
+    roots, discarded = endemic_equilibria_generic(ms)
     assert roots == [] and discarded * 3 ** ms.k == 81
 
 
@@ -342,7 +342,7 @@ def test_one_coupled_system_per_patch_equilibria(family,
 @pytest.mark.parametrize("family, params, nroots, discarded", GENERIC_CATALOG)
 def test_generic_search_roots_and_discards(family, params, nroots, discarded):
     mod = getattr(model, family)(**params)
-    roots, got = equilibria.endemic_equilibria_generic(mod)
+    roots, got = endemic_equilibria_generic(mod)
     assert (len(roots), got * 3 ** mod.k) == (nroots, discarded)
     for eq in roots:
         assert np.max(np.abs(patch_residual(mod, eq.state))) <= 1e-9
@@ -352,9 +352,9 @@ def test_generic_search_roots_and_discards(family, params, nroots, discarded):
 def test_generic_search_in_small_batches(monkeypatch):
     # batches split the seed grid without changing its order or any outcome
     mod = hiv_patch(0.85)
-    want, want_discarded = equilibria.endemic_equilibria_generic(mod)
+    want, want_discarded = endemic_equilibria_generic(mod)
     monkeypatch.setattr(equilibria, "SEED_BATCH", 100)
-    got, got_discarded = equilibria.endemic_equilibria_generic(mod)
+    got, got_discarded = endemic_equilibria_generic(mod)
     assert got_discarded == want_discarded
     assert want_discarded * 3 ** mod.k == 15
     assert len(got) == len(want) == 2
@@ -389,7 +389,7 @@ def test_singular_jacobian_fails_its_own_seed_only():
 
 def test_generic_path_reproduces_hiv_scalar_roots():
     mod = hiv_patch(0.85)
-    roots, discarded = equilibria.endemic_equilibria_generic(mod)
+    roots, discarded = endemic_equilibria_generic(mod)
     scalar = hiv_eqs(0.85)[1:]
     assert len(roots) == len(scalar) == 2 and discarded * 3 ** mod.k == 15
     for got, want in zip(roots, scalar):
@@ -424,7 +424,7 @@ def test_generic_roots_match_full_grid():
              + random_generic_patches())
     found = 0
     for mod in cases:
-        got, discarded = equilibria.endemic_equilibria_generic(mod)
+        got, discarded = endemic_equilibria_generic(mod)
         want, want_discarded = full_grid_roots(mod)
         assert want_discarded == discarded * 3 ** mod.k
         assert len(got) == len(want)
@@ -437,7 +437,7 @@ def test_generic_roots_match_full_grid():
 @pytest.mark.parametrize("beta1", [0.835, 0.85, 0.875, 1.0, 1.15])
 def test_generic_hiv_roots_match_full_grid(beta1):
     mod = hiv_patch(beta1)
-    got, discarded = equilibria.endemic_equilibria_generic(mod)
+    got, discarded = endemic_equilibria_generic(mod)
     want, want_discarded = full_grid_roots(mod)
     assert want_discarded == discarded * 3 ** mod.k
     assert len(got) == len(want) == len(hiv_eqs(beta1)) - 1
@@ -457,7 +457,7 @@ def test_generic_search_seeds_infected_and_susceptible_only(monkeypatch):
     for mod in (hiv_patch(0.85), model.multistrain([0.05, 0.07, 0.04],
                                                    [0.3, 0.4, 0.2], 1.0, 0.1)):
         rows.clear()
-        equilibria.endemic_equilibria_generic(mod)
+        endemic_equilibria_generic(mod)
         U0 = np.vstack(rows)
         assert len(U0) == 3 ** (mod.n + mod.m)
         # every seed starts with its removed classes slaved: Z x = D z
@@ -472,14 +472,14 @@ def test_transcritical_point_has_no_endemic_root():
     # ROOT_RESIDUAL_TOL; a hair above R = 1 the single endemic root stays
     at_one = model.multistrain([0.05], [0.4], 1.0, 0.1)
     assert equilibria.local_reproduction_number(at_one) == 1.0
-    assert equilibria.endemic_equilibria_generic(at_one)[0] == []
+    assert endemic_equilibria_generic(at_one)[0] == []
     patch = equilibria.patch_facts(at_one)
     assert equilibria.bifurcation_report(patch).regime == "below_Rc"
 
     beta, gam, Lam, mu = 0.05 * 1.002, 0.4, 1.0, 0.1
     above = model.multistrain([beta], [gam], Lam, mu)
     assert equilibria.local_reproduction_number(above) > 1.0
-    roots, _ = equilibria.endemic_equilibria_generic(above)
+    roots, _ = endemic_equilibria_generic(above)
     assert len(roots) == 1
     assert roots[0].state.x[0] == pytest.approx(Lam / (gam + mu) - mu / beta,
                                                 rel=1e-9)

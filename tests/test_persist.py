@@ -23,6 +23,12 @@ def mixed():
     return models, eqs, R, hiv_net("fig3b")
 
 
+def _persisting_count(models, net):
+    """The count census --exhaustive-networks runs on net."""
+    return persist.SystemFacts([equilibria.patch_facts(m)
+                                for m in models]).persisting_count(net)
+
+
 def _chain(net, choices=(0, 1, 0)):
     return hiv_system_facts(MIXED_TRIPLE).derivative_chain(
         EquilibriumPattern(choices), net)
@@ -124,7 +130,7 @@ def test_count_persisting_fixture_networks(mixed):
     models, eqs, R, _ = mixed
     for name, want in [("fig4a", 4), ("fig4b", 5), ("fig4c", 6),
                        ("fig4d", 7), ("fig3c", 4)]:
-        got = persist.count_persisting(models, hiv_net(name), equilibria=eqs)
+        got = _persisting_count(models, hiv_net(name))
         assert got == want, name
 
 
@@ -133,13 +139,12 @@ def test_count_persisting_backward_regime_all_networks():
     # no region exceeds threshold, so every one of the 27 product states
     # survives on any topology
     for name in ("fig3a", "fig3b", "fig3c", "fig4c"):
-        assert persist.count_persisting(models, hiv_net(name),
-                                        equilibria=eqs) == 27
+        assert _persisting_count(models, hiv_net(name)) == 27
 
 
 def test_count_persisting_census_example():
     models, eqs, R = hiv_system((0.85, 1.0, 0.85))
-    got = persist.count_persisting(models, hiv_net("fig3b"), equilibria=eqs)
+    got = _persisting_count(models, hiv_net("fig3b"))
     assert got == 10
 
 
@@ -198,8 +203,8 @@ def test_persisting_count_is_a_product_over_components():
 def test_count_persisting_requires_three_regions(mixed):
     models, eqs, R, _ = mixed
     net2 = network.from_edges([(0, 1)], r=2, n=4, m=2, k=1)
-    with pytest.raises(ValueError):
-        persist.count_persisting(models[:2], net2, equilibria=eqs[:2])
+    with pytest.raises(ValueError, match="persisting_count covers"):
+        _persisting_count(models[:2], net2)
 
 
 def test_per_patch_lengths_must_match_network(mixed):
@@ -208,7 +213,7 @@ def test_per_patch_lengths_must_match_network(mixed):
     with pytest.raises(ValueError, match="equilibria has 2 entries.* 3 regions"):
         persist.predict(pat, models, net, equilibria=eqs[:2])
     with pytest.raises(ValueError, match="equilibria has 4 entries.* 3 regions"):
-        persist.count_persisting(models, net, equilibria=eqs + eqs[:1])
+        persist.predict(pat, models, net, equilibria=eqs + eqs[:1])
 
 
 def test_is_irreducible_runs_once_per_patch_per_count(mixed, monkeypatch):
@@ -231,7 +236,7 @@ def test_is_irreducible_runs_once_per_patch_per_count(mixed, monkeypatch):
     monkeypatch.setattr(matalg, "is_irreducible", counting)
     monkeypatch.setattr(equilibria, "_threshold", counting_threshold)
     monkeypatch.setattr(persist, "_threshold", counting_threshold)
-    assert persist.count_persisting(models, net, equilibria=eqs) == 4
+    assert _persisting_count(models, net) == 4
     assert 0 < len(calls) <= net.r
     # V - F is settled once per patch, as is the reducible systems' chain
     assert 0 < len(operators) <= net.r
@@ -289,9 +294,9 @@ def test_all_pattern_verdicts_match_per_pattern_predict(system):
         rules.update(v.rule for v in want)
         if any(v.verdict == "indeterminate" for v in want):
             with pytest.raises(RuntimeError, match=repr(net.name)):
-                persist.count_persisting(models, net, eqs)
+                facts.persisting_count(net)
         else:
-            assert persist.count_persisting(models, net, eqs) == sum(
+            assert facts.persisting_count(net) == sum(
                 v.verdict == "persists" for v in want), net.name
     if system == "multistrain":
         assert rules == {"derivative_direct"}
@@ -327,10 +332,9 @@ def test_relabeling_invariance(mixed):
     edges = network.PRESET_EDGES["fig3b"]
     relabeled = network.from_edges([(perm[f], perm[t]) for f, t in edges],
                                    r=3, n=4, m=2, k=1)
-    base = persist.count_persisting(models, hiv_net("fig3b"), equilibria=eqs)
-    got = persist.count_persisting([models[perm.index(i)] for i in range(3)],
-                                   relabeled,
-                                   equilibria=[eqs[perm.index(i)] for i in range(3)])
+    base = _persisting_count(models, hiv_net("fig3b"))
+    got = _persisting_count([models[perm.index(i)] for i in range(3)],
+                            relabeled)
     assert got == base
 
 
@@ -342,7 +346,7 @@ def test_marginal_R_is_indeterminate():
                         equilibria=eqs)
     assert v.verdict == "indeterminate"
     with pytest.raises(RuntimeError, match="indeterminate.*'fig3b'"):
-        persist.count_persisting(models, net, equilibria=eqs)
+        _persisting_count(models, net)
 
 
 def multistrain_system():
@@ -414,7 +418,7 @@ def test_reducible_patch_at_R_one_is_indeterminate():
     assert all(v.verdict == "indeterminate" and v.rule == "derivative_direct"
                for v in verdicts)
     with pytest.raises(RuntimeError, match="'fig3b'"):
-        persist.count_persisting(models, net, equilibria=eqs)
+        facts.persisting_count(net)
 
 
 def test_sign_class_boundaries():

