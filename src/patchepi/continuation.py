@@ -45,6 +45,10 @@ SIGN_EXIT_TOL = -1e-9     # below this a component counts as negative
 MAX_NEWTON_ITERS = 60
 MAX_HALVINGS = 20         # Armijo: step down to 2^-20
 ARMIJO_SLOPE = 1e-4
+# the Armijo step lengths: the full step, then its halvings, exact powers
+# of two
+_FULL_STEP = np.ones(1)
+_HALVINGS = np.ldexp(1.0, -np.arange(1, MAX_HALVINGS + 1))
 
 # what a state outside CoupledSystem.admissible is refused with
 INADMISSIBLE = "standard incidence undefined at N = 0"
@@ -365,11 +369,19 @@ def _newton_correct(system, alpha, X0):
 
     Every row follows the single-start rules on its own, and the rows
     share only the array operations: merit is the squared residual sup
-    norm, with Armijo backtracking; an inadmissible trial point halves the
-    step; twenty halvings without sufficient decrease stall the row
-    unless its residual is already within ACCEPT_TOL. A row fails on an
-    inadmissible start, a singular Jacobian, a stall or MAX_NEWTON_ITERS
-    iterations; the message names alpha, the point being solved.
+    norm, with Armijo backtracking over t = 1, 1/2, ..., 2^-MAX_HALVINGS;
+    an inadmissible trial point fails its t; a row with no acceptable t
+    stalls unless its residual is already within ACCEPT_TOL. A row fails
+    on an inadmissible start, a singular Jacobian, a stall or
+    MAX_NEWTON_ITERS iterations; the message names alpha, the point being
+    solved.
+
+    The backtracking takes two stacked residual calls per iteration: the
+    full step of every row, then all twenty halvings at once for the rows
+    whose full step failed, each taking its first acceptable t. Whether a
+    t is acceptable depends on that t alone, so the t taken is the one a
+    halving-at-a-time search stops at, and every trial point, residual and
+    Armijo test has the same expression and bits as in that search.
     """
     def residual(X):
         return system.residual(alpha, X[:, None])[:, 0]
@@ -397,36 +409,45 @@ def _newton_correct(system, alpha, X0):
         active[idx[singular]] = False
         idx, step = idx[~singular], step[~singular]
         merit = rnorm[idx] * rnorm[idx]
-        t = np.ones(idx.size)
-        pending = np.ones(idx.size, dtype=bool)
-        for _ in range(MAX_HALVINGS + 1):
-            p = np.flatnonzero(pending)
-            if not p.size:
+        for t in (_FULL_STEP, _HALVINGS):
+            ok, trial, res_t, norm_t = _armijo_trials(
+                system, residual, X[idx], step, merit, t)
+            took = ok.any(axis=1)
+            first = ok.argmax(axis=1)[took]       # the largest acceptable t
+            rows = idx[took]
+            X[rows] = trial[took, first]
+            res[rows], rnorm[rows] = res_t[took, first], norm_t[took, first]
+            idx, step, merit = idx[~took], step[~took], merit[~took]
+            if not idx.size:
                 break
-            trial = X[idx[p]] + t[p, None] * step[p]
-            ok = system.admissible(trial)
-            res_t = np.zeros_like(trial)
-            norm_t = np.full(p.size, np.inf)
-            if ok.any():
-                res_t[ok] = residual(trial[ok])
-                norm_t[ok] = np.max(np.abs(res_t[ok]), axis=1)
-            # float ** 2 is libm pow, which differs from x * x in the last
-            # bit of about one value in a thousand; the Armijo test keeps it
-            m_t = np.array([v ** 2 for v in norm_t.tolist()])
-            ok &= m_t <= (1.0 - 2.0 * ARMIJO_SLOPE * t[p]) * merit[p]
-            rows = idx[p[ok]]
-            X[rows], res[rows], rnorm[rows] = trial[ok], res_t[ok], norm_t[ok]
-            pending[p[ok]] = False
-            t[p[~ok]] *= 0.5
-        for i in idx[pending]:
+        for i in idx:
             if not rnorm[i] <= ACCEPT_TOL:
                 failures[i] = (f"Newton stalled at alpha = {alpha:g}, "
                                f"residual {rnorm[i]:.3e}")
-        active[idx[pending]] = False
+        active[idx] = False
     for i in np.flatnonzero(active & ~(rnorm <= ACCEPT_TOL)):
         failures[i] = (f"Newton exceeded {MAX_NEWTON_ITERS} iterations at "
                        f"alpha = {alpha:g}")
     return X, rnorm, failures
+
+
+def _armijo_trials(system, residual, X, step, merit, t):
+    """(ok, trial, res, norm) of the trial points X + t * step, each
+    indexed [row, j] for the row of X and t[j]: ok marks the admissible
+    points that pass the Armijo test against the row's merit."""
+    trial = X[:, None] + t[:, None] * step[:, None]
+    ok = system.admissible(trial)
+    res = np.zeros_like(trial)
+    norm = np.full(ok.shape, np.inf)
+    if ok.any():
+        r = residual(trial[ok])
+        res[ok], norm[ok] = r, np.max(np.abs(r), axis=1)
+    # float ** 2 is libm pow, which differs from x * x in the last bit of
+    # about one value in a thousand; the Armijo test keeps it
+    m_t = np.array([v ** 2 for v in norm.ravel().tolist()])
+    ok &= (m_t.reshape(ok.shape)
+           <= (1.0 - 2.0 * ARMIJO_SLOPE * t) * merit[:, None])
+    return ok, trial, res, norm
 
 
 def _accepted(alpha, X, rnorm, J) -> list:

@@ -94,16 +94,19 @@ class Trajectory:
 
 
 def _classify_terminal(X: np.ndarray, classified) -> str:
-    """Label of the nearest classified equilibrium within tolerance."""
+    """Label of the nearest classified equilibrium within tolerance.
+
+    The distance to Xeq is max|X - Xeq| / (1 + max|Xeq|), over every
+    equilibrium at once; the first of equal distances wins, and a NaN
+    distance (a NaN state) is within no tolerance.
+    """
     if not classified:
         return "unresolved"
-    best_label, best_dist = "unresolved", np.inf
-    for label, Xeq in classified:
-        Xeq = np.asarray(Xeq, dtype=float)
-        dist = float(np.max(np.abs(X - Xeq))) / (1.0 + float(np.max(np.abs(Xeq))))
-        if dist <= CLASSIFY_TOL and dist < best_dist:
-            best_label, best_dist = label, dist
-    return best_label
+    Xeq = np.array([x for _, x in classified], dtype=float)
+    dist = np.abs(X - Xeq).max(axis=1) / (1.0 + np.abs(Xeq).max(axis=1))
+    dist[~(dist <= CLASSIFY_TOL)] = np.inf
+    best = int(dist.argmin())
+    return classified[best][0] if dist[best] < np.inf else "unresolved"
 
 
 def _initial_step(f0: np.ndarray, X0: np.ndarray, t_end: float,

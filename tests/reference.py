@@ -16,8 +16,12 @@ disease-free susceptibles that the one-region CoupledSystem.disease_free
 replaced. m_matrix_characterizations gives the two textbook tests the
 package's M-matrix predicate is checked against. continue_branch is
 continue_branches on one pattern, the single run a batch is checked
-against. The branch cross-checks at the end read continued branches
-against the analytic derivatives of persist and tally their stability.
+against. newton_correct is the branch corrector backtracking one
+halving, and one residual call, at a time, and classify_terminal the
+terminal classifier measuring one equilibrium at a time: the oracles of
+their batched forms in the package. The branch cross-checks at the end
+read continued branches against the analytic derivatives of persist and
+tally their stability.
 rodas_trajectory is an adaptive Rodas4 run, a one-step Rosenbrock method
 that shares no step with sim.integrate's NDF, written plainly on the
 kernel's residual and jacobian: the accuracy oracle of the integrator.
@@ -30,7 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from patchepi import equilibria, matalg, sim
-from patchepi.continuation import (BranchRecord, CoupledSystem,
+from patchepi.continuation import (ACCEPT_TOL, ARMIJO_SLOPE, INADMISSIBLE,
+                                   MAX_HALVINGS, MAX_NEWTON_ITERS, NEWTON_TOL,
+                                   BranchRecord, CoupledSystem,
                                    _check_families, continue_branches,
                                    travel_matrix)
 from patchepi.equilibria import enumerate_patterns
@@ -300,6 +306,97 @@ def continue_branch(pattern, system: CoupledSystem,
     patterns is checked against, record for record."""
     return continue_branches([pattern], system, alpha_targets, equilibria,
                              stop_at_exit)[0]
+
+
+def newton_correct(system, alpha, X0):
+    """Damped Newton for system.residual(alpha, X) = 0 from every row of X0,
+    backtracking one halving at a time: the oracle of the branch corrector
+    continuation._newton_correct, which tries every halving at once.
+
+    Returns (X, rnorm, failures): per row the corrected state, its
+    residual sup norm, and None or the message of its failure. The
+    residual sees only rows that system.admissible accepts, each as
+    X[:, None, :], so it is its own matrix-vector product with the bits of
+    a single-state evaluation. It corrects every branch but the DFE's.
+
+    Every row follows the single-start rules on its own, and the rows
+    share only the array operations: merit is the squared residual sup
+    norm, with Armijo backtracking; an inadmissible trial point halves the
+    step; twenty halvings without sufficient decrease stall the row
+    unless its residual is already within ACCEPT_TOL. A row fails on an
+    inadmissible start, a singular Jacobian, a stall or MAX_NEWTON_ITERS
+    iterations; the message names alpha, the point being solved.
+    """
+    def residual(X):
+        return system.residual(alpha, X[:, None])[:, 0]
+
+    X = np.array(X0, dtype=float)
+    failures = [None] * len(X)
+    res = np.zeros_like(X)
+    rnorm = np.full(len(X), np.inf)
+    active = system.admissible(X)
+    for i in np.flatnonzero(~active):
+        failures[i] = (f"corrector start inadmissible at alpha = {alpha:g}: "
+                       f"{INADMISSIBLE}")
+    if active.any():
+        res[active] = residual(X[active])
+        rnorm[active] = np.max(np.abs(res[active]), axis=1)
+    for _ in range(MAX_NEWTON_ITERS):
+        active &= ~(rnorm <= NEWTON_TOL)
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        step = matalg.solve_linear(system.jacobian(alpha, X[idx]), -res[idx])
+        singular = np.isnan(step).any(axis=1)
+        for i in idx[singular]:
+            failures[i] = f"singular Jacobian at alpha = {alpha:g}"
+        active[idx[singular]] = False
+        idx, step = idx[~singular], step[~singular]
+        merit = rnorm[idx] * rnorm[idx]
+        t = np.ones(idx.size)
+        pending = np.ones(idx.size, dtype=bool)
+        for _ in range(MAX_HALVINGS + 1):
+            p = np.flatnonzero(pending)
+            if not p.size:
+                break
+            trial = X[idx[p]] + t[p, None] * step[p]
+            ok = system.admissible(trial)
+            res_t = np.zeros_like(trial)
+            norm_t = np.full(p.size, np.inf)
+            if ok.any():
+                res_t[ok] = residual(trial[ok])
+                norm_t[ok] = np.max(np.abs(res_t[ok]), axis=1)
+            # float ** 2 is libm pow, which differs from x * x in the last
+            # bit of about one value in a thousand; the Armijo test keeps it
+            m_t = np.array([v ** 2 for v in norm_t.tolist()])
+            ok &= m_t <= (1.0 - 2.0 * ARMIJO_SLOPE * t[p]) * merit[p]
+            rows = idx[p[ok]]
+            X[rows], res[rows], rnorm[rows] = trial[ok], res_t[ok], norm_t[ok]
+            pending[p[ok]] = False
+            t[p[~ok]] *= 0.5
+        for i in idx[pending]:
+            if not rnorm[i] <= ACCEPT_TOL:
+                failures[i] = (f"Newton stalled at alpha = {alpha:g}, "
+                               f"residual {rnorm[i]:.3e}")
+        active[idx[pending]] = False
+    for i in np.flatnonzero(active & ~(rnorm <= ACCEPT_TOL)):
+        failures[i] = (f"Newton exceeded {MAX_NEWTON_ITERS} iterations at "
+                       f"alpha = {alpha:g}")
+    return X, rnorm, failures
+
+
+def classify_terminal(X: np.ndarray, classified) -> str:
+    """Label of the nearest classified equilibrium within tolerance, one
+    equilibrium at a time: the oracle of sim._classify_terminal."""
+    if not classified:
+        return "unresolved"
+    best_label, best_dist = "unresolved", np.inf
+    for label, Xeq in classified:
+        Xeq = np.asarray(Xeq, dtype=float)
+        dist = float(np.max(np.abs(X - Xeq))) / (1.0 + float(np.max(np.abs(Xeq))))
+        if dist <= sim.CLASSIFY_TOL and dist < best_dist:
+            best_label, best_dist = label, dist
+    return best_label
 
 
 def branch_derivative_check(record: BranchRecord,

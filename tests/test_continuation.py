@@ -8,7 +8,7 @@ from patchepi import (cli, continuation, equilibria, matalg, model, network,
 from patchepi.equilibria import EquilibriumPattern
 from reference import (branch_derivative_check, continue_branch,
                        count_stable, coupled_jacobian, coupled_residual,
-                       patch_jacobian, travel_operator)
+                       newton_correct, patch_jacobian, travel_operator)
 
 # frozen cross-check values for the mixed regime on fig3b, pattern (0,1,0)
 EXIT_MIN_AT_1E6 = -3.0888950017712716e-09
@@ -775,3 +775,125 @@ def test_one_jacobian_per_accepted_point_and_newton_iteration(mixed,
     newton_iterations = len(solves) - len(grid)
     assert newton_iterations >= len(grid)
     assert len(jacobians) == len(rec.points) + newton_iterations
+
+
+# ====================================================================
+# Branch corrector
+# ====================================================================
+
+def _euler_predictors(system, eqs, alpha):
+    """Every pattern's Euler predictor from alpha = 0, as _next_points
+    forms it (the product state itself where the slope solve refuses)."""
+    patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
+    X0 = np.array([continuation.product_state(p, eqs) for p in patterns])
+    slope = matalg.solve_linear(system.jacobian(0.0, X0),
+                                -(system.L @ X0[:, :, None])[:, :, 0])
+    predictor = X0 + alpha * slope
+    refused = np.isnan(slope).any(axis=1)
+    predictor[refused] = X0[refused]
+    return predictor
+
+
+def _fixture_predictors(name, alpha):
+    models, net, eqs = _fixture(name)
+    system = continuation.CoupledSystem(models, net)
+    return system, alpha, _euler_predictors(system, eqs, alpha)
+
+
+def _far_starts():
+    """hiv_backward's product states scaled entry by entry: a
+    standard-incidence system where some rows' full Newton step and its
+    first halving leave a patch with N <= 0."""
+    models, eqs, R = hiv_system(BACKWARD_TRIPLE)
+    system = continuation.CoupledSystem(models, hiv_net("fig3b"))
+    patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
+    X0 = np.array([continuation.product_state(p, eqs) for p in patterns])
+    rng = np.random.default_rng(0)
+    return system, 0.0, X0 * np.exp(rng.normal(0.0, 1.5, X0.shape))
+
+
+def _singular_start():
+    """A marginal patch at its DFE, whose coupled Jacobian at alpha = 0 is
+    singular, next to an endemic one. The removed class enters no
+    incidence term, so moving it off equilibrium leaves each Jacobian as
+    it is and gives the corrector a residual to correct."""
+    models, eqs, R = hiv_system((marginal_beta1(), 1.0, 1.0))
+    system = continuation.CoupledSystem(models, hiv_net("fig3b"))
+    X0 = np.array([continuation.product_state(EquilibriumPattern(c), eqs)
+                   for c in ((0, 1, 1), (1, 1, 1))])
+    X0[:, 6] += 1.0            # region 0's removed class
+    return system, 0.0, X0
+
+
+CORRECTOR_CASES = {
+    "backward_1e-2": (lambda: _fixture_predictors("hiv_backward.json", 1e-2),
+                      {"ok", "Newton stalled", "corrector start inadmissible",
+                       "Newton exceeded 60 iterations"}),
+    "backward_0.1": (lambda: _fixture_predictors("hiv_backward.json", 0.1),
+                     {"ok", "corrector start inadmissible"}),
+    "mixed_0.1": (lambda: _fixture_predictors("hiv_mixed.json", 0.1),
+                  {"ok", "Newton stalled", "corrector start inadmissible"}),
+    "early_halvings_inadmissible": (_far_starts, {"ok"}),
+    "singular_jacobian": (_singular_start, {"ok", "singular Jacobian"}),
+    "every_full_step_accepted": (
+        lambda: _fixture_predictors("hiv_backward.json", 1e-5), {"ok"}),
+}
+
+
+def _failure_kind(failure):
+    return "ok" if failure is None else failure.split(" at alpha")[0]
+
+
+@pytest.mark.parametrize("case", CORRECTOR_CASES)
+def test_batched_corrector_matches_the_per_halving_oracle(case):
+    build, kinds = CORRECTOR_CASES[case]
+    system, alpha, X0 = build()
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, rnorm, failures = continuation._newton_correct(system, alpha, X0)
+        want_X, want_rnorm, want_failures = newton_correct(system, alpha, X0)
+    assert X.tobytes() == want_X.tobytes()
+    assert rnorm.tobytes() == want_rnorm.tobytes()
+    assert failures == want_failures
+    # each case reaches the outcomes it is named for
+    assert {_failure_kind(f) for f in failures} == kinds
+
+
+def test_far_starts_backtrack_past_inadmissible_halvings():
+    system, alpha, X0 = _far_starts()
+    res = system.residual(alpha, X0[:, None])[:, 0]
+    step = matalg.solve_linear(system.jacobian(alpha, X0), -res)
+    early = ~system.admissible(X0 + step) & ~system.admissible(X0 + 0.5 * step)
+    X, rnorm, failures = continuation._newton_correct(system, alpha, X0)
+    assert any(failures[i] is None for i in np.flatnonzero(early))
+
+
+def _count_calls(monkeypatch):
+    """Counts of CoupledSystem.residual and .jacobian calls."""
+    calls = {"residual": 0, "jacobian": 0}
+    for name in calls:
+        real = getattr(continuation.CoupledSystem, name)
+
+        def counted(self, alpha, X, real=real, name=name):
+            calls[name] += 1
+            return real(self, alpha, X)
+
+        monkeypatch.setattr(continuation.CoupledSystem, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["backward_1e-2", "every_full_step_accepted"])
+def test_corrector_takes_two_residual_calls_per_iteration(case, monkeypatch):
+    system, alpha, X0 = CORRECTOR_CASES[case][0]()
+    calls = _count_calls(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        continuation._newton_correct(system, alpha, X0)
+        iterations, batched = calls["jacobian"], calls["residual"]
+        calls.update(residual=0, jacobian=0)
+        newton_correct(system, alpha, X0)
+    # one Jacobian per Newton iteration; the start takes one residual call
+    assert iterations == calls["jacobian"] >= 1
+    assert batched <= 1 + 2 * iterations
+    if case == "every_full_step_accepted":
+        assert batched == 1 + iterations == calls["residual"]
+    else:     # halving at a time, the rows at a fold take one call each
+        assert calls["residual"] > 1 + 2 * iterations

@@ -9,7 +9,7 @@ from conftest import (BACKWARD_TRIPLE, MIXED_TRIPLE, RG1_SETS, RL1_SETS,
 from patchepi import (cli, continuation, equilibria, matalg, model, network,
                       sim)
 from patchepi.equilibria import EquilibriumPattern
-from reference import continue_branch, rodas_trajectory
+from reference import classify_terminal, continue_branch, rodas_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -357,3 +357,42 @@ def test_tolerances_change_steps_not_the_answer(backward, product_labels):
                           classified=product_labels)
     assert loose.terminal_classification == tight.terminal_classification
     assert np.max(np.abs(loose.states[-1] - tight.states[-1])) < 1e-5
+
+
+def _classify_both(X, classified):
+    got = sim._classify_terminal(np.asarray(X, dtype=float), classified)
+    assert got == classify_terminal(np.asarray(X, dtype=float), classified)
+    return got
+
+
+def test_classify_terminal_matches_the_one_at_a_time_oracle(product_labels):
+    tol = sim.CLASSIFY_TOL
+    zero, unit = np.zeros(3), np.ones(3)
+    assert _classify_both(zero, []) == "unresolved"
+    # equal distances: the first equilibrium wins, duplicated or mirrored
+    assert _classify_both(zero, [("a", zero), ("b", zero)]) == "a"
+    mirrored = [("a", unit * tol / 2), ("b", -unit * tol / 2)]
+    assert _classify_both(zero, mirrored) == "a"
+    assert _classify_both(zero, mirrored[::-1]) == "b"
+    # the nearer equilibrium wins wherever it is listed
+    near = [("far", unit * tol * 0.9), ("near", unit * tol * 0.1)]
+    assert _classify_both(zero, near) == "near"
+    # distance max|X - Xeq| / (1 + max|Xeq|) exactly at the tolerance
+    # counts, the next float above it does not
+    at = np.array([tol, 0.0, 0.0])
+    assert _classify_both(at, [("a", zero)]) == "a"
+    assert _classify_both(np.nextafter(at, 1.0), [("a", zero)]) == "unresolved"
+    # a NaN state is within no tolerance; a NaN equilibrium is skipped
+    assert _classify_both(np.full(3, np.nan), [("a", zero)]) == "unresolved"
+    nan_first = [("nan", np.full(3, np.nan)), ("a", zero)]
+    assert _classify_both(zero, nan_first) == "a"
+    # states near the hiv_backward product equilibria, at distances that
+    # straddle the tolerance
+    rng = np.random.default_rng(3)
+    labels = set()
+    for label, Xeq in product_labels:
+        for scale in (0.5, 0.99, 1.01, 3.0):
+            X = Xeq + rng.uniform(-1.0, 1.0, Xeq.shape) * scale * tol * (
+                1.0 + np.abs(Xeq).max())
+            labels.add(_classify_both(X, product_labels))
+    assert "unresolved" in labels and len(labels) > 10
