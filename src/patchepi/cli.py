@@ -205,6 +205,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if edge[0] == edge[1]:
                 raise ConfigError(
                     f"network.edges[{eidx}]: self-loops are not allowed")
+        if not isinstance(netspec.get("name", ""), str):
+            raise ConfigError("network.name: must be a string")
     weight = netspec.get("weight", 1.0)
     if not _finite(weight) or weight <= 0:
         raise ConfigError("network.weight: must be a finite positive number")
@@ -542,16 +544,16 @@ def cmd_simulate(config: ExperimentConfig) -> Tuple[dict, dict]:
     models = build_models(config)
     net = build_network(config, models)
     eqs = [equilibria.patch_facts(mod).equilibria for mod in models]
-    size = sum((mod.n + mod.m + mod.k) for mod in models)
     comp_names = _component_names(models)
     system = continuation.CoupledSystem(models, net)
     starts = []
     for label, regions in config.initial_sets:
+        for i, (st, mod) in enumerate(zip(regions, models)):
+            if len(st) != mod.size:
+                raise ConfigError(
+                    f"initial set {label!r}: region {i + 1} has {len(st)} "
+                    f"entries, expected {mod.size}")
         X0 = np.concatenate([np.asarray(st, dtype=float) for st in regions])
-        if X0.size != size:
-            raise ConfigError(
-                f"initial set {label!r}: state size {X0.size}, "
-                f"expected {size}")
         empty = _empty_regions(system, X0)
         if empty:
             raise ConfigError(

@@ -135,16 +135,16 @@ class CoupledSystem:
     then evaluate every state of the batch at once, as the multi-start
     equilibrium search and the stability classification of one patch's
     equilibria do (one region, alpha = 0). single_state gives the
-    integrator a pair of evaluators for one state at a fixed alpha.
+    integrator the right-hand side of one state at a fixed alpha.
 
     solve_order puts every region's susceptibles first, then the infected
     and removed classes. Where no region holds infection, the Jacobian
     has no entry from a susceptible column into an infected or removed
     row. Eliminating the susceptible columns first then never pivots on
-    those rows, so the inverse of I/(h gamma) - J has exact zeros in its
-    infected/removed x susceptible block, the integrator's stages get
-    exact zeros there, and the disease-free subspace stays invariant to
-    the last bit, as the right-hand side keeps it. Its first r m entries
+    those rows, so the inverse of I - c J has exact zeros in its
+    infected/removed x susceptible block, the integrator's Newton updates
+    get exact zeros there, and the disease-free subspace stays invariant
+    to the last bit, as the right-hand side keeps it. Its first r m entries
     are the susceptibles, the unknowns of disease_free.
     """
 
@@ -178,24 +178,16 @@ class CoupledSystem:
         self._N_of = self._std[:, None] * s + np.arange(n + m)
         self._mixed = 0 < self._std.size < r
         self._std_product = standard[region]
-        # d/dN reaches every x and y column of a standard patch's products
+        # flat positions in dP/dX, a row per product and a column per state
+        # entry, of its d/dN, d/dx and d/dy entries; d/dN reaches every x
+        # and y column of a standard patch's products
         self._N_rows = np.flatnonzero(self._std_product)
-        self._N_cols = region[self._N_rows, None] * s + np.arange(n + m)
-        self._dP_at = self._dP_positions(np.arange(r * s))
+        row = np.arange(region.size) * (r * s)
+        self._dP_at = (row[self._N_rows, None] + region[self._N_rows, None] * s
+                       + np.arange(n + m), row + self._xi, row + self._yi)
         state = np.arange(r * s).reshape(r, s)
         self.solve_order = np.concatenate(
             (state[:, n:n + m], state[:, :n], state[:, n + m:]), axis=None)
-
-    def _dP_positions(self, at):
-        """Flat positions in dP/dX of its d/dN, d/dx and d/dy entries.
-
-        dP/dX has a row per product and a column per state entry, the
-        column of state index i at at[i]: the identity for residual and
-        jacobian, the position in solve_order for single_state.
-        """
-        row = np.arange(self._region.size) * at.size
-        return (row[self._N_rows, None] + at[self._N_cols],
-                row + at[self._xi], row + at[self._yi])
 
     def _linear(self, alpha: float) -> np.ndarray:
         """M0 + alpha L, formed again only when alpha changes."""
@@ -282,50 +274,29 @@ class CoupledSystem:
         return self._linear(alpha) + self.Q @ dP
 
     def single_state(self, alpha: float):
-        """(rhs, point): evaluators of one state X[r s] at a fixed alpha.
+        """rhs(X), residual(alpha, X) of one state X[r s] at a fixed alpha.
 
-        rhs(X) is residual(alpha, X), and point(X) gives (rhs(X), J) with
-        J = jacobian(alpha, X)[np.ix_(order, order)], order = solve_order:
-        point writes dP/dX with its columns already in that order, into
-        one buffer it reuses, and J = A_o + Q[order] dP_o, where A_o is
-        M0 + alpha L in that order. M0 + alpha L and its ordered copy are
-        formed once here, and so is the choice between mass action alone
-        (no N) and a system with a standard patch. numpy's cost per call
-        dominates on one small state, so the closures do the work of
-        _products, _fill_dP and residual inline, in the same operations
-        and order, and multiply through ndarray.dot, which skips np.dot's
-        dispatch: every value has the bits of residual and jacobian.
+        M0 + alpha L is formed once here, and so is the choice between
+        mass action alone (no N) and a system with a standard patch.
+        numpy's cost per call dominates on one small state, so rhs does
+        the work of _products and residual inline, in the same operations
+        and order, and multiplies through ndarray.dot, which skips np.dot's
+        dispatch: every value has the bits of residual.
         """
-        order = self.solve_order
         A, c, Q = self._linear(alpha), self.c, self.Q
-        A_o, Q_o = A[np.ix_(order, order)], Q[order]
-        at = np.empty_like(order)
-        at[order] = np.arange(order.size)
-        at_N, at_x, at_y = self._dP_positions(at)
-        dP = np.zeros(Q_o.shape[::-1])
-        buf = dP.reshape(-1)
         yi, xi = self._yi, self._xi
-
         if not self._std.size:
             def rhs(X):
                 return A.dot(X) + c + Q.dot(X[yi] * X[xi])
 
-            def point(X):
-                ys, xs = X[yi], X[xi]
-                buf[at_x] = ys
-                buf[at_y] = 0.0 + xs
-                return A.dot(X) + c + Q.dot(ys * xs), A_o + Q_o.dot(dP)
+            return rhs
 
-            return rhs, point
-
-        N_of, std, region, N_rows = (self._N_of, self._std, self._region,
-                                     self._N_rows)
-        mixed, mass = self._mixed, np.flatnonzero(~self._std_product)
+        N_of, std, region, mixed = (self._N_of, self._std, self._region,
+                                    self._mixed)
         every = np.ones(self.net.r)     # a mass-action patch divides by N = 1
         add, minimum = np.add.reduce, np.minimum.reduce
 
-        def scaled(X):
-            """(y, x / N, 1/N) per product."""
+        def rhs(X):
             Ns = add(X[N_of], axis=-1)
             if not minimum(Ns) > 0.0:
                 raise InadmissibleStateError(INADMISSIBLE)
@@ -333,25 +304,9 @@ class CoupledSystem:
             if mixed:
                 every[std] = inv_N
                 inv_N = every
-            inv_N = inv_N[region]
-            return X[yi], X[xi] * inv_N, inv_N
+            return A.dot(X) + c + Q.dot(X[yi] * (X[xi] * inv_N[region]))
 
-        def rhs(X):
-            ys, xs, _ = scaled(X)
-            return A.dot(X) + c + Q.dot(ys * xs)
-
-        def point(X):
-            ys, xs, inv_N = scaled(X)
-            P = ys * xs
-            PN = -(P * inv_N)
-            if mixed:
-                PN[mass] = 0.0
-            buf[at_N] = PN[N_rows][:, None]
-            buf[at_x] = PN + ys * inv_N
-            buf[at_y] = PN + xs
-            return A.dot(X) + c + Q.dot(P), A_o + Q_o.dot(dP)
-
-        return rhs, point
+        return rhs
 
 
 # ====================================================================

@@ -11,12 +11,12 @@ step predicts from the differences and corrects by simplified Newton,
 at most four right-hand sides, through one inverse of I - c J
 (c = h / alpha_k) reused until h, the order or J changes; J, the
 analytic Jacobian, is renewed only when Newton fails with a stale one.
-The caller's continuation.CoupledSystem gives the single-state pair
-(rhs, point) at the trajectory's alpha: rhs serves Newton, and point the
-right-hand side with the Jacobian in the system's susceptible-first
-solve_order, where the Newton systems are solved. numpy's cost per call
-dominates on such small states, so the inverse comes from LAPACK
-directly (matalg._inverse) and every product is ndarray.dot.
+The caller's continuation.CoupledSystem gives the right-hand side of one
+state at the trajectory's alpha (single_state), which serves Newton, and
+J (jacobian), taken in the system's susceptible-first solve_order, where
+the Newton systems are solved. numpy's cost per call dominates on such
+small states, so the inverse comes from LAPACK directly (matalg._inverse)
+and every product is ndarray.dot.
 
 An accepted step may not take any component below -1e-9: undershoots
 are rejected rather than clipped, which keeps trajectories honest about
@@ -54,8 +54,8 @@ _KAPPA = np.array([0.0, -0.1850, -1 / 9, -0.0823, -0.0415, 0.0])
 _GAMMA = np.hstack((0.0, np.cumsum(1.0 / np.arange(1, _MAX_ORDER + 1))))
 _ALPHA = (1.0 - _KAPPA) * _GAMMA
 _ERROR_CONST = (_KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)).tolist()
-# Trajectory.work: right-hand sides (point's included), Jacobians, inverses
-# and refused trial steps by cause
+# Trajectory.work: right-hand sides (one per Jacobian included), Jacobians,
+# inverses and refused trial steps by cause
 WORK_COUNTS = ("rhs", "jacobians", "inverses", "rejected_error",
                "rejected_newton", "rejected_undershoot",
                "rejected_inadmissible")
@@ -190,6 +190,7 @@ def integrate(system, alpha: float, X0: np.ndarray,
             raise ValueError(f"{name} must be finite and positive")
 
     order = system.solve_order
+    in_order = np.ix_(order, order)
     t, times, states = 0.0, [0.0], [X]
     h_min = max(1e-14 * t_end, 1e-13)
     work = dict.fromkeys(WORK_COUNTS, 0)
@@ -198,8 +199,8 @@ def integrate(system, alpha: float, X0: np.ndarray,
     k, equal, W = 1, 0, None        # order, steps taken at this h, inverse
     fresh = stale = False           # J taken at this step; J to refresh
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs, point = system.single_state(alpha)
-        f_cur, J = point(X)
+        rhs = system.single_state(alpha)
+        f_cur, J = rhs(X), system.jacobian(alpha, X)[in_order]
         work["jacobians"] = 1
         h = _initial_step(f_cur, X, t_end, rtol, atol)
         D[0], D[1] = X, f_cur * h
@@ -216,7 +217,8 @@ def integrate(system, alpha: float, X0: np.ndarray,
             if stale:
                 work["jacobians"] += 1
                 try:
-                    f_pred, J_new = point(y_pred)
+                    f_pred = rhs(y_pred)
+                    J_new = system.jacobian(alpha, y_pred)[in_order]
                 except InadmissibleStateError:
                     J_new = None
                 if J_new is not None and np.isfinite(J_new).all():

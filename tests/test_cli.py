@@ -110,6 +110,9 @@ REJECTIONS = [
     (lambda d: d["network"].update(weights={"x": 1.0}), "unknown fields"),
     (lambda d: d.update(network={"preset": "fig3b", "weight": 2.0}),
      "not allowed with 'preset'"),
+    # the name is echoed into every report
+    (lambda d: d["network"].update(name=5), "network.name"),
+    (lambda d: d["network"].update(name=["x"]), "network.name"),
     # labels name simulate's trajectory files
     (lambda d: d["initial_sets"][0].update(label="a/b"),
      "initial_sets[0].label"),
@@ -562,6 +565,24 @@ def test_csv_lines_match_per_value_format():
     assert lines == [",".join(header),
                      ",".join(f"{v:.12g}" for v in values),
                      ",".join(f"{v:.12g}" for v in values[::-1])]
+
+
+def test_simulate_rejects_a_region_state_of_the_wrong_length(tmp_path,
+                                                             capsys):
+    # region lists of 8, 6 and 7 entries add up to the 21 of three HIV
+    # regions of 7, but would shift compartments across regions
+    data = fixture_dict("hiv_backward.json")
+    regions = data["initial_sets"][0]["regions"]
+    regions[0].append(regions[1].pop())
+    label = data["initial_sets"][0]["label"]
+    with pytest.raises(cli.ConfigError, match=f"initial set {label!r}: "
+                       "region 1 has 8 entries, expected 7"):
+        cli.cmd_simulate(cli.config_from_dict(data))
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(data))
+    code = cli.main(["simulate", "--config", str(cfgp)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err and "region 1" in err
 
 
 def test_simulate_requires_initial_sets():

@@ -202,7 +202,7 @@ def test_single_trajectory_path_skips_numpy_dispatch():
     closures = [node for node in ast.walk(
         parsed(continuation.CoupledSystem.single_state))
         if isinstance(node, ast.FunctionDef)][1:]
-    assert {"rhs", "point"} <= {fn.name for fn in closures}
+    assert "rhs" in {fn.name for fn in closures}
     offending = []
     stepper = [parsed(fn) for fn in (sim.integrate, sim._newton,
                                      sim._change_D)]
@@ -293,8 +293,7 @@ def test_patch_classification_matches_reference_jacobian(case):
 
 @pytest.mark.parametrize("case", sorted(kernel_cases()))
 def test_kernel_results_own_their_memory(case):
-    # a later evaluation must not write into an earlier result, and the
-    # dP/dX buffer the single-state point reuses must not reach its J
+    # a later evaluation must not write into an earlier result
     models, net = kernel_cases()[case]
     system = continuation.CoupledSystem(models, net)
     rng = np.random.default_rng(5)
@@ -310,27 +309,23 @@ def test_kernel_results_own_their_memory(case):
             assert np.array_equal(a, b)
         assert np.array_equal(system.residual(0.2, X1), kept[0])
         assert np.array_equal(system.jacobian(0.2, X1), kept[1])
-    rhs, point = system.single_state(0.2)
+    rhs = system.single_state(0.2)
     X1, X2 = np.abs(rng.normal(3.0, 1.0, size=(2, size))) + 0.1
-    first = [rhs(X1), *point(X1)]
-    kept = [a.copy() for a in first]
+    first = rhs(X1)
+    kept = first.copy()
     rhs(X2)
-    point(X2)
-    for a, b in zip(first, kept):
-        assert np.array_equal(a, b)
-    f, J = point(X1)
-    assert np.array_equal(f, kept[1]) and np.array_equal(J, kept[2])
+    assert np.array_equal(first, kept)
+    assert np.array_equal(rhs(X1), kept)
 
 
 @pytest.mark.parametrize("case", sorted(kernel_cases()))
 def test_single_state_evaluator_has_the_kernel_bits(case):
-    # rhs is residual and point is (residual, jacobian in the solve
-    # order), bit for bit; so is every row of a (B, 1, size) stack
+    # rhs is residual, bit for bit; so is every row of a (B, 1, size)
+    # stack, and every row of a stacked jacobian is its single-state one
     models, net = kernel_cases()[case]
     system = continuation.CoupledSystem(models, net)
     size = net.r * models[0].size
     order = system.solve_order
-    in_order = np.ix_(order, order)
     # a permutation with every region's susceptibles first
     block = np.arange(size) % models[0].size
     n, m = models[0].n, models[0].m
@@ -343,21 +338,19 @@ def test_single_state_evaluator_has_the_kernel_bits(case):
     X[2] = X[2] * 1e-9
     X[3, 1::4] = -0.0
     for alpha in (0.0, 3e-3, 0.5):
-        rhs, point = system.single_state(alpha)
+        rhs = system.single_state(alpha)
         rows = system.residual(alpha, X[:, None])[:, 0]
         for Xi, row, Jb in zip(X, rows, system.jacobian(alpha, X)):
             R, J = system.residual(alpha, Xi), system.jacobian(alpha, Xi)
-            f, J_o = point(Xi)
             assert np.array_equal(rhs(Xi), R), alpha
-            assert np.array_equal(f, R), alpha
-            assert np.array_equal(J_o, J[in_order]), alpha
             assert np.array_equal(row, R) and np.array_equal(Jb, J), alpha
 
 
 @pytest.mark.parametrize("case", sorted(kernel_cases()))
 def test_single_state_evaluator_refuses_what_the_kernel_refuses(case):
-    # a standard patch with N = 0 or N = NaN is refused by rhs and point
-    # as by residual; without a standard patch the same states evaluate
+    # a standard patch with N = 0 or N = NaN is refused by rhs and by
+    # jacobian, the integrator's two evaluators, as by residual; without a
+    # standard patch the same states evaluate
     models, net = kernel_cases()[case]
     system = continuation.CoupledSystem(models, net)
     n, m, s = models[0].n, models[0].m, models[0].size
@@ -367,23 +360,17 @@ def test_single_state_evaluator_refuses_what_the_kernel_refuses(case):
     empty, nan = X.copy(), X.copy()
     empty[region * s:region * s + n + m] = 0.0
     nan[region * s] = np.nan
-    rhs, point = system.single_state(0.2)
-    order = system.solve_order
+    rhs = system.single_state(0.2)
     for bad in (empty, nan):
         if std:
-            for evaluate in (rhs, point,
+            for evaluate in (rhs, lambda X: system.jacobian(0.2, X),
                              lambda X: system.residual(0.2, X)):
                 with pytest.raises(model.InadmissibleStateError,
                                    match=continuation.INADMISSIBLE):
                     evaluate(bad)
         else:
-            f, J = point(bad)
             R = system.residual(0.2, bad)
             assert np.array_equal(rhs(bad), R, equal_nan=True)
-            assert np.array_equal(f, R, equal_nan=True)
-            assert np.array_equal(
-                J, system.jacobian(0.2, bad)[np.ix_(order, order)],
-                equal_nan=True)
 
 
 def test_fast_rhs_agrees_with_reference(mixed):

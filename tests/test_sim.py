@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -65,13 +66,14 @@ def test_integrate_builds_no_coupled_system(backward, coupled_systems_built):
 
 
 def test_work_per_step(backward, monkeypatch):
-    # the counts on the trajectory are the calls made: right-hand sides
-    # (point's included), Jacobians (point) and inverses of I - c J. The
+    # the counts on the trajectory are the calls made: right-hand sides,
+    # Jacobians (the kernel's jacobian) and inverses of I - c J. The
     # Jacobian is reused across many steps, a trial step evaluates at most
-    # four right-hand sides, and the start one point
+    # four right-hand sides, and the start one with its Jacobian
     eqs, system = backward
-    calls = {"rhs": 0, "point": 0, "inverse": 0}
+    calls = {"rhs": 0, "jacobian": 0, "inverse": 0}
     single_state = continuation.CoupledSystem.single_state
+    jacobian = continuation.CoupledSystem.jacobian
     inverse = matalg._inverse
 
     def counted(name, fn):
@@ -81,11 +83,12 @@ def test_work_per_step(backward, monkeypatch):
         return wrapper
 
     def counting_single_state(self, alpha):
-        rhs, point = single_state(self, alpha)
-        return counted("rhs", rhs), counted("point", point)
+        return counted("rhs", single_state(self, alpha))
 
     monkeypatch.setattr(continuation.CoupledSystem, "single_state",
                         counting_single_state)
+    monkeypatch.setattr(continuation.CoupledSystem, "jacobian",
+                        counted("jacobian", jacobian))
     monkeypatch.setattr(matalg, "_inverse", counted("inverse", inverse))
     X0 = np.array(RL1_SETS["blue"])
     runs = []
@@ -95,8 +98,8 @@ def test_work_per_step(backward, monkeypatch):
         traj = sim.integrate(system, 1e-3, X0, t_end=300.0, **tols)
         work, steps = traj.work, len(traj.times) - 1
         assert set(work) == set(sim.WORK_COUNTS)
-        assert work["rhs"] == calls["rhs"] + calls["point"]
-        assert work["jacobians"] == calls["point"]
+        assert work["rhs"] == calls["rhs"]
+        assert work["jacobians"] == calls["jacobian"]
         assert work["inverses"] == calls["inverse"]
         rejected = sum(work[key] for key in sim.WORK_COUNTS
                        if key.startswith("rejected_"))
@@ -250,6 +253,40 @@ def test_integrate_agrees_with_scipy_bdf(case):
         assert_same_end(traj.states[-1], sol.y[:, -1])
 
 
+# sha256 of the times and states bytes of integrate at alpha 3e-3 to t_end
+# 20 from kernel_starts' start, per kernel case, recorded with numpy 2.4
+# and OpenBLAS 0.3.31 on x86-64 Linux. A refactor must leave them
+# unchanged; a change that means to alter a trajectory re-records the
+# entry and explains the new digits.
+TRAJECTORY_DIGESTS = {
+    "hiv_mass_action":
+        "007f90612295da3e7045169eb810420fb2868fb8d59bb2c9f1e863b0908e0150",
+    "hiv_standard":
+        "6f58ceb93f650e02ae422503e080c8b37bf554d548c7f3d173ddb9ce8c2c1d7d",
+    "mixed_incidence":
+        "7342a6378c1e8722b2130e68ed01874b8d0c3c2a56604620e98f10cada12e230",
+    "multigroup":
+        "fde9ddc34d2df6a02b9d247b07894db3f6f936d717b41b57c026c9b0f69fefe3",
+    "multigroup_standard":
+        "925529d3af0f037d32cc23d9f02af5038049d66ef98d5e9cf0d16ec4ae2b3225",
+    "multistrain_standard":
+        "698689d2317e7debcf1030ab490ac06dc1f1d623e78db42521b270cb524ac54b",
+    "stage_progression_multistrain":
+        "616e3e93ef7fde294900f5265090440b2643844cf95c982f95cf3fd3fa354e63",
+}
+
+
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
+def test_trajectory_bits_per_kernel_case(case):
+    # every model family and incidence mix, mass action included, where
+    # the shipped-fixture digests pin standard-incidence HIV only
+    (system, alpha, X0), = [start for start in kernel_starts(case)
+                            if start[1] == 3e-3]
+    traj = sim.integrate(system, alpha, X0, t_end=20.0)
+    digest = hashlib.sha256(traj.times.tobytes() + traj.states.tobytes())
+    assert digest.hexdigest() == TRAJECTORY_DIGESTS[case]
+
+
 @pytest.mark.parametrize("incidence", ["standard", "mass_action"])
 def test_singular_newton_matrix_refuses_the_step(incidence):
     # J = I / c makes I - c J exactly zero: its inverse is NaN, and the
@@ -260,7 +297,7 @@ def test_singular_newton_matrix_refuses_the_step(incidence):
     net = network.preset("fig3c", n=2, m=2, k=2)
     system = continuation.CoupledSystem([mg] * 3, net)
     X = np.tile([0.3, 0.2, 10.0, 8.0, 0.1, 0.1], 3)
-    rhs, point = system.single_state(1e-3)
+    rhs = system.single_state(1e-3)
     c = 0.01
     M = np.eye(X.size) - c * (np.eye(X.size) / c)
     assert not M.any()
@@ -292,10 +329,11 @@ def test_inverse_is_numpy_inverse_bit_for_bit():
             models, cli.build_network(config, models))
         eqs = [equilibria.patch_facts(mod).equilibria for mod in models]
         patterns = equilibria.enumerate_patterns([len(e) - 1 for e in eqs])
+        in_order = np.ix_(system.solve_order, system.solve_order)
         for alpha in config.alpha_grid:
-            rhs, point = system.single_state(alpha)
             for pat in patterns:
-                J = point(continuation.product_state(pat, eqs))[1]
+                J = system.jacobian(
+                    alpha, continuation.product_state(pat, eqs))[in_order]
                 for c in (1e-3, 1.0, 1e3):
                     M = np.eye(len(J)) - c * J
                     assert np.array_equal(matalg._inverse(M),
