@@ -241,7 +241,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                     f"{path}.regions[{ridx}]: must be a list of numbers, "
                     "finite and nonnegative")
         # the label names a simulate artifact file
-        label = str(item["label"])
+        label = item["label"]
+        if not isinstance(label, str):
+            raise ConfigError(f"{path}.label: must be a string")
         if "/" in label or "\0" in label:
             raise ConfigError(f"{path}.label: must not contain '/' or NUL")
         if label in [other for other, _ in initial_sets]:
@@ -344,9 +346,9 @@ def build_network(config: ExperimentConfig,
 
 
 def _network_report(net: network.MobilityNetwork) -> dict:
-    adj = net.adjacency()
-    edges = sorted((int(f) + 1, int(t) + 1)
-                   for f in range(net.r) for t in range(net.r) if adj[f, t])
+    adj = net.adjacency().tolist()
+    edges = sorted((f + 1, t + 1)
+                   for f in range(net.r) for t in range(net.r) if adj[f][t])
     return {"name": net.name, "r": net.r,
             "edges": [list(e) for e in edges]}
 

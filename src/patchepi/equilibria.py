@@ -31,6 +31,10 @@ SEED_BATCH = 4096
 # Newton steps a seed of the generic search may take before it fails.
 SEED_STEPS = 80
 
+# The seed search's Armijo step lengths, tried in two stacked residual
+# calls: the full step, then the halvings t = 2^-1, ..., 2^-19.
+_SEED_STEP_LENGTHS = (np.ones(1), np.ldexp(1.0, -np.arange(1, 20)))
+
 # |max real eigenvalue| at most this is a marginal equilibrium; those are
 # excluded from continuation (the persistence theorem needs an invertible
 # Jacobian).
@@ -424,55 +428,62 @@ def _newton_seeds(system, U0: np.ndarray) -> tuple:
 
     Returns (U, converged). Every row follows the rules of a single-start
     damped Newton on its own: it fails on an inadmissible start, a
-    residual that is not finite or above 1e12, a singular Jacobian,
-    twenty Armijo halvings without sufficient decrease, or SEED_STEPS steps;
-    once its residual is at most ROOT_RESIDUAL_TOL it gets up to four
-    full polishing steps, kept while the residual still improves. The
-    rows only share the array operations, never a decision.
+    residual that is not finite or above 1e12, a singular Jacobian, no
+    step length of t = 1, 1/2, ..., 2^-19 (nineteen Armijo halvings) with
+    sufficient decrease, or SEED_STEPS steps; once its residual is at most
+    ROOT_RESIDUAL_TOL it gets up to four full polishing steps, kept while
+    the residual still improves. The rows only share the array
+    operations, never a decision.
 
-    This loop stays apart from continuation._newton_correct, the row-batched
-    corrector of every branch but the linear disease-free one, because the
-    two take different steps. Its merit is the squared 2-norm, it drops
-    rows whose residual is not finite or above 1e12, and converged rows
-    get polish steps; the branch corrector's merit is the squared sup
-    norm, with no polish. Run through this loop, the branch corrector
-    takes another path on the hiv_mixed fixture and loses branch
-    (2, 1, 1) at alpha = 0.1. This loop also keeps the seeds as one
-    (B, size) stack for the kernel's matrix-matrix products, which are
-    cheaper over thousands of seeds than the per-row matrix-vector
-    products the branch corrector needs for exact bits.
+    Each Newton iteration makes two stacked residual calls: the full step
+    of every active row, then all nineteen halvings at once for the rows
+    whose full step failed; a row takes its first acceptable step length
+    (tests/reference.newton_seeds is the one-halving-at-a-time oracle).
+    continuation._newton_correct, the row-batched corrector of every
+    branch but the linear disease-free one, batches its line search the
+    same way, but this loop stays apart from it because the two take
+    different steps. Its merit is the squared 2-norm, it tries twenty step
+    lengths, it drops rows whose residual is not finite or above 1e12, and
+    converged rows get polish steps; the branch corrector's merit is the
+    squared sup norm, it tries twenty-one step lengths, with no polish.
+    Run through this loop, the branch corrector takes another path on the
+    hiv_mixed fixture and loses branch (2, 1, 1) at alpha = 0.1. This loop
+    also keeps the seeds as one (B, size) stack for the kernel's
+    matrix-matrix products, which are cheaper over thousands of seeds
+    than the per-row matrix-vector products the branch corrector needs
+    for exact bits.
     """
     U = np.array(U0, dtype=float)
     R = _residuals(system, U)
-    active = np.all(np.isfinite(R), axis=1)   # inadmissible starts fail
     converged = np.zeros(len(U), dtype=bool)
+    idx = np.flatnonzero(np.isfinite(R).all(axis=1))   # the active rows
     for _ in range(SEED_STEPS):
-        norm = np.max(np.abs(R), axis=1)
-        done = active & (norm <= ROOT_RESIDUAL_TOL)
-        converged |= done
-        active &= ~done & np.isfinite(norm) & (norm <= 1e12)
-        idx = np.flatnonzero(active)
+        norm = np.abs(R[idx]).max(axis=1)
+        done = norm <= ROOT_RESIDUAL_TOL
+        converged[idx[done]] = True
+        idx = idx[~done & (norm <= 1e12)]     # NaN and inf fail here too
         if not idx.size:
             break
         dU, solved = _newton_steps(system, U[idx], R[idx])
-        active[idx[~solved]] = False
         idx, dU = idx[solved], dU[solved]
-        # Armijo backtracking on the squared residual norm
-        base = np.sum(R[idx] * R[idx], axis=1)
-        step = np.ones(idx.size)
-        pending = np.ones(idx.size, dtype=bool)
-        for _ in range(20):
-            p = np.flatnonzero(pending)
-            if not p.size:
+        # Armijo backtracking on the squared residual norm; trial[row, j]
+        # is U + t[j] * dU, exact for a power of two t
+        base = (R[idx] * R[idx]).sum(axis=1)
+        stepped = np.zeros(len(U), dtype=bool)
+        for t in _SEED_STEP_LENGTHS:
+            if not idx.size:
                 break
-            trial = U[idx[p]] + step[p, None] * dU[p]
-            R_t = _residuals(system, trial)
-            ok = (np.sum(R_t * R_t, axis=1)
-                  <= (1 - 1e-4 * step[p]) * base[p])
-            U[idx[p[ok]]], R[idx[p[ok]]] = trial[ok], R_t[ok]
-            pending[p[ok]] = False
-            step[p[~ok]] *= 0.5
-        active[idx[pending]] = False
+            trial = U[idx, None] + t[:, None] * dU[:, None]
+            R_t = _residuals(system, trial.reshape(-1, U.shape[1]))
+            R_t = R_t.reshape(trial.shape)
+            ok = (R_t * R_t).sum(axis=2) <= (1 - 1e-4 * t) * base[:, None]
+            took = ok.any(axis=1)
+            first = ok.argmax(axis=1)[took]       # the largest acceptable t
+            rows = idx[took]
+            U[rows], R[rows] = trial[took, first], R_t[took, first]
+            stepped[rows] = True
+            idx, dU, base = idx[~took], dU[~took], base[~took]
+        idx = np.flatnonzero(stepped)           # a row with no step fails
     # polish: keep iterating while the residual still improves
     idx = np.flatnonzero(converged)
     for _ in range(4):
@@ -489,9 +500,16 @@ def _newton_seeds(system, U0: np.ndarray) -> tuple:
 
 
 def _residuals(system, U: np.ndarray) -> np.ndarray:
-    """Residual of every row of U at alpha = 0; NaN rows where inadmissible."""
-    R = np.full_like(U, np.nan)
+    """Residual of every row of U at alpha = 0; NaN rows where inadmissible.
+
+    A row's bits depend on the stack it is evaluated in: numpy takes a
+    matrix-vector path for a one-row stack, whose last bits differ from
+    the same row's inside a stack of two or more rows (which all agree).
+    """
     ok = system.admissible(U)
+    if ok.all():
+        return system.residual(0.0, U)
+    R = np.full_like(U, np.nan)
     if ok.any():
         R[ok] = system.residual(0.0, U[ok])
     return R

@@ -14,7 +14,7 @@ exists; it drives the order of the first nonvanishing branch derivative.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,33 +28,43 @@ class MobilityNetwork:
 
     cx[i, j] (length n), cy[i, j] (length m), cz[i, j] (length k) hold the
     diagonals of C_x^{ij}, C_y^{ij}, C_z^{ij}; diagonal blocks (i = j) are
-    unused and kept at zero.
+    unused and kept at zero. The region digraph is settled at
+    construction: its read-only adjacency matrix, and each region's
+    out-neighbours in index order for the breadth-first search.
     """
     r: int
     cx: np.ndarray
     cy: np.ndarray
     cz: np.ndarray
     name: Optional[str] = None
+    _adjacency: np.ndarray = field(init=False, repr=False, compare=False)
+    _out: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        diagonal = np.arange(self.r)
         for nm in ("cx", "cy", "cz"):
-            arr = np.asarray(getattr(self, nm), dtype=float)
-            if arr.ndim != 3 or arr.shape[0] != self.r or arr.shape[1] != self.r:
+            arr = np.array(getattr(self, nm), dtype=float)    # a copy
+            if arr.ndim != 3 or arr.shape[:2] != (self.r, self.r):
                 raise ValueError(f"{nm} must have shape (r, r, block)")
-            if np.any(arr < 0):
+            if (arr < 0).any():
                 raise ValueError("connectivity potentials must be nonnegative")
-            arr = arr.copy()
-            arr[np.arange(self.r), np.arange(self.r), :] = 0.0
+            arr[diagonal, diagonal] = 0.0
             object.__setattr__(self, nm, arr)
+        adj = (self.cx > 0.0).any(axis=2).T     # cx[i, j]: j -> i
+        adj.flags.writeable = False
+        object.__setattr__(self, "_adjacency", adj)
+        object.__setattr__(self, "_out", tuple(
+            tuple(t for t, edge in enumerate(row) if edge)
+            for row in adj.tolist()))
 
     @property
     def block_sizes(self) -> tuple:
         return self.cx.shape[2], self.cy.shape[2], self.cz.shape[2]
 
     def adjacency(self) -> np.ndarray:
-        """adj[f, t] True iff direct connection f -> t (on infected classes)."""
-        present = np.any(self.cx > 0.0, axis=2)  # present[i, j]: j -> i
-        return present.T
+        """adj[f, t] True iff direct connection f -> t (on infected
+        classes); read-only, settled at construction."""
+        return self._adjacency
 
 
 @dataclass(frozen=True)
@@ -156,15 +166,15 @@ def _search(net: MobilityNetwork, sources: Sequence[int]) -> list:
     regions, source first), or None when no source reaches it. Sources and
     out-neighbours are visited in index order.
     """
-    adj = net.adjacency()
+    out = net._out
     paths = [None] * net.r
     for u in sources:
         paths[u] = (u,)
     queue = deque(sources)
     while queue:
         u = queue.popleft()
-        for v in range(net.r):
-            if adj[u, v] and paths[v] is None:
+        for v in out[u]:
+            if paths[v] is None:
                 paths[v] = paths[u] + (v,)
                 queue.append(v)
     return paths

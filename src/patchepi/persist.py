@@ -135,10 +135,11 @@ class SystemFacts:
     """A system's network-independent verdict facts and the verdict rule.
 
     patches holds each patch's equilibria.PatchFacts; its local R values
-    (R_values) and the irreducibility of its V - F matrices are settled
-    once. verdicts and persisting_count then apply the rule on any
-    network, settling only its adjacency and the classification of each
-    EAT set; derivative_chain solves against the same V - F.
+    (R_values), the irreducibility of its V - F matrices and its product
+    patterns are settled once. verdicts and persisting_count then apply
+    the rule on any network, once per EAT set where every V - F is
+    irreducible and once per pattern otherwise; derivative_chain solves
+    against the same V - F.
     """
 
     def __init__(self, patches: Sequence[PatchFacts]):
@@ -146,6 +147,8 @@ class SystemFacts:
         self.R_values = tuple(p.R for p in self.patches)
         self.irreducible = all(matalg.is_irreducible(p.v_minus_f)
                                for p in self.patches)
+        self._patterns = enumerate_patterns([len(p.equilibria) - 1
+                                             for p in self.patches])
 
     def derivative_chain(self, pattern: EquilibriumPattern,
                          net: MobilityNetwork) -> dict:
@@ -202,26 +205,29 @@ class SystemFacts:
         """predict's verdict for each pattern on net, in the given order.
 
         patterns defaults to every product pattern in enumerate_patterns
-        order. classify_pattern runs once per EAT set, as it reads nothing
-        else of the pattern.
+        order. With every V - F irreducible the rule reads a pattern only
+        through its EAT set, so it runs once per EAT set, and the set's
+        patterns share its verdict, rule and witness. A reducible V - F
+        sends the rule to derivative_chain, which reads the chosen
+        equilibria, so there it runs once per pattern.
         """
         if len(self.patches) != net.r:
             raise ValueError(f"the system has {len(self.patches)} patches, "
                              f"the network {net.r} regions")
         if patterns is None:
-            patterns = enumerate_patterns([len(p.equilibria) - 1
-                                           for p in self.patches])
-        adj = net.adjacency()
-        classes = {}              # EAT set -> classify_pattern's answer
-
-        def classify(pattern):
-            key = tuple(c > 0 for c in pattern.choices)
-            if key not in classes:
-                classes[key] = classify_pattern(net, pattern)
-            return classes[key]
-
-        return [self._verdict(pattern, net, adj, classify)
-                for pattern in patterns]
+            patterns = self._patterns
+        adj = net.adjacency().tolist()
+        settled = {}      # EAT set (choices if reducible) -> its verdict
+        verdicts = []
+        for pattern in patterns:
+            key = (tuple(c > 0 for c in pattern.choices) if self.irreducible
+                   else pattern.choices)
+            if key not in settled:
+                settled[key] = self._verdict(pattern, net, adj)
+            v = settled[key]
+            verdicts.append(v if v.pattern is pattern else PersistenceVerdict(
+                pattern, v.verdict, v.rule, v.witness))
+        return verdicts
 
     def persisting_count(self, net: MobilityNetwork) -> int:
         """Number of product patterns (DFE included) that persist on net.
@@ -244,13 +250,13 @@ class SystemFacts:
                 total += 1
         return total
 
-    def _verdict(self, pattern, net, adj, classify) -> PersistenceVerdict:
+    def _verdict(self, pattern, net, adj) -> PersistenceVerdict:
         R_values = self.R_values
         if pattern.is_all_endemic:
             return PersistenceVerdict(pattern=pattern, verdict="persists",
                                       rule="positive_theorem_4_2")
 
-        cls = classify(pattern)
+        cls = classify_pattern(net, pattern)
         if not self.irreducible:
             return _predict_by_derivatives(pattern, self, net, cls)
 
@@ -279,12 +285,13 @@ class SystemFacts:
                                   rule=rule)
 
 
-def _corollary_rule(adj: np.ndarray, cls, dfat) -> str:
+def _corollary_rule(adj: list, cls, dfat) -> str:
+    """The corollary a verdict rests on; adj[f][t] is net's adjacency."""
     r = len(adj)
-    if all(adj[f, t] for f in range(r) for t in range(r) if f != t):
+    if all(adj[f][t] for f in range(r) for t in range(r) if f != t):
         return "corollary_complete"
     eat = [j for j in range(r) if cls.is_eat[j]]
-    if eat and all(any(adj[j, i] for j in eat) for i in dfat):
+    if eat and all(any(adj[j][i] for j in eat) for i in dfat):
         return "corollary_irreducible"
     return "corollary_general"
 

@@ -16,12 +16,14 @@ disease-free susceptibles that the one-region CoupledSystem.disease_free
 replaced. m_matrix_characterizations gives the two textbook tests the
 package's M-matrix predicate is checked against. continue_branch is
 continue_branches on one pattern, the single run a batch is checked
-against. newton_correct is the branch corrector backtracking one
-halving, and one residual call, at a time, and classify_terminal the
-terminal classifier measuring one equilibrium at a time: the oracles of
-their batched forms in the package. The branch cross-checks at the end
-read continued branches against the analytic derivatives of persist and
-tally their stability.
+against. newton_seeds and newton_correct are the generic seed search and
+the branch corrector backtracking one halving, and one residual call, at
+a time, and classify_terminal the terminal classifier measuring one
+equilibrium at a time: the oracles of their batched forms in the
+package. pattern_verdicts runs the whole verdict rule on every pattern,
+the oracle of SystemFacts.verdicts, which runs it once per EAT set. The
+branch cross-checks at the end read continued branches against the
+analytic derivatives of persist and tally their stability.
 rodas_trajectory is an adaptive Rodas4 run, a one-step Rosenbrock method
 that shares no step with sim.integrate's NDF, written plainly on the
 kernel's residual and jacobian: the accuracy oracle of the integrator.
@@ -160,6 +162,63 @@ def endemic_equilibria_generic(model: PatchModel) -> tuple:
     system, dfe, _, _ = equilibria._threshold(model)
     states, discarded = equilibria._generic_roots(model, system, dfe)
     return equilibria._classified(system, [dfe] + states)[1:], discarded
+
+
+def newton_seeds(system, U0: np.ndarray) -> tuple:
+    """The generic seed search backtracking one halving, and one residual
+    call, at a time: the oracle of equilibria._newton_seeds, which tries
+    the full step and then every halving at once.
+
+    Returns (U, converged) under the same rules: a row fails on an
+    inadmissible start, a residual that is not finite or above 1e12, a
+    singular Jacobian, nineteen Armijo halvings (t down to 2^-19) without
+    sufficient decrease on the squared 2-norm, or SEED_STEPS steps, and a
+    converged row gets up to four polish steps while its residual improves.
+    """
+    U = np.array(U0, dtype=float)
+    R = equilibria._residuals(system, U)
+    active = np.all(np.isfinite(R), axis=1)   # inadmissible starts fail
+    converged = np.zeros(len(U), dtype=bool)
+    for _ in range(equilibria.SEED_STEPS):
+        norm = np.max(np.abs(R), axis=1)
+        done = active & (norm <= equilibria.ROOT_RESIDUAL_TOL)
+        converged |= done
+        active &= ~done & np.isfinite(norm) & (norm <= 1e12)
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        dU, solved = equilibria._newton_steps(system, U[idx], R[idx])
+        active[idx[~solved]] = False
+        idx, dU = idx[solved], dU[solved]
+        # Armijo backtracking on the squared residual norm
+        base = np.sum(R[idx] * R[idx], axis=1)
+        step = np.ones(idx.size)
+        pending = np.ones(idx.size, dtype=bool)
+        for _ in range(20):
+            p = np.flatnonzero(pending)
+            if not p.size:
+                break
+            trial = U[idx[p]] + step[p, None] * dU[p]
+            R_t = equilibria._residuals(system, trial)
+            ok = (np.sum(R_t * R_t, axis=1)
+                  <= (1 - 1e-4 * step[p]) * base[p])
+            U[idx[p[ok]]], R[idx[p[ok]]] = trial[ok], R_t[ok]
+            pending[p[ok]] = False
+            step[p[~ok]] *= 0.5
+        active[idx[pending]] = False
+    # polish: keep iterating while the residual still improves
+    idx = np.flatnonzero(converged)
+    for _ in range(4):
+        if not idx.size:
+            break
+        dU, solved = equilibria._newton_steps(system, U[idx], R[idx])
+        trial = U[idx] + dU
+        R_t = equilibria._residuals(system, trial)
+        better = solved & (np.max(np.abs(R_t), axis=1)
+                           < np.max(np.abs(R[idx]), axis=1))
+        idx, trial, R_t = idx[better], trial[better], R_t[better]
+        U[idx], R[idx] = trial, R_t
+    return U, converged
 
 
 def scalar_force_residual(params: HivParams, lam):
@@ -383,6 +442,16 @@ def newton_correct(system, alpha, X0):
         failures[i] = (f"Newton exceeded {MAX_NEWTON_ITERS} iterations at "
                        f"alpha = {alpha:g}")
     return X, rnorm, failures
+
+
+def pattern_verdicts(facts, net: MobilityNetwork) -> list:
+    """facts.verdicts(net) with the whole verdict rule run on every
+    pattern, one at a time: the oracle of SystemFacts.verdicts, which runs
+    it once per EAT set where every V - F is irreducible."""
+    adj = net.adjacency().tolist()
+    return [facts._verdict(pattern, net, adj)
+            for pattern in enumerate_patterns([len(p.equilibria) - 1
+                                               for p in facts.patches])]
 
 
 def classify_terminal(X: np.ndarray, classified) -> str:

@@ -118,6 +118,14 @@ REJECTIONS = [
      "initial_sets[0].label"),
     (lambda d: d["initial_sets"][0].update(label="a\0b"),
      "initial_sets[0].label"),
+    # a label that is not a string would be echoed as JSON into the report
+    # and turned into a file name by str()
+    (lambda d: d["initial_sets"][0].update(label={"a": 1}),
+     "initial_sets[0].label: must be a string"),
+    (lambda d: d["initial_sets"][0].update(label=5),
+     "initial_sets[0].label: must be a string"),
+    (lambda d: d["initial_sets"][0].update(label=["x"]),
+     "initial_sets[0].label: must be a string"),
     (lambda d: d["initial_sets"].append(dict(d["initial_sets"][0])),
      "initial_sets[1].label"),
 ]

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import (BASE, GENERIC_CATALOG, hiv_eqs, hiv_facts, hiv_patch,
                       hiv_R)
 from patchepi import cli, equilibria, model
+from patchepi.continuation import CoupledSystem
 from patchepi.model import HivParams, PatchState
 from reference import (endemic_equilibria_generic, full_grid_roots,
-                       patch_residual, patch_susceptible_level,
+                       newton_seeds, patch_residual, patch_susceptible_level,
                        scalar_force_residual, scan_lambda_roots, steady_beta1)
 
 
@@ -361,6 +362,74 @@ def test_generic_search_in_small_batches(monkeypatch):
     for g, w in zip(got, want):
         assert np.allclose(g.state.concat(), w.state.concat(),
                            rtol=1e-12, atol=0.0)
+
+
+# the catalog patches and the one-group multigroup patch below threshold
+SEARCH_PATCHES = ([(f, p) for f, p, _, _ in GENERIC_CATALOG]
+                  + [("multigroup", {"beta": [[0.004]], "Lam": 1.0,
+                                     "mu": 0.05, "gamma": 0.05})])
+
+
+def _seed_search(monkeypatch, mod, newton):
+    """(roots, discarded, residual calls, Jacobian calls) of the generic
+    search on mod with newton in place of equilibria._newton_seeds; the
+    calls are those newton makes."""
+    calls = {"residual": 0, "jacobian": 0}
+    counted = {}
+    for name in calls:
+        real = getattr(CoupledSystem, name)
+
+        def counting(self, alpha, X, real=real, name=name):
+            calls[name] += 1
+            return real(self, alpha, X)
+
+        counted[name] = counting
+    inside = {name: 0 for name in calls}
+
+    def measured(system, U0):
+        before = dict(calls)
+        out = newton(system, U0)
+        for name in calls:
+            inside[name] += calls[name] - before[name]
+        return out
+
+    with monkeypatch.context() as m:
+        for name, fn in counted.items():
+            m.setattr(CoupledSystem, name, fn)
+        m.setattr(equilibria, "_newton_seeds", measured)
+        roots, discarded = endemic_equilibria_generic(mod)
+    return roots, discarded, inside["residual"], inside["jacobian"]
+
+
+@pytest.mark.parametrize("family, params", SEARCH_PATCHES)
+def test_seed_line_search_matches_halving_oracle(monkeypatch, family, params):
+    # trying every halving at once keeps each row's first acceptable step;
+    # only the last bits of a one-row residual stack may differ
+    mod = getattr(model, family)(**params)
+    want, want_discarded, _, _ = _seed_search(monkeypatch, mod, newton_seeds)
+    got, got_discarded, _, _ = _seed_search(monkeypatch, mod,
+                                            equilibria._newton_seeds)
+    assert got_discarded == want_discarded
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.allclose(g.state.concat(), w.state.concat(),
+                           rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("family, params", SEARCH_PATCHES)
+def test_seed_line_search_calls_residual_twice_per_iteration(monkeypatch,
+                                                             family, params):
+    # the start, then at most a full-step call and a halvings call per
+    # Newton iteration; a polish step takes one Jacobian and one residual
+    mod = getattr(model, family)(**params)
+    _, _, residuals, jacobians = _seed_search(monkeypatch, mod,
+                                              equilibria._newton_seeds)
+    assert residuals <= 1 + 2 * jacobians
+    if (family, params) == SEARCH_PATCHES[2]:
+        # below threshold its 81 seeds backtrack their way to the DFE
+        _, _, residuals, jacobians = _seed_search(monkeypatch, mod,
+                                                  newton_seeds)
+        assert residuals > 1 + 2 * jacobians + 4
 
 
 def test_stacked_stability_matches_single_matrices():

@@ -7,6 +7,8 @@ from conftest import (hiv_net, hiv_system, hiv_system_facts, marginal_beta1,
                       BACKWARD_TRIPLE, MIXED_TRIPLE, REGIME_BETA1)
 from patchepi import cli, equilibria, matalg, model, network, persist
 from patchepi.equilibria import EquilibriumPattern
+from patchepi.model import PatchState
+from reference import pattern_verdicts
 
 # chain-coupling oracle values for the mixed regime on fig3b, pattern
 # (0, 1, 0): region 1 is fed directly by the endemic region 2, region 3
@@ -324,6 +326,70 @@ def test_classify_pattern_runs_once_per_eat_set(monkeypatch):
     # 27 patterns, 8 EAT sets; the all-EAT set needs no classification
     assert len(patterns) == 27
     assert sorted(calls) == sorted(set(calls)) and len(calls) == 7
+
+
+@pytest.mark.parametrize("triple", [BACKWARD_TRIPLE, MIXED_TRIPLE])
+def test_eat_set_verdicts_match_per_pattern_rule(triple, monkeypatch):
+    # one verdict per EAT set gives each pattern the verdict, rule and
+    # witness the whole rule gives it on its own, on every digraph
+    facts = hiv_system_facts(triple)
+    assert facts.irreducible
+    mod = facts.patches[0].model
+    runs = []
+    real = persist.SystemFacts._verdict
+
+    def counting(self, pattern, net, adj):
+        runs.append(tuple(c > 0 for c in pattern.choices))
+        return real(self, pattern, net, adj)
+
+    for net in network.enumerate_networks(3, n=mod.n, m=mod.m, k=mod.k):
+        want = pattern_verdicts(facts, net)
+        runs.clear()
+        with monkeypatch.context() as m:
+            m.setattr(persist.SystemFacts, "_verdict", counting)
+            got = facts.verdicts(net)
+        assert got == want, net.name
+        eat_sets = {tuple(c > 0 for c in v.pattern.choices) for v in want}
+        assert sorted(runs) == sorted(eat_sets), net.name
+    assert len(want) == (27 if triple == BACKWARD_TRIPLE else 12)
+
+
+def _single_strain_state(mod, strain):
+    """The multistrain patch's equilibrium with only strain endemic: a
+    boundary state, which the generic search leaves out of the open cone."""
+    p = mod.params
+    beta, rate = mod.beta[0, strain], mod.V[strain, strain]
+    S = rate / beta
+    x = np.zeros(mod.n)
+    x[strain] = (p["Lam"] - p["mu"] * S) / rate
+    return PatchState(x=x, y=np.array([S]),
+                      z=np.array([(rate - p["mu"]) * x[strain] / p["mu"]]))
+
+
+def test_reducible_verdicts_read_the_chosen_equilibria():
+    # region 1 holds two single-strain equilibria, one EAT set; regions 2
+    # and 3 have strain 1 above threshold and strain 2 below it. Fed
+    # strain 1 their branch leaves the cone; fed strain 2 it has a zero
+    # and a positive component, which no theorem settles. So the verdict
+    # of a reducible V - F is settled per pattern, not per EAT set.
+    Lam, mu, gam = 1.0, 0.1, 0.4
+    src = model.multistrain([0.1, 0.08], gam, Lam, mu)          # R 2, 1.6
+    dst = model.multistrain([0.1, 0.02], gam, Lam, mu)          # R 2, 0.4
+    system, dfe, v_minus_f, R = equilibria._threshold(src)
+    states = [dfe] + [_single_strain_state(src, s) for s in (0, 1)]
+    for st in states:
+        assert np.max(np.abs(system.residual(0.0, st.concat()))) < 1e-12
+    patches = [equilibria.PatchFacts(src, system, v_minus_f, R, tuple(
+        equilibria._classified(system, states)))]
+    patches += [equilibria.patch_facts(dst)] * 2
+    facts = persist.SystemFacts(patches)
+    assert not facts.irreducible
+    net = network.preset("fig3b", n=2, m=1, k=1)
+    got = facts.verdicts(net)
+    assert got == pattern_verdicts(facts, net)
+    assert [(v.pattern.choices, v.verdict) for v in got] == [
+        ((0, 0, 0), "persists"), ((1, 0, 0), "vanishes"),
+        ((2, 0, 0), "indeterminate")]
 
 
 def test_relabeling_invariance(mixed):
